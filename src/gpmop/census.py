@@ -1,17 +1,19 @@
 """Exhaustive triangulation census with batched claim checking.
 
 Every triangulation of a convex labeled polygon is enumerated through the
-classic apex recursion, optionally deduplicated up to isomorphism via
-canonical keys, and turned into one record carrying the exact general
-position number plus the structural statistics.  ``verify_paper_claims``
-then machine-checks the bounds, identities, and extremal characterizations
-this package reproduces, one report per claim per order.
+classic apex recursion, grouped into isomorphism classes by its dihedral
+quiddity sequence (triangles per hull vertex), keyed once per class, and
+turned into records carrying the exact general position number plus the
+structural statistics.  ``verify_paper_claims`` then machine-checks the
+bounds, identities, and extremal characterizations this package
+reproduces, one report per claim per order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -35,7 +37,7 @@ def catalan(k: int) -> int:
 
 
 def _tri(lo: int, hi: int) -> Iterator[Chords]:
-    # Triangulations of the sub-polygon lo..hi, base edge (lo, hi) excluded.
+    # Triangulations of the sub-polygon lo..hi, base edge (lo, hi) excluded, unsorted.
     if hi - lo < 2:
         yield ()
         return
@@ -44,7 +46,7 @@ def _tri(lo: int, hi: int) -> Iterator[Chords]:
         right_base = ((apex, hi),) if hi - apex >= 2 else ()
         for left in _tri(lo, apex):
             for right in _tri(apex, hi):
-                yield tuple(sorted(left_base + left + right_base + right))
+                yield left_base + left + right_base + right
 
 
 def enumerate_triangulations(n: int) -> Iterator[Chords]:
@@ -53,15 +55,8 @@ def enumerate_triangulations(n: int) -> Iterator[Chords]:
     sub-polygon first."""
     if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
         raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    yield from _tri(0, n - 1)
-
-
-def _tri_with_first_apex(n: int, apex: int) -> Iterator[Chords]:
-    left_base = ((0, apex),) if apex >= 2 else ()
-    right_base = ((apex, n - 1),) if n - 1 - apex >= 2 else ()
-    for left in _tri(0, apex):
-        for right in _tri(apex, n - 1):
-            yield tuple(sorted(left_base + left + right_base + right))
+    for chords in _tri(0, n - 1):
+        yield tuple(sorted(chords))
 
 
 def graph_from_chords(n: int, chords: Chords) -> Graph:
@@ -123,10 +118,20 @@ def _labels_for(n: int, key: bytes, g: Graph, cert: MopCertificate) -> tuple[str
     return tuple(labels)
 
 
-def _make_record(n: int, chords: Chords) -> CensusRecord:
+def _quiddity_key(n: int, chords: Chords) -> bytes:
+    # Triangles per hull vertex, smallest over the 2n dihedral images: a
+    # complete isomorphism invariant of a triangulated polygon.
+    counts = bytearray(b"\x01" * n)
+    for a, b in chords:
+        counts[a] += 1
+        counts[b] += 1
+    fwd = bytes(counts) * 2
+    return min([s[i : i + n] for s in (fwd, fwd[::-1]) for i in range(n)])
+
+
+def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
     g = graph_from_chords(n, chords)
     cert = certificate_from_chords(n, chords)
-    key = canonical_form(cert)
     stats = mop_stats(g, cert)
     result = gp_number(g, cert=cert)
     return CensusRecord(
@@ -143,55 +148,50 @@ def _make_record(n: int, chords: Chords) -> CensusRecord:
     )
 
 
-def _records_for_apex(args: tuple[int, int]) -> list[CensusRecord]:
-    n, apex = args
-    return [_make_record(n, chords) for chords in _tri_with_first_apex(n, apex)]
-
-
-def _keys_for_apex(args: tuple[int, int]) -> list[tuple[bytes, Chords]]:
-    n, apex = args
-    return [
-        (canonical_form(certificate_from_chords(n, chords)), chords)
-        for chords in _tri_with_first_apex(n, apex)
-    ]
-
-
-def _records_for_chunk(args: tuple[int, list[Chords]]) -> list[CensusRecord]:
+def _records_for_chunk(args: tuple[int, list[tuple[bytes, Chords]]]) -> list[CensusRecord]:
     n, chunk = args
-    return [_make_record(n, chords) for chords in chunk]
+    return [_make_record(n, key, chords) for key, chords in chunk]
 
 
-def _map_tasks(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+def _plan_chunks(items: list, jobs: int) -> list[list]:
+    # Consecutive non-empty runs of items, at most min(jobs, cpu count) of them.
+    if jobs < 1:
+        raise BadParam(f"jobs must be at least 1, got {jobs}")
+    size = max(1, -(-len(items) // min(jobs, os.cpu_count() or 1)))
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _map_tasks(fn, tasks):
+    if len(tasks) <= 1:
         return [fn(task) for task in tasks]
-    with get_context("fork").Pool(processes=min(jobs, len(tasks))) as pool:
+    with get_context("fork").Pool(processes=len(tasks)) as pool:
         return pool.map(fn, tasks)
 
 
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:
     """One record per triangulation, or per isomorphism class when dedupe
-    is set; records come back sorted by canonical key so the output is
-    byte-identical for any worker count."""
+    is set.  Triangulations are grouped by quiddity sequence and keyed once
+    per class; records come back sorted by (canonical key, chords) so the
+    output is byte-identical for any worker count."""
     if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
         raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    if n == 3:
-        apex_tasks = [(n, 1)]
-    else:
-        apex_tasks = [(n, apex) for apex in range(1, n - 1)]
-    if dedupe:
-        reps: dict[bytes, Chords] = {}
-        for part in _map_tasks(_keys_for_apex, apex_tasks, jobs):
-            for key, chords in part:
-                old = reps.get(key)
-                if old is None or chords < old:
-                    reps[key] = chords
-        rep_list = [chords for _, chords in sorted(reps.items())]
-        chunks = [(n, rep_list[w::jobs]) for w in range(max(jobs, 1))] if jobs > 1 else [(n, rep_list)]
-        records = [rec for part in _map_tasks(_records_for_chunk, chunks, jobs) for rec in part]
-    else:
-        records = [rec for part in _map_tasks(_records_for_apex, apex_tasks, jobs) for rec in part]
-    records.sort(key=lambda r: (r.canonical_key, r.chords))
-    return records
+    if jobs < 1:
+        raise BadParam(f"jobs must be at least 1, got {jobs}")
+    # Dedupe keeps only the smallest chord set of each class while streaming.
+    groups: dict[bytes, list[Chords]] = {}
+    for chords in enumerate_triangulations(n):
+        members = groups.setdefault(_quiddity_key(n, chords), [])
+        if not members or not dedupe:
+            members.append(chords)
+        elif chords < members[0]:
+            members[0] = chords
+    keyed = []
+    for members in groups.values():
+        key = canonical_form(certificate_from_chords(n, members[0]))
+        keyed.extend((key, chords) for chords in members)
+    keyed.sort()
+    tasks = [(n, chunk) for chunk in _plan_chunks(keyed, jobs)]
+    return [rec for part in _map_tasks(_records_for_chunk, tasks) for rec in part]
 
 
 def census_to_csv(records: list[CensusRecord]) -> str:

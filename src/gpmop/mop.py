@@ -244,16 +244,12 @@ def segment(cert: MopCertificate, u: int, v: int) -> tuple[int, ...]:
     """Hull vertices from u to v inclusive, following the stored orientation."""
     if u == v:
         raise ValueError("segment endpoints must differ")
-    pos = cert.positions()
-    if u not in pos or v not in pos:
-        raise VertexOutOfRange(f"segment endpoints ({u},{v}) must lie on the cycle")
-    n = cert.order
-    i = pos[u]
-    out = [u]
-    while cert.cycle[i] != v:
-        i = (i + 1) % n
-        out.append(cert.cycle[i])
-    return tuple(out)
+    cycle = cert.cycle
+    try:
+        i, j = cycle.index(u), cycle.index(v)
+    except ValueError:
+        raise VertexOutOfRange(f"segment endpoints ({u},{v}) must lie on the cycle") from None
+    return cycle[i : j + 1] if i < j else cycle[i:] + cycle[: j + 1]
 
 
 def canonical_form(cert: MopCertificate) -> bytes:

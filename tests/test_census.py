@@ -1,3 +1,4 @@
+import os
 import re
 from math import comb
 
@@ -17,8 +18,18 @@ from gpmop import (
     run_census,
     verify_paper_claims,
 )
-from gpmop.census import graph_from_chords
+from gpmop import census
+from gpmop.census import (
+    _generator_catalog,
+    _plan_chunks,
+    _quiddity_key,
+    certificate_from_chords,
+    graph_from_chords,
+)
 from helpers import graphs_isomorphic
+
+# OEIS A000207: triangulations of the n-gon up to rotation and reflection.
+DIHEDRAL_CLASSES = {4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82, 11: 228, 12: 733}
 
 
 class TestEnumeration:
@@ -47,6 +58,69 @@ class TestEnumeration:
             list(enumerate_triangulations(2))
         with pytest.raises(BadParam):
             list(enumerate_triangulations(15))
+
+
+class TestQuiddityKey:
+    def test_partition_matches_canonical_form(self):
+        # Oracle: canonical_form on every labeled triangulation.
+        for n in range(3, 13):
+            by_quiddity: dict[bytes, set] = {}
+            by_key: dict[bytes, set] = {}
+            for chords in enumerate_triangulations(n):
+                by_quiddity.setdefault(_quiddity_key(n, chords), set()).add(chords)
+                key = canonical_form(certificate_from_chords(n, chords))
+                by_key.setdefault(key, set()).add(chords)
+            assert set(map(frozenset, by_quiddity.values())) == set(map(frozenset, by_key.values()))
+            if n in DIHEDRAL_CLASSES:
+                assert len(by_quiddity) == DIHEDRAL_CLASSES[n]
+
+    def test_canonical_form_runs_once_per_class(self, monkeypatch):
+        calls: list[int] = []
+
+        def counting(cert):
+            calls.append(cert.order)
+            return canonical_form(cert)
+
+        for n in range(4, 13):
+            _generator_catalog(n)  # warm, so only per-class keys are counted below
+        monkeypatch.setattr(census, "canonical_form", counting)
+        for n in range(4, 11):
+            recs = run_census(n)
+            assert len(recs) == catalan(n - 2)
+            assert calls.count(n) == DIHEDRAL_CLASSES[n]
+            for r in recs:
+                assert r.canonical_key == canonical_form(certificate_from_chords(n, r.chords))
+        assert len(run_census(12, dedupe=True)) == DIHEDRAL_CLASSES[12]
+        assert calls.count(12) == DIHEDRAL_CLASSES[12]
+
+
+class TestPlanChunks:
+    def test_huge_jobs_clamped_to_cpus(self):
+        items = list(range(10))
+        chunks = _plan_chunks(items, 10**9)
+        assert 1 <= len(chunks) <= min(len(items), os.cpu_count() or 1)
+        assert all(chunks)
+        assert [x for c in chunks for x in c] == items
+
+    def test_clamped_to_items(self, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+        assert _plan_chunks([1, 2, 3], 8) == [[1], [2], [3]]
+        assert _plan_chunks(list(range(7)), 2) == [[0, 1, 2, 3], [4, 5, 6]]
+        assert _plan_chunks([], 8) == []
+
+    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+        assert _plan_chunks([1, 2, 3], 10**9) == [[1, 2, 3]]
+
+    def test_one_job_is_one_chunk(self):
+        assert _plan_chunks(list(range(5)), 1) == [list(range(5))]
+
+    @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(BadParam):
+            _plan_chunks([1, 2, 3], jobs)
+        with pytest.raises(BadParam):
+            run_census(5, jobs=jobs)
 
 
 class TestRunCensus:

@@ -141,6 +141,10 @@ class TestCensusCommand:
     def test_bad_order(self, capsys):
         assert main(["census", "2"]) == 2
 
+    def test_bad_jobs(self, capsys):
+        assert main(["census", "5", "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_all_pass_over_small_range(self, capsys):
@@ -151,6 +155,10 @@ class TestCheckCommand:
 
     def test_bad_range(self, capsys):
         assert main(["check", "3", "6"]) == 2
+
+    def test_bad_jobs(self, capsys):
+        assert main(["check", "4", "13", "--jobs", "-1"]) == 2
+        assert "jobs" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

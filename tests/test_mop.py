@@ -10,6 +10,7 @@ from gpmop import (
     EdgeInTooManyTriangles,
     HullNotHamiltonian,
     StructureViolation,
+    VertexOutOfRange,
     WrongEdgeCount,
     build_graph,
     canonical_form,
@@ -153,6 +154,28 @@ class TestSegment:
         cert = certificate_from_chords(5, ((0, 2), (0, 3)))
         with pytest.raises(ValueError):
             segment(cert, 2, 2)
+
+    def test_endpoint_off_the_cycle_rejected(self):
+        cert = certificate_from_chords(5, ((0, 2), (0, 3)))
+        for u, v in ((1, 5), (-1, 2), (7, 9)):
+            with pytest.raises(VertexOutOfRange):
+                segment(cert, u, v)
+
+    def test_matches_a_walk_along_the_cycle(self):
+        # Oracle: step around the stored cycle one vertex at a time.
+        perm = list(range(8))
+        random.Random(3).shuffle(perm)
+        cert = recognize(relabeled(fan(8).graph, perm))
+        for u in cert.cycle:
+            for v in cert.cycle:
+                if u == v:
+                    continue
+                i = cert.cycle.index(u)
+                walk = [u]
+                while walk[-1] != v:
+                    i = (i + 1) % 8
+                    walk.append(cert.cycle[i])
+                assert segment(cert, u, v) == tuple(walk)
 
 
 class TestCanonicalForm:
