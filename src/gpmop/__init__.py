@@ -63,10 +63,8 @@ from .mop import (
     segment,
 )
 from .solve import (
-    ConflictTable,
     GpResult,
     SearchCapExceeded,
-    conflict_triples,
     gp_number,
     mop_greedy_lower_bound,
 )

@@ -23,7 +23,7 @@ from typing import Iterator
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, all_pairs_distances, build_graph
 from .mop import MopCertificate, canonical_form, mop_stats, recognize, segment
-from .solve import gp_number, mop_greedy_lower_bound
+from .solve import _fan_pattern, gp_number
 from .verify import is_gp_characterized, is_gp_naive
 
 MIN_CENSUS_ORDER = 3
@@ -85,6 +85,13 @@ class CensusRecord:
 
 @dataclass(frozen=True)
 class ClaimReport:
+    """One claim checked over the classes of one order.
+
+    ``checked=0`` with status ``pass`` means nothing was checked: the order
+    lies below the range the claim is stated for, or no class meets its
+    hypothesis.
+    """
+
     claim: str
     n: int
     universe: str
@@ -285,7 +292,7 @@ def _claim_degree_lower_bound(ctx: _ClaimContext) -> ClaimReport:
     for r in ctx.records:
         g = ctx.graphs[r.canonical_key]
         cert = ctx.certs[r.canonical_key]
-        bound, witness = mop_greedy_lower_bound(g, cert)
+        bound, witness = _fan_pattern(g, cert)
         dm = all_pairs_distances(g)
         naive_ok = is_gp_naive(g, dm, witness).is_gp
         char_ok = is_gp_characterized(g, dm, witness).is_gp
@@ -492,11 +499,7 @@ def _claim_internal_triangle_max(ctx: _ClaimContext) -> ClaimReport:
     if max_k != cap:
         bad.append(f"max_internal={max_k}!={cap}")
     maximizers = {r.canonical_key for r in ctx.records if r.internal_triangles == cap}
-    structural = {
-        r.canonical_key
-        for r in ctx.records
-        if is_generalized_sunflower(ctx.graphs[r.canonical_key], ctx.certs[r.canonical_key])
-    }
+    structural = {r.canonical_key for r in ctx.records if "gsf" in r.family_labels}
     bad.extend(sorted(_hex(k) for k in maximizers.symmetric_difference(structural)))
     return ClaimReport(
         "internal_triangle_max",
@@ -513,7 +516,7 @@ def _claim_internal_lower_bound(ctx: _ClaimContext) -> ClaimReport:
         if r.gp < r.internal_triangles + 2:
             bad.append(_hex(r.canonical_key))
             continue
-        if is_generalized_sunflower(ctx.graphs[r.canonical_key], ctx.certs[r.canonical_key]):
+        if "gsf" in r.family_labels:
             if ctx.n >= 8 and r.gp != r.internal_triangles + 2:
                 bad.append(_hex(r.canonical_key))
             elif ctx.n == 7 and r.gp != 4:

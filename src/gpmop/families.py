@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import Graph, GraphError, build_graph
-from .mop import CrossingChords, MopCertificate, _chords_cross, recognize
+from .mop import MopCertificate, _check_non_crossing, recognize
 
 
 class BadParam(GraphError):
@@ -160,11 +160,7 @@ def _validate_base_chords(m: int, chords) -> frozenset[tuple[int, int]]:
         normalized.add((a, b))
     if len(normalized) != m - 3:
         raise BadParam(f"a triangulated {m}-gon needs {m - 3} chords, got {len(normalized)}")
-    items = sorted(normalized)
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            if _chords_cross(items[i], items[j]):
-                raise CrossingChords(f"base chords {items[i]} and {items[j]} cross")
+    _check_non_crossing(range(m), normalized, "base chords")
     return frozenset(normalized)
 
 

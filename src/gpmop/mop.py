@@ -15,9 +15,8 @@ from .graph import (
     Disconnected,
     Graph,
     GraphError,
-    UNREACHABLE,
     VertexOutOfRange,
-    bfs_distances,
+    is_connected,
 )
 
 
@@ -71,10 +70,16 @@ class MopStats:
     faces: int
 
 
-def _chords_cross(p: tuple[int, int], q: tuple[int, int]) -> bool:
-    a, b = p
-    c, d = q
-    return (a < c < b < d) or (c < a < d < b)
+def _check_non_crossing(cycle, chords, label: str) -> None:
+    """Raise CrossingChords naming the first two chords that cross on cycle."""
+    pos = {v: i for i, v in enumerate(cycle)}
+    spans = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords)
+    # Sorted by first endpoint, a later chord crosses exactly when it starts
+    # strictly inside this one and ends strictly outside it.
+    for i, (a, b, e1) in enumerate(spans):
+        for c, d, e2 in spans[i + 1 :]:
+            if a < c < b < d:
+                raise CrossingChords(f"{label} {e1} and {e2} cross on the hull cycle")
 
 
 def _normalized_cycle(cycle: list[int]) -> tuple[int, ...]:
@@ -96,7 +101,7 @@ def recognize(g: Graph) -> MopCertificate:
     n = g.order
     if n < 3:
         raise WrongEdgeCount(f"order {n} is below the minimum of 3")
-    if UNREACHABLE in bfs_distances(g, 0):
+    if not is_connected(g):
         raise Disconnected("graph is not connected")
     expected = 2 * n - 3
     if len(g.edges) != expected:
@@ -133,17 +138,7 @@ def recognize(g: Graph) -> MopCertificate:
         raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
 
     chords = frozenset(e for e in g.edges if e not in hull_edges)
-    pos = {v: i for i, v in enumerate(cycle)}
-    chord_pos = sorted(
-        (min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords
-    )
-    for i in range(len(chord_pos)):
-        for j in range(i + 1, len(chord_pos)):
-            a, b, e1 = chord_pos[i]
-            c, d, e2 = chord_pos[j]
-            if _chords_cross((a, b), (c, d)):
-                raise CrossingChords(f"chords {e1} and {e2} cross on the hull cycle")
-
+    _check_non_crossing(cycle, chords, "chords")
     return MopCertificate(n, _normalized_cycle(cycle), chords)
 
 
@@ -318,14 +313,6 @@ def certificate_from_text(text: str) -> MopCertificate:
         chords.add(key)
     if len(chords) != n - 3:
         raise StructureViolation(f"expected {n - 3} chords, found {len(chords)}")
-    chord_pos = [
-        (min(pos[a], pos[b]), max(pos[a], pos[b]), (a, b)) for a, b in sorted(chords)
-    ]
-    for i in range(len(chord_pos)):
-        for j in range(i + 1, len(chord_pos)):
-            a, b, e1 = chord_pos[i]
-            c, d, e2 = chord_pos[j]
-            if _chords_cross((a, b), (c, d)):
-                raise CrossingChords(f"chords {e1} and {e2} cross on the hull cycle")
+    _check_non_crossing(cycle, chords, "chords")
     rotated = _normalized_cycle(list(cycle))
     return MopCertificate(n, rotated, frozenset(chords))

@@ -13,18 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
 
 from .graph import (
     Disconnected,
-    DistanceMatrix,
     Graph,
     GraphError,
-    UNREACHABLE,
     all_pairs_distances,
-    bfs_distances,
 )
 from .mop import MopCertificate, check_certificate, maximal_fan
 from .verify import is_gp_characterized
@@ -52,51 +46,9 @@ class GpResult:
     nodes_explored: int
 
 
-@dataclass(frozen=True, eq=False)
-class ConflictTable:
-    """All geodesic triples plus a pair -> completing-vertices index."""
-
-    order: int
-    triples: frozenset[tuple[int, int, int]]
-    pair_index: Mapping[tuple[int, int], tuple[int, ...]]
-
-
-def _dist_lists(g: Graph) -> list[list[int]]:
-    rows = [bfs_distances(g, s) for s in range(g.order)]
-    if any(UNREACHABLE in row for row in rows):
-        raise Disconnected("graph is not connected")
-    return rows
-
-
-def conflict_triples(g: Graph, dm: DistanceMatrix) -> ConflictTable:
-    """Enumerate every unordered triple in which some member lies between
-    the other two; a subset is in general position iff it avoids them all."""
-    if not dm.connected:
-        raise Disconnected("graph is not connected")
-    n = g.order
-    dist = dm.dist.tolist()
-    triples: list[tuple[int, int, int]] = []
-    index: dict[tuple[int, int], list[int]] = {}
-    for a in range(n):
-        da = dist[a]
-        for b in range(a + 1, n):
-            db = dist[b]
-            dab = da[b]
-            for c in range(b + 1, n):
-                dac, dbc = da[c], db[c]
-                if dac == dab + dbc or dab == dac + dbc or dbc == dab + dac:
-                    triples.append((a, b, c))
-                    index.setdefault((a, b), []).append(c)
-                    index.setdefault((a, c), []).append(b)
-                    index.setdefault((b, c), []).append(a)
-    return ConflictTable(
-        n,
-        frozenset(triples),
-        {pair: tuple(vals) for pair, vals in index.items()},
-    )
-
-
 def _pair_block_masks(dist: list[list[int]], n: int) -> list[list[int]]:
+    # Bit c of blocks[a][b] is set when one of a, b, c lies on a geodesic
+    # between the other two.
     blocks = [[0] * n for _ in range(n)]
     for a in range(n):
         da = dist[a]
@@ -225,17 +177,17 @@ def gp_number(
         raise SearchCapExceeded(
             f"order {n} exceeds the search cap {max_order}; pass force=True to override"
         )
-    dist = _dist_lists(g)
+    dm = all_pairs_distances(g)
+    if not dm.connected:
+        raise Disconnected("graph is not connected")
     if n <= 2:
         return GpResult(n, tuple(range(n)), True, 1)
-    dm = DistanceMatrix(n, np.array(dist, dtype=np.uint16))
-    blocks = _pair_block_masks(dist, n)
+    blocks = _pair_block_masks(dm.dist.tolist(), n)
     if cert is not None:
         check_certificate(g, cert)
-        bound, pattern = _fan_pattern(g, cert)
-        if not is_gp_characterized(g, dm, pattern).is_gp:
-            raise RuntimeError("internal: fan pattern is not in general position")
-        threshold = bound - 1
+        # An overstated seed leaves _search with nothing above the
+        # threshold, and it raises, so the seed needs no check of its own.
+        threshold = _fan_pattern(g, cert)[0] - 1
     else:
         threshold = _greedy_bound(n, blocks, random.Random(seed)) - 1
     value, witness, nodes = _search(n, blocks, threshold)

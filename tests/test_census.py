@@ -1,5 +1,6 @@
 import os
 import re
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -242,6 +243,26 @@ class TestClaims:
         pattern = re.compile(r"CLAIM \S+ n=\d+ checked=\d+ violations=\d+ status=(pass|fail)")
         for line in claim_report_text(reports).splitlines():
             assert pattern.fullmatch(line)
+
+    def test_degree_lower_bound_names_a_bad_pattern(self, monkeypatch):
+        # A fan pattern that is not in general position is a violation
+        # naming its class, not an exception out of the battery.
+        n = 7
+        ctx = census._ClaimContext(n, run_census(n, dedupe=True))
+        fan_key = next(key for label, key in _generator_catalog(n) if label == "fan")
+        g, fan_cert = ctx.graphs[fan_key], ctx.certs[fan_key]
+        real = census._fan_pattern
+        bound = real(g, fan_cert)[0]
+        dm = all_pairs_distances(g)
+        bad = next(s for s in combinations(range(n), bound) if not is_gp_naive(g, dm, s).is_gp)
+
+        def pattern(g, cert):
+            return (bound, bad) if cert == fan_cert else real(g, cert)
+
+        monkeypatch.setattr(census, "_fan_pattern", pattern)
+        report = census._claim_degree_lower_bound(ctx)
+        assert report.violations == (fan_key.hex(),)
+        assert report.checked == len(ctx.records)
 
     def test_range_checks(self):
         with pytest.raises(BadParam):

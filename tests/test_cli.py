@@ -1,6 +1,9 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import gpmop
 from gpmop import parse_edge_list, recognize
 from gpmop.cli import main
 
@@ -162,15 +165,20 @@ class TestCheckCommand:
 
 
 def test_console_script_entry_point(tmp_path):
+    # The child imports the same gpmop as this process, installed or not.
+    src = str(Path(gpmop.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     out = tmp_path / "fan5.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "gpmop.cli", "generate", "fan", "5", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     proc = subprocess.run(
-        [sys.executable, "-m", "gpmop.cli", "gp", str(out)], capture_output=True, text=True
+        [sys.executable, "-m", "gpmop.cli", "gp", str(out)], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "gp=3" in proc.stdout

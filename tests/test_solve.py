@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,6 @@ from gpmop import (
     all_pairs_distances,
     build_graph,
     complete,
-    conflict_triples,
     cycle,
     fan,
     generalized_sunflower,
@@ -24,39 +24,63 @@ from gpmop import (
     run_census,
     straight_linear_2tree,
 )
+from gpmop import solve
 from gpmop.census import graph_from_chords
-from helpers import brute_force_gp, random_connected_graph
+from helpers import (
+    brute_force_gp,
+    exhaustive_interval,
+    geodesic_triples,
+    random_connected_graph,
+)
 
 
-class TestConflictTriples:
+def _block_masks(g):
+    return solve._pair_block_masks(all_pairs_distances(g).dist.tolist(), g.order)
+
+
+def _mask_triples(g) -> set[int]:
+    # Every triple named by the pair masks, as a vertex bitmask.
+    blocks = _block_masks(g)
+    n = g.order
+    return {
+        (1 << a) | (1 << b) | (1 << c)
+        for a in range(n)
+        for b in range(a + 1, n)
+        for c in range(n)
+        if (blocks[a][b] >> c) & 1
+    }
+
+
+class TestPairBlockMasks:
     def test_path_three(self):
-        g = path(3).graph
-        table = conflict_triples(g, all_pairs_distances(g))
-        assert table.triples == frozenset({(0, 1, 2)})
+        assert _mask_triples(path(3).graph) == {0b111}
 
     def test_complete_graph_has_none(self):
-        g = complete(5).graph
-        table = conflict_triples(g, all_pairs_distances(g))
-        assert not table.triples
+        assert not _mask_triples(complete(5).graph)
 
     def test_four_cycle(self):
-        g = cycle(4).graph
-        table = conflict_triples(g, all_pairs_distances(g))
-        assert len(table.triples) == 4
+        assert len(_mask_triples(cycle(4).graph)) == 4
 
-    def test_pair_index_matches_triples(self):
+    def test_masks_match_triples(self):
+        # Each triple is named by all three of its pairs, and the triples are
+        # the Floyd-Warshall oracle's.
         g = fan(7).graph
-        table = conflict_triples(g, all_pairs_distances(g))
-        rebuilt = set()
-        for (a, b), completions in table.pair_index.items():
-            for c in completions:
-                rebuilt.add(tuple(sorted((a, b, c))))
-        assert rebuilt == set(table.triples)
+        blocks = _block_masks(g)
+        for a, b, c in permutations(range(g.order), 3):
+            assert (blocks[a][b] >> c) & 1 == (blocks[a][c] >> b) & 1 == (blocks[b][a] >> c) & 1
+        assert _mask_triples(g) == set(geodesic_triples(g))
 
-    def test_disconnected(self):
-        g = build_graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(Disconnected):
-            conflict_triples(g, all_pairs_distances(g))
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_path_enumeration(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(2, 8))
+        n = g.order
+        blocks = _block_masks(g)
+        between = {(u, v): exhaustive_interval(g, u, v) for u, v in permutations(range(n), 2)}
+        for a, b, c in permutations(range(n), 3):
+            expected = c in between[a, b] or a in between[b, c] or b in between[a, c]
+            assert bool((blocks[a][b] >> c) & 1) == expected, (a, b, c)
 
 
 class TestGpNumber:
@@ -106,6 +130,28 @@ class TestGpNumber:
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             gp_number(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_disconnected_order_two(self):
+        # Connectivity is checked before the tiny-order shortcut.
+        with pytest.raises(Disconnected):
+            gp_number(build_graph(2, []))
+
+    def test_overstated_seed_raises(self, monkeypatch):
+        g = fan(9).graph
+        cert = recognize(g)
+        monkeypatch.setattr(solve, "_fan_pattern", lambda g, cert: (7, (0, 1, 2, 3, 4, 5, 6)))
+        with pytest.raises(RuntimeError):
+            gp_number(g, cert=cert)
+
+    def test_understated_seed_changes_nothing(self, monkeypatch):
+        g = fan(9).graph
+        cert = recognize(g)
+        unseeded = gp_number(g)
+        bound, witness = solve._fan_pattern(g, cert)
+        low = bound - 2
+        monkeypatch.setattr(solve, "_fan_pattern", lambda g, cert: (low, witness[:low]))
+        seeded = gp_number(g, cert=cert)
+        assert (seeded.value, seeded.witness) == (unseeded.value, unseeded.witness)
 
     def test_tiny_graphs(self):
         assert gp_number(build_graph(1, [])).value == 1
