@@ -1,8 +1,8 @@
 """Immutable simple graphs, BFS distances, and geodesic predicates.
 
-Vertices are dense integers 0..order-1.  Distances live in a dense uint16
-matrix so that censuses of many small graphs stay cache friendly; pairs in
-different components hold the UNREACHABLE sentinel.
+Vertices are dense integers 0..order-1.  Distances are a tuple of BFS
+rows; pairs in different components hold the UNREACHABLE sentinel, and the
+order is capped at UNREACHABLE so that no real distance can equal it.
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
-
-import numpy as np
 
 UNREACHABLE = 0xFFFF
 
@@ -64,11 +62,12 @@ class Graph:
 def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Validate and normalize an edge list into a Graph.
 
-    Rejects self-loops, duplicate edges, and endpoints outside 0..order-1,
+    Rejects an order outside 1..UNREACHABLE before allocating anything,
+    then self-loops, duplicate edges, and endpoints outside 0..order-1,
     naming the offending pair in the error.
     """
-    if order < 1:
-        raise VertexOutOfRange(f"order must be >= 1, got {order}")
+    if not 1 <= order <= UNREACHABLE:
+        raise VertexOutOfRange(f"order must be in 1..{UNREACHABLE}, got {order}")
     seen: set[tuple[int, int]] = set()
     nbrs: list[list[int]] = [[] for _ in range(order)]
     for u, v in edges:
@@ -87,20 +86,22 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class DistanceMatrix:
-    """All-pairs BFS hop counts; UNREACHABLE marks separated pairs."""
+    """All-pairs BFS hop counts as a tuple of BFS rows, one per source.
+
+    UNREACHABLE marks separated pairs; build_graph caps the order at
+    UNREACHABLE, so every real distance stays below it.
+    """
 
     order: int
-    dist: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.dist.setflags(write=False)
+    dist: tuple[tuple[int, ...], ...]
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
-        return int(self.dist[pair])
+        u, v = pair
+        return self.dist[u][v]
 
     @property
     def connected(self) -> bool:
-        return not bool((self.dist == UNREACHABLE).any())
+        return all(UNREACHABLE not in row for row in self.dist)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -119,8 +120,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    rows = [bfs_distances(g, s) for s in range(g.order)]
-    return DistanceMatrix(g.order, np.array(rows, dtype=np.uint16))
+    return DistanceMatrix(g.order, tuple(tuple(bfs_distances(g, s)) for s in range(g.order)))
 
 
 def is_connected(g: Graph) -> bool:
@@ -142,8 +142,8 @@ def interval(g: Graph, dm: DistanceMatrix, u: int, v: int) -> frozenset[int]:
     duv = dm[u, v]
     if duv == UNREACHABLE:
         raise Disconnected(f"vertices {u} and {v} are in different components")
-    total = dm.dist[u].astype(np.int32) + dm.dist[v].astype(np.int32)
-    return frozenset(int(w) for w in np.nonzero(total == duv)[0])
+    du, dv = dm.dist[u], dm.dist[v]
+    return frozenset(w for w in range(g.order) if du[w] + dv[w] == duv)
 
 
 def lies_on_geodesic(dm: DistanceMatrix, a: int, b: int, c: int) -> bool:

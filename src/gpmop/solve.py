@@ -36,17 +36,16 @@ class GpResult:
     """Exact general position number with its witness.
 
     ``witness`` is the lexicographically smallest maximum set under the
-    vertex order; ``optimal`` is True whenever the search ran to completion,
-    and ``nodes_explored`` counts branch-and-bound nodes for diagnostics.
+    vertex order, and ``nodes_explored`` counts branch-and-bound nodes for
+    diagnostics.
     """
 
     value: int
     witness: tuple[int, ...]
-    optimal: bool
     nodes_explored: int
 
 
-def _pair_block_masks(dist: list[list[int]], n: int) -> list[list[int]]:
+def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
     # Bit c of blocks[a][b] is set when one of a, b, c lies on a geodesic
     # between the other two.
     blocks = [[0] * n for _ in range(n)]
@@ -181,8 +180,8 @@ def gp_number(
     if not dm.connected:
         raise Disconnected("graph is not connected")
     if n <= 2:
-        return GpResult(n, tuple(range(n)), True, 1)
-    blocks = _pair_block_masks(dm.dist.tolist(), n)
+        return GpResult(n, tuple(range(n)), 1)
+    blocks = _pair_block_masks(dm.dist, n)
     if cert is not None:
         check_certificate(g, cert)
         # An overstated seed leaves _search with nothing above the
@@ -193,4 +192,4 @@ def gp_number(
     value, witness, nodes = _search(n, blocks, threshold)
     if not is_gp_characterized(g, dm, witness).is_gp:
         raise RuntimeError("internal: search returned a set that fails verification")
-    return GpResult(value, witness, True, nodes)
+    return GpResult(value, witness, nodes)

@@ -47,19 +47,10 @@ def _prepare(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> tuple[int, ...]:
     return members
 
 
-def _pair_distances(dm: DistanceMatrix, members: tuple[int, ...]) -> dict[tuple[int, int], int]:
-    d: dict[tuple[int, int], int] = {}
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            d[a, b] = d[b, a] = int(dm.dist[a, b])
-    return d
-
-
-def _first_violation(
-    members: tuple[int, ...], d: dict[tuple[int, int], int]
-) -> tuple[int, int, int] | None:
+def _first_violation(dm: DistanceMatrix, members: tuple[int, ...]) -> tuple[int, int, int] | None:
     # Ordered scan keeps the reported triple lexicographically smallest,
     # with the middle vertex second.
+    d = dm.dist
     for a in members:
         for b in members:
             if b == a:
@@ -67,7 +58,7 @@ def _first_violation(
             for c in members:
                 if c == a or c == b:
                     continue
-                if d[a, c] == d[a, b] + d[b, c]:
+                if d[a][c] == d[a][b] + d[b][c]:
                     return (a, b, c)
     return None
 
@@ -77,8 +68,7 @@ def is_gp_naive(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSetCheck:
     members = _prepare(g, dm, s)
     if len(members) <= 2:
         return GpSetCheck(members, True, None, None)
-    d = _pair_distances(dm, members)
-    violation = _first_violation(members, d)
+    violation = _first_violation(dm, members)
     return GpSetCheck(members, violation is None, violation, None)
 
 
@@ -113,7 +103,7 @@ def is_gp_characterized(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSet
     """
     members = _prepare(g, dm, s)
     blocks = _induced_components(g, members)
-    d = _pair_distances(dm, members)
+    d = dm.dist
 
     ok = True
     for block in blocks:
@@ -133,10 +123,10 @@ def is_gp_characterized(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSet
         block_dist = [[0] * k for _ in range(k)]
         for i in range(k):
             for j in range(i + 1, k):
-                val = d[blocks[i][0], blocks[j][0]]
+                val = d[blocks[i][0]][blocks[j][0]]
                 for a in blocks[i]:
                     for b in blocks[j]:
-                        if d[a, b] != val:
+                        if d[a][b] != val:
                             ok = False
                             break
                     if not ok:
@@ -167,7 +157,7 @@ def is_gp_characterized(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSet
     if ok:
         return GpSetCheck(members, True, None, tuple(blocks))
 
-    violation = _first_violation(members, d)
+    violation = _first_violation(dm, members)
     if violation is None:
         raise RuntimeError(
             "clique-partition test rejected a set with no violating triple; "

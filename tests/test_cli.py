@@ -41,6 +41,11 @@ class TestGp:
     def test_missing_file(self, capsys):
         assert main(["gp", "/nonexistent/file.txt"]) == 2
 
+    def test_huge_declared_order(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "huge.txt", "999999999\n")
+        assert main(["gp", f]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_cap_exceeded(self, tmp_path, capsys):
         lines = ["45"] + [f"{i} {i + 1}" for i in range(44)]
         f = write_graph(tmp_path, "long.txt", "\n".join(lines) + "\n")

@@ -1,10 +1,13 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gpmop
 from gpmop import (
     Disconnected,
     DuplicateEdge,
@@ -18,10 +21,11 @@ from gpmop import (
     format_edge_list,
     generalized_sunflower,
     interval,
+    is_connected,
     lies_on_geodesic,
     parse_edge_list,
 )
-from helpers import exhaustive_interval, random_connected_graph
+from helpers import BIG, exhaustive_interval, floyd_warshall, random_connected_graph
 
 
 def path_graph(n):
@@ -63,6 +67,15 @@ class TestBuildGraph:
         assert g.has_edge(1, 0) and g.has_edge(0, 1)
         assert not g.has_edge(0, 2)
 
+    def test_order_capped_at_the_sentinel(self):
+        # A path on 0x10000 vertices has an end-to-end distance equal to
+        # UNREACHABLE, so such an order cannot be represented.
+        with pytest.raises(VertexOutOfRange, match="order must be in 1..65535, got 65536"):
+            build_graph(UNREACHABLE + 1, [(i, i + 1) for i in range(UNREACHABLE)])
+
+    def test_largest_order_path_is_connected(self):
+        assert is_connected(path_graph(UNREACHABLE))
+
 
 class TestDistances:
     def test_path_end_to_end(self):
@@ -87,8 +100,8 @@ class TestDistances:
 
     def test_matrix_is_read_only(self):
         dm = all_pairs_distances(path_graph(3))
-        with pytest.raises(ValueError):
-            dm.dist[0, 1] = 5
+        with pytest.raises(TypeError):
+            dm.dist[0][1] = 5
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
@@ -96,11 +109,36 @@ class TestDistances:
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 9))
         dm = all_pairs_distances(g)
-        assert np.array_equal(dm.dist, dm.dist.T)
-        assert not dm.dist.diagonal().any()
+        assert dm.dist == tuple(zip(*dm.dist))
+        assert all(dm[v, v] == 0 for v in range(g.order))
         for u in range(g.order):
             for v in range(u + 1, g.order):
                 assert (dm[u, v] == 1) == g.has_edge(u, v)
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_floyd_warshall(self, seed, union):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(1, 9))
+        if union:
+            h = random_connected_graph(rng, rng.randint(1, 9))
+            shifted = [(u + g.order, v + g.order) for u, v in h.edges]
+            g = build_graph(g.order + h.order, sorted(g.edges) + shifted)
+        expected = tuple(
+            tuple(UNREACHABLE if d == BIG else d for d in row) for row in floyd_warshall(g)
+        )
+        dm = all_pairs_distances(g)
+        assert dm.dist == expected
+        assert dm.connected == (not union)
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(gpmop.__file__).resolve().parents[1])
+    code = "import sys, gpmop, gpmop.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestInterval:
@@ -204,3 +242,7 @@ class TestEdgeListFormat:
     def test_out_of_range_entry_is_hard_error(self):
         with pytest.raises(VertexOutOfRange):
             parse_edge_list("3\n0 5\n")
+
+    def test_huge_declared_order_rejected(self):
+        with pytest.raises(VertexOutOfRange, match="order must be in 1..65535"):
+            parse_edge_list("999999999\n")

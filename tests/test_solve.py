@@ -35,7 +35,7 @@ from helpers import (
 
 
 def _block_masks(g):
-    return solve._pair_block_masks(all_pairs_distances(g).dist.tolist(), g.order)
+    return solve._pair_block_masks(all_pairs_distances(g).dist, g.order)
 
 
 def _mask_triples(g) -> set[int]:
@@ -106,7 +106,6 @@ class TestGpNumber:
         assert is_gp_characterized(g, dm, res.witness).is_gp
         assert is_gp_naive(g, dm, res.witness).is_gp
         assert res.witness == (0, 1, 3, 4, 6, 7)
-        assert res.optimal
         assert res.nodes_explored > 0
 
     def test_determinism_across_runs_and_seeds(self):
