@@ -25,13 +25,13 @@ print("gsf(8) hull cycle:", cert.cycle)
 print("gsf(8) chords:    ", sorted(cert.chords))
 
 stats = mop_stats(inst.graph, cert)
-print("internal triangles:", stats.internal_triangles, "| 2-vertices:", stats.two_vertices,
-      "| striped:", stats.striped, "| faces:", stats.faces)
+print("internal triangles:", stats.internal_triangles, "| marginal:", stats.marginal_triangles,
+      "| 2-vertices:", stats.two_vertices, "| striped:", stats.striped)
 
 # The closed neighborhood of any vertex spans a maximal fan.
 g = straight_linear_2tree(8).graph
 cert2 = recognize(g)
-print("\nlinear 2-tree fan at vertex 3:", maximal_fan(g, cert2, 3))
+print("\nlinear 2-tree fan at vertex 3:", maximal_fan(g, 3))
 print("hull segment 1 -> 4:", segment(cert2, 1, 4))
 
 # Rejections carry evidence: K4 has one edge too many.

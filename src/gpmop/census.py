@@ -6,7 +6,9 @@ quiddity sequence (triangles per hull vertex), keyed once per class, and
 turned into records carrying the exact general position number plus the
 structural statistics.  ``verify_paper_claims`` then machine-checks the
 bounds, identities, and extremal characterizations this package
-reproduces, one report per claim per order.
+reproduces, one report per claim per order: a single loop over the
+records of each order, with one graph rebuilt from the chords of each
+class and no certificate, since a census hull is always 0..n-1.
 """
 
 from __future__ import annotations
@@ -14,15 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 from multiprocessing import get_context
 from typing import Iterator
 
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, all_pairs_distances, build_graph
-from .mop import MopCertificate, canonical_form, mop_stats, recognize, segment
+from .mop import MopCertificate, canonical_form, mop_stats, recognize
 from .solve import _fan_pattern, gp_number
 from .verify import is_gp_characterized, is_gp_naive
 
@@ -236,389 +239,188 @@ def census_to_csv(records: list[CensusRecord]) -> str:
     return buf.getvalue()
 
 
-class _ClaimContext:
-    """Per-order working set: class records plus rebuilt graphs and certs."""
-
-    def __init__(self, n: int, records: list[CensusRecord]):
-        self.n = n
-        self.records = records
-        self.graphs = {r.canonical_key: graph_from_chords(n, r.chords) for r in records}
-        self.certs = {r.canonical_key: certificate_from_chords(n, r.chords) for r in records}
-
-    def catalog_keys(self, prefixes: tuple[str, ...]) -> set[bytes]:
-        return {
-            key
-            for label, key in _generator_catalog(self.n)
-            if label.startswith(prefixes)
-        }
-
-
-def _hex(key: bytes) -> str:
-    return key.hex()
-
-
-def _claim_two_vertex_count(ctx: _ClaimContext) -> ClaimReport:
-    bad = [
-        _hex(r.canonical_key)
-        for r in ctx.records
-        if r.two_vertices != r.internal_triangles + 2
-    ]
-    return ClaimReport(
-        "two_vertex_count",
-        ctx.n,
-        "all classes: degree-2 vertices = internal triangles + 2",
-        len(ctx.records),
-        tuple(bad),
-    )
-
-
-def _claim_chord_count(ctx: _ClaimContext) -> ClaimReport:
-    # n-1 faces holds already: _make_record's mop_stats raises on any other count.
-    bad = [_hex(r.canonical_key) for r in ctx.records if len(r.chords) != ctx.n - 3]
-    return ClaimReport(
-        "chord_count",
-        ctx.n,
-        "all classes: n-3 chords and n-1 faces",
-        len(ctx.records),
-        tuple(bad),
-    )
-
-
-def _claim_degree_lower_bound(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    for r in ctx.records:
-        g = ctx.graphs[r.canonical_key]
-        cert = ctx.certs[r.canonical_key]
-        bound, witness = _fan_pattern(g, cert)
-        dm = all_pairs_distances(g)
-        naive_ok = is_gp_naive(g, dm, witness).is_gp
-        char_ok = is_gp_characterized(g, dm, witness).is_gp
-        expected = (2 * (r.max_degree + 1)) // 3
-        if r.gp < bound or bound != expected or len(witness) != bound or not (naive_ok and char_ok):
-            bad.append(_hex(r.canonical_key))
-    return ClaimReport(
-        "degree_lower_bound",
-        ctx.n,
-        "all classes: gp >= floor(2*(max_degree+1)/3) with a verified constructive witness",
-        len(ctx.records),
-        tuple(bad),
-    )
-
-
-def _claim_witness_neighbor_cap(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    checked = 0
-    for r in ctx.records:
-        if len(r.gp_witness) < 3:
-            continue
-        checked += 1
-        g = ctx.graphs[r.canonical_key]
-        wset = set(r.gp_witness)
-        if any(len(set(g.adjacency[x]) & wset) > 2 for x in r.gp_witness):
-            bad.append(_hex(r.canonical_key))
-    return ClaimReport(
-        "witness_neighbor_cap",
-        ctx.n,
-        "witnesses of size >= 3: each member has at most 2 in-set neighbors",
-        checked,
-        tuple(bad),
-    )
-
-
-def _claim_witness_triangle_free(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    checked = 0
-    for r in ctx.records:
-        if len(r.gp_witness) < 4:
-            continue
-        checked += 1
-        g = ctx.graphs[r.canonical_key]
-        w = r.gp_witness
-        found = False
-        for i, a in enumerate(w):
-            for j in range(i + 1, len(w)):
-                if not g.has_edge(a, w[j]):
-                    continue
-                for k in range(j + 1, len(w)):
-                    if g.has_edge(a, w[k]) and g.has_edge(w[j], w[k]):
-                        found = True
-        if found:
-            bad.append(_hex(r.canonical_key))
-    return ClaimReport(
-        "witness_triangle_free",
-        ctx.n,
-        "witnesses of size >= 4 induce no triangle",
-        checked,
-        tuple(bad),
-    )
-
-
-def _claim_fan_gp_formula(ctx: _ClaimContext) -> ClaimReport:
-    if ctx.n < 5:
-        return ClaimReport(
-            "fan_gp_formula", ctx.n, "fan classes (stated for order >= 5)", 0, ()
-        )
-    fan_keys = ctx.catalog_keys(("fan",))
-    bad = []
-    checked = 0
-    for r in ctx.records:
-        if r.canonical_key in fan_keys:
-            checked += 1
-            if r.gp != (2 * ctx.n) // 3:
-                bad.append(_hex(r.canonical_key))
-    return ClaimReport(
-        "fan_gp_formula",
-        ctx.n,
-        "fan classes: gp = floor(2n/3)",
-        checked,
-        tuple(bad),
-    )
-
-
-def _claim_global_upper_bound(ctx: _ClaimContext) -> ClaimReport:
-    if ctx.n < 6:
-        return ClaimReport(
-            "global_upper_bound", ctx.n, "all classes (stated for order >= 6)", 0, ()
-        )
-    cap = (2 * ctx.n) // 3
-    bad = [_hex(r.canonical_key) for r in ctx.records if r.gp > cap]
-    return ClaimReport(
-        "global_upper_bound",
-        ctx.n,
-        "all classes: gp <= floor(2n/3)",
-        len(ctx.records),
-        tuple(bad),
-    )
+def _catalog_keys(n: int, prefixes: tuple[str, ...]) -> set[bytes]:
+    return {key for label, key in _generator_catalog(n) if label.startswith(prefixes)}
 
 
 def expected_extremal_keys(n: int) -> set[bytes]:
     """Catalog of classes attaining floor(2n/3): the fan alone away from
     orders 1 mod 3, otherwise the fan plus every quasi-fan and glued-fan."""
-    keys = {key for label, key in _generator_catalog(n) if label == "fan"}
-    if n % 3 == 1:
-        keys |= {
-            key
-            for label, key in _generator_catalog(n)
-            if label.startswith(("quasi_fan(", "g1(", "g2("))
-        }
-    return keys
-
-
-def _claim_upper_bound_extremal(ctx: _ClaimContext) -> ClaimReport:
-    if ctx.n < 6:
-        return ClaimReport(
-            "upper_bound_extremal", ctx.n, "all classes (stated for order >= 6)", 0, ()
-        )
-    cap = (2 * ctx.n) // 3
-    actual = {r.canonical_key for r in ctx.records if r.gp == cap}
-    expected = expected_extremal_keys(ctx.n)
-    bad = sorted(_hex(k) for k in actual.symmetric_difference(expected))
-    return ClaimReport(
-        "upper_bound_extremal",
-        ctx.n,
-        "classes with gp = floor(2n/3) match the generator catalog exactly",
-        len(ctx.records),
-        tuple(bad),
-    )
-
-
-def _claim_max_degree_four(ctx: _ClaimContext) -> ClaimReport:
-    if ctx.n < 7:
-        return ClaimReport(
-            "max_degree_four", ctx.n, "all classes (stated for order >= 7)", 0, ()
-        )
-    actual = {r.canonical_key for r in ctx.records if r.max_degree == 4}
-    expected = ctx.catalog_keys(("straight_linear_2tree",))
-    bad = sorted(_hex(k) for k in actual.symmetric_difference(expected))
-    return ClaimReport(
-        "max_degree_four",
-        ctx.n,
-        "classes with max degree 4 are exactly the straight linear 2-tree",
-        len(ctx.records),
-        tuple(bad),
-    )
+    prefixes = ("fan", "quasi_fan(", "g1(", "g2(") if n % 3 == 1 else ("fan",)
+    return _catalog_keys(n, prefixes)
 
 
 def striped_catalog_keys(n: int) -> set[bytes]:
     """Keys of the catalog members named as striped cap-attainers: the fan,
     the first quasi-fan, every left-seam glued fan with j=1, and every
     right-seam glued fan with j=t."""
-    keys: set[bytes] = set()
-    for label, key in _generator_catalog(n):
-        if label in ("fan", "quasi_fan(1)"):
-            keys.add(key)
-        elif label.startswith(("g1(", "g2(")):
-            j_str, t_str = label[3:-1].split(",")
-            if (label.startswith("g1(") and j_str == "1") or (
-                label.startswith("g2(") and j_str == t_str
-            ):
-                keys.add(key)
-    return keys
+    right_seam = tuple(f"g2({t},{t})" for t in range(1, n))
+    return _catalog_keys(n, ("fan", "quasi_fan(1)", "g1(1,") + right_seam)
 
 
-def _claim_striped_extremes(ctx: _ClaimContext) -> ClaimReport:
-    n = ctx.n
-    if n < 5:
-        return ClaimReport(
-            "striped_extremes", n, "striped classes (stated for order >= 5)", 0, ()
+def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]:
+    """The claim battery over the classes of one order, one report per claim."""
+    # A census graph's hull is 0, 1, ..., n-1 in this order, so no certificate is needed.
+    graphs = [graph_from_chords(n, r.chords) for r in records]
+    cap = (2 * n) // 3
+
+    def each(claim, universe, bad, applies=lambda r: True):
+        # Check bad(record, graph) on every class the claim applies to.
+        rows = [(r, g) for r, g in zip(records, graphs) if applies(r)]
+        flagged = tuple(r.canonical_key.hex() for r, g in rows if bad(r, g))
+        return ClaimReport(claim, n, universe, len(rows), flagged)
+
+    def exact(claim, universe, has, keys, checked=len(records), extra=frozenset()):
+        # The classes with property has are exactly keys; extra names more violators.
+        actual = {r.canonical_key for r in records if has(r)}
+        flagged = tuple(sorted(k.hex() for k in (actual ^ keys) | extra))
+        return ClaimReport(claim, n, universe, checked, flagged)
+
+    def not_stated(claim, universe, order):
+        return ClaimReport(claim, n, f"{universe} (stated for order >= {order})", 0, ())
+
+    def weak_degree_bound(r, g):
+        bound, witness = _fan_pattern(g)
+        dm = all_pairs_distances(g)
+        verified = is_gp_naive(g, dm, witness).is_gp and is_gp_characterized(g, dm, witness).is_gp
+        expected = (2 * (r.max_degree + 1)) // 3
+        return r.gp < bound or bound != expected or len(witness) != bound or not verified
+
+    def has_triangle(r, g):
+        return any(
+            g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+            for a, b, c in combinations(r.gp_witness, 3)
         )
-    striped = [r for r in ctx.records if r.striped]
-    slt_keys = ctx.catalog_keys(("straight_linear_2tree",))
-    actual_min = {r.canonical_key for r in striped if r.gp == 3}
-    bad = sorted(_hex(k) for k in actual_min.symmetric_difference(slt_keys))
-    # At orders 1 mod 3 every striped catalog member must attain the cap.
-    if n % 3 == 1:
-        cap = (2 * n) // 3
-        by_key = {r.canonical_key: r for r in ctx.records}
-        for key in striped_catalog_keys(n):
-            rec = by_key.get(key)
-            if rec is None or not rec.striped:
-                continue
-            if rec.gp != cap:
-                bad.append(_hex(key))
-    return ClaimReport(
-        "striped_extremes",
-        n,
-        "striped classes: gp = 3 exactly at the straight linear 2-tree; listed striped members attain the cap",
-        len(striped),
-        tuple(bad),
-    )
 
-
-def _claim_internal_triangle_max(ctx: _ClaimContext) -> ClaimReport:
-    if ctx.n < 6:
-        return ClaimReport(
-            "internal_triangle_max", ctx.n, "all classes (stated for order >= 6)", 0, ()
-        )
-    cap = ctx.n // 2 - 2
-    max_k = max(r.internal_triangles for r in ctx.records)
-    bad: list[str] = []
-    if max_k != cap:
-        bad.append(f"max_internal={max_k}!={cap}")
-    maximizers = {r.canonical_key for r in ctx.records if r.internal_triangles == cap}
-    structural = {r.canonical_key for r in ctx.records if "gsf" in r.family_labels}
-    bad.extend(sorted(_hex(k) for k in maximizers.symmetric_difference(structural)))
-    return ClaimReport(
-        "internal_triangle_max",
-        ctx.n,
-        "max internal triangles = floor(n/2)-2, attained exactly by generalized sunflowers",
-        len(ctx.records),
-        tuple(bad),
-    )
-
-
-def _claim_internal_lower_bound(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    for r in ctx.records:
+    def misses_internal_bound(r, g):
         if r.gp < r.internal_triangles + 2:
-            bad.append(_hex(r.canonical_key))
-            continue
-        if "gsf" in r.family_labels:
-            if ctx.n >= 8 and r.gp != r.internal_triangles + 2:
-                bad.append(_hex(r.canonical_key))
-            elif ctx.n == 7 and r.gp != 4:
-                bad.append(_hex(r.canonical_key))
-    return ClaimReport(
+            return True
+        if "gsf" not in r.family_labels:
+            return False
+        return (n >= 8 and r.gp != r.internal_triangles + 2) or (n == 7 and r.gp != 4)
+
+    def leaves_a_segment(r, g):
+        # Edge (u, v), u < v, splits the hull into u..v and v..n-1, 0..u, so an
+        # interior vertex of either segment with a neighbor outside it is an
+        # edge with exactly one end strictly between u and v and no end at u or v.
+        return any(
+            (u < w < v) != (u < x < v) and w != u and w != v and x != u and x != v
+            for u, v in g.edges
+            for w, x in g.edges
+        )
+
+    yield each(
+        "two_vertex_count",
+        "all classes: degree-2 vertices = internal triangles + 2",
+        lambda r, g: r.two_vertices != r.internal_triangles + 2,
+    )
+    # n-1 faces holds already: _make_record's mop_stats raises on any other count.
+    yield each(
+        "chord_count",
+        "all classes: n-3 chords and n-1 faces",
+        lambda r, g: len(r.chords) != n - 3,
+    )
+    yield each(
+        "degree_lower_bound",
+        "all classes: gp >= floor(2*(max_degree+1)/3) with a verified constructive witness",
+        weak_degree_bound,
+    )
+    yield each(
+        "witness_neighbor_cap",
+        "witnesses of size >= 3: each member has at most 2 in-set neighbors",
+        lambda r, g: any(len(set(g.adjacency[x]) & set(r.gp_witness)) > 2 for x in r.gp_witness),
+        lambda r: len(r.gp_witness) >= 3,
+    )
+    yield each(
+        "witness_triangle_free",
+        "witnesses of size >= 4 induce no triangle",
+        has_triangle,
+        lambda r: len(r.gp_witness) >= 4,
+    )
+    if n < 5:
+        yield not_stated("fan_gp_formula", "fan classes", 5)
+    else:
+        fan_keys = _catalog_keys(n, ("fan",))
+        yield each(
+            "fan_gp_formula",
+            "fan classes: gp = floor(2n/3)",
+            lambda r, g: r.gp != cap,
+            lambda r: r.canonical_key in fan_keys,
+        )
+    if n < 6:
+        yield not_stated("global_upper_bound", "all classes", 6)
+        yield not_stated("upper_bound_extremal", "all classes", 6)
+    else:
+        yield each("global_upper_bound", "all classes: gp <= floor(2n/3)", lambda r, g: r.gp > cap)
+        yield exact(
+            "upper_bound_extremal",
+            "classes with gp = floor(2n/3) match the generator catalog exactly",
+            lambda r: r.gp == cap,
+            expected_extremal_keys(n),
+        )
+    slt_keys = _catalog_keys(n, ("straight_linear_2tree",))
+    if n < 7:
+        yield not_stated("max_degree_four", "all classes", 7)
+    else:
+        yield exact(
+            "max_degree_four",
+            "classes with max degree 4 are exactly the straight linear 2-tree",
+            lambda r: r.max_degree == 4,
+            slt_keys,
+        )
+    if n < 5:
+        yield not_stated("striped_extremes", "striped classes", 5)
+    else:
+        striped = [r for r in records if r.striped]
+        # At orders 1 mod 3 every striped catalog member must attain the cap.
+        listed = striped_catalog_keys(n) if n % 3 == 1 else set()
+        yield exact(
+            "striped_extremes",
+            "striped classes: gp = 3 exactly at the straight linear 2-tree; listed striped members attain the cap",
+            lambda r: r.striped and r.gp == 3,
+            slt_keys,
+            len(striped),
+            {r.canonical_key for r in striped if r.canonical_key in listed and r.gp != cap},
+        )
+    if n < 6:
+        yield not_stated("internal_triangle_max", "all classes", 6)
+    else:
+        k_cap = n // 2 - 2
+        report = exact(
+            "internal_triangle_max",
+            "max internal triangles = floor(n/2)-2, attained exactly by generalized sunflowers",
+            lambda r: r.internal_triangles == k_cap,
+            {r.canonical_key for r in records if "gsf" in r.family_labels},
+        )
+        max_k = max(r.internal_triangles for r in records)
+        if max_k != k_cap:
+            report = replace(report, violations=(f"max_internal={max_k}!={k_cap}",) + report.violations)
+        yield report
+    yield each(
         "internal_lower_bound",
-        ctx.n,
         "all classes: gp >= internal triangles + 2; generalized sunflowers of order >= 8 attain it",
-        len(ctx.records),
-        tuple(bad),
+        misses_internal_bound,
     )
-
-
-def _claim_segment_confinement(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    for r in ctx.records:
-        g = ctx.graphs[r.canonical_key]
-        cert = ctx.certs[r.canonical_key]
-        ok = True
-        for u, v in g.edges:
-            for a, b in ((u, v), (v, u)):
-                seg = segment(cert, a, b)
-                allowed = set(seg)
-                for w in seg[1:-1]:
-                    if not set(g.adjacency[w]) <= allowed:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            bad.append(_hex(r.canonical_key))
-    return ClaimReport(
+    yield each(
         "segment_confinement",
-        ctx.n,
         "for every edge, interior vertices of either hull segment keep all neighbors inside it",
-        len(ctx.records),
-        tuple(bad),
+        leaves_a_segment,
     )
-
-
-def _claim_common_neighbor(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    for r in ctx.records:
-        g = ctx.graphs[r.canonical_key]
-        cert = ctx.certs[r.canonical_key]
-        ok = True
-        for i, u in enumerate(cert.cycle):
-            v = cert.cycle[(i + 1) % ctx.n]
-            if not (set(g.adjacency[u]) & set(g.adjacency[v])) - {u, v}:
-                ok = False
-                break
-        if not ok:
-            bad.append(_hex(r.canonical_key))
-    return ClaimReport(
+    yield each(
         "common_neighbor",
-        ctx.n,
         "every hull-adjacent pair has a common neighbor",
-        len(ctx.records),
-        tuple(bad),
+        lambda r, g: any(
+            not set(g.adjacency[i]).intersection(g.adjacency[(i + 1) % n]) for i in range(n)
+        ),
     )
-
-
-def _claim_cycle_window_cap(ctx: _ClaimContext) -> ClaimReport:
-    bad = []
-    checked = 0
-    for r in ctx.records:
-        if len(r.gp_witness) < 4:
-            continue
-        checked += 1
-        cert = ctx.certs[r.canonical_key]
-        wset = set(r.gp_witness)
-        cyc = cert.cycle
-        for i in range(ctx.n):
-            window = (cyc[i], cyc[(i + 1) % ctx.n], cyc[(i + 2) % ctx.n])
-            if sum(1 for x in window if x in wset) > 2:
-                bad.append(_hex(r.canonical_key))
-                break
-    return ClaimReport(
+    yield each(
         "cycle_window_cap",
-        ctx.n,
         "witnesses of size >= 4: any 3 consecutive hull vertices hold at most 2 of them",
-        checked,
-        tuple(bad),
+        lambda r, g: any(
+            {i, (i + 1) % n, (i + 2) % n} <= set(r.gp_witness) for i in range(n)
+        ),
+        lambda r: len(r.gp_witness) >= 4,
     )
-
-
-_CLAIMS = (
-    _claim_two_vertex_count,
-    _claim_chord_count,
-    _claim_degree_lower_bound,
-    _claim_witness_neighbor_cap,
-    _claim_witness_triangle_free,
-    _claim_fan_gp_formula,
-    _claim_global_upper_bound,
-    _claim_upper_bound_extremal,
-    _claim_max_degree_four,
-    _claim_striped_extremes,
-    _claim_internal_triangle_max,
-    _claim_internal_lower_bound,
-    _claim_segment_confinement,
-    _claim_common_neighbor,
-    _claim_cycle_window_cap,
-)
 
 
 def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimReport]:
@@ -628,9 +430,7 @@ def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimRepo
         raise BadParam(f"claim range must satisfy 4 <= n_min <= n_max <= 13, got {n_min}..{n_max}")
     reports: list[ClaimReport] = []
     for n in range(n_min, n_max + 1):
-        ctx = _ClaimContext(n, run_census(n, dedupe=True, jobs=jobs))
-        for claim in _CLAIMS:
-            reports.append(claim(ctx))
+        reports.extend(_claim_reports(n, run_census(n, dedupe=True, jobs=jobs)))
     return reports
 
 

@@ -56,9 +56,6 @@ class MopCertificate:
     cycle: tuple[int, ...]
     chords: frozenset[tuple[int, int]]
 
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.cycle)}
-
 
 @dataclass(frozen=True)
 class MopStats:
@@ -67,7 +64,6 @@ class MopStats:
     two_vertices: int
     max_degree: int
     striped: bool
-    faces: int
 
 
 def _check_non_crossing(cycle, chords, label: str) -> None:
@@ -200,17 +196,17 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
         two_vertices=two,
         max_degree=g.max_degree,
         striped=internal == 0,
-        faces=len(tris) + 1,
     )
 
 
-def maximal_fan(g: Graph, cert: MopCertificate, v: int) -> tuple[int, ...]:
+def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:
     """Order N(v) into the path of the largest fan centered at v.
 
     The neighborhood of any vertex of a maximal outerplanar graph induces a
     path; the fan on the closed neighborhood spans it entirely, so it
-    cannot be enlarged.  Raises StructureViolation when the neighborhood is
-    not a path, which indicates an invalid certificate.
+    cannot be enlarged.  It reads only g.  Raises StructureViolation when
+    the neighborhood is not a path, which shows that g is not maximal
+    outerplanar.
     """
     if not 0 <= v < g.order:
         raise VertexOutOfRange(f"vertex {v} outside 0..{g.order - 1}")
@@ -255,7 +251,7 @@ def canonical_form(cert: MopCertificate) -> bytes:
     graphs exactly when their keys match (at equal order).
     """
     n = cert.order
-    pos = cert.positions()
+    pos = {v: i for i, v in enumerate(cert.cycle)}
     pairs = [(pos[u], pos[v]) for u, v in cert.chords]
     best: list[tuple[int, int]] | None = None
     for flip in (1, -1):

@@ -121,10 +121,10 @@ def _search(n: int, blocks: list[list[int]], threshold: int) -> tuple[int, tuple
     return best_size, best, nodes
 
 
-def _fan_pattern(g: Graph, cert: MopCertificate) -> tuple[int, tuple[int, ...]]:
+def _fan_pattern(g: Graph) -> tuple[int, tuple[int, ...]]:
     delta = g.max_degree
     center = min(v for v in range(g.order) if g.degree(v) == delta)
-    path = maximal_fan(g, cert, center)
+    path = maximal_fan(g, center)
     k = delta + 1
     j, r = divmod(k, 3)
     picks: list[int] = []
@@ -149,7 +149,7 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     position set.
     """
     check_certificate(g, cert)
-    bound, witness = _fan_pattern(g, cert)
+    bound, witness = _fan_pattern(g)
     dm = all_pairs_distances(g)
     chk = is_gp_characterized(g, dm, witness)
     if not chk.is_gp:
@@ -186,7 +186,7 @@ def gp_number(
         check_certificate(g, cert)
         # An overstated seed leaves _search with nothing above the
         # threshold, and it raises, so the seed needs no check of its own.
-        threshold = _fan_pattern(g, cert)[0] - 1
+        threshold = _fan_pattern(g)[0] - 1
     else:
         threshold = _greedy_bound(n, blocks, random.Random(seed)) - 1
     value, witness, nodes = _search(n, blocks, threshold)

@@ -31,6 +31,20 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return build_graph(n, sorted(edges))
 
 
+def random_mop(rng: random.Random, n: int) -> Graph:
+    """Random maximal outerplanar graph of order n >= 3: glue ears onto
+    random hull edges of a triangle, then relabel the vertices at random."""
+    hull = [0, 1, 2]
+    edges = [(0, 1), (1, 2), (0, 2)]
+    for v in range(3, n):
+        i = rng.randrange(len(hull))
+        edges += [(hull[i], v), (hull[(i + 1) % len(hull)], v)]
+        hull.insert(i + 1, v)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabeled(build_graph(n, edges), perm)
+
+
 def floyd_warshall(g: Graph) -> list[list[int]]:
     n = g.order
     d = [[BIG] * n for _ in range(n)]

@@ -13,7 +13,7 @@ excludes is pinned by an assertion of its own:
   3 > floor(8/3); the test instead asserts gp = 3 there, against the
   exhaustive ``brute_force_gp`` oracle.
 - criterion 12 asserts the 3-consecutive hull-window cap for witnesses of
-  size >= 4, as ``_claim_cycle_window_cap`` states it.  A size-3 witness
+  size >= 4, as the ``cycle_window_cap`` claim states it.  A size-3 witness
   may fill a window; the test then asserts that it is exactly that window
   and induces a triangle (the ear at a 2-vertex), since three consecutive
   hull vertices without the closing chord put the middle one on a geodesic

@@ -1,5 +1,7 @@
 import os
 import re
+from dataclasses import replace
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -25,6 +27,7 @@ from gpmop.census import (
     _plan_chunks,
     _quiddity_key,
     certificate_from_chords,
+    expected_extremal_keys,
     graph_from_chords,
 )
 from helpers import graphs_isomorphic
@@ -248,24 +251,118 @@ class TestClaims:
         # A fan pattern that is not in general position is a violation
         # naming its class, not an exception out of the battery.
         n = 7
-        ctx = census._ClaimContext(n, run_census(n, dedupe=True))
-        fan_key = next(key for label, key in _generator_catalog(n) if label == "fan")
-        g, fan_cert = ctx.graphs[fan_key], ctx.certs[fan_key]
+        recs = run_census(n, dedupe=True)
+        fan_key = _catalog_key(n, "fan")
+        fan_g = graph_from_chords(n, next(r.chords for r in recs if r.canonical_key == fan_key))
         real = census._fan_pattern
-        bound = real(g, fan_cert)[0]
-        dm = all_pairs_distances(g)
-        bad = next(s for s in combinations(range(n), bound) if not is_gp_naive(g, dm, s).is_gp)
+        bound = real(fan_g)[0]
+        dm = all_pairs_distances(fan_g)
+        bad = next(s for s in combinations(range(n), bound) if not is_gp_naive(fan_g, dm, s).is_gp)
 
-        def pattern(g, cert):
-            return (bound, bad) if cert == fan_cert else real(g, cert)
+        def pattern(g):
+            return (bound, bad) if g == fan_g else real(g)
 
         monkeypatch.setattr(census, "_fan_pattern", pattern)
-        report = census._claim_degree_lower_bound(ctx)
+        report = _report(verify_paper_claims(n, n), "degree_lower_bound")
         assert report.violations == (fan_key.hex(),)
-        assert report.checked == len(ctx.records)
+        assert report.checked == len(recs)
 
     def test_range_checks(self):
         with pytest.raises(BadParam):
             verify_paper_claims(3, 5)
         with pytest.raises(BadParam):
             verify_paper_claims(5, 14)
+
+
+# Claim sensitivity: each claim must name a class whose record is mutated to
+# break it.  The battery runs on the order-10 classes with one record
+# replaced, through verify_paper_claims, so the claim code itself is tested.
+ORDER = 10
+LEANING_FAN = ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (6, 8), (6, 9))
+SHIFTED_FAN = ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (7, 9))
+
+
+def _catalog_key(n, label):
+    return next(key for lab, key in _generator_catalog(n) if lab == label)
+
+
+def _report(reports, claim):
+    return next(r for r in reports if r.claim == claim)
+
+
+@lru_cache(maxsize=None)
+def _order_ten_classes():
+    return tuple(run_census(ORDER, dedupe=True))
+
+
+def _is_fan(r):
+    return r.canonical_key == _catalog_key(ORDER, "fan")
+
+
+def _not_slt(r):
+    return r.canonical_key != _catalog_key(ORDER, "straight_linear_2tree")
+
+
+def _without_chord(r):
+    return {"chords": tuple(c for c in r.chords if c != (6, 8))}
+
+
+MUTATIONS = [
+    ("two_vertex_count", _is_fan, lambda r: {"two_vertices": r.two_vertices + 1}),
+    ("chord_count", lambda r: r.chords == LEANING_FAN, _without_chord),
+    ("degree_lower_bound", _is_fan, lambda r: {"max_degree": r.max_degree + 3}),
+    ("witness_neighbor_cap", _is_fan, lambda r: {"gp_witness": (0, 1, 2, 9)}),
+    ("witness_triangle_free", _is_fan, lambda r: {"gp_witness": (0, 1, 2, 5)}),
+    ("fan_gp_formula", _is_fan, lambda r: {"gp": r.gp - 1}),
+    ("global_upper_bound", lambda r: True, lambda r: {"gp": 7}),
+    (
+        "upper_bound_extremal",
+        lambda r: r.canonical_key not in expected_extremal_keys(ORDER),
+        lambda r: {"gp": 6},
+    ),
+    ("max_degree_four", lambda r: _not_slt(r) and r.max_degree > 4, lambda r: {"max_degree": 4}),
+    ("striped_extremes", lambda r: r.striped and _not_slt(r), lambda r: {"gp": 3}),
+    (
+        "internal_triangle_max",
+        lambda r: "gsf" not in r.family_labels,
+        lambda r: {"internal_triangles": 3},
+    ),
+    ("internal_lower_bound", lambda r: True, lambda r: {"gp": r.internal_triangles + 1}),
+    (
+        "segment_confinement",
+        lambda r: r.chords == SHIFTED_FAN,
+        lambda r: {"chords": tuple(sorted(r.chords + ((1, 8),)))},
+    ),
+    ("common_neighbor", lambda r: r.chords == LEANING_FAN, _without_chord),
+    ("cycle_window_cap", _is_fan, lambda r: {"gp_witness": (0, 1, 2, 5)}),
+]
+
+
+def _battery_with(monkeypatch, pick, change):
+    """Run the order-10 battery with the first class that pick selects
+    mutated by change; return the reports and that class's key."""
+    recs = list(_order_ten_classes())
+    i = next(i for i, r in enumerate(recs) if pick(r))
+    key = recs[i].canonical_key
+    recs[i] = replace(recs[i], **change(recs[i]))
+    monkeypatch.setattr(census, "run_census", lambda n, dedupe=False, jobs=1: recs)
+    return verify_paper_claims(ORDER, ORDER), key
+
+
+class TestClaimSensitivity:
+    def test_every_claim_has_a_mutation(self):
+        assert {claim for claim, _, _ in MUTATIONS} == {
+            r.claim for r in verify_paper_claims(ORDER, ORDER)
+        }
+
+    @pytest.mark.parametrize(
+        "claim,pick,change", [pytest.param(*m, id=m[0]) for m in MUTATIONS]
+    )
+    def test_mutated_class_is_named(self, monkeypatch, claim, pick, change):
+        reports, key = _battery_with(monkeypatch, pick, change)
+        assert key.hex() in _report(reports, claim).violations
+
+    def test_striped_extremes_names_a_class_once(self, monkeypatch):
+        # The mutated fan breaks both halves of the claim at an order 1 mod 3.
+        reports, key = _battery_with(monkeypatch, _is_fan, lambda r: {"gp": 3})
+        assert _report(reports, "striped_extremes").violations == (key.hex(),)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from gpmop import (
     straight_linear_2tree,
 )
 from gpmop.census import certificate_from_chords, enumerate_triangulations, graph_from_chords
-from helpers import graphs_isomorphic, relabeled
+from helpers import graphs_isomorphic, random_mop, relabeled
 
 
 def complete_graph(n):
@@ -98,38 +99,50 @@ class TestStats:
             g = graph_from_chords(7, chords)
             st_ = mop_stats(g, recognize(g))
             assert len(chords) == 4
-            assert st_.faces == 6
             assert st_.internal_triangles + st_.marginal_triangles == 5
+
+
+class TestRandomMopStats:
+    @given(st.integers(0, 10**9), st.integers(5, 20))
+    @settings(max_examples=25, deadline=None)
+    def test_degrees_match_triangle_counts(self, seed, n):
+        # Oracle: triangles through each vertex by a scan of all triples.
+        g = random_mop(random.Random(seed), n)
+        tri = [0] * n
+        for a, b, c in combinations(range(n), 3):
+            if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+                for v in (a, b, c):
+                    tri[v] += 1
+        assert all(g.degree(v) == tri[v] + 1 for v in range(n))
+        st_ = mop_stats(g, recognize(g))
+        assert st_.two_vertices == tri.count(1)
+        assert st_.max_degree == max(tri) + 1
 
 
 class TestMaximalFan:
     def test_fan_center_gives_whole_path(self):
         inst = fan(6)
         g = inst.graph
-        cert = recognize(g)
-        assert maximal_fan(g, cert, inst.role_map["v"]) == (0, 1, 2, 3, 4)
+        assert maximal_fan(g, inst.role_map["v"]) == (0, 1, 2, 3, 4)
 
     def test_linear_2tree_interior_vertex(self):
         inst = straight_linear_2tree(8)
         g = inst.graph
-        cert = recognize(g)
-        assert maximal_fan(g, cert, inst.role_map["v4"]) == (1, 2, 4, 5)
+        assert maximal_fan(g, inst.role_map["v4"]) == (1, 2, 4, 5)
 
     def test_degree_two_ear(self):
         inst = fan(6)
         g = inst.graph
-        cert = recognize(g)
         p1 = inst.role_map["p1"]
-        path = maximal_fan(g, cert, p1)
+        path = maximal_fan(g, p1)
         assert set(path) == set(g.adjacency[p1])
         assert g.has_edge(*path)
 
     def test_every_neighborhood_is_a_path(self):
         for chords in enumerate_triangulations(7):
             g = graph_from_chords(7, chords)
-            cert = certificate_from_chords(7, chords)
             for v in range(7):
-                path = maximal_fan(g, cert, v)
+                path = maximal_fan(g, v)
                 assert sorted(path) == list(g.adjacency[v])
                 for a, b in zip(path, path[1:]):
                     assert g.has_edge(a, b)
@@ -199,15 +212,15 @@ class TestCanonicalForm:
         # Oracle: their degree profiles already differ.
         assert not graphs_isomorphic(fan(6).graph, straight_linear_2tree(6).graph)
 
-    @given(st.integers(0, 10**9))
+    @given(st.integers(0, 10**9), st.integers(5, 20))
     @settings(max_examples=25, deadline=None)
-    def test_relabeling_invariance(self, seed):
+    def test_relabeling_invariance(self, seed, n):
         rng = random.Random(seed)
-        g = generalized_sunflower(8).graph
-        perm = list(range(g.order))
-        rng.shuffle(perm)
-        h = relabeled(g, perm)
-        assert canonical_form(recognize(g)) == canonical_form(recognize(h))
+        for g in (generalized_sunflower(8).graph, random_mop(rng, n)):
+            perm = list(range(g.order))
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            assert canonical_form(recognize(g)) == canonical_form(recognize(h))
 
     def test_same_mop(self):
         a = recognize(fan(6).graph)

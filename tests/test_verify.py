@@ -16,7 +16,7 @@ from gpmop import (
     run_census,
 )
 from gpmop.census import graph_from_chords
-from helpers import random_connected_graph
+from helpers import random_connected_graph, random_mop
 
 
 def prepared(g):
@@ -100,6 +100,15 @@ class TestAgreement:
         a = is_gp_naive(g, dm, members)
         b = is_gp_characterized(g, dm, members)
         assert a.is_gp == b.is_gp
+
+    @given(st.integers(0, 10**9), st.integers(5, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_both_tests_agree_on_random_mops(self, seed, n):
+        rng = random.Random(seed)
+        g = random_mop(rng, n)
+        dm = all_pairs_distances(g)
+        members = rng.sample(range(n), rng.randint(0, min(n, 8)))
+        assert is_gp_naive(g, dm, members).is_gp == is_gp_characterized(g, dm, members).is_gp
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
