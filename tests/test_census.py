@@ -29,6 +29,7 @@ from gpmop.census import (
     certificate_from_chords,
     expected_extremal_keys,
     graph_from_chords,
+    striped_catalog_keys,
 )
 from helpers import graphs_isomorphic
 
@@ -321,7 +322,11 @@ MUTATIONS = [
         lambda r: {"gp": 6},
     ),
     ("max_degree_four", lambda r: _not_slt(r) and r.max_degree > 4, lambda r: {"max_degree": 4}),
-    ("striped_extremes", lambda r: r.striped and _not_slt(r), lambda r: {"gp": 3}),
+    (
+        "striped_extremes",
+        lambda r: r.striped and _not_slt(r) and r.canonical_key not in striped_catalog_keys(ORDER),
+        lambda r: {"gp": 3},
+    ),
     (
         "internal_triangle_max",
         lambda r: "gsf" not in r.family_labels,
@@ -361,6 +366,10 @@ class TestClaimSensitivity:
     def test_mutated_class_is_named(self, monkeypatch, claim, pick, change):
         reports, key = _battery_with(monkeypatch, pick, change)
         assert key.hex() in _report(reports, claim).violations
+
+    def test_striped_catalog_member_below_the_cap_is_named(self, monkeypatch):
+        reports, key = _battery_with(monkeypatch, _is_fan, lambda r: {"gp": 5})
+        assert _report(reports, "striped_extremes").violations == (key.hex(),)
 
     def test_striped_extremes_names_a_class_once(self, monkeypatch):
         # The mutated fan breaks both halves of the claim at an order 1 mod 3.
