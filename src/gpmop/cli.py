@@ -44,7 +44,7 @@ def _load_graph(path: str) -> Graph:
 def _cmd_gp(args: argparse.Namespace) -> int:
     try:
         g = _load_graph(args.file)
-        result = gp_number(g, seed=args.seed, force=args.force)
+        result = gp_number(g, force=args.force)
     except (OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -168,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gp", help="exact general position number of an edge-list file")
     p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0, help="seed for the greedy incumbent passes")
     p.add_argument("--force", action="store_true", help="override the search-size cap")
     p.set_defaults(fn=_cmd_gp)
 

@@ -1,17 +1,20 @@
-"""Exact maximum general position sets via depth-first branch and bound.
+"""Exact maximum general position sets via a suffix-bound search.
 
 Conflicts are 3-uniform: a subset is in general position exactly when it
-contains no geodesic triple.  The solver walks vertices in ascending order,
-filters candidates through a per-pair conflict index held as bitmasks, and
-prunes a branch once chosen + remaining can no longer beat the incumbent
-size.  Because subsets are visited in lexicographic order and the incumbent
-only seeds the bound, the reported witness is always the lexicographically
-smallest maximum set, independent of the seed.
+contains no geodesic triple.  Every subset of a general position set is one,
+so the suffix bound of Östergård's maximum clique algorithm ("A fast
+algorithm for the maximum clique problem", 2002) carries over.  With c[v] the
+gp of the vertex set {v, ..., n-1}, filled for v = n-1 down to 0, a search
+for a set of size c[v+1] + 1 that starts at v prunes a branch once chosen +
+c[min(candidates)] or chosen + |candidates| falls short of the target.
+Candidates are filtered through a per-pair conflict index held as bitmasks.
+A final search in ascending vertex order for a set of size c[0] reports the
+lexicographically smallest maximum set as the witness.  No lower bound
+steers the search, so the result depends on the graph and its labels only.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .graph import (
@@ -24,7 +27,6 @@ from .mop import MopCertificate, check_certificate, maximal_fan
 from .verify import is_gp_characterized
 
 DEFAULT_SEARCH_CAP = 40
-GREEDY_PASSES = 32
 
 
 class SearchCapExceeded(GraphError):
@@ -36,8 +38,8 @@ class GpResult:
     """Exact general position number with its witness.
 
     ``witness`` is the lexicographically smallest maximum set under the
-    vertex order, and ``nodes_explored`` counts branch-and-bound nodes for
-    diagnostics.
+    vertex order, and ``nodes_explored`` counts the search nodes of all
+    n + 1 target searches for diagnostics.
     """
 
     value: int
@@ -67,58 +69,47 @@ def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[in
     return blocks
 
 
-def _greedy_bound(n: int, blocks: list[list[int]], rng: random.Random) -> int:
-    """Best of several randomized greedy passes; only used to seed pruning."""
-    best = 0
-    order = list(range(n))
-    for _ in range(GREEDY_PASSES):
-        rng.shuffle(order)
-        blocked = 0
-        members: list[int] = []
-        for v in order:
-            if (blocked >> v) & 1:
-                continue
-            bv = blocks[v]
-            gained = 0
-            for a in members:
-                gained |= bv[a]
-            members.append(v)
-            blocked |= gained
-        if len(members) > best:
-            best = len(members)
-    return best
-
-
-def _search(n: int, blocks: list[list[int]], threshold: int) -> tuple[int, tuple[int, ...], int]:
-    best: tuple[int, ...] | None = None
-    best_size = threshold
+def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
+    # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
+    c = [0] * (n + 1)
+    found: tuple[int, ...] = ()
     nodes = 0
 
-    def rec(chosen: list[int], cand: int) -> None:
-        nonlocal best, best_size, nodes
+    def rec(chosen: list[int], cand: int, need: int) -> bool:
+        # Look for need more members that extend chosen within cand.
+        nonlocal found, nodes
         nodes += 1
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best = tuple(chosen)
+        if not need:
+            found = tuple(chosen)
+            return True
         k = cand
-        depth = len(chosen)
         while k:
-            if depth + k.bit_count() <= best_size:
-                return
             v = (k & -k).bit_length() - 1
+            # The rest of the set lies in k, inside {v, ..., n-1}, so it has
+            # at most |k| and at most c[v] members; c is non-increasing, so
+            # no later v does better.
+            if c[v] < need or k.bit_count() < need:
+                return False
             k &= k - 1
             bv = blocks[v]
             blocked = 0
             for a in chosen:
                 blocked |= bv[a]
             chosen.append(v)
-            rec(chosen, k & ~blocked)
+            if rec(chosen, k & ~blocked, need - 1):
+                return True
             chosen.pop()
+        return False
 
-    rec([], (1 << n) - 1)
-    if best is None:
-        raise RuntimeError("internal: search threshold exceeded the true maximum")
-    return best_size, best, nodes
+    full = (1 << n) - 1
+    for v in range(n - 1, -1, -1):
+        # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
+        # so c[v] is c[v+1] or c[v+1] + 1.
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1])
+    # The last increase of c yields the maximum set whose smallest vertex is
+    # largest; one ascending search finds the lexicographically smallest.
+    rec([], full, c[0])
+    return c[0], found, nodes
 
 
 def _fan_pattern(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -161,15 +152,13 @@ def gp_number(
     g: Graph,
     cert: MopCertificate | None = None,
     *,
-    seed: int = 0,
     max_order: int = DEFAULT_SEARCH_CAP,
     force: bool = False,
 ) -> GpResult:
     """Exact general position number with a deterministic witness.
 
-    A valid certificate seeds the search with the constructive fan bound;
-    otherwise randomized greedy passes do.  Either way the incumbent only
-    tightens pruning, so the result and witness never depend on the seed.
+    The witness is the lexicographically smallest maximum set.  A given
+    certificate is checked against ``g`` but does not steer the search.
     """
     n = g.order
     if n > max_order and not force:
@@ -181,15 +170,9 @@ def gp_number(
         raise Disconnected("graph is not connected")
     if n <= 2:
         return GpResult(n, tuple(range(n)), 1)
-    blocks = _pair_block_masks(dm.dist, n)
     if cert is not None:
         check_certificate(g, cert)
-        # An overstated seed leaves _search with nothing above the
-        # threshold, and it raises, so the seed needs no check of its own.
-        threshold = _fan_pattern(g)[0] - 1
-    else:
-        threshold = _greedy_bound(n, blocks, random.Random(seed)) - 1
-    value, witness, nodes = _search(n, blocks, threshold)
+    value, witness, nodes = _search(n, _pair_block_masks(dm.dist, n))
     if not is_gp_characterized(g, dm, witness).is_gp:
         raise RuntimeError("internal: search returned a set that fails verification")
     return GpResult(value, witness, nodes)

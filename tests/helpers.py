@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the package's own code paths: distances
 come from Floyd-Warshall instead of BFS, maximum sets from full bitmask
-enumeration instead of branch and bound, and isomorphism from raw
-permutation search instead of canonical keys.
+enumeration or a plain incumbent branch and bound instead of the suffix-bound
+search, and isomorphism from raw permutation search instead of canonical
+keys.
 """
 
 from __future__ import annotations
@@ -124,6 +125,36 @@ def brute_force_gp(g: Graph) -> tuple[int, tuple[int, ...]]:
             best_size = size
             best = members
     return best_size, best
+
+
+def incumbent_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Maximum set by plain depth-first branch and bound over the pair
+    conflict masks: ascending branching, pruning only by chosen plus
+    remaining against the incumbent, which starts empty.  The first set of
+    each new size is the lexicographically smallest of that size."""
+    best: tuple[int, ...] = ()
+
+    def rec(chosen: list[int], cand: int) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        k = cand
+        depth = len(chosen)
+        while k:
+            if depth + k.bit_count() <= len(best):
+                return
+            v = (k & -k).bit_length() - 1
+            k &= k - 1
+            bv = blocks[v]
+            blocked = 0
+            for a in chosen:
+                blocked |= bv[a]
+            chosen.append(v)
+            rec(chosen, k & ~blocked)
+            chosen.pop()
+
+    rec([], (1 << n) - 1)
+    return len(best), best
 
 
 def brute_force_is_gp(g: Graph, members: tuple[int, ...]) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 from dataclasses import replace
@@ -35,6 +36,20 @@ from helpers import graphs_isomorphic
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
 DIHEDRAL_CLASSES = {4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82, 11: 228, 12: 733}
+
+# sha256 (first 16 hex) of the deduplicated census CSV, witness column
+# included, as `gpmop census n --dedupe` prints it.
+DEDUPE_CSV_SHA256 = {
+    4: "d7f0a627d57e7310",
+    5: "17125979f1af7a3d",
+    6: "db23388e5336b924",
+    7: "bf4053dc5c1821b0",
+    8: "2a2f19ad52569704",
+    9: "1df620f5cb8a34b8",
+    10: "d445762b12d59ddb",
+    11: "e4178a12a1b453f6",
+    12: "e091b965d3aa9172",
+}
 
 
 class TestEnumeration:
@@ -222,6 +237,11 @@ class TestCsv:
             witness = tuple(int(x) for x in fields[-1].split(";"))
             assert chords == rec.chords
             assert witness == rec.gp_witness
+
+    @pytest.mark.parametrize("n", sorted(DEDUPE_CSV_SHA256))
+    def test_dedupe_bytes_pinned(self, n):
+        text = census_to_csv(run_census(n, dedupe=True))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == DEDUPE_CSV_SHA256[n]
 
 
 class TestClaims:

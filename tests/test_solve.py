@@ -30,7 +30,9 @@ from helpers import (
     brute_force_gp,
     exhaustive_interval,
     geodesic_triples,
+    incumbent_search,
     random_connected_graph,
+    random_mop,
 )
 
 
@@ -108,10 +110,10 @@ class TestGpNumber:
         assert res.witness == (0, 1, 3, 4, 6, 7)
         assert res.nodes_explored > 0
 
-    def test_determinism_across_runs_and_seeds(self):
+    def test_determinism_across_runs(self):
         rng = random.Random(11)
         g = random_connected_graph(rng, 9)
-        results = {(r.value, r.witness) for r in (gp_number(g, seed=s) for s in (0, 0, 1, 99))}
+        results = {(r.value, r.witness, r.nodes_explored) for r in (gp_number(g) for _ in range(3))}
         assert len(results) == 1
 
     def test_certificate_seeding_changes_nothing(self):
@@ -135,28 +137,19 @@ class TestGpNumber:
         with pytest.raises(Disconnected):
             gp_number(build_graph(2, []))
 
-    def test_overstated_seed_raises(self, monkeypatch):
-        g = fan(9).graph
-        cert = recognize(g)
-        monkeypatch.setattr(solve, "_fan_pattern", lambda g: (7, (0, 1, 2, 3, 4, 5, 6)))
-        with pytest.raises(RuntimeError):
-            gp_number(g, cert=cert)
+    def test_bad_certificate(self):
+        from gpmop import MopCertificate, StructureViolation
 
-    def test_understated_seed_changes_nothing(self, monkeypatch):
-        g = fan(9).graph
-        cert = recognize(g)
-        unseeded = gp_number(g)
-        bound, witness = solve._fan_pattern(g)
-        low = bound - 2
-        monkeypatch.setattr(solve, "_fan_pattern", lambda g: (low, witness[:low]))
-        seeded = gp_number(g, cert=cert)
-        assert (seeded.value, seeded.witness) == (unseeded.value, unseeded.witness)
+        g = fan(6).graph
+        broken = MopCertificate(6, (0, 1, 2, 3, 4, 5), frozenset({(0, 2)}))
+        with pytest.raises(StructureViolation):
+            gp_number(g, cert=broken)
 
     def test_tiny_graphs(self):
         assert gp_number(build_graph(1, [])).value == 1
         assert gp_number(build_graph(2, [(0, 1)])).value == 2
 
-    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_matches_exhaustive_enumeration_on_triangulations(self, n):
         for rec in run_census(n, dedupe=True):
             g = graph_from_chords(n, rec.chords)
@@ -173,6 +166,19 @@ class TestGpNumber:
         value, witness = brute_force_gp(g)
         assert res.value == value
         assert res.witness == witness
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_incumbent_search(self, seed, mop):
+        # The suffix-bound search against a plain incumbent branch and bound
+        # on orders past the reach of full enumeration.
+        rng = random.Random(seed)
+        if mop:
+            g = random_mop(rng, rng.randint(10, 24))
+        else:
+            g = random_connected_graph(rng, rng.randint(9, 16))
+        res = gp_number(g)
+        assert (res.value, res.witness) == incumbent_search(g.order, _block_masks(g))
 
 
 class TestGreedyLowerBound:
