@@ -117,6 +117,7 @@ class TestGpNumber:
         assert len(results) == 1
 
     def test_certificate_seeding_changes_nothing(self):
+        # A certificate is only checked; it must not change the answer.
         g = generalized_sunflower(10).graph
         with_cert = gp_number(g, cert=recognize(g))
         without = gp_number(g)
