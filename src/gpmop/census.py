@@ -426,8 +426,11 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
 def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimReport]:
     """Run the full claim battery over every isomorphism class of each
     order in n_min..n_max; one report per claim per order."""
-    if not 4 <= n_min <= n_max <= 13:
-        raise BadParam(f"claim range must satisfy 4 <= n_min <= n_max <= 13, got {n_min}..{n_max}")
+    if not 4 <= n_min <= n_max <= MAX_CENSUS_ORDER:
+        raise BadParam(
+            f"claim range must satisfy 4 <= n_min <= n_max <= {MAX_CENSUS_ORDER}, "
+            f"got {n_min}..{n_max}"
+        )
     reports: list[ClaimReport] = []
     for n in range(n_min, n_max + 1):
         reports.extend(_claim_reports(n, run_census(n, dedupe=True, jobs=jobs)))

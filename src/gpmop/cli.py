@@ -2,7 +2,9 @@
 
 Exit codes: 0 for success or an all-pass check, 1 for a domain-negative
 answer (not a triangulation, not a general position set, a failed claim),
-2 for usage or input errors.
+2 for usage or input errors.  ``main`` is the one place that turns an
+error into ``error: ...`` on stderr: every GraphError, and every OSError
+from a file that cannot be read or written, exits 2.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from . import families
 from .census import census_to_csv, claim_report_text, run_census, verify_paper_claims
 from .graph import (
     Disconnected,
+    EdgeListError,
     Graph,
     GraphError,
     all_pairs_distances,
@@ -38,30 +41,25 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_graph(path: str) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise EdgeListError(f"{path}: not a text edge list ({exc.reason})") from None
+    return parse_edge_list(text)
 
 
 def _cmd_gp(args: argparse.Namespace) -> int:
-    try:
-        g = _load_graph(args.file)
-        result = gp_number(g, force=args.force)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = gp_number(_load_graph(args.file), force=args.force)
     print(f"gp={result.value}")
     print("witness=" + " ".join(str(v) for v in result.witness))
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _load_graph(args.file)
-        dm = all_pairs_distances(g)
-        naive = is_gp_naive(g, dm, args.ids)
-        char = is_gp_characterized(g, dm, args.ids)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_graph(args.file)
+    dm = all_pairs_distances(g)
+    naive = is_gp_naive(g, dm, args.ids)
+    char = is_gp_characterized(g, dm, args.ids)
     if naive.is_gp != char.is_gp:
         print(
             "internal error: the two general-position tests disagree on "
@@ -83,11 +81,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    try:
-        g = _load_graph(args.file)
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    g = _load_graph(args.file)
     try:
         cert = recognize(g)
     except (NotAnMop, Disconnected) as exc:
@@ -114,20 +108,11 @@ _GENERATORS = {
 def _cmd_generate(args: argparse.Namespace) -> int:
     entry = _GENERATORS.get(args.family)
     if entry is None:
-        print(f"error: unknown family {args.family!r}; choose from {sorted(_GENERATORS)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise families.BadParam(f"unknown family {args.family!r}; choose from {sorted(_GENERATORS)}")
     builder, names = entry
     if len(args.params) != len(names):
-        print(
-            f"error: family {args.family!r} takes parameters {' '.join(names)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        inst = builder(*args.params)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise families.BadParam(f"family {args.family!r} takes parameters {' '.join(names)}")
+    inst = builder(*args.params)
     roles = " ".join(f"{name}={vid}" for name, vid in inst.role_map.items())
     header = [
         f"label={inst.label}",
@@ -140,21 +125,13 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    try:
-        records = run_census(args.n, dedupe=args.dedupe, jobs=args.jobs)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    records = run_census(args.n, dedupe=args.dedupe, jobs=args.jobs)
     _emit(census_to_csv(records), args.out)
     return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        reports = verify_paper_claims(args.n_min, args.n_max, jobs=args.jobs)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    reports = verify_paper_claims(args.n_min, args.n_max, jobs=args.jobs)
     _emit(claim_report_text(reports), args.out)
     return EXIT_OK if all(r.status == "pass" for r in reports) else EXIT_NEGATIVE
 
@@ -206,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (GraphError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graph import Graph, GraphError, build_graph
+from .graph import UNREACHABLE, Graph, GraphError, build_graph
 from .mop import MopCertificate, _check_non_crossing, recognize
 
 
@@ -24,8 +24,13 @@ class FamilyInstance:
     label: str
     graph: Graph
     predicted_gp: int | None
-    prediction_note: str | None
     role_map: Mapping[str, int]
+
+
+def _check_order(family: str, n: int, least: int) -> None:
+    # Checked before any edge is built, so a hostile order fails at once.
+    if not least <= n <= UNREACHABLE:
+        raise BadParam(f"{family} needs {least} <= n <= {UNREACHABLE}, got {n}")
 
 
 def fan(n: int) -> FamilyInstance:
@@ -33,25 +38,23 @@ def fan(n: int) -> FamilyInstance:
 
     Path vertices take ids 0..n-2 in order; the center is n-1.
     """
-    if n < 3:
-        raise BadParam(f"fan needs n >= 3, got {n}")
+    _check_order("fan", n, 3)
     center = n - 1
     edges = [(i, i + 1) for i in range(n - 2)]
     edges += [(center, i) for i in range(n - 1)]
     roles = {"v": center} | {f"p{i + 1}": i for i in range(n - 1)}
     if n >= 5:
-        predicted, note = (2 * n) // 3, "two-thirds formula for fans of order >= 5"
+        predicted = (2 * n) // 3
     elif n == 3:
-        predicted, note = 3, "triangle: a complete graph attains its order"
+        predicted = 3  # a triangle, like every complete graph, attains its order
     else:
-        predicted, note = None, None
-    return FamilyInstance(f"fan({n})", build_graph(n, edges), predicted, note, roles)
+        predicted = None
+    return FamilyInstance(f"fan({n})", build_graph(n, edges), predicted, roles)
 
 
 def quasi_fan(i: int, n: int) -> FamilyInstance:
     """Fan of order n-1 plus one extra vertex glued onto path edge (p_i, p_i+1)."""
-    if n < 6:
-        raise BadParam(f"quasi-fan needs n >= 6, got {n}")
+    _check_order("quasi-fan", n, 6)
     if not 1 <= i <= n - 3:
         raise BadParam(f"quasi-fan index must be in 1..{n - 3}, got {i}")
     center, extra = n - 2, n - 1
@@ -59,11 +62,8 @@ def quasi_fan(i: int, n: int) -> FamilyInstance:
     edges += [(center, k) for k in range(n - 2)]
     edges += [(extra, i - 1), (extra, i)]
     roles = {"v": center, "u": extra} | {f"p{k + 1}": k for k in range(n - 2)}
-    if n % 3 == 1:
-        predicted, note = (2 * n) // 3, "quasi-fans attain the two-thirds bound at orders 1 mod 3"
-    else:
-        predicted, note = None, None
-    return FamilyInstance(f"quasi_fan({i};{n})", build_graph(n, edges), predicted, note, roles)
+    predicted = (2 * n) // 3 if n % 3 == 1 else None
+    return FamilyInstance(f"quasi_fan({i};{n})", build_graph(n, edges), predicted, roles)
 
 
 def double_fan(j: int, t: int, n: int, variant: int) -> FamilyInstance:
@@ -73,8 +73,7 @@ def double_fan(j: int, t: int, n: int, variant: int) -> FamilyInstance:
     u is identified with p_{3j-1} and spans path u_1..u_{n-3t-1}.  Variant 1
     adds the seam edge p_{3j-2} u_1; variant 2 adds p_{3j} u_{n-3t-1}.
     """
-    if n < 6:
-        raise BadParam(f"double fan needs n >= 6, got {n}")
+    _check_order("double fan", n, 6)
     if not 1 <= t <= n // 3 - 1:
         raise BadParam(f"t must be in 1..{n // 3 - 1}, got {t}")
     if not 1 <= j <= t:
@@ -96,28 +95,18 @@ def double_fan(j: int, t: int, n: int, variant: int) -> FamilyInstance:
     roles = {"v": center, "u": glued}
     roles |= {f"p{k + 1}": k for k in range(3 * t)}
     roles |= {f"u{k + 1}": second[k] for k in range(m)}
-    if n % 3 == 1:
-        predicted, note = (2 * n) // 3, "glued fans attain the two-thirds bound at orders 1 mod 3"
-    else:
-        predicted, note = None, None
-    return FamilyInstance(
-        f"g{variant}({j};{t};{n})", build_graph(n, edges), predicted, note, roles
-    )
+    predicted = (2 * n) // 3 if n % 3 == 1 else None
+    return FamilyInstance(f"g{variant}({j};{t};{n})", build_graph(n, edges), predicted, roles)
 
 
 def straight_linear_2tree(n: int) -> FamilyInstance:
     """Vertices 1..n with edges exactly between indices at distance 1 or 2."""
-    if n < 3:
-        raise BadParam(f"straight linear 2-tree needs n >= 3, got {n}")
+    _check_order("straight linear 2-tree", n, 3)
     edges = [(i, j) for i in range(n) for j in (i + 1, i + 2) if j < n]
     roles = {f"v{i + 1}": i for i in range(n)}
-    if n >= 5:
-        predicted, note = 3, "the unique minimum among striped triangulations"
-    else:
-        predicted, note = None, None
-    return FamilyInstance(
-        f"straight_linear_2tree({n})", build_graph(n, edges), predicted, note, roles
-    )
+    # The unique minimum among striped triangulations from order 5 on.
+    predicted = 3 if n >= 5 else None
+    return FamilyInstance(f"straight_linear_2tree({n})", build_graph(n, edges), predicted, roles)
 
 
 def sunflower(m: int) -> FamilyInstance:
@@ -127,8 +116,8 @@ def sunflower(m: int) -> FamilyInstance:
     recognition; it exists as the motivating shape for the generalized
     form below.
     """
-    if m < 3:
-        raise BadParam(f"sunflower needs m >= 3, got {m}")
+    if m < 3 or 2 * m + 1 > UNREACHABLE:
+        raise BadParam(f"sunflower needs m >= 3 and order 2m+1 <= {UNREACHABLE}, got m={m}")
     hub = 0
     rim = list(range(1, m + 1))
     petals = list(range(m + 1, 2 * m + 1))
@@ -139,7 +128,7 @@ def sunflower(m: int) -> FamilyInstance:
     roles = {"v": hub}
     roles |= {f"v{i}": rim[i] for i in range(m)}
     roles |= {f"u{i}": petals[i] for i in range(m)}
-    return FamilyInstance(f"sunflower({m})", build_graph(2 * m + 1, edges), None, None, roles)
+    return FamilyInstance(f"sunflower({m})", build_graph(2 * m + 1, edges), None, roles)
 
 
 def _default_base_chords(m: int) -> frozenset[tuple[int, int]]:
@@ -172,8 +161,7 @@ def generalized_sunflower(n: int, base_chords=None) -> FamilyInstance:
     orders leave exactly one side bare.  The core triangulation defaults to
     a fan from h_0 and may be overridden by any non-crossing chord set.
     """
-    if n < 5:
-        raise BadParam(f"generalized sunflower needs n >= 5, got {n}")
+    _check_order("generalized sunflower", n, 5)
     m = (n + 1) // 2
     x = m if n % 2 == 0 else m - 1
     if base_chords is None:
@@ -188,48 +176,37 @@ def generalized_sunflower(n: int, base_chords=None) -> FamilyInstance:
         edges.append((petals[i], (i + 1) % m))
     roles = {f"h{i}": i for i in range(m)}
     roles |= {f"v{i}": petals[i] for i in range(x)}
+    # From order 8 on, gp is internal triangles + 2, that is n // 2; the
+    # order-7 generalized sunflower exceeds internal triangles + 2 by one.
     if n >= 8:
-        predicted, note = n // 2, "internal triangles + 2 for generalized sunflowers of order >= 8"
+        predicted = n // 2
     elif n == 7:
-        predicted, note = 4, "the order-7 generalized sunflower exceeds internal triangles + 2 by one"
+        predicted = 4
     else:
-        predicted, note = None, None
-    return FamilyInstance(f"gsf({n})", build_graph(n, edges), predicted, note, roles)
+        predicted = None
+    return FamilyInstance(f"gsf({n})", build_graph(n, edges), predicted, roles)
 
 
 def complete(n: int) -> FamilyInstance:
-    if n < 1:
-        raise BadParam(f"complete graph needs n >= 1, got {n}")
+    _check_order("complete graph", n, 1)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return FamilyInstance(
-        f"complete({n})",
-        build_graph(n, edges),
-        n,
-        "complete graphs attain their order",
-        {f"v{i}": i for i in range(n)},
-    )
+    roles = {f"v{i}": i for i in range(n)}
+    return FamilyInstance(f"complete({n})", build_graph(n, edges), n, roles)
 
 
 def path(n: int) -> FamilyInstance:
-    if n < 2:
-        raise BadParam(f"path needs n >= 2, got {n}")
+    _check_order("path", n, 2)
     edges = [(i, i + 1) for i in range(n - 1)]
-    return FamilyInstance(
-        f"path({n})",
-        build_graph(n, edges),
-        2,
-        "only the two endpoints of a path avoid its geodesics",
-        {f"p{i + 1}": i for i in range(n)},
-    )
+    roles = {f"p{i + 1}": i for i in range(n)}
+    # Of any three path vertices, one lies between the other two.
+    return FamilyInstance(f"path({n})", build_graph(n, edges), 2, roles)
 
 
 def cycle(n: int) -> FamilyInstance:
-    if n < 3:
-        raise BadParam(f"cycle needs n >= 3, got {n}")
+    _check_order("cycle", n, 3)
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return FamilyInstance(
-        f"cycle({n})", build_graph(n, edges), None, None, {f"v{i}": i for i in range(n)}
-    )
+    roles = {f"v{i}": i for i in range(n)}
+    return FamilyInstance(f"cycle({n})", build_graph(n, edges), None, roles)
 
 
 def is_generalized_sunflower(g: Graph, cert: MopCertificate) -> bool:
@@ -258,8 +235,6 @@ def is_generalized_sunflower(g: Graph, cert: MopCertificate) -> bool:
     base_edges = [
         (relabel[u], relabel[w]) for u, w in g.edges if u not in pset and w not in pset
     ]
-    if len(base) == 3:
-        return len(base_edges) == 3
     try:
         recognize(build_graph(len(base), base_edges))
     except GraphError:

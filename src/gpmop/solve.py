@@ -148,22 +148,16 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     return bound, witness
 
 
-def gp_number(
-    g: Graph,
-    cert: MopCertificate | None = None,
-    *,
-    max_order: int = DEFAULT_SEARCH_CAP,
-    force: bool = False,
-) -> GpResult:
+def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = False) -> GpResult:
     """Exact general position number with a deterministic witness.
 
     The witness is the lexicographically smallest maximum set.  A given
     certificate is checked against ``g`` but does not steer the search.
     """
     n = g.order
-    if n > max_order and not force:
+    if n > DEFAULT_SEARCH_CAP and not force:
         raise SearchCapExceeded(
-            f"order {n} exceeds the search cap {max_order}; pass force=True to override"
+            f"order {n} exceeds the search cap {DEFAULT_SEARCH_CAP}; pass force=True to override"
         )
     dm = all_pairs_distances(g)
     if not dm.connected:

@@ -94,6 +94,36 @@ def _induced_components(g: Graph, members: tuple[int, ...]) -> list[tuple[int, .
     return blocks
 
 
+def _is_clique_partition(g: Graph, dm: DistanceMatrix, blocks: list[tuple[int, ...]]) -> bool:
+    dist = dm.dist
+    # (a) every block is complete.
+    for block in blocks:
+        for i, a in enumerate(block):
+            for b in block[i + 1 :]:
+                if not g.has_edge(a, b):
+                    return False
+    # (b) every pair of blocks is distance-constant.
+    k = len(blocks)
+    block_dist = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            val = dist[blocks[i][0]][blocks[j][0]]
+            for a in blocks[i]:
+                for b in blocks[j]:
+                    if dist[a][b] != val:
+                        return False
+            block_dist[i][j] = block_dist[j][i] = val
+    # (c) no block j lies metrically between blocks i and m.
+    for i in range(k):
+        for j in range(k):
+            if j == i:
+                continue
+            for m in range(i + 1, k):
+                if m != j and block_dist[i][m] == block_dist[i][j] + block_dist[j][m]:
+                    return False
+    return True
+
+
 def is_gp_characterized(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSetCheck:
     """Clique-partition test.
 
@@ -103,60 +133,8 @@ def is_gp_characterized(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSet
     """
     members = _prepare(g, dm, s)
     blocks = _induced_components(g, members)
-    d = dm.dist
-
-    ok = True
-    for block in blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1 :]:
-                if not g.has_edge(a, b):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-
-    block_dist: list[list[int]] = []
-    if ok:
-        k = len(blocks)
-        block_dist = [[0] * k for _ in range(k)]
-        for i in range(k):
-            for j in range(i + 1, k):
-                val = d[blocks[i][0]][blocks[j][0]]
-                for a in blocks[i]:
-                    for b in blocks[j]:
-                        if d[a][b] != val:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                block_dist[i][j] = block_dist[j][i] = val
-                if not ok:
-                    break
-            if not ok:
-                break
-
-    if ok:
-        k = len(blocks)
-        for i in range(k):
-            for j in range(k):
-                if j == i:
-                    continue
-                for m in range(i + 1, k):
-                    if m == j:
-                        continue
-                    if block_dist[i][m] == block_dist[i][j] + block_dist[j][m]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-
-    if ok:
+    if _is_clique_partition(g, dm, blocks):
         return GpSetCheck(members, True, None, tuple(blocks))
-
     violation = _first_violation(dm, members)
     if violation is None:
         raise RuntimeError(

@@ -24,6 +24,7 @@ from gpmop import (
 )
 from gpmop import census
 from gpmop.census import (
+    MAX_CENSUS_ORDER,
     _generator_catalog,
     _plan_chunks,
     _quiddity_key,
@@ -292,7 +293,7 @@ class TestClaims:
         with pytest.raises(BadParam):
             verify_paper_claims(3, 5)
         with pytest.raises(BadParam):
-            verify_paper_claims(5, 14)
+            verify_paper_claims(5, MAX_CENSUS_ORDER + 1)
 
 
 # Claim sensitivity: each claim must name a class whose record is mutated to

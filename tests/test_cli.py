@@ -1,7 +1,10 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import gpmop
 from gpmop import parse_edge_list, recognize
@@ -169,11 +172,63 @@ class TestCheckCommand:
         assert "jobs" in capsys.readouterr().err
 
 
-def test_console_script_entry_point(tmp_path):
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["census", "check", "generate", "recognize", "rejected"])
+    def test_out_into_missing_directory(self, tmp_path, capsys, command):
+        argv = {
+            "census": ["census", "5"],
+            "check": ["check", "5", "5"],
+            "generate": ["generate", "fan", "5"],
+            "recognize": ["recognize", generate(tmp_path, "fan", 5)],
+            "rejected": ["recognize", generate(tmp_path, "complete", 4)],
+        }[command]
+        out = tmp_path / "missing" / "x.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command,extra", [("gp", []), ("verify", ["0", "1"]), ("recognize", [])])
+    def test_undecodable_file(self, tmp_path, capsys, command, extra):
+        f = tmp_path / "binary.txt"
+        f.write_bytes(b"\xff\xfe\x00")
+        assert main([command, str(f), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
+
+
+def _child_env():
     # The child imports the same gpmop as this process, installed or not.
     src = str(Path(gpmop.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def _limit_address_space():
+    # About 1 GB: a generator that built its edge list before checking the
+    # order would die of MemoryError here instead of exhausting the host.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("family", ["path", "fan", "cycle", "gsf", "sunflower"])
+def test_hostile_family_order_fails_fast(family):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpmop.cli", "generate", family, "100000000"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
+def test_console_script_entry_point(tmp_path):
+    env = _child_env()
     out = tmp_path / "fan5.txt"
     proc = subprocess.run(
         [sys.executable, "-m", "gpmop.cli", "generate", "fan", "5", "--out", str(out)],

@@ -1,6 +1,7 @@
 import pytest
 
 from gpmop import (
+    UNREACHABLE,
     BadParam,
     CrossingChords,
     WrongEdgeCount,
@@ -117,6 +118,20 @@ class TestBadParams:
             path(1)
         with pytest.raises(BadParam):
             cycle(2)
+
+    def test_orders_above_the_cap(self):
+        big = UNREACHABLE + 1
+        for build in (fan, straight_linear_2tree, generalized_sunflower, complete, path, cycle):
+            with pytest.raises(BadParam, match="65535"):
+                build(big)
+        with pytest.raises(BadParam, match="65535"):
+            quasi_fan(1, big)
+        with pytest.raises(BadParam, match="65535"):
+            double_fan(1, 1, big, 1)
+        # The sunflower's order is 2m+1.
+        with pytest.raises(BadParam, match="65535"):
+            sunflower(UNREACHABLE // 2 + 1)
+        assert sunflower(UNREACHABLE // 2).graph.order == UNREACHABLE
 
     def test_gsf_base_validation(self):
         with pytest.raises(BadParam, match="needs 2 chords"):
