@@ -28,7 +28,6 @@ from .families import (
 )
 from .graph import (
     Disconnected,
-    DistanceMatrix,
     DuplicateEdge,
     EdgeListError,
     Graph,
@@ -54,7 +53,6 @@ from .mop import (
     StructureViolation,
     WrongEdgeCount,
     canonical_form,
-    certificate_from_text,
     certificate_to_text,
     maximal_fan,
     mop_stats,

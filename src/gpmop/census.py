@@ -143,7 +143,7 @@ def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
     g = graph_from_chords(n, chords)
     cert = certificate_from_chords(n, chords)
     stats = mop_stats(g, cert)
-    result = gp_number(g, cert=cert)
+    result = gp_number(g)
     return CensusRecord(
         n=n,
         canonical_key=key,
@@ -281,8 +281,10 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
 
     def weak_degree_bound(r, g):
         bound, witness = _fan_pattern(g)
-        dm = all_pairs_distances(g)
-        verified = is_gp_naive(g, dm, witness).is_gp and is_gp_characterized(g, dm, witness).is_gp
+        dist = all_pairs_distances(g)
+        verified = (
+            is_gp_naive(g, dist, witness).is_gp and is_gp_characterized(g, dist, witness).is_gp
+        )
         expected = (2 * (r.max_degree + 1)) // 3
         return r.gp < bound or bound != expected or len(witness) != bound or not verified
 

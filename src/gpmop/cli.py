@@ -10,6 +10,7 @@ from a file that cannot be read or written, exits 2.
 from __future__ import annotations
 
 import argparse
+import errno
 import sys
 from pathlib import Path
 
@@ -57,9 +58,9 @@ def _cmd_gp(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
-    dm = all_pairs_distances(g)
-    naive = is_gp_naive(g, dm, args.ids)
-    char = is_gp_characterized(g, dm, args.ids)
+    dist = all_pairs_distances(g)
+    naive = is_gp_naive(g, dist, args.ids)
+    char = is_gp_characterized(g, dist, args.ids)
     if naive.is_gp != char.is_gp:
         print(
             "internal error: the two general-position tests disagree on "
@@ -184,6 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # A missing --out directory fails before the work; the file itself
+        # is written only after the command succeeds.
+        out = getattr(args, "out", None)
+        if out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
         return args.fn(args)
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -189,6 +189,10 @@ def generalized_sunflower(n: int, base_chords=None) -> FamilyInstance:
 
 def complete(n: int) -> FamilyInstance:
     _check_order("complete graph", n, 1)
+    # Every other family stays within 2 * UNREACHABLE edges (the largest,
+    # sunflower at order 65535, has 131,068), so K_n is held to that too.
+    if n * (n - 1) // 2 > 2 * UNREACHABLE:
+        raise BadParam(f"complete graph of order {n} exceeds {2 * UNREACHABLE} edges")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     roles = {f"v{i}": i for i in range(n)}
     return FamilyInstance(f"complete({n})", build_graph(n, edges), n, roles)

@@ -84,26 +84,6 @@ def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(order, frozenset(seen), tuple(tuple(sorted(a)) for a in nbrs))
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceMatrix:
-    """All-pairs BFS hop counts as a tuple of BFS rows, one per source.
-
-    UNREACHABLE marks separated pairs; build_graph caps the order at
-    UNREACHABLE, so every real distance stays below it.
-    """
-
-    order: int
-    dist: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        u, v = pair
-        return self.dist[u][v]
-
-    @property
-    def connected(self) -> bool:
-        return all(UNREACHABLE not in row for row in self.dist)
-
-
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from one source; UNREACHABLE where BFS never arrives."""
     dist = [UNREACHABLE] * g.order
@@ -119,11 +99,14 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
-def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    return DistanceMatrix(g.order, tuple(tuple(bfs_distances(g, s)) for s in range(g.order)))
+def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """One BFS row per source: row u, entry v is the hop count d(u,v)."""
+    return tuple(tuple(bfs_distances(g, s)) for s in range(g.order))
 
 
 def is_connected(g: Graph) -> bool:
+    # The one connectivity rule: BFS from vertex 0 reaches every vertex.
+    # Callers that hold the rows test ``UNREACHABLE in dist[0]`` instead.
     return UNREACHABLE not in bfs_distances(g, 0)
 
 
@@ -133,23 +116,23 @@ def _check_vertices(order: int, vertices: Iterable[int]) -> None:
             raise VertexOutOfRange(f"vertex {v} outside 0..{order - 1}")
 
 
-def interval(g: Graph, dm: DistanceMatrix, u: int, v: int) -> frozenset[int]:
+def interval(g: Graph, dist: tuple[tuple[int, ...], ...], u: int, v: int) -> frozenset[int]:
     """All vertices lying on at least one shortest u,v-path.
 
     A vertex w qualifies exactly when d(u,w) + d(w,v) == d(u,v).
     """
     _check_vertices(g.order, (u, v))
-    duv = dm[u, v]
+    du, dv = dist[u], dist[v]
+    duv = du[v]
     if duv == UNREACHABLE:
         raise Disconnected(f"vertices {u} and {v} are in different components")
-    du, dv = dm.dist[u], dm.dist[v]
     return frozenset(w for w in range(g.order) if du[w] + dv[w] == duv)
 
 
-def lies_on_geodesic(dm: DistanceMatrix, a: int, b: int, c: int) -> bool:
+def lies_on_geodesic(dist: tuple[tuple[int, ...], ...], a: int, b: int, c: int) -> bool:
     """True when b sits on some shortest a,c-path."""
-    _check_vertices(dm.order, (a, b, c))
-    dab, dbc, dac = dm[a, b], dm[b, c], dm[a, c]
+    _check_vertices(len(dist), (a, b, c))
+    dab, dbc, dac = dist[a][b], dist[b][c], dist[a][c]
     if UNREACHABLE in (dab, dbc, dac):
         raise Disconnected(f"vertices {a}, {b}, {c} are not pairwise connected")
     return dac == dab + dbc

@@ -16,6 +16,7 @@ from .graph import (
     Graph,
     GraphError,
     VertexOutOfRange,
+    _check_vertices,
     is_connected,
 )
 
@@ -79,7 +80,6 @@ def _check_non_crossing(cycle, chords, label: str) -> None:
 
 
 def _normalized_cycle(cycle: list[int]) -> tuple[int, ...]:
-    n = len(cycle)
     start = cycle.index(0)
     rotated = cycle[start:] + cycle[:start]
     if rotated[-1] < rotated[1]:
@@ -208,8 +208,7 @@ def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:
     the neighborhood is not a path, which shows that g is not maximal
     outerplanar.
     """
-    if not 0 <= v < g.order:
-        raise VertexOutOfRange(f"vertex {v} outside 0..{g.order - 1}")
+    _check_vertices(g.order, (v,))
     nbrs = g.adjacency[v]
     ns = set(nbrs)
     inside = {u: [w for w in g.adjacency[u] if w in ns] for u in nbrs}
@@ -275,40 +274,3 @@ def certificate_to_text(cert: MopCertificate) -> str:
     cycle_line = "cycle: " + " ".join(str(v) for v in cert.cycle)
     chord_line = "chords: " + " ".join(f"({a},{b})" for a, b in sorted(cert.chords))
     return cycle_line + "\n" + chord_line.rstrip() + "\n"
-
-
-def certificate_from_text(text: str) -> MopCertificate:
-    """Parse and validate the two-line certificate format."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if len(lines) != 2 or not lines[0].startswith("cycle:") or not lines[1].startswith("chords:"):
-        raise StructureViolation("expected 'cycle:' and 'chords:' lines")
-    try:
-        cycle = tuple(int(tok) for tok in lines[0][len("cycle:"):].split())
-    except ValueError:
-        raise StructureViolation("cycle entries must be integers") from None
-    n = len(cycle)
-    if n < 3 or sorted(cycle) != list(range(n)):
-        raise StructureViolation("cycle must list every vertex exactly once")
-    chord_toks = lines[1][len("chords:"):].split()
-    chords: set[tuple[int, int]] = set()
-    pos = {v: i for i, v in enumerate(cycle)}
-    for tok in chord_toks:
-        if not (tok.startswith("(") and tok.endswith(")")):
-            raise StructureViolation(f"bad chord token {tok!r}")
-        try:
-            a, b = (int(x) for x in tok[1:-1].split(","))
-        except ValueError:
-            raise StructureViolation(f"bad chord token {tok!r}") from None
-        if a == b or not (0 <= a < n and 0 <= b < n):
-            raise StructureViolation(f"chord ({a},{b}) out of range")
-        if abs(pos[a] - pos[b]) in (1, n - 1):
-            raise StructureViolation(f"chord ({a},{b}) lies on the cycle")
-        key = (a, b) if a < b else (b, a)
-        if key in chords:
-            raise StructureViolation(f"duplicate chord ({a},{b})")
-        chords.add(key)
-    if len(chords) != n - 3:
-        raise StructureViolation(f"expected {n - 3} chords, found {len(chords)}")
-    _check_non_crossing(cycle, chords, "chords")
-    rotated = _normalized_cycle(list(cycle))
-    return MopCertificate(n, rotated, frozenset(chords))

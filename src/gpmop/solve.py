@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import (
+    UNREACHABLE,
     Disconnected,
     Graph,
     GraphError,
@@ -141,9 +142,7 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     """
     check_certificate(g, cert)
     bound, witness = _fan_pattern(g)
-    dm = all_pairs_distances(g)
-    chk = is_gp_characterized(g, dm, witness)
-    if not chk.is_gp:
+    if not is_gp_characterized(g, all_pairs_distances(g), witness).is_gp:
         raise RuntimeError("internal: fan pattern is not in general position")
     return bound, witness
 
@@ -159,14 +158,14 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
         raise SearchCapExceeded(
             f"order {n} exceeds the search cap {DEFAULT_SEARCH_CAP}; pass force=True to override"
         )
-    dm = all_pairs_distances(g)
-    if not dm.connected:
+    dist = all_pairs_distances(g)
+    if UNREACHABLE in dist[0]:
         raise Disconnected("graph is not connected")
     if n <= 2:
         return GpResult(n, tuple(range(n)), 1)
     if cert is not None:
         check_certificate(g, cert)
-    value, witness, nodes = _search(n, _pair_block_masks(dm.dist, n))
-    if not is_gp_characterized(g, dm, witness).is_gp:
+    value, witness, nodes = _search(n, _pair_block_masks(dist, n))
+    if not is_gp_characterized(g, dist, witness).is_gp:
         raise RuntimeError("internal: search returned a set that fails verification")
     return GpResult(value, witness, nodes)

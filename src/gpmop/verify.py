@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import (
-    Disconnected,
-    DistanceMatrix,
-    Graph,
-    VertexOutOfRange,
-)
+from .graph import UNREACHABLE, Disconnected, Graph, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -37,20 +32,19 @@ class GpSetCheck:
     clique_partition: tuple[tuple[int, ...], ...] | None
 
 
-def _prepare(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> tuple[int, ...]:
+def _prepare(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -> tuple[int, ...]:
     members = tuple(sorted(set(s)))
-    for v in members:
-        if not 0 <= v < g.order:
-            raise VertexOutOfRange(f"vertex {v} outside 0..{g.order - 1}")
-    if not dm.connected:
+    _check_vertices(g.order, members)
+    if UNREACHABLE in dist[0]:
         raise Disconnected("general position tests require a connected graph")
     return members
 
 
-def _first_violation(dm: DistanceMatrix, members: tuple[int, ...]) -> tuple[int, int, int] | None:
+def _first_violation(
+    d: tuple[tuple[int, ...], ...], members: tuple[int, ...]
+) -> tuple[int, int, int] | None:
     # Ordered scan keeps the reported triple lexicographically smallest,
     # with the middle vertex second.
-    d = dm.dist
     for a in members:
         for b in members:
             if b == a:
@@ -63,12 +57,12 @@ def _first_violation(dm: DistanceMatrix, members: tuple[int, ...]) -> tuple[int,
     return None
 
 
-def is_gp_naive(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSetCheck:
+def is_gp_naive(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -> GpSetCheck:
     """Definitional test over every ordered triple of distinct members."""
-    members = _prepare(g, dm, s)
+    members = _prepare(g, dist, s)
     if len(members) <= 2:
         return GpSetCheck(members, True, None, None)
-    violation = _first_violation(dm, members)
+    violation = _first_violation(dist, members)
     return GpSetCheck(members, violation is None, violation, None)
 
 
@@ -94,8 +88,9 @@ def _induced_components(g: Graph, members: tuple[int, ...]) -> list[tuple[int, .
     return blocks
 
 
-def _is_clique_partition(g: Graph, dm: DistanceMatrix, blocks: list[tuple[int, ...]]) -> bool:
-    dist = dm.dist
+def _is_clique_partition(
+    g: Graph, dist: tuple[tuple[int, ...], ...], blocks: list[tuple[int, ...]]
+) -> bool:
     # (a) every block is complete.
     for block in blocks:
         for i, a in enumerate(block):
@@ -124,18 +119,20 @@ def _is_clique_partition(g: Graph, dm: DistanceMatrix, blocks: list[tuple[int, .
     return True
 
 
-def is_gp_characterized(g: Graph, dm: DistanceMatrix, s: Iterable[int]) -> GpSetCheck:
+def is_gp_characterized(
+    g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]
+) -> GpSetCheck:
     """Clique-partition test.
 
     Passes exactly when (a) every component of the induced subgraph is
     complete, (b) the blocks are pairwise distance-constant, and (c) no
     block distance equals the sum of the distances through a third block.
     """
-    members = _prepare(g, dm, s)
+    members = _prepare(g, dist, s)
     blocks = _induced_components(g, members)
-    if _is_clique_partition(g, dm, blocks):
+    if _is_clique_partition(g, dist, blocks):
         return GpSetCheck(members, True, None, tuple(blocks))
-    violation = _first_violation(dm, members)
+    violation = _first_violation(dist, members)
     if violation is None:
         raise RuntimeError(
             "clique-partition test rejected a set with no violating triple; "

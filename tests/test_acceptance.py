@@ -167,11 +167,11 @@ def test_criterion_06_lower_bounds():
             g = graph_from_chords(n, rec.chords)
             cert = certificate_from_chords(n, rec.chords)
             bound, witness = mop_greedy_lower_bound(g, cert)
-            dm = all_pairs_distances(g)
+            dist = all_pairs_distances(g)
             if (
                 len(witness) != bound
-                or not is_gp_naive(g, dm, witness).is_gp
-                or not is_gp_characterized(g, dm, witness).is_gp
+                or not is_gp_naive(g, dist, witness).is_gp
+                or not is_gp_characterized(g, dist, witness).is_gp
             ):
                 witness_bad.append((n, rec.chords))
     ok = not bad and not witness_bad
@@ -280,9 +280,9 @@ def test_criterion_11_oracle_equivalence():
             g = graph_from_chords(n, chords)
         else:
             g = random_connected_graph(rng, rng.randint(2, 9))
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         members = [v for v in range(g.order) if rng.random() < 0.5]
-        if is_gp_naive(g, dm, members).is_gp != is_gp_characterized(g, dm, members).is_gp:
+        if is_gp_naive(g, dist, members).is_gp != is_gp_characterized(g, dist, members).is_gp:
             disagreements += 1
 
     solver_bad = []

@@ -180,9 +180,9 @@ class TestRunCensus:
     def test_witnesses_verify_both_ways(self):
         for rec in run_census(7, dedupe=True):
             g = graph_from_chords(7, rec.chords)
-            dm = all_pairs_distances(g)
-            assert is_gp_naive(g, dm, rec.gp_witness).is_gp
-            assert is_gp_characterized(g, dm, rec.gp_witness).is_gp
+            dist = all_pairs_distances(g)
+            assert is_gp_naive(g, dist, rec.gp_witness).is_gp
+            assert is_gp_characterized(g, dist, rec.gp_witness).is_gp
 
     def test_dedupe_idempotent(self):
         recs = run_census(7, dedupe=True)
@@ -278,8 +278,8 @@ class TestClaims:
         fan_g = graph_from_chords(n, next(r.chords for r in recs if r.canonical_key == fan_key))
         real = census._fan_pattern
         bound = real(fan_g)[0]
-        dm = all_pairs_distances(fan_g)
-        bad = next(s for s in combinations(range(n), bound) if not is_gp_naive(fan_g, dm, s).is_gp)
+        dist = all_pairs_distances(fan_g)
+        bad = next(s for s in combinations(range(n), bound) if not is_gp_naive(fan_g, dist, s).is_gp)
 
         def pattern(g):
             return (bound, bad) if g == fan_g else real(g)

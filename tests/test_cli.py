@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gpmop
-from gpmop import parse_edge_list, recognize
+from gpmop import cli, parse_edge_list, recognize
 from gpmop.cli import main
 
 
@@ -81,9 +81,15 @@ class TestRecognize:
     def test_accept_prints_certificate(self, tmp_path, capsys):
         f = generate(tmp_path, "fan", 6)
         assert main(["recognize", f]) == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[0].startswith("cycle: ")
-        assert out.splitlines()[1].startswith("chords: ")
+        assert capsys.readouterr().out == "cycle: 0 1 2 3 4 5\nchords: (1,5) (2,5) (3,5)\n"
+
+    def test_relabelled_hull_is_printed_from_zero(self, tmp_path, capsys):
+        # gsf(7) relabelled so that its hull runs 0 2 5 3 1 6 4: the cycle
+        # starts at 0 and turns toward the smaller of 0's hull neighbours.
+        edges = "0 2\n0 3\n0 4\n0 5\n0 6\n1 3\n1 6\n2 5\n3 5\n3 6\n4 6\n"
+        f = write_graph(tmp_path, "gsf7.txt", "7\n" + edges)
+        assert main(["recognize", f]) == 0
+        assert capsys.readouterr().out == "cycle: 0 2 5 3 1 6 4\nchords: (0,3) (0,5) (0,6) (3,6)\n"
 
     def test_reject_names_evidence(self, tmp_path, capsys):
         f = generate(tmp_path, "complete", 4)
@@ -187,6 +193,16 @@ class TestFileErrors:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("argv", [["census", "12"], ["check", "4", "13"]], ids=["census", "check"])
+    def test_missing_out_directory_stops_the_work(self, tmp_path, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran before its --out was checked")
+
+        monkeypatch.setattr(cli, "run_census", never)
+        monkeypatch.setattr(cli, "verify_paper_claims", never)
+        assert main([*argv, "--out", str(tmp_path / "missing" / "x.txt")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("command,extra", [("gp", []), ("verify", ["0", "1"]), ("recognize", [])])
     def test_undecodable_file(self, tmp_path, capsys, command, extra):
         f = tmp_path / "binary.txt"
@@ -212,10 +228,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-@pytest.mark.parametrize("family", ["path", "fan", "cycle", "gsf", "sunflower"])
-def test_hostile_family_order_fails_fast(family):
+@pytest.mark.parametrize(
+    "family,order",
+    [pytest.param(f, "100000000", id=f) for f in ("path", "fan", "cycle", "gsf", "sunflower")]
+    # Below the order cap, but with about 2e8 edges.
+    + [pytest.param("complete", "20000", id="complete")],
+)
+def test_hostile_family_order_fails_fast(family, order):
     proc = subprocess.run(
-        [sys.executable, "-m", "gpmop.cli", "generate", family, "100000000"],
+        [sys.executable, "-m", "gpmop.cli", "generate", family, order],
         capture_output=True,
         text=True,
         env=_child_env(),

@@ -133,6 +133,12 @@ class TestBadParams:
             sunflower(UNREACHABLE // 2 + 1)
         assert sunflower(UNREACHABLE // 2).graph.order == UNREACHABLE
 
+    def test_complete_edge_bound(self):
+        # K_n is held to 2 * UNREACHABLE = 131,070 edges, so n <= 512.
+        assert len(complete(512).graph.edges) == 512 * 511 // 2
+        with pytest.raises(BadParam, match="131070 edges"):
+            complete(513)
+
     def test_gsf_base_validation(self):
         with pytest.raises(BadParam, match="needs 2 chords"):
             generalized_sunflower(10, base_chords=[(0, 2)])

@@ -79,41 +79,41 @@ class TestBuildGraph:
 
 class TestDistances:
     def test_path_end_to_end(self):
-        dm = all_pairs_distances(path_graph(4))
-        assert dm[0, 3] == 3
+        dist = all_pairs_distances(path_graph(4))
+        assert dist[0][3] == 3
 
     def test_fan_diameter_two(self):
         inst = fan(5)
-        dm = all_pairs_distances(inst.graph)
-        assert dm[inst.role_map["p1"], inst.role_map["p4"]] == 2
+        dist = all_pairs_distances(inst.graph)
+        assert dist[inst.role_map["p1"]][inst.role_map["p4"]] == 2
 
     def test_sunflower_petal_distance(self):
         inst = generalized_sunflower(7)
-        dm = all_pairs_distances(inst.graph)
-        assert dm[inst.role_map["v0"], inst.role_map["v2"]] == 3
+        dist = all_pairs_distances(inst.graph)
+        assert dist[inst.role_map["v0"]][inst.role_map["v2"]] == 3
 
     def test_unreachable_marker(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        dm = all_pairs_distances(g)
-        assert dm[0, 2] == UNREACHABLE
-        assert not dm.connected
+        dist = all_pairs_distances(g)
+        assert dist[0][2] == UNREACHABLE
+        assert UNREACHABLE in dist[0]
 
     def test_matrix_is_read_only(self):
-        dm = all_pairs_distances(path_graph(3))
+        dist = all_pairs_distances(path_graph(3))
         with pytest.raises(TypeError):
-            dm.dist[0][1] = 5
+            dist[0][1] = 5
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
     def test_matrix_invariants(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 9))
-        dm = all_pairs_distances(g)
-        assert dm.dist == tuple(zip(*dm.dist))
-        assert all(dm[v, v] == 0 for v in range(g.order))
+        dist = all_pairs_distances(g)
+        assert dist == tuple(zip(*dist))
+        assert all(dist[v][v] == 0 for v in range(g.order))
         for u in range(g.order):
             for v in range(u + 1, g.order):
-                assert (dm[u, v] == 1) == g.has_edge(u, v)
+                assert (dist[u][v] == 1) == g.has_edge(u, v)
 
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -127,9 +127,9 @@ class TestDistances:
         expected = tuple(
             tuple(UNREACHABLE if d == BIG else d for d in row) for row in floyd_warshall(g)
         )
-        dm = all_pairs_distances(g)
-        assert dm.dist == expected
-        assert dm.connected == (not union)
+        dist = all_pairs_distances(g)
+        assert dist == expected
+        assert (UNREACHABLE not in dist[0]) == (not union)
 
 
 def test_import_does_not_load_numpy():
@@ -164,22 +164,22 @@ class TestInterval:
     def test_matches_exhaustive_path_enumeration(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 9))
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         for _ in range(4):
             u, v = rng.randrange(g.order), rng.randrange(g.order)
-            assert interval(g, dm, u, v) == exhaustive_interval(g, u, v)
+            assert interval(g, dist, u, v) == exhaustive_interval(g, u, v)
 
 
 class TestLiesOnGeodesic:
     def test_middle_of_path(self):
-        dm = all_pairs_distances(path_graph(3))
-        assert lies_on_geodesic(dm, 0, 1, 2)
+        dist = all_pairs_distances(path_graph(3))
+        assert lies_on_geodesic(dist, 0, 1, 2)
 
     def test_triangle_never(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         assert not any(
-            lies_on_geodesic(dm, a, b, c)
+            lies_on_geodesic(dist, a, b, c)
             for a in range(3)
             for b in range(3)
             for c in range(3)
@@ -188,25 +188,25 @@ class TestLiesOnGeodesic:
 
     def test_four_cycle_antipodal(self):
         # Brute-check: on C4, 0 sits between 1 and 3.
-        dm = all_pairs_distances(cycle_graph(4))
-        assert lies_on_geodesic(dm, 1, 0, 3)
+        dist = all_pairs_distances(cycle_graph(4))
+        assert lies_on_geodesic(dist, 1, 0, 3)
 
     def test_out_of_range(self):
-        dm = all_pairs_distances(path_graph(3))
+        dist = all_pairs_distances(path_graph(3))
         with pytest.raises(VertexOutOfRange):
-            lies_on_geodesic(dm, 0, 1, 7)
+            lies_on_geodesic(dist, 0, 1, 7)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
     def test_consistent_with_interval(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(3, 8))
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         for _ in range(6):
             a, b, c = (rng.randrange(g.order) for _ in range(3))
             if len({a, b, c}) < 3:
                 continue
-            assert lies_on_geodesic(dm, a, b, c) == (b in interval(g, dm, a, c))
+            assert lies_on_geodesic(dist, a, b, c) == (b in interval(g, dist, a, c))
 
 
 class TestEdgeListFormat:

@@ -6,17 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmop import (
-    CrossingChords,
     Disconnected,
     EdgeInTooManyTriangles,
     HullNotHamiltonian,
-    StructureViolation,
     VertexOutOfRange,
     WrongEdgeCount,
     build_graph,
     canonical_form,
-    certificate_from_text,
-    certificate_to_text,
     fan,
     generalized_sunflower,
     maximal_fan,
@@ -230,26 +226,39 @@ class TestCanonicalForm:
         assert not same_mop(recognize(complete_graph(3)), recognize(fan(4).graph))
 
 
-class TestCertificateText:
-    def test_round_trip(self):
-        cert = recognize(generalized_sunflower(8).graph)
-        text = certificate_to_text(cert)
-        assert text.splitlines()[0].startswith("cycle: ")
-        assert certificate_from_text(text) == cert
 
-    def test_triangle_round_trip(self):
-        cert = recognize(complete_graph(3))
-        assert certificate_from_text(certificate_to_text(cert)) == cert
+class TestNetworkxIsomorphismOracle:
+    @staticmethod
+    def _nx(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.order))
+        h.add_edges_from(g.edges)
+        return h
 
-    def test_crossing_chords_rejected(self):
-        text = "cycle: 0 1 2 3 4 5\nchords: (0,2) (1,3) (0,4)\n"
-        with pytest.raises(CrossingChords):
-            certificate_from_text(text)
+    def test_classes_of_orders_seven_to_ten(self):
+        nx = pytest.importorskip("networkx")
+        for n in range(7, 11):
+            classes: dict[bytes, list] = {}
+            for chords in enumerate_triangulations(n):
+                g = graph_from_chords(n, chords)
+                classes.setdefault(canonical_form(recognize(g)), []).append(self._nx(nx, g))
+            reps = [members[0] for members in classes.values()]
+            for members in classes.values():
+                assert all(nx.is_isomorphic(members[0], h) for h in members[1:])
+            assert not any(nx.is_isomorphic(a, b) for a, b in combinations(reps, 2))
 
-    def test_wrong_chord_count_rejected(self):
-        with pytest.raises(StructureViolation):
-            certificate_from_text("cycle: 0 1 2 3 4\nchords: (0,2)\n")
-
-    def test_cycle_chord_rejected(self):
-        with pytest.raises(StructureViolation, match="lies on the cycle"):
-            certificate_from_text("cycle: 0 1 2 3 4\nchords: (0,1) (0,3)\n")
+    def test_random_pairs(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(20)
+        for n in range(12, 21):
+            for _ in range(20):
+                g = random_mop(rng, n)
+                # Half the pairs are a relabelled copy, so both answers occur.
+                if rng.random() < 0.5:
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    h = relabeled(g, perm)
+                else:
+                    h = random_mop(rng, n)
+                same_key = canonical_form(recognize(g)) == canonical_form(recognize(h))
+                assert same_key == nx.is_isomorphic(self._nx(nx, g), self._nx(nx, h))

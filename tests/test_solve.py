@@ -37,7 +37,7 @@ from helpers import (
 
 
 def _block_masks(g):
-    return solve._pair_block_masks(all_pairs_distances(g).dist, g.order)
+    return solve._pair_block_masks(all_pairs_distances(g), g.order)
 
 
 def _mask_triples(g) -> set[int]:
@@ -104,9 +104,9 @@ class TestGpNumber:
     def test_witness_verifies_and_is_lexicographically_least(self):
         g = fan(9).graph
         res = gp_number(g)
-        dm = all_pairs_distances(g)
-        assert is_gp_characterized(g, dm, res.witness).is_gp
-        assert is_gp_naive(g, dm, res.witness).is_gp
+        dist = all_pairs_distances(g)
+        assert is_gp_characterized(g, dist, res.witness).is_gp
+        assert is_gp_naive(g, dist, res.witness).is_gp
         assert res.witness == (0, 1, 3, 4, 6, 7)
         assert res.nodes_explored > 0
 

@@ -25,66 +25,66 @@ def prepared(g):
 
 class TestNaive:
     def test_small_sets_always_pass(self):
-        g, dm = prepared(path(6).graph)
+        g, dist = prepared(path(6).graph)
         for s in ((), (2,), (0, 3)):
-            assert is_gp_naive(g, dm, s).is_gp
+            assert is_gp_naive(g, dist, s).is_gp
 
     def test_two_of_three_path_vertices_plus_end(self):
-        g, dm = prepared(path(4).graph)
-        chk = is_gp_naive(g, dm, (0, 1, 3))
+        g, dist = prepared(path(4).graph)
+        chk = is_gp_naive(g, dist, (0, 1, 3))
         assert not chk.is_gp
         assert chk.witness_violation == (0, 1, 3)
 
     def test_fan_pattern_set(self):
         inst = fan(9)
-        g, dm = prepared(inst.graph)
+        g, dist = prepared(inst.graph)
         picks = [inst.role_map[f"p{i}"] for i in (1, 2, 4, 5, 7, 8)]
-        assert is_gp_naive(g, dm, picks).is_gp
+        assert is_gp_naive(g, dist, picks).is_gp
 
     def test_violation_is_lexicographically_smallest(self):
-        g, dm = prepared(path(5).graph)
-        chk = is_gp_naive(g, dm, (0, 1, 2, 3))
+        g, dist = prepared(path(5).graph)
+        chk = is_gp_naive(g, dist, (0, 1, 2, 3))
         assert chk.witness_violation == (0, 1, 2)
 
     def test_out_of_range(self):
-        g, dm = prepared(path(3).graph)
+        g, dist = prepared(path(3).graph)
         with pytest.raises(VertexOutOfRange):
-            is_gp_naive(g, dm, (0, 9))
+            is_gp_naive(g, dist, (0, 9))
 
 
 class TestCharacterized:
     def test_complete_graph_is_one_block(self):
         inst = complete(5)
-        g, dm = prepared(inst.graph)
-        chk = is_gp_characterized(g, dm, range(5))
+        g, dist = prepared(inst.graph)
+        chk = is_gp_characterized(g, dist, range(5))
         assert chk.is_gp
         assert chk.clique_partition == ((0, 1, 2, 3, 4),)
 
     def test_fan_pattern_blocks(self):
         inst = fan(9)
-        g, dm = prepared(inst.graph)
+        g, dist = prepared(inst.graph)
         picks = [inst.role_map[f"p{i}"] for i in (1, 2, 4, 5, 7, 8)]
-        chk = is_gp_characterized(g, dm, picks)
+        chk = is_gp_characterized(g, dist, picks)
         assert chk.is_gp
         assert chk.clique_partition == ((0, 1), (3, 4), (6, 7))
 
     def test_induced_path_component_fails(self):
-        g, dm = prepared(path(4).graph)
-        chk = is_gp_characterized(g, dm, (0, 1, 2))
+        g, dist = prepared(path(4).graph)
+        chk = is_gp_characterized(g, dist, (0, 1, 2))
         assert not chk.is_gp
         assert chk.witness_violation == (0, 1, 2)
         assert chk.clique_partition is None
 
     def test_distance_constant_failure(self):
         # Two blocks at mixed distances: {0} vs {3,4} on a path of 5.
-        g, dm = prepared(path(5).graph)
-        chk = is_gp_characterized(g, dm, (0, 3, 4))
+        g, dist = prepared(path(5).graph)
+        chk = is_gp_characterized(g, dist, (0, 3, 4))
         assert not chk.is_gp
 
     def test_in_transitive_failure(self):
         # Three singleton blocks, pairwise distance-constant, but collinear.
-        g, dm = prepared(path(5).graph)
-        chk = is_gp_characterized(g, dm, (0, 2, 4))
+        g, dist = prepared(path(5).graph)
+        chk = is_gp_characterized(g, dist, (0, 2, 4))
         assert not chk.is_gp
         assert chk.witness_violation == (0, 2, 4)
 
@@ -95,10 +95,10 @@ class TestAgreement:
     def test_both_tests_agree_on_random_subsets(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 9))
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         members = [v for v in range(g.order) if rng.random() < 0.5]
-        a = is_gp_naive(g, dm, members)
-        b = is_gp_characterized(g, dm, members)
+        a = is_gp_naive(g, dist, members)
+        b = is_gp_characterized(g, dist, members)
         assert a.is_gp == b.is_gp
 
     @given(st.integers(0, 10**9), st.integers(5, 20))
@@ -106,9 +106,9 @@ class TestAgreement:
     def test_both_tests_agree_on_random_mops(self, seed, n):
         rng = random.Random(seed)
         g = random_mop(rng, n)
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         members = rng.sample(range(n), rng.randint(0, min(n, 8)))
-        assert is_gp_naive(g, dm, members).is_gp == is_gp_characterized(g, dm, members).is_gp
+        assert is_gp_naive(g, dist, members).is_gp == is_gp_characterized(g, dist, members).is_gp
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=60, deadline=None)
@@ -117,26 +117,26 @@ class TestAgreement:
 
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(3, 8))
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         members = [v for v in range(g.order) if rng.random() < 0.6]
-        for chk in (is_gp_naive(g, dm, members), is_gp_characterized(g, dm, members)):
+        for chk in (is_gp_naive(g, dist, members), is_gp_characterized(g, dist, members)):
             if chk.is_gp:
                 assert chk.witness_violation is None
             else:
                 a, b, c = chk.witness_violation
-                assert lies_on_geodesic(dm, a, b, c)
+                assert lies_on_geodesic(dist, a, b, c)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
     def test_heredity(self, seed):
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(3, 8))
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         members = tuple(v for v in range(g.order) if rng.random() < 0.6)
-        if not is_gp_naive(g, dm, members).is_gp:
+        if not is_gp_naive(g, dist, members).is_gp:
             return
         sub = tuple(v for v in members if rng.random() < 0.5)
-        assert is_gp_naive(g, dm, sub).is_gp
+        assert is_gp_naive(g, dist, sub).is_gp
 
 
 class TestTriangulationWitnessStructure:
@@ -147,10 +147,10 @@ class TestTriangulationWitnessStructure:
     def test_all_gp_sets(self, n):
         for rec in run_census(n, dedupe=True):
             g = graph_from_chords(n, rec.chords)
-            dm = all_pairs_distances(g)
+            dist = all_pairs_distances(g)
             for size in range(3, n + 1):
                 for members in combinations(range(n), size):
-                    if not is_gp_naive(g, dm, members).is_gp:
+                    if not is_gp_naive(g, dist, members).is_gp:
                         continue
                     wset = set(members)
                     for x in members:
