@@ -185,9 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A missing --out directory fails before the work; the file itself
-        # is written only after the command succeeds.
+        # An --out that is a directory or lies in a missing one fails before
+        # the work; the file itself is written only after the command succeeds.
         out = getattr(args, "out", None)
+        if out is not None and Path(out).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory", out)
         if out is not None and not Path(out).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, "no such directory", str(Path(out).parent))
         return args.fn(args)

@@ -8,6 +8,17 @@ gp of the vertex set {v, ..., n-1}, filled for v = n-1 down to 0, a search
 for a set of size c[v+1] + 1 that starts at v prunes a branch once chosen +
 c[min(candidates)] or chosen + |candidates| falls short of the target.
 Candidates are filtered through a per-pair conflict index held as bitmasks.
+
+Each node also covers its candidates greedily by cliques of their pair
+conflicts, in the spirit of the colouring bound of Tomita and Seki (2003):
+two candidates w and x conflict when {a, w, x} is a geodesic triple for some
+chosen a, so at most one member of a clique can join and a cover by fewer
+cliques than the members still needed prunes the node.  The bound follows
+from the definition of general position alone.  A candidate's conflict row
+is the OR of its pair masks with the chosen vertices; a child's rows are its
+parent's with the new vertex's masks ORed in, written only for the child's
+candidates into one list per depth.
+
 A final search in ascending vertex order for a set of size c[0] reports the
 lexicographically smallest maximum set as the witness.  No lower bound
 steers the search, so the result depends on the graph and its labels only.
@@ -50,39 +61,73 @@ class GpResult:
 
 def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
     # Bit c of blocks[a][b] is set when one of a, b, c lies on a geodesic
-    # between the other two.
+    # between the other two.  Each triple a < b < c is tested once and
+    # marked in the rows of all three of its pairs.
     blocks = [[0] * n for _ in range(n)]
     for a in range(n):
         da = dist[a]
         ba = blocks[a]
+        bit_a = 1 << a
         for b in range(a + 1, n):
             db = dist[b]
+            bb = blocks[b]
             dab = da[b]
+            bit_b = 1 << b
             mask = 0
-            for c in range(n):
-                if c == a or c == b:
-                    continue
+            for c in range(b + 1, n):
                 dac, dbc = da[c], db[c]
                 if dac == dab + dbc or dab == dac + dbc or dbc == dab + dac:
                     mask |= 1 << c
-            ba[b] = mask
-            blocks[b][a] = mask
+                    ba[c] |= bit_b
+                    bb[c] |= bit_a
+            ba[b] |= mask
+    for a in range(n):
+        ba = blocks[a]
+        for b in range(a + 1, n):
+            blocks[b][a] = ba[b]
     return blocks
 
 
 def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
     # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
     c = [0] * (n + 1)
+    c[n - 1] = 1  # one vertex is in general position
     found: tuple[int, ...] = ()
     nodes = 0
+    # rows[d] holds the conflict rows of the children of a node with d
+    # chosen vertices; siblings overwrite them in turn.
+    rows = [[0] * n for _ in range(n)]
 
-    def rec(chosen: list[int], cand: int, need: int) -> bool:
-        # Look for need more members that extend chosen within cand.
+    def rec(chosen: list[int], cand: int, need: int, conf: list[int]) -> bool:
+        # Look for need >= 1 more members that extend chosen within cand;
+        # for w in cand, bit x of conf[w] is set when w and x cannot both
+        # join chosen.
         nonlocal found, nodes
         nodes += 1
-        if not need:
-            found = tuple(chosen)
+        if need == 1:
+            # Any candidate completes the set; the loop would take the least.
+            if not cand:
+                return False
+            found = (*chosen, (cand & -cand).bit_length() - 1)
             return True
+        # Greedy cover of cand by cliques of the conflict rows: each clique
+        # adds at most one member, so fewer than need cliques prune.
+        rest = cand
+        cliques = 0
+        while rest:
+            cliques += 1
+            if cliques == need:
+                break
+            q = rest & -rest
+            rest ^= q
+            q = rest & conf[q.bit_length() - 1]
+            while q:
+                x = q & -q
+                rest ^= x
+                q &= conf[x.bit_length() - 1]
+        else:
+            return False
+        child = rows[len(chosen)]
         k = cand
         while k:
             v = (k & -k).bit_length() - 1
@@ -92,24 +137,27 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
             if c[v] < need or k.bit_count() < need:
                 return False
             k &= k - 1
+            sub = k & ~conf[v]
             bv = blocks[v]
-            blocked = 0
-            for a in chosen:
-                blocked |= bv[a]
+            t = sub
+            while t:
+                w = (t & -t).bit_length() - 1
+                child[w] = conf[w] | bv[w]
+                t &= t - 1
             chosen.append(v)
-            if rec(chosen, k & ~blocked, need - 1):
+            if rec(chosen, sub, need - 1, child):
                 return True
             chosen.pop()
         return False
 
     full = (1 << n) - 1
-    for v in range(n - 1, -1, -1):
+    for v in range(n - 2, -1, -1):
         # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
-        # so c[v] is c[v+1] or c[v+1] + 1.
-        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1])
+        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], blocks[v])
     # The last increase of c yields the maximum set whose smallest vertex is
     # largest; one ascending search finds the lexicographically smallest.
-    rec([], full, c[0])
+    rec([], full, c[0], [0] * n)
     return c[0], found, nodes
 
 

@@ -2,9 +2,10 @@
 
 The oracles deliberately avoid the package's own code paths: distances
 come from Floyd-Warshall instead of BFS, maximum sets from full bitmask
-enumeration or a plain incumbent branch and bound instead of the suffix-bound
-search, and isomorphism from raw permutation search instead of canonical
-keys.
+enumeration, a plain incumbent branch and bound or the suffix-bound search
+without its clique cover, conflict masks from a separate test of each
+triple at each of its three pairs, and isomorphism from raw permutation
+search instead of canonical keys.
 """
 
 from __future__ import annotations
@@ -155,6 +156,63 @@ def incumbent_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, .
 
     rec([], (1 << n) - 1)
     return len(best), best
+
+
+def per_pair_block_masks(dist, n: int) -> list[list[int]]:
+    """Pair conflict masks with every triple tested once from each of its
+    three pairs: bit c of blocks[a][b] is set when one of a, b, c lies on a
+    geodesic between the other two."""
+    blocks = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            dab = dist[a][b]
+            mask = 0
+            for c in range(n):
+                if c == a or c == b:
+                    continue
+                dac, dbc = dist[a][c], dist[b][c]
+                if dac == dab + dbc or dab == dac + dbc or dbc == dab + dac:
+                    mask |= 1 << c
+            blocks[a][b] = blocks[b][a] = mask
+    return blocks
+
+
+def suffix_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
+    """Suffix-bound search with no node-level cover: c[v], the gp of
+    {v, ..., n-1}, is filled from v = n-1 down, a branch is pruned only by
+    chosen + c[min(cand)] or chosen + |cand| against the target, and one
+    ascending search for c[0] gives the lexicographically smallest maximum
+    set.  Returns the value, that set and the number of nodes visited."""
+    c = [0] * (n + 1)
+    found: tuple[int, ...] = ()
+    nodes = 0
+
+    def rec(chosen: list[int], cand: int, need: int) -> bool:
+        nonlocal found, nodes
+        nodes += 1
+        if not need:
+            found = tuple(chosen)
+            return True
+        k = cand
+        while k:
+            v = (k & -k).bit_length() - 1
+            if c[v] < need or k.bit_count() < need:
+                return False
+            k &= k - 1
+            blocked = 0
+            for a in chosen:
+                blocked |= blocks[v][a]
+            chosen.append(v)
+            if rec(chosen, k & ~blocked, need - 1):
+                return True
+            chosen.pop()
+        return False
+
+    full = (1 << n) - 1
+    for v in range(n - 1, -1, -1):
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1])
+    rec([], full, c[0])
+    return c[0], found, nodes
 
 
 def brute_force_is_gp(g: Graph, members: tuple[int, ...]) -> bool:

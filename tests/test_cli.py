@@ -203,6 +203,16 @@ class TestFileErrors:
         assert main([*argv, "--out", str(tmp_path / "missing" / "x.txt")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [["census", "12"], ["check", "4", "13"]], ids=["census", "check"])
+    def test_directory_out_stops_the_work(self, tmp_path, capsys, monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("the command ran before its --out was checked")
+
+        monkeypatch.setattr(cli, "run_census", never)
+        monkeypatch.setattr(cli, "verify_paper_claims", never)
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21]")
+
     @pytest.mark.parametrize("command,extra", [("gp", []), ("verify", ["0", "1"]), ("recognize", [])])
     def test_undecodable_file(self, tmp_path, capsys, command, extra):
         f = tmp_path / "binary.txt"

@@ -31,8 +31,10 @@ from helpers import (
     exhaustive_interval,
     geodesic_triples,
     incumbent_search,
+    per_pair_block_masks,
     random_connected_graph,
     random_mop,
+    suffix_search,
 )
 
 
@@ -83,6 +85,16 @@ class TestPairBlockMasks:
         for a, b, c in permutations(range(n), 3):
             expected = c in between[a, b] or a in between[b, c] or b in between[a, c]
             assert bool((blocks[a][b] >> c) & 1) == expected, (a, b, c)
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_pair_masks(self, seed, mop):
+        # Testing each triple once gives the masks of testing it from each
+        # of its three pairs.
+        rng = random.Random(seed)
+        n = rng.randint(9, 40)
+        g = random_mop(rng, n) if mop else random_connected_graph(rng, n)
+        assert _block_masks(g) == per_pair_block_masks(all_pairs_distances(g), n)
 
 
 class TestGpNumber:
@@ -180,6 +192,31 @@ class TestGpNumber:
             g = random_connected_graph(rng, rng.randint(9, 16))
         res = gp_number(g)
         assert (res.value, res.witness) == incumbent_search(g.order, _block_masks(g))
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_suffix_search(self, seed, mop):
+        # The clique cover only cuts subtrees of the suffix-bound search, so
+        # the value and witness stay and the node count cannot grow.
+        rng = random.Random(seed)
+        if mop:
+            g = random_mop(rng, rng.randint(25, 40))
+        else:
+            g = random_connected_graph(rng, rng.randint(17, 30))
+        res = gp_number(g)
+        value, witness, nodes = suffix_search(g.order, _block_masks(g))
+        assert (res.value, res.witness) == (value, witness)
+        assert res.nodes_explored <= nodes
+
+    def test_clique_cover_prunes(self):
+        # Four fixed order-40 MOPs: each node count is pinned, and together
+        # they visit at most a fifth of the suffix-bound search's nodes.
+        graphs = [random_mop(random.Random(seed), 40) for seed in range(4)]
+        nodes = [gp_number(g).nodes_explored for g in graphs]
+        assert nodes == [1287, 1506, 1284, 1126]
+        reference = sum(suffix_search(40, _block_masks(g))[2] for g in graphs)
+        assert reference == 70414
+        assert 5 * sum(nodes) <= reference
 
 
 class TestGreedyLowerBound:
