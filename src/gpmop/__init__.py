@@ -57,8 +57,6 @@ from .mop import (
     maximal_fan,
     mop_stats,
     recognize,
-    same_mop,
-    segment,
 )
 from .solve import (
     GpResult,

@@ -15,7 +15,6 @@ from .graph import (
     Disconnected,
     Graph,
     GraphError,
-    VertexOutOfRange,
     _check_vertices,
     is_connected,
 )
@@ -61,7 +60,6 @@ class MopCertificate:
 @dataclass(frozen=True)
 class MopStats:
     internal_triangles: int
-    marginal_triangles: int
     two_vertices: int
     max_degree: int
     striped: bool
@@ -102,8 +100,6 @@ def recognize(g: Graph) -> MopCertificate:
     expected = 2 * n - 3
     if len(g.edges) != expected:
         raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
-    if n == 3:
-        return MopCertificate(3, (0, 1, 2), frozenset())
 
     adj_sets = [set(a) for a in g.adjacency]
     hull_adj: list[list[int]] = [[] for _ in range(n)]
@@ -141,6 +137,8 @@ def recognize(g: Graph) -> MopCertificate:
 def check_certificate(g: Graph, cert: MopCertificate) -> None:
     """Cheap consistency check; raises StructureViolation on mismatch."""
     n = g.order
+    if n < 3:
+        raise StructureViolation(f"order {n} is below the minimum of 3 for a certificate")
     if cert.order != n or sorted(cert.cycle) != list(range(n)):
         raise StructureViolation("certificate does not cover the vertex set")
     cycle_edges = set()
@@ -149,9 +147,9 @@ def check_certificate(g: Graph, cert: MopCertificate) -> None:
         if not g.has_edge(u, v):
             raise StructureViolation(f"cycle step ({u},{v}) is not an edge")
         cycle_edges.add((u, v) if u < v else (v, u))
-    if n >= 4 and cert.chords != g.edges - cycle_edges:
+    if cert.chords != g.edges - cycle_edges:
         raise StructureViolation("chord set does not match the off-cycle edges")
-    if n >= 4 and len(cert.chords) != n - 3:
+    if len(cert.chords) != n - 3:
         raise StructureViolation(f"expected {n - 3} chords, certificate has {len(cert.chords)}")
 
 
@@ -169,12 +167,12 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
-    """Count inner faces, classify them as marginal or internal, and gather
-    the degree statistics the census consumes.
+    """Count the internal faces and gather the degree statistics the census
+    consumes.
 
     Every triangle of a maximal outerplanar graph is an inner face, so the
-    face list is exactly the triangle list; a face is marginal when at
-    least one side lies on the hull cycle.
+    face list is exactly the triangle list; a face is internal when none of
+    its sides lies on the hull cycle.
     """
     n = g.order
     tris = _triangles(g)
@@ -192,7 +190,6 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
     two = sum(1 for v in range(n) if g.degree(v) == 2)
     return MopStats(
         internal_triangles=internal,
-        marginal_triangles=len(tris) - internal,
         two_vertices=two,
         max_degree=g.max_degree,
         striped=internal == 0,
@@ -230,18 +227,6 @@ def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
-def segment(cert: MopCertificate, u: int, v: int) -> tuple[int, ...]:
-    """Hull vertices from u to v inclusive, following the stored orientation."""
-    if u == v:
-        raise ValueError("segment endpoints must differ")
-    cycle = cert.cycle
-    try:
-        i, j = cycle.index(u), cycle.index(v)
-    except ValueError:
-        raise VertexOutOfRange(f"segment endpoints ({u},{v}) must lie on the cycle") from None
-    return cycle[i : j + 1] if i < j else cycle[i:] + cycle[: j + 1]
-
-
 def canonical_form(cert: MopCertificate) -> bytes:
     """Canonical key: chord positions minimized over all 2n dihedral relabelings.
 
@@ -264,10 +249,6 @@ def canonical_form(cert: MopCertificate) -> bytes:
                 best = mapped
     assert best is not None
     return b"".join(struct.pack(">HH", a, b) for a, b in best)
-
-
-def same_mop(a: MopCertificate, b: MopCertificate) -> bool:
-    return a.order == b.order and canonical_form(a) == canonical_form(b)
 
 
 def certificate_to_text(cert: MopCertificate) -> str:

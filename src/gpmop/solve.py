@@ -204,13 +204,12 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     n = g.order
     if n > DEFAULT_SEARCH_CAP and not force:
         raise SearchCapExceeded(
-            f"order {n} exceeds the search cap {DEFAULT_SEARCH_CAP}; pass force=True to override"
+            f"order {n} exceeds the search cap {DEFAULT_SEARCH_CAP}; "
+            "pass force=True (gpmop gp --force) to override"
         )
     dist = all_pairs_distances(g)
     if UNREACHABLE in dist[0]:
         raise Disconnected("graph is not connected")
-    if n <= 2:
-        return GpResult(n, tuple(range(n)), 1)
     if cert is not None:
         check_certificate(g, cert)
     value, witness, nodes = _search(n, _pair_block_masks(dist, n))

@@ -60,8 +60,6 @@ def _first_violation(
 def is_gp_naive(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -> GpSetCheck:
     """Definitional test over every ordered triple of distinct members."""
     members = _prepare(g, dist, s)
-    if len(members) <= 2:
-        return GpSetCheck(members, True, None, None)
     violation = _first_violation(dist, members)
     return GpSetCheck(members, violation is None, violation, None)
 

@@ -215,13 +215,6 @@ def suffix_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...]
     return c[0], found, nodes
 
 
-def brute_force_is_gp(g: Graph, members: tuple[int, ...]) -> bool:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    return not any(mask & t == t for t in geodesic_triples(g))
-
-
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Permutation search; fine for the tiny orders the tests use."""
     if g1.order != g2.order or len(g1.edges) != len(g2.edges):

@@ -50,6 +50,7 @@ DEDUPE_CSV_SHA256 = {
     10: "d445762b12d59ddb",
     11: "e4178a12a1b453f6",
     12: "e091b965d3aa9172",
+    13: "ceb334b9d92f113e",
 }
 
 
@@ -137,10 +138,14 @@ class TestPlanChunks:
         assert _plan_chunks(list(range(5)), 1) == [list(range(5))]
 
     @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
-    def test_jobs_below_one_rejected(self, jobs):
-        with pytest.raises(BadParam):
-            _plan_chunks([1, 2, 3], jobs)
-        with pytest.raises(BadParam):
+    def test_jobs_below_one_rejected(self, jobs, monkeypatch):
+        # run_census is the only caller of _plan_chunks and rejects a bad
+        # jobs count before it enumerates anything.
+        def no_enumeration(n):
+            raise AssertionError("enumerated before the jobs check")
+
+        monkeypatch.setattr(census, "enumerate_triangulations", no_enumeration)
+        with pytest.raises(BadParam, match="jobs must be at least 1"):
             run_census(5, jobs=jobs)
 
 

@@ -53,6 +53,8 @@ class TestGp:
         lines = ["45"] + [f"{i} {i + 1}" for i in range(44)]
         f = write_graph(tmp_path, "long.txt", "\n".join(lines) + "\n")
         assert main(["gp", f]) == 2
+        err = capsys.readouterr().err
+        assert "search cap 40" in err and "--force" in err
         assert main(["gp", f, "--force"]) == 0
         assert "gp=2" in capsys.readouterr().out
 

@@ -9,7 +9,8 @@ from gpmop import (
     Disconnected,
     EdgeInTooManyTriangles,
     HullNotHamiltonian,
-    VertexOutOfRange,
+    MopCertificate,
+    StructureViolation,
     WrongEdgeCount,
     build_graph,
     canonical_form,
@@ -18,11 +19,10 @@ from gpmop import (
     maximal_fan,
     mop_stats,
     recognize,
-    same_mop,
-    segment,
     straight_linear_2tree,
 )
 from gpmop.census import certificate_from_chords, enumerate_triangulations, graph_from_chords
+from gpmop.mop import check_certificate
 from helpers import graphs_isomorphic, random_mop, relabeled
 
 
@@ -74,6 +74,23 @@ class TestRecognize:
             assert cert.chords == frozenset(chords)
 
 
+class TestCheckCertificate:
+    def test_triangle_chord_rejected(self):
+        # The triangle's three edges are all on its cycle, so it has no chord.
+        with pytest.raises(StructureViolation, match="chord set"):
+            check_certificate(complete_graph(3), MopCertificate(3, (0, 1, 2), frozenset({(0, 2)})))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_order_below_three_rejected(self, n):
+        g = build_graph(n, [(0, 1)] if n == 2 else [])
+        for cert in (
+            MopCertificate(n, tuple(range(n)), frozenset()),
+            MopCertificate(5, (0,), frozenset()),
+        ):
+            with pytest.raises(StructureViolation, match="minimum of 3"):
+                check_certificate(g, cert)
+
+
 class TestStats:
     def test_fan_is_striped(self):
         g = fan(9).graph
@@ -81,7 +98,6 @@ class TestStats:
         assert st_.internal_triangles == 0
         assert st_.striped
         assert st_.two_vertices == 2
-        assert st_.marginal_triangles == 7
 
     def test_generalized_sunflower_internals(self):
         g = generalized_sunflower(8).graph
@@ -91,11 +107,19 @@ class TestStats:
         assert not st_.striped
 
     def test_face_and_chord_counts_order_seven(self):
+        # Oracle: triangles by a scan of all triples; a triangle is internal
+        # when none of its sides is a hull edge (i, i+1 mod 7).
         for chords in enumerate_triangulations(7):
             g = graph_from_chords(7, chords)
             st_ = mop_stats(g, recognize(g))
             assert len(chords) == 4
-            assert st_.internal_triangles + st_.marginal_triangles == 5
+            tris = [
+                t for t in combinations(range(7), 3)
+                if all(g.has_edge(u, v) for u, v in combinations(t, 2))
+            ]
+            assert len(tris) == 5
+            hull_free = [all((v - u) % 7 not in (1, 6) for u, v in combinations(t, 2)) for t in tris]
+            assert st_.internal_triangles == sum(hull_free)
 
 
 class TestRandomMopStats:
@@ -144,49 +168,6 @@ class TestMaximalFan:
                     assert g.has_edge(a, b)
 
 
-class TestSegment:
-    def test_forward(self):
-        cert = certificate_from_chords(5, ((0, 2), (0, 3)))
-        assert segment(cert, 1, 3) == (1, 2, 3)
-
-    def test_wrap_around(self):
-        cert = certificate_from_chords(5, ((0, 2), (0, 3)))
-        assert segment(cert, 3, 1) == (3, 4, 0, 1)
-
-    def test_two_segments_cover_the_cycle(self):
-        cert = certificate_from_chords(6, ((0, 2), (0, 3), (0, 4)))
-        a, b = segment(cert, 2, 5), segment(cert, 5, 2)
-        assert a[-1] == b[0] and b[-1] == a[0]
-        assert sorted(a[:-1] + b[:-1]) == list(range(6))
-
-    def test_equal_endpoints_rejected(self):
-        cert = certificate_from_chords(5, ((0, 2), (0, 3)))
-        with pytest.raises(ValueError):
-            segment(cert, 2, 2)
-
-    def test_endpoint_off_the_cycle_rejected(self):
-        cert = certificate_from_chords(5, ((0, 2), (0, 3)))
-        for u, v in ((1, 5), (-1, 2), (7, 9)):
-            with pytest.raises(VertexOutOfRange):
-                segment(cert, u, v)
-
-    def test_matches_a_walk_along_the_cycle(self):
-        # Oracle: step around the stored cycle one vertex at a time.
-        perm = list(range(8))
-        random.Random(3).shuffle(perm)
-        cert = recognize(relabeled(fan(8).graph, perm))
-        for u in cert.cycle:
-            for v in cert.cycle:
-                if u == v:
-                    continue
-                i = cert.cycle.index(u)
-                walk = [u]
-                while walk[-1] != v:
-                    i = (i + 1) % 8
-                    walk.append(cert.cycle[i])
-                assert segment(cert, u, v) == tuple(walk)
-
-
 class TestCanonicalForm:
     def test_both_square_triangulations_collide(self):
         keys = {canonical_form(certificate_from_chords(4, c)) for c in enumerate_triangulations(4)}
@@ -217,14 +198,6 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             h = relabeled(g, perm)
             assert canonical_form(recognize(g)) == canonical_form(recognize(h))
-
-    def test_same_mop(self):
-        a = recognize(fan(6).graph)
-        b = recognize(straight_linear_2tree(6).graph)
-        assert same_mop(a, a)
-        assert not same_mop(a, b)
-        assert not same_mop(recognize(complete_graph(3)), recognize(fan(4).graph))
-
 
 
 class TestNetworkxIsomorphismOracle:

@@ -146,7 +146,7 @@ class TestGpNumber:
             gp_number(build_graph(4, [(0, 1), (2, 3)]))
 
     def test_disconnected_order_two(self):
-        # Connectivity is checked before the tiny-order shortcut.
+        # Connectivity is checked before the search.
         with pytest.raises(Disconnected):
             gp_number(build_graph(2, []))
 
@@ -158,9 +158,27 @@ class TestGpNumber:
         with pytest.raises(StructureViolation):
             gp_number(g, cert=broken)
 
+    def test_triangle_certificate_with_a_chord(self):
+        from gpmop import MopCertificate, StructureViolation
+
+        broken = MopCertificate(3, (0, 1, 2), frozenset({(0, 2)}))
+        with pytest.raises(StructureViolation):
+            gp_number(complete(3).graph, cert=broken)
+
+    def test_certificate_below_order_three(self):
+        # No order-2 graph is maximal outerplanar, so every certificate fails.
+        from gpmop import MopCertificate, StructureViolation
+
+        g = build_graph(2, [(0, 1)])
+        for cert in (MopCertificate(2, (0, 1), frozenset()), MopCertificate(5, (0,), frozenset())):
+            with pytest.raises(StructureViolation, match="minimum of 3"):
+                gp_number(g, cert=cert)
+
     def test_tiny_graphs(self):
-        assert gp_number(build_graph(1, [])).value == 1
-        assert gp_number(build_graph(2, [(0, 1)])).value == 2
+        one = gp_number(build_graph(1, []))
+        two = gp_number(build_graph(2, [(0, 1)]))
+        assert (one.value, one.witness, one.nodes_explored) == (1, (0,), 1)
+        assert (two.value, two.witness, two.nodes_explored) == (2, (0, 1), 3)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_matches_exhaustive_enumeration_on_triangulations(self, n):
@@ -256,3 +274,10 @@ class TestGreedyLowerBound:
         broken = MopCertificate(6, (0, 1, 2, 3, 4, 5), frozenset({(0, 2)}))
         with pytest.raises(StructureViolation):
             mop_greedy_lower_bound(g, broken)
+
+    def test_triangle_certificate_with_a_chord(self):
+        from gpmop import MopCertificate, StructureViolation
+
+        broken = MopCertificate(3, (0, 1, 2), frozenset({(0, 2)}))
+        with pytest.raises(StructureViolation):
+            mop_greedy_lower_bound(complete(3).graph, broken)
