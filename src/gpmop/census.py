@@ -19,13 +19,13 @@ import os
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import ceil, comb
 from multiprocessing import get_context
 from typing import Iterator
 
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, all_pairs_distances, build_graph
-from .mop import MopCertificate, canonical_form, mop_stats, recognize
+from .mop import CrossingChords, MopCertificate, _check_non_crossing, canonical_form, mop_stats, recognize
 from .solve import _fan_pattern, gp_number
 from .verify import is_gp_characterized, is_gp_naive
 
@@ -158,24 +158,6 @@ def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
     )
 
 
-def _records_for_chunk(args: tuple[int, list[tuple[bytes, Chords]]]) -> list[CensusRecord]:
-    n, chunk = args
-    return [_make_record(n, key, chords) for key, chords in chunk]
-
-
-def _plan_chunks(items: list, jobs: int) -> list[list]:
-    # Consecutive non-empty runs of items, at most min(jobs, cpu count) of them.
-    size = max(1, -(-len(items) // min(jobs, os.cpu_count() or 1)))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _map_tasks(fn, tasks):
-    if len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with get_context("fork").Pool(processes=len(tasks)) as pool:
-        return pool.map(fn, tasks)
-
-
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:
     """One record per triangulation, or per isomorphism class when dedupe
     is set.  Triangulations are grouped by quiddity sequence and keyed once
@@ -191,13 +173,17 @@ def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord
             members.append(chords)
         elif chords < members[0]:
             members[0] = chords
-    keyed = []
+    tasks = []
     for members in groups.values():
         key = canonical_form(certificate_from_chords(n, members[0]))
-        keyed.extend((key, chords) for chords in members)
-    keyed.sort()
-    tasks = [(n, chunk) for chunk in _plan_chunks(keyed, jobs)]
-    return [rec for part in _map_tasks(_records_for_chunk, tasks) for rec in part]
+        tasks.extend((n, key, chords) for chords in members)
+    tasks.sort()
+    # At most one worker per core and per chunk; a single chunk runs here.
+    size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
+    if len(tasks) <= size:
+        return [_make_record(*task) for task in tasks]
+    with get_context("fork").Pool(processes=ceil(len(tasks) / size)) as pool:
+        return pool.starmap(_make_record, tasks, chunksize=size)
 
 
 def census_to_csv(records: list[CensusRecord]) -> str:
@@ -298,14 +284,14 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
         return (n >= 8 and r.gp != r.internal_triangles + 2) or (n == 7 and r.gp != 4)
 
     def leaves_a_segment(r, g):
-        # Edge (u, v), u < v, splits the hull into u..v and v..n-1, 0..u, so an
+        # Edge (u, v), u < v, splits the hull into u..v and v..n-1, 0..u; an
         # interior vertex of either segment with a neighbor outside it is an
-        # edge with exactly one end strictly between u and v and no end at u or v.
-        return any(
-            (u < w < v) != (u < x < v) and w != u and w != v and x != u and x != v
-            for u, v in g.edges
-            for w, x in g.edges
-        )
+        # end of an edge that crosses (u, v) on the polygon 0..n-1.
+        try:
+            _check_non_crossing(range(n), g.edges, "edges")
+        except CrossingChords:
+            return True
+        return False
 
     yield each(
         "two_vertex_count",

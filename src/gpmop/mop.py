@@ -70,10 +70,12 @@ def _check_non_crossing(cycle, chords, label: str) -> None:
     pos = {v: i for i, v in enumerate(cycle)}
     spans = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords)
     # Sorted by first endpoint, a later chord crosses exactly when it starts
-    # strictly inside this one and ends strictly outside it.
+    # strictly inside this one and ends past it; none does once c >= b.
     for i, (a, b, e1) in enumerate(spans):
         for c, d, e2 in spans[i + 1 :]:
-            if a < c < b < d:
+            if c >= b:
+                break
+            if a < c and b < d:
                 raise CrossingChords(f"{label} {e1} and {e2} cross on the hull cycle")
 
 
@@ -135,22 +137,14 @@ def recognize(g: Graph) -> MopCertificate:
 
 
 def check_certificate(g: Graph, cert: MopCertificate) -> None:
-    """Cheap consistency check; raises StructureViolation on mismatch."""
-    n = g.order
-    if n < 3:
-        raise StructureViolation(f"order {n} is below the minimum of 3 for a certificate")
-    if cert.order != n or sorted(cert.cycle) != list(range(n)):
-        raise StructureViolation("certificate does not cover the vertex set")
-    cycle_edges = set()
-    for i, u in enumerate(cert.cycle):
-        v = cert.cycle[(i + 1) % n]
-        if not g.has_edge(u, v):
-            raise StructureViolation(f"cycle step ({u},{v}) is not an edge")
-        cycle_edges.add((u, v) if u < v else (v, u))
-    if cert.chords != g.edges - cycle_edges:
-        raise StructureViolation("chord set does not match the off-cycle edges")
-    if len(cert.chords) != n - 3:
-        raise StructureViolation(f"expected {n - 3} chords, certificate has {len(cert.chords)}")
+    """Raise StructureViolation unless cert equals recognize(g); its cycle must
+    be normalized as MopCertificate describes, so a rotated copy is rejected."""
+    try:
+        recognized = recognize(g)
+    except (NotAnMop, Disconnected) as exc:
+        raise StructureViolation(str(exc)) from None
+    if cert != recognized:
+        raise StructureViolation("certificate does not match the recognized hull and chord set")
 
 
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:

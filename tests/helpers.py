@@ -5,7 +5,8 @@ come from Floyd-Warshall instead of BFS, maximum sets from full bitmask
 enumeration, a plain incumbent branch and bound or the suffix-bound search
 without its clique cover, conflict masks from a separate test of each
 triple at each of its three pairs, and isomorphism from raw permutation
-search instead of canonical keys.
+search instead of canonical keys, and chord crossings from a scan of
+every pair of spans with no early exit.
 """
 
 from __future__ import annotations
@@ -45,6 +46,18 @@ def random_mop(rng: random.Random, n: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return relabeled(build_graph(n, edges), perm)
+
+
+def first_crossing_pair(cycle, chords) -> tuple[tuple[int, int], tuple[int, int]] | None:
+    """The first two chords that cross on cycle, or None: chord spans sorted
+    by first endpoint, each tested against every later span."""
+    pos = {v: i for i, v in enumerate(cycle)}
+    spans = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords)
+    for i, (a, b, e1) in enumerate(spans):
+        for c, d, e2 in spans[i + 1 :]:
+            if a < c < b < d:
+                return e1, e2
+    return None
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

@@ -1,5 +1,4 @@
 import hashlib
-import os
 import re
 from dataclasses import replace
 from functools import lru_cache
@@ -26,7 +25,6 @@ from gpmop import census
 from gpmop.census import (
     MAX_CENSUS_ORDER,
     _generator_catalog,
-    _plan_chunks,
     _quiddity_key,
     certificate_from_chords,
     expected_extremal_keys,
@@ -116,31 +114,67 @@ class TestQuiddityKey:
         assert calls.count(12) == DIHEDRAL_CLASSES[12]
 
 
+class RecordingPools:
+    """Stands in for multiprocessing.get_context: records the worker count
+    and chunk size of each pool and runs the tasks in this process."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __call__(self, method):
+        assert method == "fork"
+        return self
+
+    def Pool(self, processes):
+        self.processes = processes
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, tasks, chunksize):
+        self.shapes.append((self.processes, chunksize))
+        return [fn(*task) for task in tasks]
+
+
 class TestPlanChunks:
-    def test_huge_jobs_clamped_to_cpus(self):
-        items = list(range(10))
-        chunks = _plan_chunks(items, 10**9)
-        assert 1 <= len(chunks) <= min(len(items), os.cpu_count() or 1)
-        assert all(chunks)
-        assert [x for c in chunks for x in c] == items
+    """How run_census splits its records among pool workers."""
 
-    def test_clamped_to_items(self, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        fake = RecordingPools()
+        monkeypatch.setattr(census, "get_context", fake)
+        return fake
+
+    def test_huge_jobs_clamped_to_cpus(self, pools, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        # 12 classes at order 8 over 2 cores: two workers of 6.
+        assert run_census(8, dedupe=True, jobs=10**9) == run_census(8, dedupe=True)
+        assert pools.shapes == [(2, 6)]
+
+    def test_clamped_to_items(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
-        assert _plan_chunks([1, 2, 3], 8) == [[1], [2], [3]]
-        assert _plan_chunks(list(range(7)), 2) == [[0, 1, 2, 3], [4, 5, 6]]
-        assert _plan_chunks([], 8) == []
+        # 3 classes at order 6: one worker each.
+        assert run_census(6, dedupe=True, jobs=8) == run_census(6, dedupe=True)
+        # 5 triangulations at order 5 over 2 jobs: chunks of 3 and 2.
+        assert run_census(5, jobs=2) == run_census(5)
+        assert pools.shapes == [(3, 1), (2, 3)]
 
-    def test_unknown_cpu_count_means_one_worker(self, monkeypatch):
+    def test_unknown_cpu_count_means_one_worker(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: None)
-        assert _plan_chunks([1, 2, 3], 10**9) == [[1, 2, 3]]
+        assert len(run_census(6, dedupe=True, jobs=10**9)) == DIHEDRAL_CLASSES[6]
+        assert pools.shapes == []
 
-    def test_one_job_is_one_chunk(self):
-        assert _plan_chunks(list(range(5)), 1) == [list(range(5))]
+    def test_one_job_is_one_chunk(self, pools):
+        assert len(run_census(6, jobs=1)) == catalan(4)
+        assert pools.shapes == []
 
     @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
-        # run_census is the only caller of _plan_chunks and rejects a bad
-        # jobs count before it enumerates anything.
+        # run_census rejects a bad jobs count before it enumerates anything.
         def no_enumeration(n):
             raise AssertionError("enumerated before the jobs check")
 

@@ -260,6 +260,21 @@ def test_hostile_family_order_fails_fast(family, order):
     assert proc.stdout == ""
 
 
+def test_verify_on_a_large_sparse_graph(tmp_path):
+    # A 20,000-vertex path: an all-pairs table would not fit in 1 GB.
+    n = 20000
+    f = write_graph(tmp_path, "path.txt", f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpmop.cli", "verify", f, "0", "5", "9"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert (proc.stdout, proc.returncode) == ("no\nviolation: (0,5,9)\n", 1), proc.stderr
+
+
 def test_console_script_entry_point(tmp_path):
     env = _child_env()
     out = tmp_path / "fan5.txt"

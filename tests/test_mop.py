@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmop import (
+    CrossingChords,
     Disconnected,
     EdgeInTooManyTriangles,
     HullNotHamiltonian,
@@ -22,8 +23,8 @@ from gpmop import (
     straight_linear_2tree,
 )
 from gpmop.census import certificate_from_chords, enumerate_triangulations, graph_from_chords
-from gpmop.mop import check_certificate
-from helpers import graphs_isomorphic, random_mop, relabeled
+from gpmop.mop import _check_non_crossing, check_certificate
+from helpers import first_crossing_pair, graphs_isomorphic, random_mop, relabeled
 
 
 def complete_graph(n):
@@ -89,6 +90,46 @@ class TestCheckCertificate:
         ):
             with pytest.raises(StructureViolation, match="minimum of 3"):
                 check_certificate(g, cert)
+
+    def test_crossing_chords_rejected(self):
+        # C5 plus the crossing chords (0,2) and (1,3) has 2n-3 edges but is
+        # not maximal outerplanar.
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+        with pytest.raises(StructureViolation):
+            check_certificate(g, MopCertificate(5, (0, 1, 2, 3, 4), frozenset({(0, 2), (1, 3)})))
+
+    def test_rotated_cycle_rejected(self):
+        g = fan(6).graph
+        cert = recognize(g)
+        check_certificate(g, cert)
+        rotated = MopCertificate(6, cert.cycle[1:] + cert.cycle[:1], cert.chords)
+        with pytest.raises(StructureViolation, match="chord set"):
+            check_certificate(g, rotated)
+
+
+@st.composite
+def polygon_chords(draw):
+    # A relabelled m-gon and random vertex pairs as chords; hull edges and
+    # crossing pairs are both allowed.
+    m = draw(st.integers(4, 30))
+    cycle = draw(st.permutations(range(m)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=m))
+    return cycle, {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+
+
+class TestNonCrossing:
+    @given(polygon_chords())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_pair_scan(self, case):
+        cycle, chords = case
+        pair = first_crossing_pair(cycle, chords)
+        if pair is None:
+            _check_non_crossing(cycle, chords, "chords")
+        else:
+            message = f"chords {pair[0]} and {pair[1]} cross on the hull cycle"
+            with pytest.raises(CrossingChords) as exc:
+                _check_non_crossing(cycle, chords, "chords")
+            assert str(exc.value) == message
 
 
 class TestStats:

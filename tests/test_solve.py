@@ -165,6 +165,15 @@ class TestGpNumber:
         with pytest.raises(StructureViolation):
             gp_number(complete(3).graph, cert=broken)
 
+    def test_certificate_with_crossing_chords(self):
+        # C5 plus (0,2) and (1,3) is not maximal outerplanar.
+        from gpmop import MopCertificate, StructureViolation
+
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
+        cert = MopCertificate(5, (0, 1, 2, 3, 4), frozenset({(0, 2), (1, 3)}))
+        with pytest.raises(StructureViolation):
+            gp_number(g, cert=cert)
+
     def test_certificate_below_order_three(self):
         # No order-2 graph is maximal outerplanar, so every certificate fails.
         from gpmop import MopCertificate, StructureViolation
