@@ -6,9 +6,9 @@ quiddity sequence (triangles per hull vertex), keyed once per class, and
 turned into records carrying the exact general position number plus the
 structural statistics.  ``verify_paper_claims`` then machine-checks the
 bounds, identities, and extremal characterizations this package
-reproduces, one report per claim per order: a single loop over the
-records of each order, with one graph rebuilt from the chords of each
-class and no certificate, since a census hull is always 0..n-1.
+reproduces, one report per claim per order: one table of claims, each
+with its first order and per-class test, read by one loop over each
+order's records that rebuilds one graph per class and no certificate.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, comb
 from multiprocessing import get_context
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, all_pairs_distances, build_graph
@@ -240,26 +240,29 @@ def striped_catalog_keys(n: int) -> set[bytes]:
     return _catalog_keys(n, ("fan", "quasi_fan(1)", "g1(1,") + right_seam)
 
 
+class _Claim(NamedTuple):
+    """A claim row: from order ``first`` on, ``bad(record, graph)`` runs on each class that
+    ``applies``, each of ``keys`` must name such a class, and ``head`` is listed first."""
+
+    name: str
+    first: int
+    universe: str
+    bad: Callable[[CensusRecord, Graph], bool]
+    applies: Callable[[CensusRecord], bool] = lambda r: True
+    keys: frozenset[bytes] | set[bytes] = frozenset()
+    head: tuple[str, ...] = ()
+
+
 def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]:
-    """The claim battery over the classes of one order, one report per claim."""
+    """The claim battery over the classes of one order: one table, one report per row."""
     # A census graph's hull is 0, 1, ..., n-1 in this order, so no certificate is needed.
     graphs = [graph_from_chords(n, r.chords) for r in records]
-    cap = (2 * n) // 3
-
-    def each(claim, universe, bad, applies=lambda r: True):
-        # Check bad(record, graph) on every class the claim applies to.
-        rows = [(r, g) for r, g in zip(records, graphs) if applies(r)]
-        flagged = tuple(r.canonical_key.hex() for r, g in rows if bad(r, g))
-        return ClaimReport(claim, n, universe, len(rows), flagged)
-
-    def exact(claim, universe, has, keys, checked=len(records), extra=frozenset()):
-        # The classes with property has are exactly keys; extra names more violators.
-        actual = {r.canonical_key for r in records if has(r)}
-        flagged = tuple(sorted(k.hex() for k in (actual ^ keys) | extra))
-        return ClaimReport(claim, n, universe, checked, flagged)
-
-    def not_stated(claim, universe, order):
-        return ClaimReport(claim, n, f"{universe} (stated for order >= {order})", 0, ())
+    cap, k_cap = (2 * n) // 3, n // 2 - 2
+    max_k = max(r.internal_triangles for r in records)
+    fan_keys, slt = _catalog_keys(n, ("fan",)), _catalog_keys(n, ("straight_linear_2tree",))
+    extremal = expected_extremal_keys(n)
+    # At orders 1 mod 3 every striped catalog member must attain the cap.
+    listed = striped_catalog_keys(n) if n % 3 == 1 else set()
 
     def weak_degree_bound(r, g):
         bound, witness = _fan_pattern(g)
@@ -269,12 +272,6 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
         )
         expected = (2 * (r.max_degree + 1)) // 3
         return r.gp < bound or bound != expected or len(witness) != bound or not verified
-
-    def has_triangle(r, g):
-        return any(
-            g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
-            for a, b, c in combinations(r.gp_witness, 3)
-        )
 
     def misses_internal_bound(r, g):
         if r.gp < r.internal_triangles + 2:
@@ -293,118 +290,80 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
             return True
         return False
 
-    yield each(
-        "two_vertex_count",
-        "all classes: degree-2 vertices = internal triangles + 2",
-        lambda r, g: r.two_vertices != r.internal_triangles + 2,
-    )
-    # n-1 faces holds already: _make_record's mop_stats raises on any other count.
-    yield each(
-        "chord_count",
-        "all classes: n-3 chords and n-1 faces",
-        lambda r, g: len(r.chords) != n - 3,
-    )
-    yield each(
-        "degree_lower_bound",
-        "all classes: gp >= floor(2*(max_degree+1)/3) with a verified constructive witness",
-        weak_degree_bound,
-    )
-    yield each(
-        "witness_neighbor_cap",
-        "witnesses of size >= 3: each member has at most 2 in-set neighbors",
-        lambda r, g: any(len(set(g.adjacency[x]) & set(r.gp_witness)) > 2 for x in r.gp_witness),
-        lambda r: len(r.gp_witness) >= 3,
-    )
-    yield each(
-        "witness_triangle_free",
-        "witnesses of size >= 4 induce no triangle",
-        has_triangle,
-        lambda r: len(r.gp_witness) >= 4,
-    )
-    if n < 5:
-        yield not_stated("fan_gp_formula", "fan classes", 5)
-    else:
-        fan_keys = _catalog_keys(n, ("fan",))
-        yield each(
-            "fan_gp_formula",
-            "fan classes: gp = floor(2n/3)",
-            lambda r, g: r.gp != cap,
-            lambda r: r.canonical_key in fan_keys,
-        )
-    if n < 6:
-        yield not_stated("global_upper_bound", "all classes", 6)
-        yield not_stated("upper_bound_extremal", "all classes", 6)
-    else:
-        yield each("global_upper_bound", "all classes: gp <= floor(2n/3)", lambda r, g: r.gp > cap)
-        yield exact(
-            "upper_bound_extremal",
+    table = [
+        _Claim(
+            "two_vertex_count", 4, "all classes: degree-2 vertices = internal triangles + 2",
+            lambda r, g: r.two_vertices != r.internal_triangles + 2),
+        # n-1 faces holds already: _make_record's mop_stats raises on any other count.
+        _Claim(
+            "chord_count", 4, "all classes: n-3 chords and n-1 faces",
+            lambda r, g: len(r.chords) != n - 3),
+        _Claim(
+            "degree_lower_bound", 4,
+            "all classes: gp >= floor(2*(max_degree+1)/3) with a verified constructive witness",
+            weak_degree_bound),
+        _Claim(
+            "witness_neighbor_cap", 4,
+            "witnesses of size >= 3: each member has at most 2 in-set neighbors",
+            lambda r, g: any(
+                len(set(g.adjacency[x]) & set(r.gp_witness)) > 2 for x in r.gp_witness),
+            lambda r: len(r.gp_witness) >= 3),
+        _Claim(
+            "witness_triangle_free", 4, "witnesses of size >= 4 induce no triangle",
+            lambda r, g: any(
+                g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
+                for a, b, c in combinations(r.gp_witness, 3)),
+            lambda r: len(r.gp_witness) >= 4),
+        _Claim(
+            "fan_gp_formula", 5, "fan classes: gp = floor(2n/3)",
+            lambda r, g: r.gp != cap, lambda r: r.canonical_key in fan_keys),
+        _Claim("global_upper_bound", 6, "all classes: gp <= floor(2n/3)", lambda r, g: r.gp > cap),
+        _Claim(
+            "upper_bound_extremal", 6,
             "classes with gp = floor(2n/3) match the generator catalog exactly",
-            lambda r: r.gp == cap,
-            expected_extremal_keys(n),
-        )
-    slt_keys = _catalog_keys(n, ("straight_linear_2tree",))
-    if n < 7:
-        yield not_stated("max_degree_four", "all classes", 7)
-    else:
-        yield exact(
-            "max_degree_four",
+            lambda r, g: (r.gp == cap) != (r.canonical_key in extremal), keys=extremal),
+        _Claim(
+            "max_degree_four", 7,
             "classes with max degree 4 are exactly the straight linear 2-tree",
-            lambda r: r.max_degree == 4,
-            slt_keys,
-        )
-    if n < 5:
-        yield not_stated("striped_extremes", "striped classes", 5)
-    else:
-        striped = [r for r in records if r.striped]
-        # At orders 1 mod 3 every striped catalog member must attain the cap.
-        listed = striped_catalog_keys(n) if n % 3 == 1 else set()
-        yield exact(
-            "striped_extremes",
+            lambda r, g: (r.max_degree == 4) != (r.canonical_key in slt), keys=slt),
+        _Claim(
+            "striped_extremes", 5,
             "striped classes: gp = 3 exactly at the straight linear 2-tree; listed striped members attain the cap",
-            lambda r: r.striped and r.gp == 3,
-            slt_keys,
-            len(striped),
-            {r.canonical_key for r in striped if r.canonical_key in listed and r.gp != cap},
-        )
-    if n < 6:
-        yield not_stated("internal_triangle_max", "all classes", 6)
-    else:
-        k_cap = n // 2 - 2
-        report = exact(
-            "internal_triangle_max",
+            lambda r, g: (r.gp == 3) != (r.canonical_key in slt)
+            or (r.canonical_key in listed and r.gp != cap),
+            lambda r: r.striped, keys=slt),
+        _Claim(
+            "internal_triangle_max", 6,
             "max internal triangles = floor(n/2)-2, attained exactly by generalized sunflowers",
-            lambda r: r.internal_triangles == k_cap,
-            {r.canonical_key for r in records if "gsf" in r.family_labels},
-        )
-        max_k = max(r.internal_triangles for r in records)
-        if max_k != k_cap:
-            report = replace(report, violations=(f"max_internal={max_k}!={k_cap}",) + report.violations)
-        yield report
-    yield each(
-        "internal_lower_bound",
-        "all classes: gp >= internal triangles + 2; generalized sunflowers of order >= 8 attain it",
-        misses_internal_bound,
-    )
-    yield each(
-        "segment_confinement",
-        "for every edge, interior vertices of either hull segment keep all neighbors inside it",
-        leaves_a_segment,
-    )
-    yield each(
-        "common_neighbor",
-        "every hull-adjacent pair has a common neighbor",
-        lambda r, g: any(
-            not set(g.adjacency[i]).intersection(g.adjacency[(i + 1) % n]) for i in range(n)
-        ),
-    )
-    yield each(
-        "cycle_window_cap",
-        "witnesses of size >= 4: any 3 consecutive hull vertices hold at most 2 of them",
-        lambda r, g: any(
-            {i, (i + 1) % n, (i + 2) % n} <= set(r.gp_witness) for i in range(n)
-        ),
-        lambda r: len(r.gp_witness) >= 4,
-    )
+            lambda r, g: (r.internal_triangles == k_cap) != ("gsf" in r.family_labels),
+            head=(f"max_internal={max_k}!={k_cap}",) if max_k != k_cap else ()),
+        _Claim(
+            "internal_lower_bound", 4,
+            "all classes: gp >= internal triangles + 2; generalized sunflowers of order >= 8 attain it",
+            misses_internal_bound),
+        _Claim(
+            "segment_confinement", 4,
+            "for every edge, interior vertices of either hull segment keep all neighbors inside it",
+            leaves_a_segment),
+        _Claim(
+            "common_neighbor", 4, "every hull-adjacent pair has a common neighbor",
+            lambda r, g: any(
+                not set(g.adjacency[i]).intersection(g.adjacency[(i + 1) % n]) for i in range(n))),
+        _Claim(
+            "cycle_window_cap", 4,
+            "witnesses of size >= 4: any 3 consecutive hull vertices hold at most 2 of them",
+            lambda r, g: any({i, (i + 1) % n, (i + 2) % n} <= set(r.gp_witness) for i in range(n)),
+            lambda r: len(r.gp_witness) >= 4),
+    ]
+    for c in table:
+        if n < c.first:
+            yield ClaimReport(c.name, n, f"{c.universe} (stated for order >= {c.first})", 0, ())
+            continue
+        rows = [(r, g) for r, g in zip(records, graphs) if c.applies(r)]
+        flagged = {r.canonical_key for r, g in rows if c.bad(r, g)}
+        flagged |= c.keys - {r.canonical_key for r, _ in rows}
+        violations = c.head + tuple(sorted(k.hex() for k in flagged))
+        yield ClaimReport(c.name, n, c.universe, len(rows), violations)
 
 
 def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimReport]:

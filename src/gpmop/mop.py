@@ -68,15 +68,24 @@ class MopStats:
 def _check_non_crossing(cycle, chords, label: str) -> None:
     """Raise CrossingChords naming the first two chords that cross on cycle."""
     pos = {v: i for i, v in enumerate(cycle)}
-    spans = sorted((min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords)
-    # Sorted by first endpoint, a later chord crosses exactly when it starts
-    # strictly inside this one and ends past it; none does once c >= b.
-    for i, (a, b, e1) in enumerate(spans):
-        for c, d, e2 in spans[i + 1 :]:
-            if c >= b:
-                break
-            if a < c and b < d:
-                raise CrossingChords(f"{label} {e1} and {e2} cross on the hull cycle")
+    spans = [(min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords]
+    # Span (a, b) is crossed by (c, d) when a < c < b < d.  Scanned by
+    # descending start, then ascending end, the stack holds the spans seen so
+    # far that no later-scanned span covers, starts and ends rising towards
+    # the bottom; once the ends <= b are popped, (a, b) is crossed exactly
+    # when the top starts before b.  The first crossed span in (start, end)
+    # order and its first crossing partner are named.
+    crossed, stack = [], []
+    for a, b, e in sorted(spans, key=lambda s: (-s[0], s[1])):
+        while stack and stack[-1][1] <= b:
+            stack.pop()
+        if stack and stack[-1][0] < b:
+            crossed.append((a, b, e))
+        stack.append((a, b))
+    if crossed:
+        a, b, e1 = min(crossed)
+        e2 = min(s for s in spans if a < s[0] < b < s[1])[2]
+        raise CrossingChords(f"{label} {e1} and {e2} cross on the hull cycle")
 
 
 def _normalized_cycle(cycle: list[int]) -> tuple[int, ...]:

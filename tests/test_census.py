@@ -328,6 +328,11 @@ class TestClaims:
         assert report.violations == (fan_key.hex(),)
         assert report.checked == len(recs)
 
+    def test_report_bytes_pinned(self):
+        # `gpmop check 4 13 --jobs 2` prints exactly this text.
+        text = claim_report_text(verify_paper_claims(4, 13, jobs=2))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "203cd6a531789e75"
+
     def test_range_checks(self):
         with pytest.raises(BadParam):
             verify_paper_claims(3, 5)
@@ -403,6 +408,12 @@ MUTATIONS = [
 ]
 
 
+def _battery_on(monkeypatch, recs):
+    """Run the order-10 battery on recs in place of the census records."""
+    monkeypatch.setattr(census, "run_census", lambda n, dedupe=False, jobs=1: recs)
+    return verify_paper_claims(ORDER, ORDER)
+
+
 def _battery_with(monkeypatch, pick, change):
     """Run the order-10 battery with the first class that pick selects
     mutated by change; return the reports and that class's key."""
@@ -410,8 +421,7 @@ def _battery_with(monkeypatch, pick, change):
     i = next(i for i, r in enumerate(recs) if pick(r))
     key = recs[i].canonical_key
     recs[i] = replace(recs[i], **change(recs[i]))
-    monkeypatch.setattr(census, "run_census", lambda n, dedupe=False, jobs=1: recs)
-    return verify_paper_claims(ORDER, ORDER), key
+    return _battery_on(monkeypatch, recs), key
 
 
 class TestClaimSensitivity:
@@ -435,3 +445,19 @@ class TestClaimSensitivity:
         # The mutated fan breaks both halves of the claim at an order 1 mod 3.
         reports, key = _battery_with(monkeypatch, _is_fan, lambda r: {"gp": 3})
         assert _report(reports, "striped_extremes").violations == (key.hex(),)
+
+    def test_catalog_key_without_a_class_is_named(self, monkeypatch):
+        # A catalog key that no class carries is a violation of each claim naming it.
+        slt = _catalog_key(ORDER, "straight_linear_2tree")
+        recs = [r for r in _order_ten_classes() if r.canonical_key != slt]
+        reports = _battery_on(monkeypatch, recs)
+        for claim, checked in (("max_degree_four", 81), ("striped_extremes", 19)):
+            rep = _report(reports, claim)
+            assert (rep.checked, rep.violations) == (checked, (slt.hex(),))
+
+    def test_internal_maximum_above_the_cap_is_named(self, monkeypatch):
+        # A non-gsf class above floor(n/2)-2 breaks the maximum, not the attainment.
+        reports, _ = _battery_with(
+            monkeypatch, lambda r: "gsf" not in r.family_labels, lambda r: {"internal_triangles": 4}
+        )
+        assert _report(reports, "internal_triangle_max").violations == ("max_internal=4!=3",)

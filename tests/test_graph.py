@@ -133,12 +133,22 @@ class TestDistances:
 
 
 def test_import_does_not_load_numpy():
+    # No runtime dependency: the package and its CLI load only standard-library
+    # modules besides gpmop itself (multiprocessing aliases __main__ as __mp_main__).
     src = str(Path(gpmop.__file__).resolve().parents[1])
-    code = "import sys, gpmop, gpmop.cli; print('numpy' in sys.modules)"
+    code = (
+        "import sys; before = set(sys.modules)\n"
+        "import gpmop, gpmop.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "main = sys.modules['__main__']\n"
+        "new = [m for m, mod in sys.modules.items() if m not in before and mod is not main]\n"
+        "tops = {m.partition('.')[0] for m in new}\n"
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'gpmop'}))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines() == ["False", "[]"]
 
 
 class TestInterval:

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -130,6 +131,22 @@ class TestNonCrossing:
             with pytest.raises(CrossingChords) as exc:
                 _check_non_crossing(cycle, chords, "chords")
             assert str(exc.value) == message
+
+    def test_large_fan_is_fast(self):
+        # Every chord of a fan starts at hull position 0, so a pair scan is quadratic.
+        g = fan(20000).graph
+        start = time.process_time()
+        cert = recognize(g)
+        assert time.process_time() - start < 2
+        assert len(cert.chords) == 19997
+
+    def test_crossing_in_a_large_fan_is_named_fast(self):
+        # Only the last fan chord is crossed, so a pair scan tests every pair first.
+        chords = [(0, k) for k in range(2, 19999)] + [(19997, 19999)]
+        start = time.process_time()
+        with pytest.raises(CrossingChords, match=r"\(0, 19998\) and \(19997, 19999\)"):
+            _check_non_crossing(range(20000), chords, "chords")
+        assert time.process_time() - start < 2
 
 
 class TestStats:
