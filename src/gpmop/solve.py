@@ -19,14 +19,18 @@ is the OR of its pair masks with the chosen vertices; a child's rows are its
 parent's with the new vertex's masks ORed in, written only for the child's
 candidates into one list per depth.
 
-A final search in ascending vertex order for a set of size c[0] reports the
-lexicographically smallest maximum set as the witness.  No lower bound
-steers the search, so the result depends on the graph and its labels only.
+On a maximal outerplanar graph (MOP) the c loop runs along the hull cycle,
+where each suffix is an arc.  A final search in ascending label order for a
+set of size c[0] reports the lexicographically smallest maximum set as the
+witness.  No lower bound steers the search, so the result depends on the
+graph and its labels only.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import (
     UNREACHABLE,
@@ -35,7 +39,7 @@ from .graph import (
     GraphError,
     all_pairs_distances,
 )
-from .mop import MopCertificate, check_certificate, maximal_fan
+from .mop import MopCertificate, NotAnMop, check_certificate, maximal_fan, recognize
 from .verify import is_gp_characterized
 
 DEFAULT_SEARCH_CAP = 40
@@ -88,8 +92,10 @@ def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[in
     return blocks
 
 
-def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
-    # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
+def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
+    # c[v] is the gp of the vertex set {v, ..., n-1} under the labels of
+    # loop_blocks, which the c loop reads; c[n] = 0.
+    table = loop_blocks
     c = [0] * (n + 1)
     c[n - 1] = 1  # one vertex is in general position
     found: tuple[int, ...] = ()
@@ -138,7 +144,7 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
                 return False
             k &= k - 1
             sub = k & ~conf[v]
-            bv = blocks[v]
+            bv = table[v]
             t = sub
             while t:
                 w = (t & -t).bit_length() - 1
@@ -153,10 +159,14 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
     full = (1 << n) - 1
     for v in range(n - 2, -1, -1):
         # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
-        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
-        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], blocks[v])
+        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are table[v].
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], table[v])
     # The last increase of c yields the maximum set whose smallest vertex is
     # largest; one ascending search finds the lexicographically smallest.
+    # Under other labels than the loop's, only c[0] bounds every suffix.
+    if loop_blocks is not blocks:
+        table = blocks
+        c = [c[0]] * n + [0]
     rec([], full, c[0], [0] * n)
     return c[0], found, nodes
 
@@ -195,11 +205,19 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     return bound, witness
 
 
+@lru_cache(maxsize=None)
+def _label_cycle(n: int) -> frozenset[tuple[int, int]]:
+    # A MOP has one Hamiltonian cycle, so one that holds these edges, as every
+    # census graph does, is in hull order already.
+    return frozenset([*zip(range(n), range(1, n)), (0, n - 1)])
+
+
 def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = False) -> GpResult:
     """Exact general position number with a deterministic witness.
 
-    The witness is the lexicographically smallest maximum set.  A given
-    certificate is checked against ``g`` but does not steer the search.
+    The witness is the lexicographically smallest maximum set.  A MOP's
+    hull order, for the c loop, comes from a given certificate, checked
+    against ``g``, or else from ``recognize``; both give one result.
     """
     n = g.order
     if n > DEFAULT_SEARCH_CAP and not force:
@@ -212,7 +230,13 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
         raise Disconnected("graph is not connected")
     if cert is not None:
         check_certificate(g, cert)
-    value, witness, nodes = _search(n, _pair_block_masks(dist, n))
+    blocks = loop_blocks = _pair_block_masks(dist, n)
+    if len(g.edges) == 2 * n - 3 and not g.edges >= _label_cycle(n):
+        # A checked certificate names the hull; a non-MOP keeps label order.
+        with suppress(NotAnMop):
+            hull = (cert or recognize(g)).cycle
+            loop_blocks = _pair_block_masks(tuple(tuple(dist[u][w] for w in hull) for u in hull), n)
+    value, witness, nodes = _search(n, blocks, loop_blocks)
     if not is_gp_characterized(g, dist, witness).is_gp:
         raise RuntimeError("internal: search returned a set that fails verification")
     return GpResult(value, witness, nodes)

@@ -12,6 +12,7 @@ from gpmop import (
     build_graph,
     complete,
     cycle,
+    enumerate_triangulations,
     fan,
     generalized_sunflower,
     gp_number,
@@ -129,11 +130,38 @@ class TestGpNumber:
         assert len(results) == 1
 
     def test_certificate_seeding_changes_nothing(self):
-        # A certificate is only checked; it must not change the answer.
+        # A certificate names the hull order that gp_number recognizes on its
+        # own, so the search and its answer stay the same.
         g = generalized_sunflower(10).graph
         with_cert = gp_number(g, cert=recognize(g))
         without = gp_number(g)
-        assert (with_cert.value, with_cert.witness) == (without.value, without.witness)
+        assert with_cert == without
+
+    def test_relabelled_mop_certificate_changes_nothing(self, monkeypatch):
+        # With or without a certificate, one recognize names the hull order.
+        g = random_mop(random.Random(5), 30)
+        cert = recognize(g)
+        assert cert.cycle != tuple(range(30))
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return recognize(h)
+
+        monkeypatch.setattr(solve, "recognize", counted)
+        monkeypatch.setattr("gpmop.mop.recognize", counted)
+        with_cert = gp_number(g, cert=cert)
+        assert len(calls) == 1
+        assert with_cert == gp_number(g)
+        assert len(calls) == 2
+
+    def test_non_mop_with_mop_edge_count_keeps_label_order(self):
+        # K_{3,3} has 2n - 3 = 9 edges but is not maximal outerplanar.
+        g = build_graph(6, [(a, b) for a in (0, 2, 4) for b in (1, 3, 5)])
+        blocks = _block_masks(g)
+        res = gp_number(g)
+        assert (res.value, res.witness) == suffix_search(6, blocks)[:2]
+        assert res.nodes_explored == solve._search(6, blocks, blocks)[2]
 
     def test_search_cap(self):
         g = path(41).graph
@@ -235,12 +263,34 @@ class TestGpNumber:
         assert (res.value, res.witness) == (value, witness)
         assert res.nodes_explored <= nodes
 
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_mop_hull_order_matches_label_order(self, seed):
+        # The c loop runs along the hull; value and witness must equal the
+        # label-order suffix search's.
+        rng = random.Random(seed)
+        g = random_mop(rng, rng.randint(10, 40))
+        res = gp_number(g)
+        assert (res.value, res.witness) == suffix_search(g.order, _block_masks(g))[:2]
+
+    def test_census_graphs_search_in_label_order(self, monkeypatch):
+        # Every labelled triangulation of order 9 has the hull 0..8, so it is
+        # searched in label order, node for node, without a recognize.
+        def no_recognize(g):
+            raise AssertionError("census graph recognized")
+
+        monkeypatch.setattr(solve, "recognize", no_recognize)
+        for chords in enumerate_triangulations(9):
+            g = graph_from_chords(9, chords)
+            blocks = _block_masks(g)
+            assert gp_number(g).nodes_explored == solve._search(9, blocks, blocks)[2]
+
     def test_clique_cover_prunes(self):
         # Four fixed order-40 MOPs: each node count is pinned, and together
         # they visit at most a fifth of the suffix-bound search's nodes.
         graphs = [random_mop(random.Random(seed), 40) for seed in range(4)]
         nodes = [gp_number(g).nodes_explored for g in graphs]
-        assert nodes == [1287, 1506, 1284, 1126]
+        assert nodes == [518, 912, 363, 335]
         reference = sum(suffix_search(40, _block_masks(g))[2] for g in graphs)
         assert reference == 70414
         assert 5 * sum(nodes) <= reference
