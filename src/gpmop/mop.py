@@ -88,12 +88,17 @@ def _check_non_crossing(cycle, chords, label: str) -> None:
         raise CrossingChords(f"{label} {e1} and {e2} cross on the hull cycle")
 
 
-def _normalized_cycle(cycle: list[int]) -> tuple[int, ...]:
-    start = cycle.index(0)
-    rotated = cycle[start:] + cycle[:start]
-    if rotated[-1] < rotated[1]:
-        rotated = [rotated[0]] + rotated[:0:-1]
-    return tuple(rotated)
+def _walk(adj, start: int, behind: int | None) -> list[int]:
+    """Follow adj from start, not back to behind, until the walk ends or
+    would return to start, which is certain when every degree is at most 2."""
+    walk = [start]
+    prev, cur = behind, start
+    while True:
+        ahead = [w for w in adj[cur] if w != prev]
+        if not ahead or ahead[0] == start:
+            return walk
+        prev, cur = cur, ahead[0]
+        walk.append(cur)
 
 
 def recognize(g: Graph) -> MopCertificate:
@@ -129,20 +134,14 @@ def recognize(g: Graph) -> MopCertificate:
         raise HullNotHamiltonian(
             f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
         )
-    cycle = [0, min(hull_adj[0])]
-    while len(cycle) < n:
-        prev, cur = cycle[-2], cycle[-1]
-        a, b = hull_adj[cur]
-        nxt = b if a == prev else a
-        if nxt == 0:
-            break
-        cycle.append(nxt)
-    if len(cycle) < n or len(set(cycle)) < n:
+    # Leaving 0 towards its smaller neighbor gives the normalized cycle.
+    cycle = _walk(hull_adj, 0, max(hull_adj[0]))
+    if len(cycle) < n:
         raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
 
     chords = frozenset(e for e in g.edges if e not in hull_edges)
     _check_non_crossing(cycle, chords, "chords")
-    return MopCertificate(n, _normalized_cycle(cycle), chords)
+    return MopCertificate(n, tuple(cycle), chords)
 
 
 def check_certificate(g: Graph, cert: MopCertificate) -> None:
@@ -212,22 +211,12 @@ def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:
     nbrs = g.adjacency[v]
     ns = set(nbrs)
     inside = {u: [w for w in g.adjacency[u] if w in ns] for u in nbrs}
-    ends = sorted(u for u in nbrs if len(inside[u]) <= 1)
-    if len(nbrs) == 1:
-        return (nbrs[0],)
-    if len(ends) != 2 or any(len(inside[u]) > 2 for u in nbrs):
-        raise StructureViolation(f"neighborhood of {v} does not induce a path")
-    path = [ends[0]]
-    seen = {ends[0]}
-    while len(path) < len(nbrs):
-        steps = [w for w in inside[path[-1]] if w not in seen]
-        if len(steps) != 1:
-            raise StructureViolation(f"neighborhood of {v} does not induce a path")
-        path.append(steps[0])
-        seen.add(steps[0])
-    if path[-1] != ends[1]:
-        raise StructureViolation(f"neighborhood of {v} does not induce a path")
-    return tuple(path)
+    ends = [u for u in nbrs if len(inside[u]) < 2]
+    if ends and all(len(inside[u]) <= 2 for u in nbrs):
+        path = _walk(inside, ends[0], None)
+        if len(path) == len(nbrs):
+            return tuple(path)
+    raise StructureViolation(f"neighborhood of {v} does not induce a path")
 
 
 def canonical_form(cert: MopCertificate) -> bytes:

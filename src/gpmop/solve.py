@@ -135,7 +135,7 @@ def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tu
             return False
         child = rows[len(chosen)]
         k = cand
-        while k:
+        while True:
             v = (k & -k).bit_length() - 1
             # The rest of the set lies in k, inside {v, ..., n-1}, so it has
             # at most |k| and at most c[v] members; c is non-increasing, so
@@ -154,7 +154,6 @@ def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tu
             if rec(chosen, sub, need - 1, child):
                 return True
             chosen.pop()
-        return False
 
     full = (1 << n) - 1
     for v in range(n - 2, -1, -1):

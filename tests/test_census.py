@@ -51,6 +51,18 @@ DEDUPE_CSV_SHA256 = {
     13: "ceb334b9d92f113e",
 }
 
+# The same for the labelled census, `gpmop census n` without --dedupe.
+LABELLED_CSV_SHA256 = {
+    4: "a660a958c8acaa6d",
+    5: "881309afa57c3d88",
+    6: "4bf8e8568d4d2f3c",
+    7: "a2c179bdd1c85653",
+    8: "f03cc75e9a303656",
+    9: "82e54412743feb4b",
+    10: "929883616da6760b",
+    11: "74828d6d32a3146d",
+}
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(4, 2), (5, 5), (6, 14)])
@@ -282,6 +294,11 @@ class TestCsv:
     def test_dedupe_bytes_pinned(self, n):
         text = census_to_csv(run_census(n, dedupe=True))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == DEDUPE_CSV_SHA256[n]
+
+    @pytest.mark.parametrize("n", sorted(LABELLED_CSV_SHA256))
+    def test_labelled_bytes_pinned(self, n):
+        text = census_to_csv(run_census(n))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == LABELLED_CSV_SHA256[n]
 
 
 class TestClaims:

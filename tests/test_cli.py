@@ -2,6 +2,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,19 @@ class TestVerify:
     def test_bad_ids(self, tmp_path, capsys):
         f = generate(tmp_path, "path", 4)
         assert main(["verify", f, "0", "99"]) == 2
+
+    def test_disconnected_is_usage_error(self, tmp_path, capsys):
+        f = write_graph(tmp_path, "disc.txt", "4\n0 1\n2 3\n")
+        assert main(["verify", f, "0", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: general position tests require a connected graph\n"
+
+    def test_disagreeing_tests_exit_70(self, tmp_path, capsys, monkeypatch):
+        f = generate(tmp_path, "path", 4)
+        real = cli.is_gp_naive
+        monkeypatch.setattr(cli, "is_gp_naive", lambda *a: replace(real(*a), is_gp=True))
+        assert main(["verify", f, "0", "1", "3"]) == 70
+        assert "the two general-position tests disagree on [0, 1, 3]" in capsys.readouterr().err
 
 
 class TestRecognize:

@@ -146,6 +146,14 @@ class TestBadParams:
             generalized_sunflower(12, base_chords=[(0, 2), (1, 3), (3, 5)])
         with pytest.raises(BadParam, match="polygon side"):
             generalized_sunflower(10, base_chords=[(0, 1), (0, 3)])
+        with pytest.raises(BadParam, match=r"base chord \(0,7\) outside the 5-gon"):
+            generalized_sunflower(10, base_chords=[(0, 7), (0, 2)])
+        with pytest.raises(BadParam, match=r"duplicate base chord \(0,2\)"):
+            generalized_sunflower(10, base_chords=[(0, 2), (2, 0)])
+
+    def test_gsf_reversed_base_chord(self):
+        inst = generalized_sunflower(10, base_chords=[(3, 0), (0, 2)])
+        assert inst.graph == generalized_sunflower(10).graph
 
 
 class TestIsomorphisms:

@@ -206,6 +206,11 @@ class TestLiesOnGeodesic:
         with pytest.raises(VertexOutOfRange):
             lies_on_geodesic(dist, 0, 1, 7)
 
+    def test_disconnected_triple(self):
+        dist = all_pairs_distances(build_graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(Disconnected):
+            lies_on_geodesic(dist, 0, 1, 2)
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
     def test_consistent_with_interval(self, seed):
@@ -240,10 +245,14 @@ class TestEdgeListFormat:
     def test_bad_count(self):
         with pytest.raises(EdgeListError, match="vertex count"):
             parse_edge_list("x\n0 1\n")
+        with pytest.raises(EdgeListError, match="vertex count must be >= 1"):
+            parse_edge_list("0\n")
 
     def test_bad_edge_line(self):
         with pytest.raises(EdgeListError, match="line 2"):
             parse_edge_list("3\n0 1 2\n")
+        with pytest.raises(EdgeListError, match="line 2: endpoints must be integers"):
+            parse_edge_list("3\n0 x\n")
 
     def test_duplicate_entry_is_hard_error(self):
         with pytest.raises(DuplicateEdge):

@@ -23,6 +23,7 @@ from gpmop import (
     recognize,
     straight_linear_2tree,
 )
+from gpmop import families
 from gpmop.census import certificate_from_chords, enumerate_triangulations, graph_from_chords
 from gpmop.mop import _check_non_crossing, check_certificate
 from helpers import first_crossing_pair, graphs_isomorphic, random_mop, relabeled
@@ -58,6 +59,14 @@ class TestRecognize:
         # C5 plus crossing chords (0,2), (1,3): right edge count, no hull.
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
         with pytest.raises(HullNotHamiltonian):
+            recognize(g)
+
+    def test_hull_split_into_two_cycles(self):
+        # The triangular prism has 2n-3 = 9 edges; its single-triangle edges
+        # are the two triangles, so every hull degree is 2 but no cycle spans.
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        g = build_graph(6, triangles + [(0, 3), (1, 4), (2, 5)])
+        with pytest.raises(HullNotHamiltonian, match="more than one cycle"):
             recognize(g)
 
     def test_disconnected_rejected(self):
@@ -179,6 +188,11 @@ class TestStats:
             hull_free = [all((v - u) % 7 not in (1, 6) for u, v in combinations(t, 2)) for t in tris]
             assert st_.internal_triangles == sum(hull_free)
 
+    def test_triangle_free_graph_rejected(self):
+        cert = MopCertificate(5, (0, 1, 2, 3, 4), frozenset())
+        with pytest.raises(StructureViolation, match="expected 3 inner faces, found 0"):
+            mop_stats(families.cycle(5).graph, cert)
+
 
 class TestRandomMopStats:
     @given(st.integers(0, 10**9), st.integers(5, 20))
@@ -215,6 +229,26 @@ class TestMaximalFan:
         path = maximal_fan(g, p1)
         assert set(path) == set(g.adjacency[p1])
         assert g.has_edge(*path)
+
+    def test_single_neighbor(self):
+        assert maximal_fan(families.path(3).graph, 0) == (1,)
+
+    @pytest.mark.parametrize(
+        "edges, v",
+        [
+            # K4: every neighborhood is a triangle.
+            ([(i, j) for i in range(4) for j in range(i + 1, 4)], 3),
+            # The hub of a wheel sees a 5-cycle.
+            ([(0, i) for i in range(1, 6)] + [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], 0),
+            # A path 1-2 and a triangle 3-4-5: the walk from 1 stops at 2.
+            ([(0, i) for i in range(1, 6)] + [(1, 2), (3, 4), (4, 5), (3, 5)], 0),
+        ],
+        ids=["k4", "wheel_hub", "path_and_triangle"],
+    )
+    def test_neighborhood_not_a_path(self, edges, v):
+        g = build_graph(max(max(e) for e in edges) + 1, edges)
+        with pytest.raises(StructureViolation, match=f"neighborhood of {v} does not"):
+            maximal_fan(g, v)
 
     def test_every_neighborhood_is_a_path(self):
         for chords in enumerate_triangulations(7):
