@@ -135,6 +135,7 @@ def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tu
             return False
         child = rows[len(chosen)]
         k = cand
+        # need >= 2 here, so the |k| bound below returns before k runs out.
         while True:
             v = (k & -k).bit_length() - 1
             # The rest of the set lies in k, inside {v, ..., n-1}, so it has
