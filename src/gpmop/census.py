@@ -23,10 +23,11 @@ from math import ceil, comb
 from multiprocessing import get_context
 from typing import Callable, Iterator, NamedTuple
 
+from .dual import mop_gp
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, all_pairs_distances, build_graph
 from .mop import CrossingChords, MopCertificate, _check_non_crossing, canonical_form, mop_stats, recognize
-from .solve import _fan_pattern, gp_number
+from .solve import _fan_pattern, _verified
 from .verify import is_gp_characterized, is_gp_naive
 
 MIN_CENSUS_ORDER = 3
@@ -143,7 +144,8 @@ def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
     g = graph_from_chords(n, chords)
     cert = certificate_from_chords(n, chords)
     stats = mop_stats(g, cert)
-    result = gp_number(g)
+    # The hull is 0..n-1, as in mop_stats and _labels_for.
+    result = _verified(g, all_pairs_distances(g), *mop_gp(g, cert.cycle))
     return CensusRecord(
         n=n,
         canonical_key=key,

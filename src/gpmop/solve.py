@@ -1,13 +1,17 @@
-"""Exact maximum general position sets via a suffix-bound search.
+"""Exact maximum general position sets: a dual-tree dynamic program for
+maximal outerplanar graphs, and a suffix-bound search for every other graph.
 
-Conflicts are 3-uniform: a subset is in general position exactly when it
-contains no geodesic triple.  Every subset of a general position set is one,
-so the suffix bound of Östergård's maximum clique algorithm ("A fast
-algorithm for the maximum clique problem", 2002) carries over.  With c[v] the
-gp of the vertex set {v, ..., n-1}, filled for v = n-1 down to 0, a search
-for a set of size c[v+1] + 1 that starts at v prunes a branch once chosen +
-c[min(candidates)] or chosen + |candidates| falls short of the target.
-Candidates are filtered through a per-pair conflict index held as bitmasks.
+A maximal outerplanar graph (MOP) goes to ``dual.mop_gp``, which reads the
+triangles off the hull cycle and needs no distances.  Every other graph goes
+to a branch and bound over its conflicts, which are 3-uniform: a subset is in
+general position exactly when it contains no geodesic triple.  Every subset
+of a general position set is one, so the suffix bound of Östergård's maximum
+clique algorithm ("A fast algorithm for the maximum clique problem", 2002)
+carries over.  With c[v] the gp of the vertex set {v, ..., n-1}, filled for
+v = n-1 down to 0, a search for a set of size c[v+1] + 1 that starts at v
+prunes a branch once chosen + c[min(candidates)] or chosen + |candidates|
+falls short of the target.  Candidates are filtered through a per-pair
+conflict index held as bitmasks.
 
 Each node also covers its candidates greedily by cliques of their pair
 conflicts, in the spirit of the colouring bound of Tomita and Seki (2003):
@@ -19,19 +23,19 @@ is the OR of its pair masks with the chosen vertices; a child's rows are its
 parent's with the new vertex's masks ORed in, written only for the child's
 candidates into one list per depth.
 
-On a maximal outerplanar graph (MOP) the c loop runs along the hull cycle,
-where each suffix is an arc.  A final search in ascending label order for a
-set of size c[0] reports the lexicographically smallest maximum set as the
-witness.  No lower bound steers the search, so the result depends on the
-graph and its labels only.
+A final search in ascending label order for a set of size c[0] reports the
+lexicographically smallest maximum set as the witness, which the dynamic
+program yields through its weights.  No lower bound steers either route, so
+the result depends on the graph and its labels only, and every witness is
+checked against the BFS distances before it is returned.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
 
+from .dual import mop_gp
 from .graph import (
     UNREACHABLE,
     Disconnected,
@@ -54,8 +58,10 @@ class GpResult:
     """Exact general position number with its witness.
 
     ``witness`` is the lexicographically smallest maximum set under the
-    vertex order, and ``nodes_explored`` counts the search nodes of all
-    n + 1 target searches for diagnostics.
+    vertex order.  ``nodes_explored`` is for diagnostics: on a maximal
+    outerplanar graph it counts the pairs of child states that the dual-tree
+    program merges, and on any other graph the search nodes of all n + 1
+    target searches.
     """
 
     value: int
@@ -92,10 +98,8 @@ def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[in
     return blocks
 
 
-def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
-    # c[v] is the gp of the vertex set {v, ..., n-1} under the labels of
-    # loop_blocks, which the c loop reads; c[n] = 0.
-    table = loop_blocks
+def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
+    # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
     c = [0] * (n + 1)
     c[n - 1] = 1  # one vertex is in general position
     found: tuple[int, ...] = ()
@@ -145,7 +149,7 @@ def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tu
                 return False
             k &= k - 1
             sub = k & ~conf[v]
-            bv = table[v]
+            bv = blocks[v]
             t = sub
             while t:
                 w = (t & -t).bit_length() - 1
@@ -159,14 +163,10 @@ def _search(n: int, blocks: list[list[int]], loop_blocks: list[list[int]]) -> tu
     full = (1 << n) - 1
     for v in range(n - 2, -1, -1):
         # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
-        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are table[v].
-        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], table[v])
+        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], blocks[v])
     # The last increase of c yields the maximum set whose smallest vertex is
     # largest; one ascending search finds the lexicographically smallest.
-    # Under other labels than the loop's, only c[0] bounds every suffix.
-    if loop_blocks is not blocks:
-        table = blocks
-        c = [c[0]] * n + [0]
     rec([], full, c[0], [0] * n)
     return c[0], found, nodes
 
@@ -205,19 +205,21 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     return bound, witness
 
 
-@lru_cache(maxsize=None)
-def _label_cycle(n: int) -> frozenset[tuple[int, int]]:
-    # A MOP has one Hamiltonian cycle, so one that holds these edges, as every
-    # census graph does, is in hull order already.
-    return frozenset([*zip(range(n), range(1, n)), (0, n - 1)])
+def _verified(
+    g: Graph, dist: tuple[tuple[int, ...], ...], value: int, witness: tuple[int, ...], nodes: int
+) -> GpResult:
+    if not is_gp_characterized(g, dist, witness).is_gp:
+        raise RuntimeError("internal: solver returned a set that fails verification")
+    return GpResult(value, witness, nodes)
 
 
 def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = False) -> GpResult:
     """Exact general position number with a deterministic witness.
 
-    The witness is the lexicographically smallest maximum set.  A MOP's
-    hull order, for the c loop, comes from a given certificate, checked
-    against ``g``, or else from ``recognize``; both give one result.
+    The witness is the lexicographically smallest maximum set.  A MOP, known
+    by a given certificate, checked against ``g``, or else by ``recognize``
+    on a graph with 2n-3 edges, is solved over its dual tree; both give one
+    result.  Any other graph is searched in label order.
     """
     n = g.order
     if n > DEFAULT_SEARCH_CAP and not force:
@@ -230,13 +232,9 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
         raise Disconnected("graph is not connected")
     if cert is not None:
         check_certificate(g, cert)
-    blocks = loop_blocks = _pair_block_masks(dist, n)
-    if len(g.edges) == 2 * n - 3 and not g.edges >= _label_cycle(n):
-        # A checked certificate names the hull; a non-MOP keeps label order.
+    elif len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
-            hull = (cert or recognize(g)).cycle
-            loop_blocks = _pair_block_masks(tuple(tuple(dist[u][w] for w in hull) for u in hull), n)
-    value, witness, nodes = _search(n, blocks, loop_blocks)
-    if not is_gp_characterized(g, dist, witness).is_gp:
-        raise RuntimeError("internal: search returned a set that fails verification")
-    return GpResult(value, witness, nodes)
+            cert = recognize(g)
+    if cert is not None:
+        return _verified(g, dist, *mop_gp(g, cert.cycle))
+    return _verified(g, dist, *_search(n, _pair_block_masks(dist, n)))

@@ -1,0 +1,141 @@
+"""The dual-tree program for maximal outerplanar graphs against independent
+oracles: Floyd-Warshall distances for the separator lemma, full bitmask
+enumeration and the suffix-bound search for values and witnesses."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpmop import (
+    build_graph,
+    canonical_form,
+    enumerate_triangulations,
+    fan,
+    gp_number,
+    recognize,
+    run_census,
+)
+from gpmop import solve
+from gpmop.census import expected_extremal_keys, graph_from_chords
+from gpmop.dual import mop_gp
+from helpers import brute_force_gp, floyd_warshall, random_mop, relabeled
+
+
+def _sides(g, a, b) -> list[set[int]]:
+    # Components of g with a and b removed.
+    rest = set(range(g.order)) - {a, b}
+    sides = []
+    while rest:
+        side, frontier = set(), [rest.pop()]
+        while frontier:
+            u = frontier.pop()
+            side.add(u)
+            for w in g.adjacency[u]:
+                if w in rest:
+                    rest.discard(w)
+                    frontier.append(w)
+        sides.append(side)
+    return sides
+
+
+class TestSeparatorLemma:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=25, deadline=None)
+    def test_triples_across_an_edge_depend_on_the_type(self, seed):
+        # For every edge ab, w on one side of {a, b} and distinct y, z on the
+        # other side or in {a, b}: {w, y, z} is a geodesic triple exactly
+        # when g_e(y) + d(y,z) = g_e(z) or g_e(z) + d(y,z) = g_e(y).
+        rng = random.Random(seed)
+        g = random_mop(rng, rng.randint(6, 30))
+        d = floyd_warshall(g)
+        for a, b in g.edges:
+            sides = _sides(g, a, b)
+            for side in sides:
+                far = sorted(set(range(g.order)) - side)
+                for w in side:
+                    e = d[w][b] - d[w][a]
+                    assert e in (-1, 0, 1)
+                    ge = {y: min(d[a][y], e + d[b][y]) for y in far}
+                    for i, y in enumerate(far):
+                        for z in far[i + 1 :]:
+                            dyz = d[y][z]
+                            triple = (
+                                d[w][z] == d[w][y] + dyz
+                                or d[w][y] == d[w][z] + dyz
+                                or dyz == d[y][w] + d[w][z]
+                            )
+                            assert triple == (ge[y] + dyz == ge[z] or ge[z] + dyz == ge[y]), (a, b, w, y, z)
+
+
+class TestMopGp:
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_matches_full_enumeration_on_every_triangulation(self, n):
+        # Census labels, with the hull 0..n-1, and a seeded relabelling
+        # whose hull is handed over in its relabelled order.
+        rng = random.Random(n)
+        for chords in enumerate_triangulations(n):
+            g = graph_from_chords(n, chords)
+            assert mop_gp(g, range(n))[:2] == brute_force_gp(g)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            h = relabeled(g, perm)
+            assert mop_gp(h, [perm[p] for p in range(n)])[:2] == brute_force_gp(h)
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_any_rotation_and_direction_of_the_hull(self, seed):
+        # Positions along the hull are only a frame: every rotation and both
+        # directions give the same value and witness.
+        rng = random.Random(seed)
+        g = random_mop(rng, rng.randint(4, 30))
+        cycle = list(recognize(g).cycle)
+        k = rng.randrange(g.order)
+        turned = cycle[k:] + cycle[:k]
+        if rng.random() < 0.5:
+            turned.reverse()
+        assert mop_gp(g, turned)[:2] == mop_gp(g, cycle)[:2]
+
+    def test_merged_pairs_are_nodes_explored(self):
+        g = fan(9).graph
+        res = gp_number(g)
+        assert (res.value, res.witness, res.nodes_explored) == mop_gp(g, recognize(g).cycle)
+        # The one triangle of K3 merges two pairs per choice of its apex.
+        assert mop_gp(build_graph(3, [(0, 1), (1, 2), (0, 2)]), range(3)) == (3, (0, 1, 2), 8)
+
+    def test_no_conflict_masks_for_a_mop(self, monkeypatch):
+        # A MOP, through gp_number or the census, never builds the pair
+        # conflict masks of the branch and bound.
+        def no_masks(dist, n):
+            raise AssertionError("conflict masks built")
+
+        monkeypatch.setattr(solve, "_pair_block_masks", no_masks)
+        rng = random.Random(7)
+        for g in (fan(9).graph, random_mop(rng, 20), random_mop(rng, 40)):
+            gp_number(g)
+            gp_number(g, cert=recognize(g))
+        assert len(run_census(8)) == 132
+        with pytest.raises(AssertionError, match="conflict masks"):
+            gp_number(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+
+
+class TestOrderSixteenCapClass:
+    # Two degree-9 hubs, 7 and 15, whose fans share the triangles (3, 7, 15)
+    # and (7, 11, 15).
+    CHORDS = "1-15;2-15;3-7;3-15;4-7;5-7;7-9;7-10;7-11;7-15;11-15;12-15;13-15"
+
+    def graph(self):
+        chords = tuple(tuple(int(v) for v in c.split("-")) for c in self.CHORDS.split(";"))
+        return graph_from_chords(16, chords)
+
+    def test_attains_the_cap(self):
+        g = self.graph()
+        witness = (0, 1, 3, 5, 6, 8, 9, 11, 13, 14)
+        assert brute_force_gp(g) == (10, witness)
+        res = gp_number(g)
+        assert (res.value, res.witness) == (10, witness)
+
+    def test_is_not_in_the_extremal_catalog(self):
+        # The catalog of floor(2n/3) attainers misses this class.
+        assert canonical_form(recognize(self.graph())) not in expected_extremal_keys(16)

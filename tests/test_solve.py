@@ -25,7 +25,7 @@ from gpmop import (
     run_census,
     straight_linear_2tree,
 )
-from gpmop import solve
+from gpmop import census, mop, solve
 from gpmop.census import graph_from_chords
 from helpers import (
     brute_force_gp,
@@ -161,7 +161,7 @@ class TestGpNumber:
         blocks = _block_masks(g)
         res = gp_number(g)
         assert (res.value, res.witness) == suffix_search(6, blocks)[:2]
-        assert res.nodes_explored == solve._search(6, blocks, blocks)[2]
+        assert res.nodes_explored == solve._search(6, blocks)[2]
 
     def test_search_cap(self):
         g = path(41).graph
@@ -252,7 +252,8 @@ class TestGpNumber:
     @settings(max_examples=40, deadline=None)
     def test_matches_suffix_search(self, seed, mop):
         # The clique cover only cuts subtrees of the suffix-bound search, so
-        # the value and witness stay and the node count cannot grow.
+        # the value and witness stay and the node count cannot grow.  A MOP
+        # goes to the dual-tree program, which must give the same answer.
         rng = random.Random(seed)
         if mop:
             g = random_mop(rng, rng.randint(25, 40))
@@ -261,38 +262,42 @@ class TestGpNumber:
         res = gp_number(g)
         value, witness, nodes = suffix_search(g.order, _block_masks(g))
         assert (res.value, res.witness) == (value, witness)
-        assert res.nodes_explored <= nodes
+        if not mop:
+            assert res.nodes_explored <= nodes
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
     def test_mop_hull_order_matches_label_order(self, seed):
-        # The c loop runs along the hull; value and witness must equal the
-        # label-order suffix search's.
+        # The dual-tree program works in hull positions; value and witness
+        # must equal the label-order suffix search's.
         rng = random.Random(seed)
         g = random_mop(rng, rng.randint(10, 40))
         res = gp_number(g)
         assert (res.value, res.witness) == suffix_search(g.order, _block_masks(g))[:2]
 
-    def test_census_graphs_search_in_label_order(self, monkeypatch):
-        # Every labelled triangulation of order 9 has the hull 0..8, so it is
-        # searched in label order, node for node, without a recognize.
+    def test_census_records_never_recognize(self, monkeypatch):
+        # A census record hands the dual-tree program its known hull 0..n-1,
+        # so no recognize runs once the family catalog is built.
+        census._generator_catalog(9)
+
         def no_recognize(g):
             raise AssertionError("census graph recognized")
 
-        monkeypatch.setattr(solve, "recognize", no_recognize)
-        for chords in enumerate_triangulations(9):
-            g = graph_from_chords(9, chords)
-            blocks = _block_masks(g)
-            assert gp_number(g).nodes_explored == solve._search(9, blocks, blocks)[2]
+        for module in (census, mop, solve):
+            monkeypatch.setattr(module, "recognize", no_recognize)
+        records = run_census(9)
+        assert len(records) == 429  # catalan(7)
 
     def test_clique_cover_prunes(self):
-        # Four fixed order-40 MOPs: each node count is pinned, and together
-        # they visit at most a fifth of the suffix-bound search's nodes.
-        graphs = [random_mop(random.Random(seed), 40) for seed in range(4)]
+        # Four fixed order-40 graphs that are not maximal outerplanar, like
+        # those of the gp-cli-40 benchmark: each node count is pinned, and
+        # together they visit at most a fifth of the suffix-bound search's nodes.
+        graphs = [random_connected_graph(random.Random(seed), 40, 0.12) for seed in range(4)]
+        assert all(len(g.edges) != 77 for g in graphs)
         nodes = [gp_number(g).nodes_explored for g in graphs]
-        assert nodes == [518, 912, 363, 335]
+        assert nodes == [1164, 1215, 641, 1070]
         reference = sum(suffix_search(40, _block_masks(g))[2] for g in graphs)
-        assert reference == 70414
+        assert reference == 26787
         assert 5 * sum(nodes) <= reference
 
 
