@@ -35,12 +35,13 @@ ab that forms a geodesic triple with two chosen vertices of the closed arc
 other than a and b together (by the lemma, no vertex whose type is not in F
 forms one).  A hull edge has the four states (alpha, beta, {}, {}).
 
-The lemma's distance formula turns types across a triangle (a, c, b).  Put
-L(t) = min(0, t) + 1 and R(t) = max(0, t) - 1.  A vertex of type t beyond ab
-has type L(t) towards ac and R(t) towards cb.  A member of type t under ac
-has type L(t) under ab and L(-t) seen from beyond cb; a member of type t
-under cb has type R(t) under ab and R(-t) seen from beyond ac; b seen from
-beyond ac, and a seen from beyond cb, have type 0.
+The lemma's distance formula turns types across a triangle (a, c, b), where
+a vertex under an edge lies in its open arc.  Put L(t) = min(0, t) + 1 and
+R(t) = max(0, t) - 1.  A vertex of type t beyond ab has type L(t) towards ac
+and R(t) towards cb.  A member of type t under ac has type L(t) under ab and
+L(-t) seen from beyond cb; a member of type t under cb has type R(t) under ab
+and R(-t) seen from beyond ac; b seen from beyond ac, and a seen from beyond
+cb, have type 0.
 
 Merging a state (alpha, gamma, T1, F1) of ac with a state (gamma, beta, T2,
 F2) of cb checks every triple with chosen vertices on both sides of c: two
@@ -49,8 +50,8 @@ it, so the pair is rejected when F1 meets the types of the cb side seen from
 beyond ac, or F2 those of the ac side seen from beyond cb.  A triple {w, y,
 z} with w beyond ab and y, z chosen in the closed arc puts e in F when
 
-- y, z lie under ac, other than a and c together, and L(e) is in F1; or the
-  mirror case with R(e) and F2;
+- y, z lie in the closed arc a..c, other than a and c together, and L(e)
+  is in F1; or the mirror case in c..b with R(e) and F2;
 - {y, z} = {a, c} and L(e) != 0, so e >= 0; or {y, z} = {c, b} and
   R(e) != 0, so e <= 0;
 - y = a and z lies under cb: by the lemma a lies between w and z, since z
