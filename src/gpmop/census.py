@@ -1,13 +1,18 @@
 """Exhaustive triangulation census with batched claim checking.
 
-Every triangulation of a convex labeled polygon is enumerated through the
-classic apex recursion, grouped into isomorphism classes by its dihedral
-quiddity sequence (triangles per hull vertex), keyed once per class, and
-turned into records carrying the exact general position number plus the
-structural statistics.  ``verify_paper_claims`` then machine-checks the
-bounds, identities, and extremal characterizations this package
-reproduces, one report per claim per order: one table of claims, each
-with its first order and per-class test, read by one loop over each
+The isomorphism classes of triangulated n-gons are grown from the triangle
+by ear insertion on their quiddity sequences (triangles per hull vertex),
+each class kept as its least dihedral image.  Ear cutting recovers a
+class's chords, which are expanded once into their dihedral images on the
+hull 0..n-1: the labelled census takes every distinct image, the
+deduplicated census only the least, and the least image, packed, is the
+class's canonical key.  Each becomes a record carrying the exact general
+position number plus the structural statistics.  ``enumerate_triangulations``,
+the classic apex recursion over labelled triangulations, is the independent
+oracle the census is tested against.  ``verify_paper_claims`` then
+machine-checks the bounds, identities, and extremal characterizations this
+package reproduces, one report per claim per order: one table of claims,
+each with its first order and per-class test, read by one loop over each
 order's records that rebuilds one graph per class and no certificate.
 """
 
@@ -26,7 +31,16 @@ from typing import Callable, Iterator, NamedTuple
 from .dual import mop_gp
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, all_pairs_distances, build_graph
-from .mop import CrossingChords, MopCertificate, _check_non_crossing, canonical_form, mop_stats, recognize
+from .mop import (
+    CrossingChords,
+    MopCertificate,
+    _check_non_crossing,
+    canonical_form,
+    dihedral_images,
+    image_key,
+    mop_stats,
+    recognize,
+)
 from .solve import _fan_pattern, _verified
 from .verify import is_gp_characterized, is_gp_naive
 
@@ -129,15 +143,67 @@ def _labels_for(n: int, key: bytes, g: Graph, cert: MopCertificate) -> tuple[str
     return tuple(labels)
 
 
-def _quiddity_key(n: int, chords: Chords) -> bytes:
-    # Triangles per hull vertex, smallest over the 2n dihedral images: a
-    # complete isomorphism invariant of a triangulated polygon.
-    counts = bytearray(b"\x01" * n)
-    for a, b in chords:
-        counts[a] += 1
-        counts[b] += 1
-    fwd = bytes(counts) * 2
+def _quiddity_key(q: bytes) -> bytes:
+    # The smallest of the 2n dihedral images of a quiddity sequence (triangles
+    # per hull vertex): a complete isomorphism invariant of a triangulated polygon.
+    n, fwd = len(q), q * 2
     return min([s[i : i + n] for s in (fwd, fwd[::-1]) for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def quiddity_classes(n: int) -> tuple[bytes, ...]:
+    """The isomorphism classes of triangulations of the n-gon, n >= 3, each as
+    its least dihedral quiddity image, sorted.  A class of order n+1 arises
+    from one of order n by inserting an ear on a hull edge: a 1 between two
+    neighbours of the quiddity sequence, each of which gains a triangle."""
+    if n <= MIN_CENSUS_ORDER:
+        if n < MIN_CENSUS_ORDER:
+            raise BadParam(f"a polygon has at least {MIN_CENSUS_ORDER} vertices, got {n}")
+        return (b"\x01\x01\x01",)
+    level = set()
+    for q in quiddity_classes(n - 1):
+        for i in range(n - 1):
+            grown = bytearray(q)
+            grown[i] += 1
+            grown[(i + 1) % (n - 1)] += 1
+            grown.insert(i + 1, 1)
+            level.add(_quiddity_key(bytes(grown)))
+    return tuple(sorted(level))
+
+
+def _ear_cut(q: bytes) -> list[tuple[int, int]]:
+    # The chords of the triangulation of 0..n-1 with quiddity q: cut an ear tip
+    # (a vertex in one triangle) off the remaining polygon until a triangle is left.
+    counts, ring, chords = bytearray(q), list(range(len(q))), []
+    while len(ring) > 3:
+        i = next(i for i, v in enumerate(ring) if counts[v] == 1)
+        u, w = ring[i - 1], ring[(i + 1) % len(ring)]
+        chords.append((u, w))
+        counts[u] -= 1
+        counts[w] -= 1
+        del ring[i]
+    return chords
+
+
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    # One (a, b) tuple per chord code a * n + b, shared by every record of order n.
+    return tuple(divmod(c, n) for c in range(n * n))
+
+
+def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, Chords]]:
+    """(canonical key, chords) of every labelled triangulation of 0..n-1, or
+    of the smallest labelled chord set of each class when dedupe is set."""
+    pairs = _pair_table(n)
+    for q in quiddity_classes(n):
+        # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
+        # tip, so the least image sends an ear tip to 1.
+        anchors = [p for p in range(n) if q[p] == 1] if dedupe else None
+        images = set(dihedral_images(n, _ear_cut(q), anchors))
+        least = min(images)
+        key = image_key(n, least)
+        for image in [least] if dedupe else images:
+            yield key, tuple(pairs[c] for c in image)
 
 
 def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
@@ -162,24 +228,15 @@ def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
 
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:
     """One record per triangulation, or per isomorphism class when dedupe
-    is set.  Triangulations are grouped by quiddity sequence and keyed once
-    per class; records come back sorted by (canonical key, chords) so the
-    output is byte-identical for any worker count."""
+    is set.  The classes come from ``quiddity_classes``; each class's chords
+    are recovered once and expanded into their dihedral images, the least of
+    which gives its canonical key.  Records come back sorted by (canonical
+    key, chords) so the output is byte-identical for any worker count."""
     if jobs < 1:
         raise BadParam(f"jobs must be at least 1, got {jobs}")
-    # Dedupe keeps only the smallest chord set of each class while streaming.
-    groups: dict[bytes, list[Chords]] = {}
-    for chords in enumerate_triangulations(n):
-        members = groups.setdefault(_quiddity_key(n, chords), [])
-        if not members or not dedupe:
-            members.append(chords)
-        elif chords < members[0]:
-            members[0] = chords
-    tasks = []
-    for members in groups.values():
-        key = canonical_form(certificate_from_chords(n, members[0]))
-        tasks.extend((n, key, chords) for chords in members)
-    tasks.sort()
+    if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
+        raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
+    tasks = sorted((n, key, chords) for key, chords in _class_members(n, dedupe))
     # At most one worker per core and per chunk; a single chunk runs here.
     size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
     if len(tasks) <= size:

@@ -219,6 +219,25 @@ def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:
     raise StructureViolation(f"neighborhood of {v} does not induce a path")
 
 
+def dihedral_images(n: int, chords, anchors=None):
+    """Yield the chord set of the polygon 0..n-1 under each dihedral
+    relabelling that sends an anchor to 1: p -> p - t + 1 and p -> t + 1 - p
+    (mod n) for each anchor t, so all 2n relabellings when anchors is None.
+
+    An image is the sorted tuple of the codes a * n + b of its chords (a, b),
+    a < b, so images order as their sorted chord lists do.
+    """
+    for t in range(n) if anchors is None else anchors:
+        for flip in (1, -1):
+            m = [(flip * (p - t) + 1) % n for p in range(n)]
+            yield tuple(sorted(m[a] * n + m[b] if m[a] < m[b] else m[b] * n + m[a] for a, b in chords))
+
+
+def image_key(n: int, image: tuple[int, ...]) -> bytes:
+    """Pack each chord (a, b) of an image as big-endian unsigned shorts."""
+    return b"".join(struct.pack(">HH", *divmod(c, n)) for c in image)
+
+
 def canonical_form(cert: MopCertificate) -> bytes:
     """Canonical key: chord positions minimized over all 2n dihedral relabelings.
 
@@ -228,19 +247,7 @@ def canonical_form(cert: MopCertificate) -> bytes:
     """
     n = cert.order
     pos = {v: i for i, v in enumerate(cert.cycle)}
-    pairs = [(pos[u], pos[v]) for u, v in cert.chords]
-    best: list[tuple[int, int]] | None = None
-    for flip in (1, -1):
-        for r in range(n):
-            table = [(p * flip + r) % n for p in range(n)]
-            mapped = sorted(
-                (table[a], table[b]) if table[a] < table[b] else (table[b], table[a])
-                for a, b in pairs
-            )
-            if best is None or mapped < best:
-                best = mapped
-    assert best is not None
-    return b"".join(struct.pack(">HH", a, b) for a, b in best)
+    return image_key(n, min(dihedral_images(n, [(pos[u], pos[v]) for u, v in cert.chords])))
 
 
 def certificate_to_text(cert: MopCertificate) -> str:

@@ -24,17 +24,23 @@ from gpmop import (
 from gpmop import census
 from gpmop.census import (
     MAX_CENSUS_ORDER,
+    _class_members,
     _generator_catalog,
     _quiddity_key,
     certificate_from_chords,
     expected_extremal_keys,
     graph_from_chords,
+    quiddity_classes,
     striped_catalog_keys,
 )
+from gpmop.mop import dihedral_images
 from helpers import graphs_isomorphic
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
-DIHEDRAL_CLASSES = {4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82, 11: 228, 12: 733}
+DIHEDRAL_CLASSES = {
+    3: 1, 4: 1, 5: 1, 6: 3, 7: 4, 8: 12, 9: 27, 10: 82, 11: 228, 12: 733,
+    13: 2282, 14: 7528, 15: 24834,
+}
 
 # sha256 (first 16 hex) of the deduplicated census CSV, witness column
 # included, as `gpmop census n --dedupe` prints it.
@@ -92,6 +98,15 @@ class TestEnumeration:
             list(enumerate_triangulations(15))
 
 
+def quiddity(n, chords):
+    # Triangles per hull vertex: one, plus one per chord at the vertex.
+    counts = bytearray(b"\x01" * n)
+    for a, b in chords:
+        counts[a] += 1
+        counts[b] += 1
+    return bytes(counts)
+
+
 class TestQuiddityKey:
     def test_partition_matches_canonical_form(self):
         # Oracle: canonical_form on every labeled triangulation.
@@ -99,31 +114,67 @@ class TestQuiddityKey:
             by_quiddity: dict[bytes, set] = {}
             by_key: dict[bytes, set] = {}
             for chords in enumerate_triangulations(n):
-                by_quiddity.setdefault(_quiddity_key(n, chords), set()).add(chords)
+                by_quiddity.setdefault(_quiddity_key(quiddity(n, chords)), set()).add(chords)
                 key = canonical_form(certificate_from_chords(n, chords))
                 by_key.setdefault(key, set()).add(chords)
             assert set(map(frozenset, by_quiddity.values())) == set(map(frozenset, by_key.values()))
             if n in DIHEDRAL_CLASSES:
                 assert len(by_quiddity) == DIHEDRAL_CLASSES[n]
 
-    def test_canonical_form_runs_once_per_class(self, monkeypatch):
+    def test_dihedral_images_run_once_per_class(self, monkeypatch):
         calls: list[int] = []
 
-        def counting(cert):
-            calls.append(cert.order)
-            return canonical_form(cert)
+        def counting(n, chords, anchors=None):
+            calls.append(n)
+            return dihedral_images(n, chords, anchors)
 
-        for n in range(4, 13):
-            _generator_catalog(n)  # warm, so only per-class keys are counted below
-        monkeypatch.setattr(census, "canonical_form", counting)
-        for n in range(4, 11):
-            recs = run_census(n)
-            assert len(recs) == catalan(n - 2)
-            assert calls.count(n) == DIHEDRAL_CLASSES[n]
-            for r in recs:
-                assert r.canonical_key == canonical_form(certificate_from_chords(n, r.chords))
-        assert len(run_census(12, dedupe=True)) == DIHEDRAL_CLASSES[12]
-        assert calls.count(12) == DIHEDRAL_CLASSES[12]
+        def no_key(cert):
+            raise AssertionError("run_census called canonical_form")
+
+        for n in range(4, 12):
+            _generator_catalog(n)  # warm: the catalog keys its members with canonical_form
+        monkeypatch.setattr(census, "dihedral_images", counting)
+        monkeypatch.setattr(census, "canonical_form", no_key)
+        for dedupe in (False, True):
+            for n in range(4, 12):
+                calls.clear()
+                recs = run_census(n, dedupe=dedupe)
+                assert len(recs) == (DIHEDRAL_CLASSES[n] if dedupe else catalan(n - 2))
+                assert calls == [n] * DIHEDRAL_CLASSES[n]
+                for r in recs:
+                    assert r.canonical_key == canonical_form(certificate_from_chords(n, r.chords))
+
+
+class TestQuiddityClasses:
+    @pytest.mark.parametrize("n", sorted(DIHEDRAL_CLASSES))
+    def test_class_counts_match_a000207(self, n):
+        assert len(quiddity_classes(n)) == DIHEDRAL_CLASSES[n]
+
+    def test_each_class_is_its_least_image(self):
+        for n in range(3, 12):
+            assert all(_quiddity_key(q) == q for q in quiddity_classes(n))
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_labelled_members_match_the_enumeration(self, n):
+        # Oracle: the Catalan enumeration, keyed by canonical_form.
+        expected = sorted(
+            (canonical_form(certificate_from_chords(n, chords)), chords)
+            for chords in enumerate_triangulations(n)
+        )
+        assert sorted(_class_members(n, dedupe=False)) == expected
+
+    @pytest.mark.parametrize("n", range(3, 12))
+    def test_dedupe_keeps_the_smallest_chord_set_of_each_class(self, n):
+        smallest: dict[bytes, tuple] = {}
+        for chords in enumerate_triangulations(n):
+            key = canonical_form(certificate_from_chords(n, chords))
+            if key not in smallest or chords < smallest[key]:
+                smallest[key] = chords
+        assert sorted(_class_members(n, dedupe=True)) == sorted(smallest.items())
+
+    def test_chord_pairs_are_shared(self):
+        pairs = [p for _, chords in _class_members(9, dedupe=False) for p in chords]
+        assert len({id(p) for p in pairs}) == len(set(pairs))
 
 
 class RecordingPools:
@@ -184,15 +235,23 @@ class TestPlanChunks:
         assert len(run_census(6, jobs=1)) == catalan(4)
         assert pools.shapes == []
 
+    @staticmethod
+    def no_generation(n):
+        raise AssertionError("generated classes before the parameter checks")
+
     @pytest.mark.parametrize("jobs", [0, -1, -(10**9)])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
-        # run_census rejects a bad jobs count before it enumerates anything.
-        def no_enumeration(n):
-            raise AssertionError("enumerated before the jobs check")
-
-        monkeypatch.setattr(census, "enumerate_triangulations", no_enumeration)
+        # run_census rejects a bad jobs count before it generates anything.
+        monkeypatch.setattr(census, "quiddity_classes", self.no_generation)
         with pytest.raises(BadParam, match="jobs must be at least 1"):
             run_census(5, jobs=jobs)
+
+    @pytest.mark.parametrize("n", [2, MAX_CENSUS_ORDER + 1, 10**9])
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_order_out_of_range_rejected(self, n, dedupe, monkeypatch):
+        monkeypatch.setattr(census, "quiddity_classes", self.no_generation)
+        with pytest.raises(BadParam, match="census order must be in"):
+            run_census(n, dedupe=dedupe)
 
 
 class TestRunCensus:
