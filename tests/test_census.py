@@ -150,6 +150,11 @@ class TestQuiddityClasses:
     def test_class_counts_match_a000207(self, n):
         assert len(quiddity_classes(n)) == DIHEDRAL_CLASSES[n]
 
+    @pytest.mark.parametrize("n", [2, 0, -(10**9)])
+    def test_order_below_a_triangle_rejected(self, n):
+        with pytest.raises(BadParam, match="at least 3 vertices"):
+            quiddity_classes(n)
+
     def test_each_class_is_its_least_image(self):
         for n in range(3, 12):
             assert all(_quiddity_key(q) == q for q in quiddity_classes(n))
