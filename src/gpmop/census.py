@@ -6,14 +6,16 @@ each class kept as its least dihedral image.  Ear cutting recovers a
 class's chords, which are expanded once into their dihedral images on the
 hull 0..n-1: the labelled census takes every distinct image, the
 deduplicated census only the least, and the least image, packed, is the
-class's canonical key.  Each becomes a record carrying the exact general
-position number plus the structural statistics.  ``enumerate_triangulations``,
-the classic apex recursion over labelled triangulations, is the independent
-oracle the census is tested against.  ``verify_paper_claims`` then
-machine-checks the bounds, identities, and extremal characterizations this
-package reproduces, one report per claim per order: one table of claims,
-each with its first order and per-class test, read by one loop over each
-order's records that rebuilds one graph per class and no certificate.
+class's canonical key.  A class's records are built together: the exact
+general position number, the structural statistics and the family labels
+once, from its first member, and each member's own witness.
+``enumerate_triangulations``, the classic apex recursion over labelled
+triangulations, is the independent oracle the census is tested against.
+``verify_paper_claims`` then machine-checks the bounds, identities, and
+extremal characterizations this package reproduces, one report per claim
+per order: one table of claims, each with its first order and per-class
+test, read by one loop over each order's records that rebuilds one graph
+per class and no certificate.
 """
 
 from __future__ import annotations
@@ -191,58 +193,57 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(divmod(c, n) for c in range(n * n))
 
 
-def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, Chords]]:
-    """(canonical key, chords) of every labelled triangulation of 0..n-1, or
-    of the smallest labelled chord set of each class when dedupe is set."""
+def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, list[Chords]]]:
+    """(canonical key, ascending member chord sets) of each class: every
+    labelled triangulation of 0..n-1 in it, or its smallest when dedupe is set."""
     pairs = _pair_table(n)
     for q in quiddity_classes(n):
         # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
         # tip, so the least image sends an ear tip to 1.
         anchors = [p for p in range(n) if q[p] == 1] if dedupe else None
         images = set(dihedral_images(n, _ear_cut(q), anchors))
-        least = min(images)
-        key = image_key(n, least)
-        for image in [least] if dedupe else images:
-            yield key, tuple(pairs[c] for c in image)
+        members = [min(images)] if dedupe else sorted(images)
+        yield image_key(n, members[0]), [tuple(pairs[c] for c in image) for image in members]
 
 
-def _make_record(n: int, key: bytes, chords: Chords) -> CensusRecord:
-    g = graph_from_chords(n, chords)
-    cert = certificate_from_chords(n, chords)
-    stats = mop_stats(g, cert)
-    # The hull is 0..n-1, as in mop_stats and _labels_for.
-    result = _verified(g, all_pairs_distances(g), *mop_gp(g, cert.cycle))
-    return CensusRecord(
-        n=n,
-        canonical_key=key,
-        chords=chords,
-        gp=result.value,
-        gp_witness=result.witness,
-        max_degree=stats.max_degree,
-        internal_triangles=stats.internal_triangles,
-        two_vertices=stats.two_vertices,
-        striped=stats.striped,
-        family_labels=_labels_for(n, key, g, cert),
-    )
+def _class_records(n: int, key: bytes, members: list[Chords]) -> list[CensusRecord]:
+    """The records of one class, in member order: gp, ``mop_stats`` and the
+    family labels from the first member, each member's witness from its own
+    graph.  The hull is 0..n-1, as in mop_stats and _labels_for."""
+    records: list[CensusRecord] = []
+    for chords in members:
+        g = graph_from_chords(n, chords)
+        result = _verified(g, all_pairs_distances(g), *mop_gp(g, range(n)))
+        if not records:
+            cert = certificate_from_chords(n, chords)
+            stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
+        elif result.value != records[0].gp:
+            raise RuntimeError(
+                f"internal: {chords} has gp {result.value}, its class {records[0].gp}")
+        records.append(CensusRecord(
+            n, key, chords, result.value, result.witness,
+            stats.max_degree, stats.internal_triangles, stats.two_vertices, stats.striped, labels))
+    return records
 
 
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:
     """One record per triangulation, or per isomorphism class when dedupe
     is set.  The classes come from ``quiddity_classes``; each class's chords
     are recovered once and expanded into their dihedral images, the least of
-    which gives its canonical key.  Records come back sorted by (canonical
-    key, chords) so the output is byte-identical for any worker count."""
+    which gives its canonical key.  Each class is one task (``_class_records``),
+    which solves every member for its witness.  Records come back sorted by
+    (canonical key, chords), byte-identical for any worker count."""
     if jobs < 1:
         raise BadParam(f"jobs must be at least 1, got {jobs}")
     if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
         raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    tasks = sorted((n, key, chords) for key, chords in _class_members(n, dedupe))
+    tasks = sorted((n, key, members) for key, members in _class_members(n, dedupe))
     # At most one worker per core and per chunk; a single chunk runs here.
     size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
     if len(tasks) <= size:
-        return [_make_record(*task) for task in tasks]
+        return [r for task in tasks for r in _class_records(*task)]
     with get_context("fork").Pool(processes=ceil(len(tasks) / size)) as pool:
-        return pool.starmap(_make_record, tasks, chunksize=size)
+        return [r for recs in pool.starmap(_class_records, tasks, chunksize=size) for r in recs]
 
 
 def census_to_csv(records: list[CensusRecord]) -> str:
@@ -353,7 +354,7 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
         _Claim(
             "two_vertex_count", 4, "all classes: degree-2 vertices = internal triangles + 2",
             lambda r, g: r.two_vertices != r.internal_triangles + 2),
-        # n-1 faces holds already: _make_record's mop_stats raises on any other count.
+        # n-1 faces holds already: _class_records' mop_stats raises on any other count.
         _Claim(
             "chord_count", 4, "all classes: n-3 chords and n-1 faces",
             lambda r, g: len(r.chords) != n - 3),

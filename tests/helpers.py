@@ -6,7 +6,8 @@ enumeration, a plain incumbent branch and bound or the suffix-bound search
 without its clique cover, conflict masks from a separate test of each
 triple at each of its three pairs, and isomorphism from raw permutation
 search instead of canonical keys, and chord crossings from a scan of
-every pair of spans with no early exit.
+every pair of spans with no early exit.  The labelled census is rebuilt
+one triangulation at a time, each record from its own graph alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from gpmop import Graph, build_graph
+from gpmop import (
+    CensusRecord,
+    Graph,
+    build_graph,
+    canonical_form,
+    enumerate_triangulations,
+    generators_at,
+    gp_number,
+    is_generalized_sunflower,
+    mop_stats,
+    recognize,
+)
 
 BIG = 10**6
 
@@ -247,3 +259,36 @@ def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def relabeled(g: Graph, perm: list[int]) -> Graph:
     return build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def census_by_member(n: int) -> list[CensusRecord]:
+    """The labelled census of order n built member by member: each
+    triangulation's key from ``canonical_form(recognize(g))``, its gp and
+    witness from ``gp_number``, its statistics from ``mop_stats`` and its
+    labels from the generator catalog, with no fact shared between members.
+    Sorted by (canonical key, chords), as ``run_census`` returns them."""
+    catalog = [(label, canonical_form(recognize(inst.graph))) for label, inst in generators_at(n)]
+    records = []
+    for chords in enumerate_triangulations(n):
+        g = build_graph(n, [(i, (i + 1) % n) for i in range(n)] + list(chords))
+        cert = recognize(g)
+        key = canonical_form(cert)
+        stats = mop_stats(g, cert)
+        result = gp_number(g)
+        labels = tuple(label for label, k in catalog if k == key)
+        labels += ("gsf",) if is_generalized_sunflower(g, cert) else ()
+        records.append(
+            CensusRecord(
+                n=n,
+                canonical_key=key,
+                chords=chords,
+                gp=result.value,
+                gp_witness=result.witness,
+                max_degree=stats.max_degree,
+                internal_triangles=stats.internal_triangles,
+                two_vertices=stats.two_vertices,
+                striped=stats.striped,
+                family_labels=labels,
+            )
+        )
+    return sorted(records, key=lambda r: (r.canonical_key, r.chords))

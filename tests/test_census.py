@@ -34,7 +34,7 @@ from gpmop.census import (
     striped_catalog_keys,
 )
 from gpmop.mop import dihedral_images
-from helpers import graphs_isomorphic
+from helpers import census_by_member, graphs_isomorphic
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
 DIHEDRAL_CLASSES = {
@@ -166,7 +166,9 @@ class TestQuiddityClasses:
             (canonical_form(certificate_from_chords(n, chords)), chords)
             for chords in enumerate_triangulations(n)
         )
-        assert sorted(_class_members(n, dedupe=False)) == expected
+        classes = list(_class_members(n, dedupe=False))
+        assert all(members == sorted(members) for _, members in classes)
+        assert sorted((key, c) for key, members in classes for c in members) == expected
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_dedupe_keeps_the_smallest_chord_set_of_each_class(self, n):
@@ -175,10 +177,14 @@ class TestQuiddityClasses:
             key = canonical_form(certificate_from_chords(n, chords))
             if key not in smallest or chords < smallest[key]:
                 smallest[key] = chords
-        assert sorted(_class_members(n, dedupe=True)) == sorted(smallest.items())
+        classes = list(_class_members(n, dedupe=True))
+        assert all(len(members) == 1 for _, members in classes)
+        assert sorted((key, members[0]) for key, members in classes) == sorted(smallest.items())
 
     def test_chord_pairs_are_shared(self):
-        pairs = [p for _, chords in _class_members(9, dedupe=False) for p in chords]
+        pairs = [
+            p for _, members in _class_members(9, dedupe=False) for chords in members for p in chords
+        ]
         assert len({id(p) for p in pairs}) == len(set(pairs))
 
 
@@ -209,7 +215,7 @@ class RecordingPools:
 
 
 class TestPlanChunks:
-    """How run_census splits its records among pool workers."""
+    """How run_census splits its classes, one task each, among pool workers."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -227,9 +233,11 @@ class TestPlanChunks:
         monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
         # 3 classes at order 6: one worker each.
         assert run_census(6, dedupe=True, jobs=8) == run_census(6, dedupe=True)
-        # 5 triangulations at order 5 over 2 jobs: chunks of 3 and 2.
+        # The 5 labelled pentagons are one class: one task, no pool.
         assert run_census(5, jobs=2) == run_census(5)
-        assert pools.shapes == [(3, 1), (2, 3)]
+        # 4 classes (42 triangulations) at order 7 over 2 jobs: two workers of 2 classes.
+        assert run_census(7, jobs=2) == run_census(7)
+        assert pools.shapes == [(3, 1), (2, 2)]
 
     def test_unknown_cpu_count_means_one_worker(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: None)
@@ -279,6 +287,52 @@ class TestRunCensus:
         assert len(groups) == 3
         recs = run_census(6, dedupe=True)
         assert len(recs) == 3
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_labelled_records_match_the_member_by_member_oracle(self, n):
+        # Catches a class field copied onto the wrong image.
+        assert run_census(n) == census_by_member(n)
+
+    def test_class_fields_once_per_class_and_witness_once_per_record(self, monkeypatch):
+        calls: dict[str, int] = {}
+
+        def counting(name):
+            fn = getattr(census, name)
+
+            def wrapped(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+
+            return wrapped
+
+        for name in ("mop_stats", "is_generalized_sunflower", "mop_gp", "all_pairs_distances"):
+            monkeypatch.setattr(census, name, counting(name))
+        for dedupe in (False, True):
+            for n in range(4, 12):
+                calls.clear()
+                records = len(run_census(n, dedupe=dedupe))
+                classes = DIHEDRAL_CLASSES[n]
+                assert records == (classes if dedupe else catalan(n - 2))
+                assert calls == {
+                    "mop_stats": classes,
+                    "is_generalized_sunflower": classes,
+                    "mop_gp": records,
+                    "all_pairs_distances": records,
+                }
+
+    def test_member_gp_off_its_class_is_an_internal_error(self, monkeypatch):
+        real, solved = census.mop_gp, []
+
+        def second_solve_off_by_one(g, cycle):
+            value, witness, nodes = real(g, cycle)
+            solved.append(g)
+            return value + (len(solved) == 2), witness, nodes
+
+        monkeypatch.setattr(census, "mop_gp", second_solve_off_by_one)
+        # The second solve is the second member of the first class: every
+        # class of order 6 has at least two labelled members.
+        with pytest.raises(RuntimeError, match="internal: .* has gp 5, its class 4"):
+            run_census(6)
 
     def test_hexagon_respects_the_cap(self):
         assert all(r.gp <= 4 for r in run_census(6, dedupe=False))
