@@ -7,8 +7,10 @@ class's chords, which are expanded once into their dihedral images on the
 hull 0..n-1: the labelled census takes every distinct image, the
 deduplicated census only the least, and the least image, packed, is the
 class's canonical key.  A class's records are built together: the exact
-general position number, the structural statistics and the family labels
-once, from its first member, and each member's own witness.
+general position number, the structural statistics, the family labels and
+the BFS rows once, from its first member, and each member's own witness,
+which the dihedral move between the two members carries onto the first
+member's labels, where each distinct carried set is verified once.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` then machine-checks the bounds, identities, and
@@ -32,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .dual import mop_gp
 from .families import BadParam, generators_at, is_generalized_sunflower
-from .graph import Graph, all_pairs_distances, build_graph
+from .graph import Graph, _source_rows, all_pairs_distances, build_graph
 from .mop import (
     CrossingChords,
     MopCertificate,
@@ -193,35 +195,55 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(divmod(c, n) for c in range(n * n))
 
 
-def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, list[Chords]]]:
-    """(canonical key, ascending member chord sets) of each class: every
-    labelled triangulation of 0..n-1 in it, or its smallest when dedupe is set."""
+def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, list[Chords], bytes]]:
+    """(canonical key, ascending member chord sets, moves) of each class: every
+    labelled triangulation of 0..n-1 in it, or its smallest when dedupe is set.
+    Byte i of moves is 2t + (flip < 0) for a dihedral relabelling (t, flip) of
+    ``dihedral_images`` that sends the class's ear-cut chords onto member i."""
     pairs = _pair_table(n)
     for q in quiddity_classes(n):
         # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
         # tip, so the least image sends an ear tip to 1.
-        anchors = [p for p in range(n) if q[p] == 1] if dedupe else None
-        images = set(dihedral_images(n, _ear_cut(q), anchors))
+        anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
+        # dihedral_images yields one image per (anchor, flip), in this order.
+        moves = [2 * t + s for t in anchors for s in (0, 1)]
+        images = dict(zip(dihedral_images(n, _ear_cut(q), anchors), moves))
         members = [min(images)] if dedupe else sorted(images)
-        yield image_key(n, members[0]), [tuple(pairs[c] for c in image) for image in members]
+        yield (
+            image_key(n, members[0]),
+            [tuple(pairs[c] for c in image) for image in members],
+            bytes(images[image] for image in members),
+        )
 
 
-def _class_records(n: int, key: bytes, members: list[Chords]) -> list[CensusRecord]:
-    """The records of one class, in member order: gp, ``mop_stats`` and the
-    family labels from the first member, each member's witness from its own
-    graph.  The hull is 0..n-1, as in mop_stats and _labels_for."""
+def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes) -> list[CensusRecord]:
+    """The records of one class, in member order: gp, ``mop_stats``, the
+    family labels and the BFS rows from the first member, the class graph;
+    each member's witness from ``mop_gp`` on its own graph.  A witness is
+    carried onto the class graph along the moves, and each distinct carried
+    set is verified once on the class rows.  The hull is 0..n-1, as in
+    mop_stats and _labels_for."""
     records: list[CensusRecord] = []
-    for chords in members:
+    checked: set[tuple[int, ...]] = set()
+    t1, f1 = moves[0] >> 1, 1 - 2 * (moves[0] & 1)
+    for chords, move in zip(members, moves):
         g = graph_from_chords(n, chords)
-        result = _verified(g, all_pairs_distances(g), *mop_gp(g, range(n)))
+        value, witness, nodes = mop_gp(g, range(n))
         if not records:
             cert = certificate_from_chords(n, chords)
             stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
-        elif result.value != records[0].gp:
-            raise RuntimeError(
-                f"internal: {chords} has gp {result.value}, its class {records[0].gp}")
+            cls, rows = g, all_pairs_distances(g)
+        elif value != records[0].gp:
+            raise RuntimeError(f"internal: {chords} has gp {value}, its class {records[0].gp}")
+        # Member label x is ear-cut label t + f(x - 1), which is first-member
+        # label f1(t + f(x - 1) - t1) + 1: an isomorphism onto the class graph.
+        t, f = move >> 1, 1 - 2 * (move & 1)
+        carried = tuple(sorted((f1 * (t + f * (x - 1) - t1) + 1) % n for x in witness))
+        if carried not in checked:
+            _verified(cls, rows, value, carried, nodes)
+            checked.add(carried)
         records.append(CensusRecord(
-            n, key, chords, result.value, result.witness,
+            n, key, chords, value, witness,
             stats.max_degree, stats.internal_triangles, stats.two_vertices, stats.striped, labels))
     return records
 
@@ -237,7 +259,7 @@ def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord
         raise BadParam(f"jobs must be at least 1, got {jobs}")
     if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
         raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    tasks = sorted((n, key, members) for key, members in _class_members(n, dedupe))
+    tasks = sorted((n, *cls) for cls in _class_members(n, dedupe))
     # At most one worker per core and per chunk; a single chunk runs here.
     size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
     if len(tasks) <= size:
@@ -326,7 +348,8 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
 
     def weak_degree_bound(r, g):
         bound, witness = _fan_pattern(g)
-        dist = all_pairs_distances(g)
+        # Both tests read only row 0 and the witness's rows.
+        dist = _source_rows(g, (0, *witness))
         verified = (
             is_gp_naive(g, dist, witness).is_gp and is_gp_characterized(g, dist, witness).is_gp
         )

@@ -21,7 +21,7 @@ from .graph import (
     EdgeListError,
     Graph,
     GraphError,
-    bfs_distances,
+    _source_rows,
     format_edge_list,
     parse_edge_list,
 )
@@ -60,8 +60,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
     # Both tests read only row 0 and the members' rows; a full table of a
     # large sparse graph would not fit in memory.
-    wanted = {0, *args.ids}
-    dist = [tuple(bfs_distances(g, v)) if v in wanted else () for v in range(g.order)]
+    dist = _source_rows(g, (0, *args.ids))
     naive = is_gp_naive(g, dist, args.ids)
     char = is_gp_characterized(g, dist, args.ids)
     if naive.is_gp != char.is_gp:

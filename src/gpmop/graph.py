@@ -104,6 +104,12 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(bfs_distances(g, s)) for s in range(g.order))
 
 
+def _source_rows(g: Graph, sources: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    # BFS rows of the given sources and () elsewhere, for tests that read no other row.
+    wanted = set(sources)
+    return tuple(tuple(bfs_distances(g, s)) if s in wanted else () for s in range(g.order))
+
+
 def is_connected(g: Graph) -> bool:
     # The one connectivity rule: BFS from vertex 0 reaches every vertex.
     # Callers that hold the rows test ``UNREACHABLE in dist[0]`` instead.

@@ -167,8 +167,9 @@ class TestQuiddityClasses:
             for chords in enumerate_triangulations(n)
         )
         classes = list(_class_members(n, dedupe=False))
-        assert all(members == sorted(members) for _, members in classes)
-        assert sorted((key, c) for key, members in classes for c in members) == expected
+        assert all(members == sorted(members) for _, members, _ in classes)
+        assert all(len(moves) == len(members) for _, members, moves in classes)
+        assert sorted((key, c) for key, members, _ in classes for c in members) == expected
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_dedupe_keeps_the_smallest_chord_set_of_each_class(self, n):
@@ -178,14 +179,38 @@ class TestQuiddityClasses:
             if key not in smallest or chords < smallest[key]:
                 smallest[key] = chords
         classes = list(_class_members(n, dedupe=True))
-        assert all(len(members) == 1 for _, members in classes)
-        assert sorted((key, members[0]) for key, members in classes) == sorted(smallest.items())
+        assert all(len(members) == len(moves) == 1 for _, members, moves in classes)
+        assert sorted((key, members[0]) for key, members, _ in classes) == sorted(smallest.items())
 
     def test_chord_pairs_are_shared(self):
         pairs = [
-            p for _, members in _class_members(9, dedupe=False) for chords in members for p in chords
+            p for _, members, _ in _class_members(9, dedupe=False) for chords in members for p in chords
         ]
         assert len({id(p) for p in pairs}) == len(set(pairs))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_each_move_carries_the_first_member_onto_its_member(self, n):
+        for _, members, moves in _class_members(n, dedupe=False):
+            first = graph_from_chords(n, members[0]).edges
+            for chords, move in zip(members, moves):
+                back = {relabel(n, moves[0], p): p for p in range(n)}
+                carried = {
+                    tuple(sorted((relabel(n, move, back[a]), relabel(n, move, back[b]))))
+                    for a, b in first
+                }
+                assert carried == graph_from_chords(n, chords).edges
+
+
+def relabel(n, move, p):
+    # A move of _class_members, 2t + (flip < 0), sends label p to flip * (p - t) + 1.
+    t, flipped = divmod(move, 2)
+    return ((-1 if flipped else 1) * (p - t) + 1) % n
+
+
+def carried_onto_first(n, moves, move, labels):
+    # Member labels back along the member's move, then out along the first member's.
+    back = {relabel(n, move, p): p for p in range(n)}
+    return tuple(sorted(relabel(n, moves[0], back[x]) for x in labels))
 
 
 class RecordingPools:
@@ -317,7 +342,7 @@ class TestRunCensus:
                     "mop_stats": classes,
                     "is_generalized_sunflower": classes,
                     "mop_gp": records,
-                    "all_pairs_distances": records,
+                    "all_pairs_distances": classes,
                 }
 
     def test_member_gp_off_its_class_is_an_internal_error(self, monkeypatch):
@@ -333,6 +358,48 @@ class TestRunCensus:
         # class of order 6 has at least two labelled members.
         with pytest.raises(RuntimeError, match="internal: .* has gp 5, its class 4"):
             run_census(6)
+
+    def test_later_member_with_a_bad_witness_fails_verification(self, monkeypatch):
+        real, solved = census.mop_gp, []
+
+        def second_witness_not_in_general_position(g, cycle):
+            value, witness, nodes = real(g, cycle)
+            solved.append(g)
+            if len(solved) == 2:
+                dist = all_pairs_distances(g)
+                witness = next(
+                    s for s in combinations(range(g.order), value)
+                    if not is_gp_naive(g, dist, s).is_gp)
+            return value, witness, nodes
+
+        monkeypatch.setattr(census, "mop_gp", second_witness_not_in_general_position)
+        # As above, the second solve is the second member of the first class.
+        with pytest.raises(RuntimeError, match="internal: solver returned a set that fails verification"):
+            run_census(6)
+        assert len(solved) == 2
+
+    def test_each_distinct_carried_witness_verified_once(self, monkeypatch):
+        real, calls = census._verified, []
+
+        def recording(g, dist, value, witness, nodes):
+            calls.append((g.edges, witness))
+            return real(g, dist, value, witness, nodes)
+
+        monkeypatch.setattr(census, "_verified", recording)
+        for n in range(4, 11):
+            calls.clear()
+            records = {(r.canonical_key, r.chords): r for r in run_census(n)}
+            expected = set()
+            for key, members, moves in _class_members(n, dedupe=False):
+                first = graph_from_chords(n, members[0]).edges
+                for chords, move in zip(members, moves):
+                    witness = records[key, chords].gp_witness
+                    expected.add((first, carried_onto_first(n, moves, move, witness)))
+            assert len(calls) == len(set(calls))
+            assert set(calls) == expected
+            # From the pentagon on, members share carried witnesses: 4 checks for
+            # 5 records at order 5, and 501 for 1,430 at order 10.
+            assert len(calls) < len(records) or n == 4
 
     def test_hexagon_respects_the_cap(self):
         assert all(r.gp <= 4 for r in run_census(6, dedupe=False))

@@ -25,6 +25,7 @@ from gpmop import (
     lies_on_geodesic,
     parse_edge_list,
 )
+from gpmop.graph import _source_rows
 from helpers import BIG, exhaustive_interval, floyd_warshall, random_connected_graph
 
 
@@ -130,6 +131,9 @@ class TestDistances:
         dist = all_pairs_distances(g)
         assert dist == expected
         assert (UNREACHABLE not in dist[0]) == (not union)
+        sources = set(rng.sample(range(g.order), rng.randint(0, g.order)))
+        assert _source_rows(g, sources) == tuple(
+            row if s in sources else () for s, row in enumerate(expected))
 
 
 def test_import_does_not_load_numpy():
