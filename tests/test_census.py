@@ -193,12 +193,8 @@ class TestQuiddityClasses:
         for _, members, moves in _class_members(n, dedupe=False):
             first = graph_from_chords(n, members[0]).edges
             for chords, move in zip(members, moves):
-                back = {relabel(n, moves[0], p): p for p in range(n)}
-                carried = {
-                    tuple(sorted((relabel(n, move, back[a]), relabel(n, move, back[b]))))
-                    for a, b in first
-                }
-                assert carried == graph_from_chords(n, chords).edges
+                edges = graph_from_chords(n, chords).edges
+                assert {carried_onto_first(n, moves, move, e) for e in edges} == first
 
 
 def relabel(n, move, p):
