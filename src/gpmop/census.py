@@ -6,11 +6,13 @@ each class kept as its least dihedral image.  Ear cutting recovers a
 class's chords, which are expanded once into their dihedral images on the
 hull 0..n-1: the labelled census takes every distinct image, the
 deduplicated census only the least, and the least image, packed, is the
-class's canonical key.  A class's records are built together: the exact
-general position number, the structural statistics, the family labels and
-the BFS rows once, from its first member, and each member's own witness,
-which the dihedral move between the two members carries onto the first
-member's labels, where each distinct carried set is verified once.
+class's canonical key.  A class's records are built together on its first
+member's graph: the structural statistics and the family labels once, and
+one pass of the dual-tree program with one bit lane per member, which gives
+the exact general position number and each member's own witness.  Each
+member's dihedral move maps it onto the first member, a map checked to send
+chords onto chords; each witness is carried along it, and each distinct
+carried set is verified once on the BFS rows the check reads.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` then machine-checks the bounds, identities, and
@@ -32,9 +34,9 @@ from math import ceil, comb
 from multiprocessing import get_context
 from typing import Callable, Iterator, NamedTuple
 
-from .dual import mop_gp
+from .dual import mop_gp_lanes
 from .families import BadParam, generators_at, is_generalized_sunflower
-from .graph import Graph, _source_rows, all_pairs_distances, build_graph
+from .graph import Graph, _source_rows, build_graph
 from .mop import (
     CrossingChords,
     MopCertificate,
@@ -217,35 +219,52 @@ def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, list[Chords], 
 
 
 def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes) -> list[CensusRecord]:
-    """The records of one class, in member order: gp, ``mop_stats``, the
-    family labels and the BFS rows from the first member, the class graph;
-    each member's witness from ``mop_gp`` on its own graph.  A witness is
-    carried onto the class graph along the moves, and each distinct carried
-    set is verified once on the class rows.  The hull is 0..n-1, as in
-    mop_stats and _labels_for."""
-    records: list[CensusRecord] = []
-    checked: set[tuple[int, ...]] = set()
+    """The records of one class, in member order.  The first member's graph
+    is the class graph, with hull 0..n-1 as in mop_stats and _labels_for:
+    gp, ``mop_stats`` and the family labels come from it once.  Each member's
+    move gives its map onto the class graph, checked to carry the member's
+    chords exactly onto the class chords, so it is an isomorphism; one
+    ``mop_gp_lanes`` pass on the class graph, with each member's labels in
+    its own lane, yields every member's witness in its own labels.  Each
+    witness is carried along its map, and each distinct carried set is
+    verified once on the class's BFS rows."""
+    g = graph_from_chords(n, members[0])
+    cert = certificate_from_chords(n, members[0])
+    stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
+    # A chord's code is the bitmask of its two ends.
+    codes = {1 << a | 1 << b for a, b in members[0]}
     t1, f1 = moves[0] >> 1, 1 - 2 * (moves[0] & 1)
+    maps, lanes = [], []
     for chords, move in zip(members, moves):
-        g = graph_from_chords(n, chords)
-        value, witness, nodes = mop_gp(g, range(n))
-        if not records:
-            cert = certificate_from_chords(n, chords)
-            stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
-            cls, rows = g, all_pairs_distances(g)
-        elif value != records[0].gp:
-            raise RuntimeError(f"internal: {chords} has gp {value}, its class {records[0].gp}")
-        # Member label x is ear-cut label t + f(x - 1), which is first-member
-        # label f1(t + f(x - 1) - t1) + 1: an isomorphism onto the class graph.
+        # Member label x is ear-cut label t + f(x - 1), which is class label
+        # f1(t + f(x - 1) - t1) + 1.  The map is dihedral, so it sends hull
+        # edges to hull edges, and an isomorphism once it sends chords to chords.
         t, f = move >> 1, 1 - 2 * (move & 1)
-        carried = tuple(sorted((f1 * (t + f * (x - 1) - t1) + 1) % n for x in witness))
-        if carried not in checked:
-            _verified(cls, rows, value, carried, nodes)
-            checked.add(carried)
-        records.append(CensusRecord(
+        to_class = [(f1 * (t + f * (x - 1) - t1) + 1) % n for x in range(n)]
+        if {1 << to_class[a] | 1 << to_class[b] for a, b in chords} != codes:
+            raise RuntimeError(f"internal: move {move} does not carry {chords} onto its class {members[0]}")
+        lane = [0] * n
+        for x, y in enumerate(to_class):
+            lane[y] = x
+        maps.append(to_class)
+        lanes.append(lane)
+    results, nodes = mop_gp_lanes(g, range(n), lanes)
+    value = results[0][0]
+    carried: dict[tuple[int, ...], None] = {}
+    for chords, to_class, (lane_value, witness) in zip(members, maps, results):
+        if lane_value != value:
+            raise RuntimeError(f"internal: {chords} has gp {lane_value}, its class {value}")
+        carried[tuple(sorted(to_class[x] for x in witness))] = None
+    # The checks read row 0 and the rows of the set's members only.
+    rows = _source_rows(g, {0}.union(*carried))
+    for witness in carried:
+        _verified(g, rows, value, witness, nodes)
+    return [
+        CensusRecord(
             n, key, chords, value, witness,
-            stats.max_degree, stats.internal_triangles, stats.two_vertices, stats.striped, labels))
-    return records
+            stats.max_degree, stats.internal_triangles, stats.two_vertices, stats.striped, labels)
+        for chords, (_, witness) in zip(members, results)
+    ]
 
 
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:

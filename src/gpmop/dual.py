@@ -66,13 +66,29 @@ The high part of a weight counts members, and among sets of one size the
 larger low part belongs to the set with the smallest differing label, so
 the best weight over the root states, with position 0 added when chosen,
 yields both gp and the lexicographically smallest maximum set.
+
+Lanes.  One pass serves several labellings of the hull at once, each in its
+own bit lane of one integer: lane i is bits i*w to i*w + w - 1, with w = n +
+n.bit_length() + 1, and holds the value under labelling i.  A value is
+count*2^n + low with count <= n and low < 2^n, below (n+1)*2^n <= 2^(w-1),
+so the top bit of each lane, its guard, stays clear.  The two sides of a
+join cover disjoint vertices, so their counts add to at most n and their low
+parts to less than 2^n: adding packed values adds each lane with no carry
+into the next.  With H the mask of the guards, G = ((v | H) - u) & H keeps
+the guard of exactly the lanes where v >= u, since each lane of v | H minus
+the same lane of u lies in 1..2^w - 1 and borrows from no other lane.  The
+lane-wise max takes v when G = H, keeps u when G = 0, and otherwise takes
+u ^ ((v ^ u) & (G - (G >> (w-1)))), whose mask fills the lanes G marks below
+their guards.  When the larger of u and v is below 2^w, both lie in lane 0
+alone and the plain comparison decides, as it always does with one lane.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import Graph
 
@@ -170,10 +186,14 @@ def _plan(left: bytes, right: bytes) -> _Plan:
     return _Plan(bytes(states), bytes(i for i, _ in flat), bytes(j for _, j in flat), bytes(extra), pairs)
 
 
-def mop_gp(g: Graph, cycle: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
+def mop_gp_lanes(
+    g: Graph, cycle: Sequence[int], labellings: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
     """gp of a MOP whose hull cycle lists its vertices in order, with the
-    lexicographically smallest maximum set and the number of state pairs
-    merged.  The cycle is trusted, not checked."""
+    lexicographically smallest maximum set under each labelling, where
+    ``labellings[i][p]`` labels hull position p in lane i and the set of lane
+    i is given in its labels, and the number of state pairs merged.  The
+    cycle is trusted, not checked."""
     n = g.order
     pos = [0] * n
     for p, v in enumerate(cycle):
@@ -196,8 +216,32 @@ def mop_gp(g: Graph, cycle: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
             stack.append((a, c))
         if b - c > 1:
             stack.append((c, b))
+    # Lane i of a value is bits i*width .. i*width + top, bit top the guard (see Lanes).
+    width = n + n.bit_length() + 1
+    top = width - 1
+    guard = sum(1 << (i * width + top) for i in range(len(labellings)))
+    first = 1 << width
+    weight = [0] * n
+    for i, lab in enumerate(labellings):
+        weight = [x | ((1 << n) | (1 << (n - 1 - v))) << (i * width) for x, v in zip(weight, lab)]
+
+    def fold(values: list[int], into: Iterable[int], sums: Iterable[int]) -> None:
+        # values[k] becomes the lane-wise max of itself and v, for k, v in zip(into, sums).
+        for k, v in zip(into, sums):
+            u = values[k]
+            if v > u:
+                if v < first:
+                    values[k] = v
+                    continue
+            elif u < first:
+                continue
+            ge = ((v | guard) - u) & guard
+            if ge == guard:
+                values[k] = v
+            elif ge:
+                values[k] = u ^ ((v ^ u) & (ge - (ge >> top)))
+
     # The table of edge (a, b) holds its states and their values, in one order.
-    weight = [(1 << n) | (1 << (n - 1 - v)) for v in cycle]
     tables: dict[tuple[int, int], tuple[bytes, list[int]]] = {}
     pairs = 0
     for a, c, b in reversed(triangles):
@@ -207,12 +251,24 @@ def mop_gp(g: Graph, cycle: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
         sums = [lv[i] + rv[j] for i, j in zip(plan.left, plan.right)]
         head = len(plan.states)
         values = sums[:head]
-        for k, v in zip(plan.extra, sums[head:]):
-            if v > values[k]:
-                values[k] = v
+        fold(values, plan.extra, sums[head:])
         tables[a, b] = plan.states, values
         pairs += plan.pairs
-    best = max(v + (weight[0] if s & 1 else 0) for s, v in zip(*tables[0, n - 1]))
-    low = best & ((1 << n) - 1)
-    witness = tuple(v for v in range(n) if low >> (n - 1 - v) & 1)
-    return best >> n, witness, pairs
+    # Every lane of a root value is at least 0.
+    best = [0]
+    fold(best, repeat(0), [v + (weight[0] if s & 1 else 0) for s, v in zip(*tables[0, n - 1])])
+    results = []
+    for i in range(len(labellings)):
+        lane = best[0] >> (i * width) & ((1 << width) - 1)
+        low = lane & ((1 << n) - 1)
+        results.append((lane >> n, tuple(v for v in range(n) if low >> (n - 1 - v) & 1)))
+    return results, pairs
+
+
+def mop_gp(g: Graph, cycle: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
+    """gp of a MOP whose hull cycle lists its vertices in order, with the
+    lexicographically smallest maximum set and the number of state pairs
+    merged: ``mop_gp_lanes`` with the one labelling that names each hull
+    position by its vertex.  The cycle is trusted, not checked."""
+    results, pairs = mop_gp_lanes(g, cycle, [cycle])
+    return (*results[0], pairs)

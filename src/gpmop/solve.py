@@ -208,6 +208,8 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
 def _verified(
     g: Graph, dist: tuple[tuple[int, ...], ...], value: int, witness: tuple[int, ...], nodes: int
 ) -> GpResult:
+    if len(witness) != value:
+        raise RuntimeError(f"internal: solver returned {len(witness)} vertices for gp {value}")
     if not is_gp_characterized(g, dist, witness).is_gp:
         raise RuntimeError("internal: solver returned a set that fails verification")
     return GpResult(value, witness, nodes)

@@ -326,7 +326,8 @@ class TestRunCensus:
 
             return wrapped
 
-        for name in ("mop_stats", "is_generalized_sunflower", "mop_gp", "all_pairs_distances"):
+        names = ("graph_from_chords", "mop_stats", "is_generalized_sunflower", "mop_gp_lanes", "_source_rows")
+        for name in names:
             monkeypatch.setattr(census, name, counting(name))
         for dedupe in (False, True):
             for n in range(4, 12):
@@ -334,45 +335,65 @@ class TestRunCensus:
                 records = len(run_census(n, dedupe=dedupe))
                 classes = DIHEDRAL_CLASSES[n]
                 assert records == (classes if dedupe else catalan(n - 2))
-                assert calls == {
-                    "mop_stats": classes,
-                    "is_generalized_sunflower": classes,
-                    "mop_gp": records,
-                    "all_pairs_distances": classes,
-                }
+                # One graph, one DP pass with a lane per member, and one set of rows per class.
+                assert calls == dict.fromkeys(names, classes)
+
+    @staticmethod
+    def lanes_then(change):
+        # A stand-in for mop_gp_lanes that hands each class's results to change.
+        real = census.mop_gp_lanes
+
+        def wrapped(g, cycle, labellings):
+            results, pairs = real(g, cycle, labellings)
+            return change(g, labellings, results), pairs
+
+        return wrapped
 
     def test_member_gp_off_its_class_is_an_internal_error(self, monkeypatch):
-        real, solved = census.mop_gp, []
+        def second_lane_off_by_one(g, labellings, results):
+            value, witness = results[1]
+            return [results[0], (value + 1, witness), *results[2:]]
 
-        def second_solve_off_by_one(g, cycle):
-            value, witness, nodes = real(g, cycle)
-            solved.append(g)
-            return value + (len(solved) == 2), witness, nodes
-
-        monkeypatch.setattr(census, "mop_gp", second_solve_off_by_one)
-        # The second solve is the second member of the first class: every
-        # class of order 6 has at least two labelled members.
+        monkeypatch.setattr(census, "mop_gp_lanes", self.lanes_then(second_lane_off_by_one))
+        # Every class of order 6 has at least two labelled members.
         with pytest.raises(RuntimeError, match="internal: .* has gp 5, its class 4"):
             run_census(6)
 
+    def test_lane_count_off_its_witness_is_an_internal_error(self, monkeypatch):
+        # Every lane agrees on a count that its witness does not have.
+        def every_lane_off_by_one(g, labellings, results):
+            return [(value + 1, witness) for value, witness in results]
+
+        monkeypatch.setattr(census, "mop_gp_lanes", self.lanes_then(every_lane_off_by_one))
+        with pytest.raises(RuntimeError, match="internal: solver returned 4 vertices for gp 5"):
+            run_census(6)
+
     def test_later_member_with_a_bad_witness_fails_verification(self, monkeypatch):
-        real, solved = census.mop_gp, []
+        def second_witness_not_in_general_position(g, labellings, results):
+            value, _ = results[1]
+            dist = all_pairs_distances(g)
+            bad = next(s for s in combinations(range(g.order), value) if not is_gp_naive(g, dist, s).is_gp)
+            # The lane's witness is in the member's labels: labellings[1][p] names class vertex p.
+            return [results[0], (value, tuple(sorted(labellings[1][p] for p in bad))), *results[2:]]
 
-        def second_witness_not_in_general_position(g, cycle):
-            value, witness, nodes = real(g, cycle)
-            solved.append(g)
-            if len(solved) == 2:
-                dist = all_pairs_distances(g)
-                witness = next(
-                    s for s in combinations(range(g.order), value)
-                    if not is_gp_naive(g, dist, s).is_gp)
-            return value, witness, nodes
-
-        monkeypatch.setattr(census, "mop_gp", second_witness_not_in_general_position)
-        # As above, the second solve is the second member of the first class.
+        monkeypatch.setattr(census, "mop_gp_lanes", self.lanes_then(second_witness_not_in_general_position))
         with pytest.raises(RuntimeError, match="internal: solver returned a set that fails verification"):
             run_census(6)
-        assert len(solved) == 2
+
+    @pytest.mark.parametrize("n", (6, 9))
+    def test_corrupted_move_is_an_isomorphism_error(self, n):
+        # Flip the reflection bit of one member's move, for a member whose
+        # corrupted move, by the test's own relabelling, misses its class.
+        for key, members, moves in _class_members(n, dedupe=False):
+            first = graph_from_chords(n, members[0]).edges
+            for i in range(1, len(members)):
+                bad = moves[:i] + bytes([moves[i] ^ 1]) + moves[i + 1:]
+                edges = graph_from_chords(n, members[i]).edges
+                if {carried_onto_first(n, bad, bad[i], e) for e in edges} != first:
+                    with pytest.raises(RuntimeError, match="internal: move .* does not carry"):
+                        census._class_records(n, key, members, bad)
+                    return
+        raise AssertionError(f"every corrupted move at order {n} is an automorphism")
 
     def test_each_distinct_carried_witness_verified_once(self, monkeypatch):
         real, calls = census._verified, []

@@ -9,17 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmop import (
+    all_pairs_distances,
     build_graph,
     canonical_form,
     enumerate_triangulations,
     fan,
     gp_number,
+    is_gp_characterized,
     recognize,
     run_census,
 )
 from gpmop import solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
-from gpmop.dual import mop_gp
+from gpmop.dual import mop_gp, mop_gp_lanes
 from helpers import brute_force_gp, floyd_warshall, random_mop, relabeled
 
 
@@ -73,15 +75,59 @@ class TestMopGp:
     @pytest.mark.parametrize("n", range(3, 10))
     def test_matches_full_enumeration_on_every_triangulation(self, n):
         # Census labels, with the hull 0..n-1, and a seeded relabelling
-        # whose hull is handed over in its relabelled order.
+        # whose hull is handed over in its relabelled order; the lanes of one
+        # pass carry the census labels and two seeded relabellings.
         rng = random.Random(n)
         for chords in enumerate_triangulations(n):
             g = graph_from_chords(n, chords)
-            assert mop_gp(g, range(n))[:2] == brute_force_gp(g)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            h = relabeled(g, perm)
-            assert mop_gp(h, [perm[p] for p in range(n)])[:2] == brute_force_gp(h)
+            expected = brute_force_gp(g)
+            assert mop_gp(g, range(n))[:2] == expected
+            perms = [rng.sample(range(n), n) for _ in range(2)]
+            h = relabeled(g, perms[0])
+            assert mop_gp(h, [perms[0][p] for p in range(n)])[:2] == brute_force_gp(h)
+            lanes, _ = mop_gp_lanes(g, range(n), [range(n), *perms])
+            assert lanes == [expected, *(brute_force_gp(relabeled(g, perm)) for perm in perms)]
+
+    @staticmethod
+    def lanes_match_one_pass_per_labelling(g, labellings):
+        # Lane i equals mop_gp on the graph that names hull position p by
+        # labellings[i][p], with its hull in that order; the merged pairs
+        # depend on the frame only.
+        cycle = recognize(g).cycle
+        lanes, pairs = mop_gp_lanes(g, cycle, labellings)
+        assert len(lanes) == len(labellings)
+        for lane, labels in zip(lanes, labellings):
+            perm = [0] * g.order
+            for p, v in enumerate(cycle):
+                perm[v] = labels[p]
+            value, witness, lane_pairs = mop_gp(relabeled(g, perm), labels)
+            assert lane == (value, witness)
+            assert lane_pairs == pairs
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_lanes_match_one_pass_per_labelling(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 100)
+        g = random_mop(rng, n)
+        cycle = list(recognize(g).cycle)
+        labellings = [cycle, *(rng.sample(range(n), n) for _ in range(rng.randint(1, 5)))]
+        rng.shuffle(labellings)
+        self.lanes_match_one_pass_per_labelling(g, labellings)
+
+    @pytest.mark.parametrize("n", (48, 49, 64, 100))
+    def test_lanes_hold_counts_beyond_the_label_bits(self, n):
+        # From order 48 the fan's gp, floor(2n/3), reaches 32: a count of
+        # 6 or 7 bits above the n label bits, which fills the lane up to
+        # its guard bit.
+        rng = random.Random(n)
+        labellings = [rng.sample(range(n), n) for _ in range(3)]
+        g = fan(n).graph
+        self.lanes_match_one_pass_per_labelling(g, labellings)
+        # mop_gp shares the lanes, so the count is checked against the fan formula too.
+        value, witness, _ = mop_gp(g, recognize(g).cycle)
+        assert value == len(witness) == (2 * n) // 3
+        assert is_gp_characterized(g, all_pairs_distances(g), witness).is_gp
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)

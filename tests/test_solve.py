@@ -162,6 +162,21 @@ class TestGpNumber:
         assert (res.value, res.witness) == suffix_search(6, blocks)[:2]
         assert res.nodes_explored == solve._search(6, blocks)[2]
 
+    @pytest.mark.parametrize("graph", [fan(9).graph, cycle(7).graph], ids=["mop", "search"])
+    def test_count_off_its_witness_is_an_internal_error(self, graph, monkeypatch):
+        # A general position witness one short of the reported gp, from either route.
+        def one_more(solver):
+            def wrapped(*args):
+                value, witness, nodes = solver(*args)
+                return value + 1, witness, nodes
+
+            return wrapped
+
+        monkeypatch.setattr(solve, "mop_gp", one_more(solve.mop_gp))
+        monkeypatch.setattr(solve, "_search", one_more(solve._search))
+        with pytest.raises(RuntimeError, match="internal: solver returned .* vertices for gp"):
+            gp_number(graph)
+
     def test_search_cap(self):
         g = path(41).graph
         with pytest.raises(SearchCapExceeded):
