@@ -15,11 +15,11 @@ chords onto chords; each witness is carried along it, and each distinct
 carried set is verified once on the BFS rows the check reads.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
-``verify_paper_claims`` then machine-checks the bounds, identities, and
+``verify_paper_claims`` machine-checks the bounds, identities, and
 extremal characterizations this package reproduces, one report per claim
-per order: one table of claims, each with its first order and per-class
-test, read by one loop over each order's records that rebuilds one graph
-per class and no certificate.
+per order: one table of claims per order, each with its first order and
+per-class test, which ``class_violations`` runs in each class's task on the
+graph the task holds, so that the parent only adds up the classes' results.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import ceil, comb
 from multiprocessing import get_context
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .dual import mop_gp_lanes
 from .families import BadParam, generators_at, is_generalized_sunflower
@@ -54,6 +54,7 @@ MIN_CENSUS_ORDER = 3
 MAX_CENSUS_ORDER = 14
 
 Chords = tuple[tuple[int, int], ...]
+_ClassResult = tuple[list["CensusRecord"], frozenset[str]]
 
 
 def catalan(k: int) -> int:
@@ -218,16 +219,16 @@ def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, list[Chords], 
         )
 
 
-def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes) -> list[CensusRecord]:
-    """The records of one class, in member order.  The first member's graph
-    is the class graph, with hull 0..n-1 as in mop_stats and _labels_for:
-    gp, ``mop_stats`` and the family labels come from it once.  Each member's
-    move gives its map onto the class graph, checked to carry the member's
-    chords exactly onto the class chords, so it is an isomorphism; one
-    ``mop_gp_lanes`` pass on the class graph, with each member's labels in
-    its own lane, yields every member's witness in its own labels.  Each
-    witness is carried along its map, and each distinct carried set is
-    verified once on the class's BFS rows."""
+def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes, claims: bool = False) -> _ClassResult:
+    """The records of one class, in member order, and, when claims is set, the
+    claims it breaks.  The first member's graph is the class graph, with hull
+    0..n-1 as in mop_stats and _labels_for: gp, ``mop_stats``, the family labels
+    and ``class_violations`` come from it once.  Each member's move gives its
+    map onto the class graph, checked to carry the member's chords exactly onto
+    the class chords, so it is an isomorphism; one ``mop_gp_lanes`` pass on the
+    class graph, with each member's labels in its own lane, yields every
+    member's witness in its own labels.  Each witness is carried along its map,
+    and each distinct carried set is verified once on the class's BFS rows."""
     g = graph_from_chords(n, members[0])
     cert = certificate_from_chords(n, members[0])
     stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
@@ -259,12 +260,27 @@ def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes) -> l
     rows = _source_rows(g, {0}.union(*carried))
     for witness in carried:
         _verified(g, rows, value, witness, nodes)
-    return [
+    records = [
         CensusRecord(
             n, key, chords, value, witness,
             stats.max_degree, stats.internal_triangles, stats.two_vertices, stats.striped, labels)
         for chords, (_, witness) in zip(members, results)
     ]
+    return records, class_violations(records[0], g) if claims else frozenset()
+
+
+def _census_tasks(n: int, dedupe: bool, jobs: int, claims: bool) -> Iterable[_ClassResult]:
+    # Class tasks by key, at most one worker per core and per chunk; one chunk runs here, one class at a time.
+    if jobs < 1:
+        raise BadParam(f"jobs must be at least 1, got {jobs}")
+    if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
+        raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
+    tasks = sorted((n, *cls, claims) for cls in _class_members(n, dedupe))
+    size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
+    if len(tasks) <= size:
+        return (_class_records(*task) for task in tasks)
+    with get_context("fork").Pool(processes=ceil(len(tasks) / size)) as pool:
+        return pool.starmap(_class_records, tasks, chunksize=size)
 
 
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:
@@ -274,17 +290,7 @@ def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord
     which gives its canonical key.  Each class is one task (``_class_records``),
     which solves every member for its witness.  Records come back sorted by
     (canonical key, chords), byte-identical for any worker count."""
-    if jobs < 1:
-        raise BadParam(f"jobs must be at least 1, got {jobs}")
-    if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
-        raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    tasks = sorted((n, *cls) for cls in _class_members(n, dedupe))
-    # At most one worker per core and per chunk; a single chunk runs here.
-    size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
-    if len(tasks) <= size:
-        return [r for task in tasks for r in _class_records(*task)]
-    with get_context("fork").Pool(processes=ceil(len(tasks) / size)) as pool:
-        return [r for recs in pool.starmap(_class_records, tasks, chunksize=size) for r in recs]
+    return [r for recs, _ in _census_tasks(n, dedupe, jobs, claims=False) for r in recs]
 
 
 def census_to_csv(records: list[CensusRecord]) -> str:
@@ -343,7 +349,7 @@ def striped_catalog_keys(n: int) -> set[bytes]:
 
 class _Claim(NamedTuple):
     """A claim row: from order ``first`` on, ``bad(record, graph)`` runs on each class that
-    ``applies``, each of ``keys`` must name such a class, and ``head`` is listed first."""
+    ``applies``, and each of ``keys`` must name such a class."""
 
     name: str
     first: int
@@ -351,15 +357,12 @@ class _Claim(NamedTuple):
     bad: Callable[[CensusRecord, Graph], bool]
     applies: Callable[[CensusRecord], bool] = lambda r: True
     keys: frozenset[bytes] | set[bytes] = frozenset()
-    head: tuple[str, ...] = ()
 
 
-def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]:
-    """The claim battery over the classes of one order: one table, one report per row."""
-    # A census graph's hull is 0, 1, ..., n-1 in this order, so no certificate is needed.
-    graphs = [graph_from_chords(n, r.chords) for r in records]
+@lru_cache(maxsize=None)
+def _claim_table(n: int) -> tuple[_Claim, ...]:
+    """The claim rows of order n, built once per order and process."""
     cap, k_cap = (2 * n) // 3, n // 2 - 2
-    max_k = max(r.internal_triangles for r in records)
     fan_keys, slt = _catalog_keys(n, ("fan",)), _catalog_keys(n, ("straight_linear_2tree",))
     extremal = expected_extremal_keys(n)
     # At orders 1 mod 3 every striped catalog member must attain the cap.
@@ -392,7 +395,7 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
             return True
         return False
 
-    table = [
+    return (
         _Claim(
             "two_vertex_count", 4, "all classes: degree-2 vertices = internal triangles + 2",
             lambda r, g: r.two_vertices != r.internal_triangles + 2),
@@ -437,8 +440,7 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
         _Claim(
             "internal_triangle_max", 6,
             "max internal triangles = floor(n/2)-2, attained exactly by generalized sunflowers",
-            lambda r, g: (r.internal_triangles == k_cap) != ("gsf" in r.family_labels),
-            head=(f"max_internal={max_k}!={k_cap}",) if max_k != k_cap else ()),
+            lambda r, g: (r.internal_triangles == k_cap) != ("gsf" in r.family_labels)),
         _Claim(
             "internal_lower_bound", 4,
             "all classes: gp >= internal triangles + 2; generalized sunflowers of order >= 8 attain it",
@@ -456,21 +458,33 @@ def _claim_reports(n: int, records: list[CensusRecord]) -> Iterator[ClaimReport]
             "witnesses of size >= 4: any 3 consecutive hull vertices hold at most 2 of them",
             lambda r, g: any({i, (i + 1) % n, (i + 2) % n} <= set(r.gp_witness) for i in range(n)),
             lambda r: len(r.gp_witness) >= 4),
-    ]
-    for c in table:
+    )
+
+
+def class_violations(record: CensusRecord, g: Graph) -> frozenset[str]:
+    """The claims of its order whose hypothesis the class meets and whose test fails on g, its graph."""
+    n = record.n
+    return frozenset(c.name for c in _claim_table(n) if c.first <= n and c.applies(record) and c.bad(record, g))
+
+
+def _claim_reports(n: int, classes: list[tuple[CensusRecord, frozenset[str]]]) -> Iterator[ClaimReport]:
+    """One report per claim row of order n, from each class's record and ``class_violations``."""
+    max_k, k_cap = max(r.internal_triangles for r, _ in classes), n // 2 - 2
+    heads = {"internal_triangle_max": (f"max_internal={max_k}!={k_cap}",)} if max_k != k_cap else {}
+    for c in _claim_table(n):
         if n < c.first:
             yield ClaimReport(c.name, n, f"{c.universe} (stated for order >= {c.first})", 0, ())
             continue
-        rows = [(r, g) for r, g in zip(records, graphs) if c.applies(r)]
-        flagged = {r.canonical_key for r, g in rows if c.bad(r, g)}
+        rows = [(r, bad) for r, bad in classes if c.applies(r)]
+        flagged = {r.canonical_key for r, bad in rows if c.name in bad}
         flagged |= c.keys - {r.canonical_key for r, _ in rows}
-        violations = c.head + tuple(sorted(k.hex() for k in flagged))
+        violations = heads.get(c.name, ()) + tuple(sorted(k.hex() for k in flagged))
         yield ClaimReport(c.name, n, c.universe, len(rows), violations)
 
 
 def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimReport]:
-    """Run the full claim battery over every isomorphism class of each
-    order in n_min..n_max; one report per claim per order."""
+    """Run the full claim battery over every isomorphism class of each order
+    in n_min..n_max, in each class's census task; one report per claim per order."""
     if not 4 <= n_min <= n_max <= MAX_CENSUS_ORDER:
         raise BadParam(
             f"claim range must satisfy 4 <= n_min <= n_max <= {MAX_CENSUS_ORDER}, "
@@ -478,7 +492,7 @@ def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimRepo
         )
     reports: list[ClaimReport] = []
     for n in range(n_min, n_max + 1):
-        reports.extend(_claim_reports(n, run_census(n, dedupe=True, jobs=jobs)))
+        reports.extend(_claim_reports(n, [(recs[0], bad) for recs, bad in _census_tasks(n, True, jobs, True)]))
     return reports
 
 

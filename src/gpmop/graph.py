@@ -101,7 +101,7 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 
 def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
     """One BFS row per source: row u, entry v is the hop count d(u,v)."""
-    return tuple(tuple(bfs_distances(g, s)) for s in range(g.order))
+    return _source_rows(g, range(g.order))
 
 
 def _source_rows(g: Graph, sources: Iterable[int]) -> tuple[tuple[int, ...], ...]:

@@ -41,6 +41,7 @@ from .graph import (
     Disconnected,
     Graph,
     GraphError,
+    _source_rows,
     all_pairs_distances,
 )
 from .mop import MopCertificate, NotAnMop, check_certificate, maximal_fan, recognize
@@ -200,7 +201,7 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     """
     check_certificate(g, cert)
     bound, witness = _fan_pattern(g)
-    if not is_gp_characterized(g, all_pairs_distances(g), witness).is_gp:
+    if not is_gp_characterized(g, _source_rows(g, (0, *witness)), witness).is_gp:
         raise RuntimeError("internal: fan pattern is not in general position")
     return bound, witness
 

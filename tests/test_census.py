@@ -28,6 +28,7 @@ from gpmop.census import (
     _generator_catalog,
     _quiddity_key,
     certificate_from_chords,
+    class_violations,
     expected_extremal_keys,
     graph_from_chords,
     quiddity_classes,
@@ -235,14 +236,15 @@ class RecordingPools:
         return [fn(*task) for task in tasks]
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    fake = RecordingPools()
+    monkeypatch.setattr(census, "get_context", fake)
+    return fake
+
+
 class TestPlanChunks:
     """How run_census splits its classes, one task each, among pool workers."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        fake = RecordingPools()
-        monkeypatch.setattr(census, "get_context", fake)
-        return fake
 
     def test_huge_jobs_clamped_to_cpus(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
@@ -547,6 +549,33 @@ class TestClaims:
         assert report.violations == (fan_key.hex(),)
         assert report.checked == len(recs)
 
+    def test_one_graph_per_class_built_in_its_task(self, monkeypatch):
+        real, calls = census.graph_from_chords, []
+
+        def counting(n, chords):
+            calls.append(chords)
+            return real(n, chords)
+
+        monkeypatch.setattr(census, "graph_from_chords", counting)
+        for n in range(4, 12):
+            calls.clear()
+            verify_paper_claims(n, n)
+            assert len(calls) == DIHEDRAL_CLASSES[n]
+
+    def test_pool_workers_check_the_claims(self, pools, monkeypatch):
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        real, calls = census.class_violations, []
+
+        def counting(record, g):
+            calls.append(record.canonical_key)
+            return real(record, g)
+
+        monkeypatch.setattr(census, "class_violations", counting)
+        assert verify_paper_claims(7, 9, jobs=2) == verify_paper_claims(7, 9)
+        # 4, 12 and 27 classes, each order's over two workers; each class checked once per run.
+        assert pools.shapes == [(2, 2), (2, 6), (2, 14)]
+        assert len(calls) == 2 * (DIHEDRAL_CLASSES[7] + DIHEDRAL_CLASSES[8] + DIHEDRAL_CLASSES[9])
+
     def test_report_bytes_pinned(self):
         # `gpmop check 4 13 --jobs 2` prints exactly this text.
         text = claim_report_text(verify_paper_claims(4, 13, jobs=2))
@@ -561,7 +590,8 @@ class TestClaims:
 
 # Claim sensitivity: each claim must name a class whose record is mutated to
 # break it.  The battery runs on the order-10 classes with one record
-# replaced, through verify_paper_claims, so the claim code itself is tested.
+# replaced, through the two halves verify_paper_claims runs: class_violations
+# on each record's own graph, then _claim_reports over the order.
 ORDER = 10
 LEANING_FAN = ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (6, 8), (6, 9))
 SHIFTED_FAN = ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (7, 9))
@@ -627,20 +657,29 @@ MUTATIONS = [
 ]
 
 
-def _battery_on(monkeypatch, recs):
+def _violations(r):
+    return class_violations(r, graph_from_chords(ORDER, r.chords))
+
+
+def _battery_on(recs):
     """Run the order-10 battery on recs in place of the census records."""
-    monkeypatch.setattr(census, "run_census", lambda n, dedupe=False, jobs=1: recs)
-    return verify_paper_claims(ORDER, ORDER)
+    return list(census._claim_reports(ORDER, [(r, _violations(r)) for r in recs]))
 
 
-def _battery_with(monkeypatch, pick, change):
-    """Run the order-10 battery with the first class that pick selects
-    mutated by change; return the reports and that class's key."""
+def _mutated(pick, change):
+    """The order-10 classes with the first that pick selects mutated by
+    change, and that class's mutated record."""
     recs = list(_order_ten_classes())
     i = next(i for i, r in enumerate(recs) if pick(r))
-    key = recs[i].canonical_key
     recs[i] = replace(recs[i], **change(recs[i]))
-    return _battery_on(monkeypatch, recs), key
+    return recs, recs[i]
+
+
+def _battery_with(pick, change):
+    """Run the order-10 battery with the first class that pick selects
+    mutated by change; return the reports and that class's key."""
+    recs, mutated = _mutated(pick, change)
+    return _battery_on(recs), mutated.canonical_key
 
 
 class TestClaimSensitivity:
@@ -649,34 +688,39 @@ class TestClaimSensitivity:
             r.claim for r in verify_paper_claims(ORDER, ORDER)
         }
 
+    def test_unmutated_classes_break_no_claim(self):
+        # Outside its hypothesis a class breaks nothing: no fan formula on a non-fan.
+        assert [_violations(r) for r in _order_ten_classes()] == [frozenset()] * DIHEDRAL_CLASSES[ORDER]
+
     @pytest.mark.parametrize(
         "claim,pick,change", [pytest.param(*m, id=m[0]) for m in MUTATIONS]
     )
-    def test_mutated_class_is_named(self, monkeypatch, claim, pick, change):
-        reports, key = _battery_with(monkeypatch, pick, change)
-        assert key.hex() in _report(reports, claim).violations
+    def test_mutated_class_is_named(self, claim, pick, change):
+        recs, mutated = _mutated(pick, change)
+        assert claim in _violations(mutated)
+        assert mutated.canonical_key.hex() in _report(_battery_on(recs), claim).violations
 
-    def test_striped_catalog_member_below_the_cap_is_named(self, monkeypatch):
-        reports, key = _battery_with(monkeypatch, _is_fan, lambda r: {"gp": 5})
+    def test_striped_catalog_member_below_the_cap_is_named(self):
+        reports, key = _battery_with(_is_fan, lambda r: {"gp": 5})
         assert _report(reports, "striped_extremes").violations == (key.hex(),)
 
-    def test_striped_extremes_names_a_class_once(self, monkeypatch):
+    def test_striped_extremes_names_a_class_once(self):
         # The mutated fan breaks both halves of the claim at an order 1 mod 3.
-        reports, key = _battery_with(monkeypatch, _is_fan, lambda r: {"gp": 3})
+        reports, key = _battery_with(_is_fan, lambda r: {"gp": 3})
         assert _report(reports, "striped_extremes").violations == (key.hex(),)
 
-    def test_catalog_key_without_a_class_is_named(self, monkeypatch):
+    def test_catalog_key_without_a_class_is_named(self):
         # A catalog key that no class carries is a violation of each claim naming it.
         slt = _catalog_key(ORDER, "straight_linear_2tree")
         recs = [r for r in _order_ten_classes() if r.canonical_key != slt]
-        reports = _battery_on(monkeypatch, recs)
+        reports = _battery_on(recs)
         for claim, checked in (("max_degree_four", 81), ("striped_extremes", 19)):
             rep = _report(reports, claim)
             assert (rep.checked, rep.violations) == (checked, (slt.hex(),))
 
-    def test_internal_maximum_above_the_cap_is_named(self, monkeypatch):
+    def test_internal_maximum_above_the_cap_is_named(self):
         # A non-gsf class above floor(n/2)-2 breaks the maximum, not the attainment.
         reports, _ = _battery_with(
-            monkeypatch, lambda r: "gsf" not in r.family_labels, lambda r: {"internal_triangles": 4}
+            lambda r: "gsf" not in r.family_labels, lambda r: {"internal_triangles": 4}
         )
         assert _report(reports, "internal_triangle_max").violations == ("max_internal=4!=3",)
