@@ -2,17 +2,20 @@
 
 The isomorphism classes of triangulated n-gons are grown from the triangle
 by ear insertion on their quiddity sequences (triangles per hull vertex),
-each class kept as its least dihedral image.  Ear cutting recovers a
-class's chords, which are expanded once into their dihedral images on the
-hull 0..n-1: the labelled census takes every distinct image, the
-deduplicated census only the least, and the least image, packed, is the
-class's canonical key.  A class's records are built together on its first
-member's graph: the structural statistics and the family labels once, and
-one pass of the dual-tree program with one bit lane per member, which gives
-the exact general position number and each member's own witness.  Each
-member's dihedral move maps it onto the first member, a map checked to send
-chords onto chords; each witness is carried along it, and each distinct
-carried set is verified once on the BFS rows the check reads.
+each class kept as its least dihedral image.  Each class is one task that
+starts from its quiddity sequence, and one call of ``run_census`` or
+``verify_paper_claims`` runs the tasks of every order it covers here or on
+one fork pool.  Ear cutting recovers a class's chords, which are expanded
+once into their dihedral images on the hull 0..n-1: the labelled census
+takes every distinct image, the deduplicated census only the least, and
+the least image, packed, is the class's canonical key.  A class's records
+are built together on its first member's graph: the structural statistics
+and the family labels once, and one pass of the dual-tree program with one
+bit lane per member, which gives the exact general position number and each
+member's own witness.  Each member's dihedral move maps it onto the first
+member, a map checked to send chords onto chords; each witness is carried
+along it, and each distinct carried set is verified once on the BFS rows
+the check reads.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` machine-checks the bounds, identities, and
@@ -29,8 +32,8 @@ import io
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from math import ceil, comb
+from itertools import combinations, groupby
+from math import comb
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -198,52 +201,43 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(divmod(c, n) for c in range(n * n))
 
 
-def _class_members(n: int, dedupe: bool) -> Iterator[tuple[bytes, list[Chords], bytes]]:
-    """(canonical key, ascending member chord sets, moves) of each class: every
-    labelled triangulation of 0..n-1 in it, or its smallest when dedupe is set.
-    Byte i of moves is 2t + (flip < 0) for a dihedral relabelling (t, flip) of
-    ``dihedral_images`` that sends the class's ear-cut chords onto member i."""
-    pairs = _pair_table(n)
-    for q in quiddity_classes(n):
-        # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
-        # tip, so the least image sends an ear tip to 1.
-        anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
-        # dihedral_images yields one image per (anchor, flip), in this order.
-        moves = [2 * t + s for t in anchors for s in (0, 1)]
-        images = dict(zip(dihedral_images(n, _ear_cut(q), anchors), moves))
-        members = [min(images)] if dedupe else sorted(images)
-        yield (
-            image_key(n, members[0]),
-            [tuple(pairs[c] for c in image) for image in members],
-            bytes(images[image] for image in members),
-        )
-
-
-def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes, claims: bool = False) -> _ClassResult:
-    """The records of one class, in member order, and, when claims is set, the
-    claims it breaks.  The first member's graph is the class graph, with hull
-    0..n-1 as in mop_stats and _labels_for: gp, ``mop_stats``, the family labels
-    and ``class_violations`` come from it once.  Each member's move gives its
-    map onto the class graph, checked to carry the member's chords exactly onto
-    the class chords, so it is an isomorphism; one ``mop_gp_lanes`` pass on the
-    class graph, with each member's labels in its own lane, yields every
-    member's witness in its own labels.  Each witness is carried along its map,
-    and each distinct carried set is verified once on the class's BFS rows."""
+def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _ClassResult:
+    """The records of the class with quiddity sequence q, sorted by chords, and,
+    when claims is set, the claims it breaks.  Ear cutting gives the class's
+    chords, and ``dihedral_images`` their images: every distinct image is a
+    member, or only the least when dedupe is set, and the least image, packed,
+    is the canonical key.  The first member's graph is the class graph, with
+    hull 0..n-1 as in mop_stats and _labels_for: gp, ``mop_stats``, the family
+    labels and ``class_violations`` come from it once.  Each member's dihedral
+    move (t, flip) gives its map onto the class graph, checked to carry the
+    member's chords exactly onto the class chords, so it is an isomorphism; one
+    ``mop_gp_lanes`` pass on the class graph, with each member's labels in its
+    own lane, yields every member's witness in its own labels.  Each witness is
+    carried along its map, and each distinct carried set is verified once on
+    the class's BFS rows."""
+    # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
+    # tip, so the least image sends an ear tip to 1.
+    anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
+    # dihedral_images yields one image per (anchor, flip), in this order.
+    moves = dict(zip(dihedral_images(n, _ear_cut(q), anchors), [(t, f) for t in anchors for f in (1, -1)]))
+    images = [min(moves)] if dedupe else sorted(moves)
+    key, pairs = image_key(n, images[0]), _pair_table(n)
+    members = [tuple(pairs[c] for c in image) for image in images]
     g = graph_from_chords(n, members[0])
     cert = certificate_from_chords(n, members[0])
     stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
     # A chord's code is the bitmask of its two ends.
     codes = {1 << a | 1 << b for a, b in members[0]}
-    t1, f1 = moves[0] >> 1, 1 - 2 * (moves[0] & 1)
+    t1, f1 = moves[images[0]]
     maps, lanes = [], []
-    for chords, move in zip(members, moves):
+    for chords, image in zip(members, images):
         # Member label x is ear-cut label t + f(x - 1), which is class label
         # f1(t + f(x - 1) - t1) + 1.  The map is dihedral, so it sends hull
         # edges to hull edges, and an isomorphism once it sends chords to chords.
-        t, f = move >> 1, 1 - 2 * (move & 1)
+        t, f = moves[image]
         to_class = [(f1 * (t + f * (x - 1) - t1) + 1) % n for x in range(n)]
         if {1 << to_class[a] | 1 << to_class[b] for a, b in chords} != codes:
-            raise RuntimeError(f"internal: move {move} does not carry {chords} onto its class {members[0]}")
+            raise RuntimeError(f"internal: move {(t, f)} does not carry {chords} onto its class {members[0]}")
         lane = [0] * n
         for x, y in enumerate(to_class):
             lane[y] = x
@@ -269,28 +263,32 @@ def _class_records(n: int, key: bytes, members: list[Chords], moves: bytes, clai
     return records, class_violations(records[0], g) if claims else frozenset()
 
 
-def _census_tasks(n: int, dedupe: bool, jobs: int, claims: bool) -> Iterable[_ClassResult]:
-    # Class tasks by key, at most one worker per core and per chunk; one chunk runs here, one class at a time.
+def _census_tasks(orders: Iterable[int], dedupe: bool, jobs: int, claims: bool) -> list[_ClassResult]:
+    # One task per class of every order, results sorted by (order, key).  Jobs,
+    # cores and tasks cap the workers; one runs the tasks here, more share one pool.
     if jobs < 1:
         raise BadParam(f"jobs must be at least 1, got {jobs}")
-    if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
-        raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    tasks = sorted((n, *cls, claims) for cls in _class_members(n, dedupe))
-    size = ceil(len(tasks) / min(jobs, os.cpu_count() or 1))
-    if len(tasks) <= size:
-        return (_class_records(*task) for task in tasks)
-    with get_context("fork").Pool(processes=ceil(len(tasks) / size)) as pool:
-        return pool.starmap(_class_records, tasks, chunksize=size)
+    for n in orders:
+        if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
+            raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
+    tasks = [(n, q, dedupe, claims) for n in orders for q in quiddity_classes(n)]
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers == 1:
+        results = [_class_records(*task) for task in tasks]
+    else:
+        with get_context("fork").Pool(processes=workers) as pool:
+            results = pool.starmap(_class_records, tasks)
+    return sorted(results, key=lambda result: (result[0][0].n, result[0][0].canonical_key))
 
 
 def run_census(n: int, dedupe: bool = False, jobs: int = 1) -> list[CensusRecord]:
     """One record per triangulation, or per isomorphism class when dedupe
-    is set.  The classes come from ``quiddity_classes``; each class's chords
-    are recovered once and expanded into their dihedral images, the least of
-    which gives its canonical key.  Each class is one task (``_class_records``),
-    which solves every member for its witness.  Records come back sorted by
+    is set.  The classes come from ``quiddity_classes``; each class is one
+    task (``_class_records``), which recovers its chords, expands them into
+    their dihedral images, the least of which gives its canonical key, and
+    solves every member for its witness.  Records come back sorted by
     (canonical key, chords), byte-identical for any worker count."""
-    return [r for recs, _ in _census_tasks(n, dedupe, jobs, claims=False) for r in recs]
+    return [r for recs, _ in _census_tasks([n], dedupe, jobs, claims=False) for r in recs]
 
 
 def census_to_csv(records: list[CensusRecord]) -> str:
@@ -490,10 +488,12 @@ def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimRepo
             f"claim range must satisfy 4 <= n_min <= n_max <= {MAX_CENSUS_ORDER}, "
             f"got {n_min}..{n_max}"
         )
-    reports: list[ClaimReport] = []
-    for n in range(n_min, n_max + 1):
-        reports.extend(_claim_reports(n, [(recs[0], bad) for recs, bad in _census_tasks(n, True, jobs, True)]))
-    return reports
+    results = _census_tasks(range(n_min, n_max + 1), True, jobs, True)
+    return [
+        report
+        for n, classes in groupby(results, key=lambda result: result[0][0].n)
+        for report in _claim_reports(n, [(recs[0], bad) for recs, bad in classes])
+    ]
 
 
 def claim_report_text(reports: list[ClaimReport]) -> str:

@@ -15,6 +15,7 @@ from gpmop import (
     census_to_csv,
     claim_report_text,
     enumerate_triangulations,
+    generalized_sunflower,
     is_gp_characterized,
     is_gp_naive,
     recognize,
@@ -24,7 +25,8 @@ from gpmop import (
 from gpmop import census
 from gpmop.census import (
     MAX_CENSUS_ORDER,
-    _class_members,
+    _class_records,
+    _ear_cut,
     _generator_catalog,
     _quiddity_key,
     certificate_from_chords,
@@ -167,10 +169,10 @@ class TestQuiddityClasses:
             (canonical_form(certificate_from_chords(n, chords)), chords)
             for chords in enumerate_triangulations(n)
         )
-        classes = list(_class_members(n, dedupe=False))
-        assert all(members == sorted(members) for _, members, _ in classes)
-        assert all(len(moves) == len(members) for _, members, moves in classes)
-        assert sorted((key, c) for key, members, _ in classes for c in members) == expected
+        classes = class_tasks(n, dedupe=False)
+        assert all(len({r.canonical_key for r in recs}) == 1 for recs in classes)
+        assert all([r.chords for r in recs] == sorted(r.chords for r in recs) for recs in classes)
+        assert sorted((r.canonical_key, r.chords) for recs in classes for r in recs) == expected
 
     @pytest.mark.parametrize("n", range(3, 12))
     def test_dedupe_keeps_the_smallest_chord_set_of_each_class(self, n):
@@ -179,29 +181,44 @@ class TestQuiddityClasses:
             key = canonical_form(certificate_from_chords(n, chords))
             if key not in smallest or chords < smallest[key]:
                 smallest[key] = chords
-        classes = list(_class_members(n, dedupe=True))
-        assert all(len(members) == len(moves) == 1 for _, members, moves in classes)
-        assert sorted((key, members[0]) for key, members, _ in classes) == sorted(smallest.items())
+        classes = class_tasks(n, dedupe=True)
+        assert all(len(recs) == 1 for recs in classes)
+        assert sorted((recs[0].canonical_key, recs[0].chords) for recs in classes) == sorted(smallest.items())
 
     def test_chord_pairs_are_shared(self):
-        pairs = [
-            p for _, members, _ in _class_members(9, dedupe=False) for chords in members for p in chords
-        ]
+        pairs = [p for recs in class_tasks(9, dedupe=False) for r in recs for p in r.chords]
         assert len({id(p) for p in pairs}) == len(set(pairs))
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_each_move_carries_the_first_member_onto_its_member(self, n):
-        for _, members, moves in _class_members(n, dedupe=False):
-            first = graph_from_chords(n, members[0]).edges
-            for chords, move in zip(members, moves):
-                edges = graph_from_chords(n, chords).edges
+        for q in quiddity_classes(n):
+            recs, _ = _class_records(n, q, False)
+            moves = class_moves(n, q, recs)
+            first = graph_from_chords(n, recs[0].chords).edges
+            for r, move in zip(recs, moves):
+                edges = graph_from_chords(n, r.chords).edges
                 assert {carried_onto_first(n, moves, move, e) for e in edges} == first
 
 
+def class_tasks(n, dedupe):
+    # The records of every class task of order n, run in this process.
+    return [_class_records(n, q, dedupe)[0] for q in quiddity_classes(n)]
+
+
 def relabel(n, move, p):
-    # A move of _class_members, 2t + (flip < 0), sends label p to flip * (p - t) + 1.
-    t, flipped = divmod(move, 2)
-    return ((-1 if flipped else 1) * (p - t) + 1) % n
+    # A dihedral move (t, flip) sends label p to flip * (p - t) + 1.
+    t, flip = move
+    return (flip * (p - t) + 1) % n
+
+
+def class_moves(n, q, recs):
+    # Each member's move from the ear-cut chords of q: the last (t, flip), in
+    # dihedral_images order, whose image is the member, as _class_records keeps it.
+    moves = {}
+    for move in [(t, flip) for t in range(n) for flip in (1, -1)]:
+        image = tuple(sorted(tuple(sorted(relabel(n, move, p) for p in c)) for c in _ear_cut(q)))
+        moves[image] = move
+    return [moves[r.chords] for r in recs]
 
 
 def carried_onto_first(n, moves, move, labels):
@@ -212,17 +229,18 @@ def carried_onto_first(n, moves, move, labels):
 
 class RecordingPools:
     """Stands in for multiprocessing.get_context: records the worker count
-    and chunk size of each pool and runs the tasks in this process."""
+    of each pool and the tasks it maps, and runs them in this process."""
 
     def __init__(self):
-        self.shapes = []
+        self.workers = []
+        self.tasks = []
 
     def __call__(self, method):
         assert method == "fork"
         return self
 
     def Pool(self, processes):
-        self.processes = processes
+        self.workers.append(processes)
         return self
 
     def __enter__(self):
@@ -231,8 +249,8 @@ class RecordingPools:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, fn, tasks, chunksize):
-        self.shapes.append((self.processes, chunksize))
+    def starmap(self, fn, tasks, chunksize=None):
+        self.tasks.extend(tasks)
         return [fn(*task) for task in tasks]
 
 
@@ -244,13 +262,14 @@ def pools(monkeypatch):
 
 
 class TestPlanChunks:
-    """How run_census splits its classes, one task each, among pool workers."""
+    """How run_census shares its classes, one task each, among pool workers."""
 
     def test_huge_jobs_clamped_to_cpus(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-        # 12 classes at order 8 over 2 cores: two workers of 6.
+        # 12 classes at order 8 over 2 cores: one pool of two workers.
         assert run_census(8, dedupe=True, jobs=10**9) == run_census(8, dedupe=True)
-        assert pools.shapes == [(2, 6)]
+        assert pools.workers == [2]
+        assert pools.tasks == [(8, q, True, False) for q in quiddity_classes(8)]
 
     def test_clamped_to_items(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
@@ -258,18 +277,18 @@ class TestPlanChunks:
         assert run_census(6, dedupe=True, jobs=8) == run_census(6, dedupe=True)
         # The 5 labelled pentagons are one class: one task, no pool.
         assert run_census(5, jobs=2) == run_census(5)
-        # 4 classes (42 triangulations) at order 7 over 2 jobs: two workers of 2 classes.
+        # 4 classes (42 triangulations) at order 7 over 2 jobs: two workers.
         assert run_census(7, jobs=2) == run_census(7)
-        assert pools.shapes == [(3, 1), (2, 2)]
+        assert pools.workers == [3, 2]
 
     def test_unknown_cpu_count_means_one_worker(self, pools, monkeypatch):
         monkeypatch.setattr(census.os, "cpu_count", lambda: None)
         assert len(run_census(6, dedupe=True, jobs=10**9)) == DIHEDRAL_CLASSES[6]
-        assert pools.shapes == []
+        assert pools.workers == []
 
     def test_one_job_is_one_chunk(self, pools):
         assert len(run_census(6, jobs=1)) == catalan(4)
-        assert pools.shapes == []
+        assert pools.workers == []
 
     @staticmethod
     def no_generation(n):
@@ -383,19 +402,31 @@ class TestRunCensus:
             run_census(6)
 
     @pytest.mark.parametrize("n", (6, 9))
-    def test_corrupted_move_is_an_isomorphism_error(self, n):
-        # Flip the reflection bit of one member's move, for a member whose
-        # corrupted move, by the test's own relabelling, misses its class.
-        for key, members, moves in _class_members(n, dedupe=False):
-            first = graph_from_chords(n, members[0]).edges
-            for i in range(1, len(members)):
-                bad = moves[:i] + bytes([moves[i] ^ 1]) + moves[i + 1:]
-                edges = graph_from_chords(n, members[i]).edges
-                if {carried_onto_first(n, bad, bad[i], e) for e in edges} != first:
-                    with pytest.raises(RuntimeError, match="internal: move .* does not carry"):
-                        census._class_records(n, key, members, bad)
-                    return
-        raise AssertionError(f"every corrupted move at order {n} is an automorphism")
+    def test_corrupted_move_is_an_isomorphism_error(self, n, monkeypatch):
+        # Swap the last two images dihedral_images yields (anchor n-1, both
+        # flips).  Each is the last yield of its image, whose move the task
+        # keeps, so each of those members gets the other's move; unless the two
+        # images are equal, some member's move then misses its class.
+        real, swapped = census.dihedral_images, []
+
+        def swapping(n, chords, anchors=None):
+            images = list(real(n, chords, anchors))
+            images[-2:] = images[:-3:-1]
+            swapped.append(images[-2] != images[-1])
+            return iter(images)
+
+        monkeypatch.setattr(census, "dihedral_images", swapping)
+        raised = []
+        for q in quiddity_classes(n):
+            swapped.clear()
+            try:
+                _class_records(n, q, False)
+                raised.append(False)
+            except RuntimeError as exc:
+                assert re.match(r"internal: move .* does not carry", str(exc))
+                raised.append(True)
+            assert raised[-1:] == swapped
+        assert any(raised)
 
     def test_each_distinct_carried_witness_verified_once(self, monkeypatch):
         real, calls = census._verified, []
@@ -407,18 +438,20 @@ class TestRunCensus:
         monkeypatch.setattr(census, "_verified", recording)
         for n in range(4, 11):
             calls.clear()
-            records = {(r.canonical_key, r.chords): r for r in run_census(n)}
+            records = 0
             expected = set()
-            for key, members, moves in _class_members(n, dedupe=False):
-                first = graph_from_chords(n, members[0]).edges
-                for chords, move in zip(members, moves):
-                    witness = records[key, chords].gp_witness
-                    expected.add((first, carried_onto_first(n, moves, move, witness)))
+            for q in quiddity_classes(n):
+                recs, _ = _class_records(n, q, False)
+                records += len(recs)
+                moves = class_moves(n, q, recs)
+                first = graph_from_chords(n, recs[0].chords).edges
+                for r, move in zip(recs, moves):
+                    expected.add((first, carried_onto_first(n, moves, move, r.gp_witness)))
             assert len(calls) == len(set(calls))
             assert set(calls) == expected
             # From the pentagon on, members share carried witnesses: 4 checks for
             # 5 records at order 5, and 501 for 1,430 at order 10.
-            assert len(calls) < len(records) or n == 4
+            assert len(calls) < records or n == 4
 
     def test_hexagon_respects_the_cap(self):
         assert all(r.gp <= 4 for r in run_census(6, dedupe=False))
@@ -458,6 +491,15 @@ class TestRunCensus:
         assert base == census_to_csv(run_census(7, dedupe=False, jobs=2))
         dd = census_to_csv(run_census(7, dedupe=True, jobs=1))
         assert dd == census_to_csv(run_census(7, dedupe=True, jobs=3))
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_gsf_label_matches_every_base_triangulation(self, n):
+        # Oracle: the generator over every triangulated core, keyed by canonical_form.
+        expected = {
+            canonical_form(recognize(generalized_sunflower(n, base_chords=base).graph))
+            for base in enumerate_triangulations((n + 1) // 2)
+        }
+        assert {r.canonical_key for r in run_census(n, dedupe=True) if "gsf" in r.family_labels} == expected
 
     def test_fan_labeled_at_every_order(self):
         for n in (5, 6, 7, 8):
@@ -572,8 +614,10 @@ class TestClaims:
 
         monkeypatch.setattr(census, "class_violations", counting)
         assert verify_paper_claims(7, 9, jobs=2) == verify_paper_claims(7, 9)
-        # 4, 12 and 27 classes, each order's over two workers; each class checked once per run.
-        assert pools.shapes == [(2, 2), (2, 6), (2, 14)]
+        # The 4, 12 and 27 classes of orders 7..9 share one pool of two workers;
+        # each class is checked once per run.
+        assert pools.workers == [2]
+        assert pools.tasks == [(n, q, True, True) for n in range(7, 10) for q in quiddity_classes(n)]
         assert len(calls) == 2 * (DIHEDRAL_CLASSES[7] + DIHEDRAL_CLASSES[8] + DIHEDRAL_CLASSES[9])
 
     def test_report_bytes_pinned(self):
