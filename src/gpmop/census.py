@@ -12,10 +12,11 @@ the least image, packed, is the class's canonical key.  A class's records
 are built together on its first member's graph: the structural statistics
 and the family labels once, and one pass of the dual-tree program with one
 bit lane per member, which gives the exact general position number and each
-member's own witness.  Each member's dihedral move maps it onto the first
-member, a map checked to send chords onto chords; each witness is carried
-along it, and each distinct carried set is verified once on the BFS rows
-the check reads.
+member's own witness.  A member's lane, the member's label of each vertex of
+the first member, comes from its dihedral move and is checked to send chords
+onto chords; the pass, its checks, and the verification of each distinct
+witness carried onto the first member, once on the BFS rows the check reads,
+are ``solve._mop_verified``, the path every verified MOP solve takes.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` machine-checks the bounds, identities, and
@@ -37,7 +38,6 @@ from math import comb
 from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .dual import mop_gp_lanes
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, _source_rows, build_graph
 from .mop import (
@@ -50,7 +50,7 @@ from .mop import (
     mop_stats,
     recognize,
 )
-from .solve import _fan_pattern, _verified
+from .solve import _fan_pattern, _mop_verified
 from .verify import is_gp_characterized, is_gp_naive
 
 MIN_CENSUS_ORDER = 3
@@ -209,12 +209,12 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     is the canonical key.  The first member's graph is the class graph, with
     hull 0..n-1 as in mop_stats and _labels_for: gp, ``mop_stats``, the family
     labels and ``class_violations`` come from it once.  Each member's dihedral
-    move (t, flip) gives its map onto the class graph, checked to carry the
-    member's chords exactly onto the class chords, so it is an isomorphism; one
-    ``mop_gp_lanes`` pass on the class graph, with each member's labels in its
-    own lane, yields every member's witness in its own labels.  Each witness is
-    carried along its map, and each distinct carried set is verified once on
-    the class's BFS rows."""
+    move (t, flip) gives its lane, the member's label of each class vertex,
+    checked to carry the class chords exactly onto the member's, so it is an
+    isomorphism.  ``solve._mop_verified`` runs one dual-tree pass on the class
+    graph with a lane per member, which yields every member's witness in its
+    own labels, and verifies each distinct witness, carried onto the class
+    graph, once on the BFS rows the check reads."""
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
@@ -226,39 +226,25 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     g = graph_from_chords(n, members[0])
     cert = certificate_from_chords(n, members[0])
     stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
-    # A chord's code is the bitmask of its two ends.
-    codes = {1 << a | 1 << b for a, b in members[0]}
     t1, f1 = moves[images[0]]
-    maps, lanes = [], []
+    lanes = []
     for chords, image in zip(members, images):
-        # Member label x is ear-cut label t + f(x - 1), which is class label
-        # f1(t + f(x - 1) - t1) + 1.  The map is dihedral, so it sends hull
-        # edges to hull edges, and an isomorphism once it sends chords to chords.
+        # Class label x is ear-cut label t1 + f1(x - 1), which is member label
+        # f(t1 + f1(x - 1) - t) + 1.  The map is dihedral, so it sends hull
+        # edges to hull edges, and an isomorphism once it sends the class's
+        # chords onto the member's image, whose codes a * n + b, a < b, are sorted.
         t, f = moves[image]
-        to_class = [(f1 * (t + f * (x - 1) - t1) + 1) % n for x in range(n)]
-        if {1 << to_class[a] | 1 << to_class[b] for a, b in chords} != codes:
+        lane = [(f * (t1 + f1 * (x - 1) - t) + 1) % n for x in range(n)]
+        mapped = (lane[a] * n + lane[b] if lane[a] < lane[b] else lane[b] * n + lane[a] for a, b in members[0])
+        if tuple(sorted(mapped)) != image:
             raise RuntimeError(f"internal: move {(t, f)} does not carry {chords} onto its class {members[0]}")
-        lane = [0] * n
-        for x, y in enumerate(to_class):
-            lane[y] = x
-        maps.append(to_class)
         lanes.append(lane)
-    results, nodes = mop_gp_lanes(g, range(n), lanes)
-    value = results[0][0]
-    carried: dict[tuple[int, ...], None] = {}
-    for chords, to_class, (lane_value, witness) in zip(members, maps, results):
-        if lane_value != value:
-            raise RuntimeError(f"internal: {chords} has gp {lane_value}, its class {value}")
-        carried[tuple(sorted(to_class[x] for x in witness))] = None
-    # The checks read row 0 and the rows of the set's members only.
-    rows = _source_rows(g, {0}.union(*carried))
-    for witness in carried:
-        _verified(g, rows, value, witness, nodes)
+    results, _ = _mop_verified(g, range(n), lanes)
     records = [
         CensusRecord(
             n, key, chords, value, witness,
             stats.max_degree, stats.internal_triangles, stats.two_vertices, stats.striped, labels)
-        for chords, (_, witness) in zip(members, results)
+        for chords, (value, witness) in zip(members, results)
     ]
     return records, class_violations(records[0], g) if claims else frozenset()
 

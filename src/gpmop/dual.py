@@ -264,11 +264,3 @@ def mop_gp_lanes(
         results.append((lane >> n, tuple(v for v in range(n) if low >> (n - 1 - v) & 1)))
     return results, pairs
 
-
-def mop_gp(g: Graph, cycle: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
-    """gp of a MOP whose hull cycle lists its vertices in order, with the
-    lexicographically smallest maximum set and the number of state pairs
-    merged: ``mop_gp_lanes`` with the one labelling that names each hull
-    position by its vertex.  The cycle is trusted, not checked."""
-    results, pairs = mop_gp_lanes(g, cycle, [cycle])
-    return (*results[0], pairs)

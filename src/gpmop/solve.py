@@ -1,9 +1,10 @@
 """Exact maximum general position sets: a dual-tree dynamic program for
 maximal outerplanar graphs, and a suffix-bound search for every other graph.
 
-A maximal outerplanar graph (MOP) goes to ``dual.mop_gp``, which reads the
-triangles off the hull cycle and needs no distances.  Every other graph goes
-to a branch and bound over its conflicts, which are 3-uniform: a subset is in
+A maximal outerplanar graph (MOP) goes to ``dual.mop_gp_lanes``, which reads
+the triangles off the hull cycle and needs no distances, through
+``_mop_verified``, which the census shares.  Every other graph goes to a
+branch and bound over its conflicts, which are 3-uniform: a subset is in
 general position exactly when it contains no geodesic triple.  Every subset
 of a general position set is one, so the suffix bound of Östergård's maximum
 clique algorithm ("A fast algorithm for the maximum clique problem", 2002)
@@ -27,23 +28,17 @@ A final search in ascending label order for a set of size c[0] reports the
 lexicographically smallest maximum set as the witness, which the dynamic
 program yields through its weights.  No lower bound steers either route, so
 the result depends on the graph and its labels only, and every witness is
-checked against the BFS distances before it is returned.
+checked against BFS rows before it is returned, on a MOP only those it reads.
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from typing import Sequence
 
-from .dual import mop_gp
-from .graph import (
-    UNREACHABLE,
-    Disconnected,
-    Graph,
-    GraphError,
-    _source_rows,
-    all_pairs_distances,
-)
+from .dual import mop_gp_lanes
+from .graph import Disconnected, Graph, GraphError, _source_rows, all_pairs_distances, is_connected
 from .mop import MopCertificate, NotAnMop, check_certificate, maximal_fan, recognize
 from .verify import is_gp_characterized
 
@@ -216,6 +211,26 @@ def _verified(
     return GpResult(value, witness, nodes)
 
 
+def _mop_verified(
+    g: Graph, cycle: Sequence[int], labellings: Sequence[Sequence[int]]
+) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    # mop_gp_lanes, where labellings[i][p] labels vertex cycle[p] in lane i:
+    # every lane must have lane 0's value, and each distinct witness, carried
+    # to vertex ids, passes _verified once on the only BFS rows it reads.
+    results, nodes = mop_gp_lanes(g, cycle, labellings)
+    value = results[0][0]
+    positions: dict[tuple[int, ...], None] = {}
+    for i, (labels, (lane_value, witness)) in enumerate(zip(labellings, results)):
+        if lane_value != value:
+            raise RuntimeError(f"internal: labelling {i} has gp {lane_value}, its class {value}")
+        positions[tuple(sorted(map(labels.index, witness)))] = None
+    carried = [tuple(sorted(cycle[p] for p in s)) for s in positions]
+    rows = _source_rows(g, {0}.union(*carried))
+    for witness in carried:
+        _verified(g, rows, value, witness, nodes)
+    return results, nodes
+
+
 def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = False) -> GpResult:
     """Exact general position number with a deterministic witness.
 
@@ -230,8 +245,7 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
             f"order {n} exceeds the search cap {DEFAULT_SEARCH_CAP}; "
             "pass force=True (gpmop gp --force) to override"
         )
-    dist = all_pairs_distances(g)
-    if UNREACHABLE in dist[0]:
+    if not is_connected(g):
         raise Disconnected("graph is not connected")
     if cert is not None:
         check_certificate(g, cert)
@@ -239,5 +253,7 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
         with suppress(NotAnMop):
             cert = recognize(g)
     if cert is not None:
-        return _verified(g, dist, *mop_gp(g, cert.cycle))
+        results, nodes = _mop_verified(g, cert.cycle, [cert.cycle])
+        return GpResult(*results[0], nodes)
+    dist = all_pairs_distances(g)
     return _verified(g, dist, *_search(n, _pair_block_masks(dist, n)))

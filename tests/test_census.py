@@ -22,7 +22,7 @@ from gpmop import (
     run_census,
     verify_paper_claims,
 )
-from gpmop import census
+from gpmop import census, solve
 from gpmop.census import (
     MAX_CENSUS_ORDER,
     _class_records,
@@ -338,8 +338,8 @@ class TestRunCensus:
     def test_class_fields_once_per_class_and_witness_once_per_record(self, monkeypatch):
         calls: dict[str, int] = {}
 
-        def counting(name):
-            fn = getattr(census, name)
+        def counting(module, name):
+            fn = getattr(module, name)
 
             def wrapped(*args):
                 calls[name] = calls.get(name, 0) + 1
@@ -347,9 +347,11 @@ class TestRunCensus:
 
             return wrapped
 
-        names = ("graph_from_chords", "mop_stats", "is_generalized_sunflower", "mop_gp_lanes", "_source_rows")
-        for name in names:
-            monkeypatch.setattr(census, name, counting(name))
+        # The DP pass and the witness rows are solve's, inside _mop_verified.
+        homes = {"graph_from_chords": census, "mop_stats": census, "is_generalized_sunflower": census,
+                 "mop_gp_lanes": solve, "_source_rows": solve}
+        for name, module in homes.items():
+            monkeypatch.setattr(module, name, counting(module, name))
         for dedupe in (False, True):
             for n in range(4, 12):
                 calls.clear()
@@ -357,12 +359,12 @@ class TestRunCensus:
                 classes = DIHEDRAL_CLASSES[n]
                 assert records == (classes if dedupe else catalan(n - 2))
                 # One graph, one DP pass with a lane per member, and one set of rows per class.
-                assert calls == dict.fromkeys(names, classes)
+                assert calls == dict.fromkeys(homes, classes)
 
     @staticmethod
     def lanes_then(change):
         # A stand-in for mop_gp_lanes that hands each class's results to change.
-        real = census.mop_gp_lanes
+        real = solve.mop_gp_lanes
 
         def wrapped(g, cycle, labellings):
             results, pairs = real(g, cycle, labellings)
@@ -375,7 +377,7 @@ class TestRunCensus:
             value, witness = results[1]
             return [results[0], (value + 1, witness), *results[2:]]
 
-        monkeypatch.setattr(census, "mop_gp_lanes", self.lanes_then(second_lane_off_by_one))
+        monkeypatch.setattr(solve, "mop_gp_lanes", self.lanes_then(second_lane_off_by_one))
         # Every class of order 6 has at least two labelled members.
         with pytest.raises(RuntimeError, match="internal: .* has gp 5, its class 4"):
             run_census(6)
@@ -385,7 +387,7 @@ class TestRunCensus:
         def every_lane_off_by_one(g, labellings, results):
             return [(value + 1, witness) for value, witness in results]
 
-        monkeypatch.setattr(census, "mop_gp_lanes", self.lanes_then(every_lane_off_by_one))
+        monkeypatch.setattr(solve, "mop_gp_lanes", self.lanes_then(every_lane_off_by_one))
         with pytest.raises(RuntimeError, match="internal: solver returned 4 vertices for gp 5"):
             run_census(6)
 
@@ -397,7 +399,7 @@ class TestRunCensus:
             # The lane's witness is in the member's labels: labellings[1][p] names class vertex p.
             return [results[0], (value, tuple(sorted(labellings[1][p] for p in bad))), *results[2:]]
 
-        monkeypatch.setattr(census, "mop_gp_lanes", self.lanes_then(second_witness_not_in_general_position))
+        monkeypatch.setattr(solve, "mop_gp_lanes", self.lanes_then(second_witness_not_in_general_position))
         with pytest.raises(RuntimeError, match="internal: solver returned a set that fails verification"):
             run_census(6)
 
@@ -429,13 +431,13 @@ class TestRunCensus:
         assert any(raised)
 
     def test_each_distinct_carried_witness_verified_once(self, monkeypatch):
-        real, calls = census._verified, []
+        real, calls = solve._verified, []
 
         def recording(g, dist, value, witness, nodes):
             calls.append((g.edges, witness))
             return real(g, dist, value, witness, nodes)
 
-        monkeypatch.setattr(census, "_verified", recording)
+        monkeypatch.setattr(solve, "_verified", recording)
         for n in range(4, 11):
             calls.clear()
             records = 0

@@ -21,7 +21,7 @@ from gpmop import (
 )
 from gpmop import solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
-from gpmop.dual import mop_gp, mop_gp_lanes
+from gpmop.dual import mop_gp_lanes
 from helpers import brute_force_gp, floyd_warshall, random_mop, relabeled
 
 
@@ -81,17 +81,18 @@ class TestMopGp:
         for chords in enumerate_triangulations(n):
             g = graph_from_chords(n, chords)
             expected = brute_force_gp(g)
-            assert mop_gp(g, range(n))[:2] == expected
+            assert mop_gp_lanes(g, range(n), [range(n)])[0] == [expected]
             perms = [rng.sample(range(n), n) for _ in range(2)]
             h = relabeled(g, perms[0])
-            assert mop_gp(h, [perms[0][p] for p in range(n)])[:2] == brute_force_gp(h)
+            hull = [perms[0][p] for p in range(n)]
+            assert mop_gp_lanes(h, hull, [hull])[0] == [brute_force_gp(h)]
             lanes, _ = mop_gp_lanes(g, range(n), [range(n), *perms])
             assert lanes == [expected, *(brute_force_gp(relabeled(g, perm)) for perm in perms)]
 
     @staticmethod
     def lanes_match_one_pass_per_labelling(g, labellings):
-        # Lane i equals mop_gp on the graph that names hull position p by
-        # labellings[i][p], with its hull in that order; the merged pairs
+        # Lane i equals the one-lane pass on the graph that names hull position
+        # p by labellings[i][p], with its hull in that order; the merged pairs
         # depend on the frame only.
         cycle = recognize(g).cycle
         lanes, pairs = mop_gp_lanes(g, cycle, labellings)
@@ -100,8 +101,8 @@ class TestMopGp:
             perm = [0] * g.order
             for p, v in enumerate(cycle):
                 perm[v] = labels[p]
-            value, witness, lane_pairs = mop_gp(relabeled(g, perm), labels)
-            assert lane == (value, witness)
+            one, lane_pairs = mop_gp_lanes(relabeled(g, perm), labels, [labels])
+            assert [lane] == one
             assert lane_pairs == pairs
 
     @given(st.integers(0, 10**9))
@@ -124,8 +125,9 @@ class TestMopGp:
         labellings = [rng.sample(range(n), n) for _ in range(3)]
         g = fan(n).graph
         self.lanes_match_one_pass_per_labelling(g, labellings)
-        # mop_gp shares the lanes, so the count is checked against the fan formula too.
-        value, witness, _ = mop_gp(g, recognize(g).cycle)
+        # The one-lane pass, on the fan's own labels, against the fan formula too.
+        cycle = recognize(g).cycle
+        [(value, witness)], _ = mop_gp_lanes(g, cycle, [cycle])
         assert value == len(witness) == (2 * n) // 3
         assert is_gp_characterized(g, all_pairs_distances(g), witness).is_gp
 
@@ -141,14 +143,15 @@ class TestMopGp:
         turned = cycle[k:] + cycle[:k]
         if rng.random() < 0.5:
             turned.reverse()
-        assert mop_gp(g, turned)[:2] == mop_gp(g, cycle)[:2]
+        assert mop_gp_lanes(g, turned, [turned])[0] == mop_gp_lanes(g, cycle, [cycle])[0]
 
     def test_merged_pairs_are_nodes_explored(self):
         g = fan(9).graph
         res = gp_number(g)
-        assert (res.value, res.witness, res.nodes_explored) == mop_gp(g, recognize(g).cycle)
+        cycle = recognize(g).cycle
+        assert ([(res.value, res.witness)], res.nodes_explored) == mop_gp_lanes(g, cycle, [cycle])
         # The one triangle of K3 merges two pairs per choice of its apex.
-        assert mop_gp(build_graph(3, [(0, 1), (1, 2), (0, 2)]), range(3)) == (3, (0, 1, 2), 8)
+        assert mop_gp_lanes(build_graph(3, [(0, 1), (1, 2), (0, 2)]), range(3), [range(3)]) == ([(3, (0, 1, 2))], 8)
 
     def test_no_conflict_masks_for_a_mop(self, monkeypatch):
         # A MOP, through gp_number or the census, never builds the pair

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gpmop import (
     Disconnected,
+    MopCertificate,
     SearchCapExceeded,
     all_pairs_distances,
     build_graph,
@@ -24,7 +25,7 @@ from gpmop import (
     run_census,
     straight_linear_2tree,
 )
-from gpmop import census, solve
+from gpmop import census, graph, solve
 from gpmop.census import graph_from_chords
 from helpers import (
     brute_force_gp,
@@ -172,7 +173,12 @@ class TestGpNumber:
 
             return wrapped
 
-        monkeypatch.setattr(solve, "mop_gp", one_more(solve.mop_gp))
+        def lanes_one_more(g, cycle, labellings):
+            results, pairs = real_lanes(g, cycle, labellings)
+            return [(value + 1, witness) for value, witness in results], pairs
+
+        real_lanes = solve.mop_gp_lanes
+        monkeypatch.setattr(solve, "mop_gp_lanes", lanes_one_more)
         monkeypatch.setattr(solve, "_search", one_more(solve._search))
         with pytest.raises(RuntimeError, match="internal: solver returned .* vertices for gp"):
             gp_number(graph)
@@ -191,6 +197,52 @@ class TestGpNumber:
         # Connectivity is checked before the search.
         with pytest.raises(Disconnected):
             gp_number(build_graph(2, []))
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            recognize(fan(6).graph),
+            MopCertificate(6, (0, 1, 2, 3, 4, 5), frozenset({(0, 2)})),
+            recognize(fan(5).graph),
+        ],
+        ids=["fan", "broken", "other_order"],
+    )
+    def test_disconnected_with_a_certificate(self, cert):
+        # Connectivity is checked before the certificate, whatever it is.
+        with pytest.raises(Disconnected):
+            gp_number(build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]), cert=cert)
+
+    def test_disconnected_with_a_mop_edge_count(self):
+        # K5 and a disjoint edge: 11 = 2n - 3 edges on 7 vertices.
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(5, 6)]
+        with pytest.raises(Disconnected):
+            gp_number(build_graph(7, edges))
+
+    def test_mop_reads_only_the_rows_its_check_needs(self, monkeypatch):
+        # On a MOP no full distance table and no conflict masks: BFS from
+        # vertex 0 for connectivity, once more inside recognize, and the rows
+        # of 0 and the witness for the check.
+        def forbidden(*args):
+            raise AssertionError("distance table or conflict masks built")
+
+        def counted(g, source):
+            sources.append(source)
+            return real_bfs(g, source)
+
+        real_bfs, sources = graph.bfs_distances, []
+        monkeypatch.setattr(graph, "bfs_distances", counted)
+        monkeypatch.setattr(solve, "all_pairs_distances", forbidden)
+        monkeypatch.setattr(solve, "_pair_block_masks", forbidden)
+        rng = random.Random(30)
+        g = random_mop(rng, 30)
+        for cert in (None, recognize(g)):
+            sources.clear()
+            res = gp_number(g, cert=cert)
+            assert len(sources) <= len(res.witness) + 3
+        for n in range(3, 10):
+            h = random_mop(rng, n)
+            res = gp_number(h)
+            assert (res.value, res.witness) == brute_force_gp(h)
 
     def test_bad_certificate(self):
         from gpmop import MopCertificate, StructureViolation
