@@ -20,9 +20,10 @@ two candidates w and x conflict when {a, w, x} is a geodesic triple for some
 chosen a, so at most one member of a clique can join and a cover by fewer
 cliques than the members still needed prunes the node.  The bound follows
 from the definition of general position alone.  A candidate's conflict row
-is the OR of its pair masks with the chosen vertices; a child's rows are its
-parent's with the new vertex's masks ORed in, written only for the child's
-candidates into one list per depth.
+is the OR of its pair masks with the chosen vertices, so a node's rows are
+its parent's with the new vertex's masks ORed in.  The cover forms each row
+as it reads it, and most nodes are pruned there; only a node that survives
+its cover builds its rows, one list in one pass, before it branches.
 
 A final search in ascending label order for a set of size c[0] reports the
 lexicographically smallest maximum set as the witness, which the dynamic
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from operator import or_
 from typing import Sequence
 
 from .dual import mop_gp_lanes
@@ -67,30 +69,46 @@ class GpResult:
 
 def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
     # Bit c of blocks[a][b] is set when one of a, b, c lies on a geodesic
-    # between the other two.  Each triple a < b < c is tested once and
-    # marked in the rows of all three of its pairs.
+    # between the other two.  With lev[a][k] the vertices at distance k from
+    # a and d = dist[a][b], c lies between a and b when it is in
+    # lev[a][k] & lev[b][d - k] for some 0 < k < d, and b between a and c
+    # when it is in lev[a][d + k] & lev[b][k] for some k > 0; a between b and
+    # c likewise with a and b swapped.  Each pair is built once from its two
+    # rows' levels.  The graph is connected, so every distance is a level, and
+    # since the eccentricity of a is at most d plus that of b, every k with
+    # d + k a level of a is a level of b.  Short counted loops cost less than
+    # range objects here.
+    levels = []
+    for row in dist:
+        lev = [0] * (max(row) + 1)
+        bit = 1
+        for k in row:
+            lev[k] |= bit
+            bit <<= 1
+        levels.append(lev)
     blocks = [[0] * n for _ in range(n)]
     for a in range(n):
+        la = levels[a]
+        ea = len(la) - 1
         da = dist[a]
         ba = blocks[a]
-        bit_a = 1 << a
         for b in range(a + 1, n):
-            db = dist[b]
-            bb = blocks[b]
-            dab = da[b]
-            bit_b = 1 << b
+            lb = levels[b]
+            d = da[b]
             mask = 0
-            for c in range(b + 1, n):
-                dac, dbc = da[c], db[c]
-                if dac == dab + dbc or dab == dac + dbc or dbc == dab + dac:
-                    mask |= 1 << c
-                    ba[c] |= bit_b
-                    bb[c] |= bit_a
-            ba[b] |= mask
-    for a in range(n):
-        ba = blocks[a]
-        for b in range(a + 1, n):
-            blocks[b][a] = ba[b]
+            k = d - 1
+            while k > 0:
+                mask |= la[k] & lb[d - k]
+                k -= 1
+            k = ea - d
+            while k > 0:
+                mask |= la[d + k] & lb[k]
+                k -= 1
+            k = len(lb) - 1 - d
+            while k > 0:
+                mask |= lb[d + k] & la[k]
+                k -= 1
+            ba[b] = blocks[b][a] = mask
     return blocks
 
 
@@ -100,14 +118,13 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
     c[n - 1] = 1  # one vertex is in general position
     found: tuple[int, ...] = ()
     nodes = 0
-    # rows[d] holds the conflict rows of the children of a node with d
-    # chosen vertices; siblings overwrite them in turn.
-    rows = [[0] * n for _ in range(n)]
+    zero = [0] * n
 
-    def rec(chosen: list[int], cand: int, need: int, conf: list[int]) -> bool:
+    def rec(chosen: list[int], cand: int, need: int, pconf: list[int], bv: list[int]) -> bool:
         # Look for need >= 1 more members that extend chosen within cand;
-        # for w in cand, bit x of conf[w] is set when w and x cannot both
-        # join chosen.
+        # for w in cand, bit x of pconf[w] | bv[w] is set when w and x cannot
+        # both join chosen: pconf holds the parent's rows and bv the masks of
+        # the last chosen vertex.
         nonlocal found, nodes
         nodes += 1
         if need == 1:
@@ -126,14 +143,17 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
                 break
             q = rest & -rest
             rest ^= q
-            q = rest & conf[q.bit_length() - 1]
+            w = q.bit_length() - 1
+            q = rest & (pconf[w] | bv[w])
             while q:
                 x = q & -q
                 rest ^= x
-                q &= conf[x.bit_length() - 1]
+                w = x.bit_length() - 1
+                q &= pconf[w] | bv[w]
         else:
             return False
-        child = rows[len(chosen)]
+        # The cover did not prune, so the node builds its rows and branches.
+        conf = list(map(or_, pconf, bv))
         k = cand
         # need >= 2 here, so the |k| bound below returns before k runs out.
         while True:
@@ -144,15 +164,8 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
             if c[v] < need or k.bit_count() < need:
                 return False
             k &= k - 1
-            sub = k & ~conf[v]
-            bv = blocks[v]
-            t = sub
-            while t:
-                w = (t & -t).bit_length() - 1
-                child[w] = conf[w] | bv[w]
-                t &= t - 1
             chosen.append(v)
-            if rec(chosen, sub, need - 1, child):
+            if rec(chosen, k & ~conf[v], need - 1, conf, blocks[v]):
                 return True
             chosen.pop()
 
@@ -160,10 +173,10 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
     for v in range(n - 2, -1, -1):
         # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
         # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
-        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], blocks[v])
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], zero, blocks[v])
     # The last increase of c yields the maximum set whose smallest vertex is
     # largest; one ascending search finds the lexicographically smallest.
-    rec([], full, c[0], [0] * n)
+    rec([], full, c[0], zero, zero)
     return c[0], found, nodes
 
 

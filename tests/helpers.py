@@ -3,11 +3,13 @@
 The oracles deliberately avoid the package's own code paths: distances
 come from Floyd-Warshall instead of BFS, maximum sets from full bitmask
 enumeration, a plain incumbent branch and bound or the suffix-bound search
-without its clique cover, conflict masks from a separate test of each
-triple at each of its three pairs, and isomorphism from raw permutation
-search instead of canonical keys, and chord crossings from a scan of
-every pair of spans with no early exit.  The labelled census is rebuilt
-one triangulation at a time, each record from its own graph alone.
+without its clique cover, node counts from the suffix-bound search with
+every child's conflict rows written before it is visited, conflict masks
+from a separate test of each triple at each of its three pairs, and
+isomorphism from raw permutation search instead of canonical keys, and
+chord crossings from a scan of every pair of spans with no early exit.
+The labelled census is rebuilt one triangulation at a time, each record
+from its own graph alone.
 """
 
 from __future__ import annotations
@@ -237,6 +239,85 @@ def suffix_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...]
     for v in range(n - 1, -1, -1):
         c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1])
     rec([], full, c[0])
+    return c[0], found, nodes
+
+
+def eager_row_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
+    """The suffix-bound search with its clique cover, writing every child's
+    conflict rows before the child is visited: a parent ORs the new vertex's
+    masks into the row of each of the child's candidates, and the child's
+    cover reads them.  Returns the value, the lexicographically smallest
+    maximum set and the number of nodes visited, which must equal
+    ``solve._search``'s."""
+    # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
+    c = [0] * (n + 1)
+    c[n - 1] = 1  # one vertex is in general position
+    found: tuple[int, ...] = ()
+    nodes = 0
+    # rows[d] holds the conflict rows of the children of a node with d
+    # chosen vertices; siblings overwrite them in turn.
+    rows = [[0] * n for _ in range(n)]
+
+    def rec(chosen: list[int], cand: int, need: int, conf: list[int]) -> bool:
+        # Look for need >= 1 more members that extend chosen within cand;
+        # for w in cand, bit x of conf[w] is set when w and x cannot both
+        # join chosen.
+        nonlocal found, nodes
+        nodes += 1
+        if need == 1:
+            # Any candidate completes the set; the loop would take the least.
+            if not cand:
+                return False
+            found = (*chosen, (cand & -cand).bit_length() - 1)
+            return True
+        # Greedy cover of cand by cliques of the conflict rows: each clique
+        # adds at most one member, so fewer than need cliques prune.
+        rest = cand
+        cliques = 0
+        while rest:
+            cliques += 1
+            if cliques == need:
+                break
+            q = rest & -rest
+            rest ^= q
+            q = rest & conf[q.bit_length() - 1]
+            while q:
+                x = q & -q
+                rest ^= x
+                q &= conf[x.bit_length() - 1]
+        else:
+            return False
+        child = rows[len(chosen)]
+        k = cand
+        # need >= 2 here, so the |k| bound below returns before k runs out.
+        while True:
+            v = (k & -k).bit_length() - 1
+            # The rest of the set lies in k, inside {v, ..., n-1}, so it has
+            # at most |k| and at most c[v] members; c is non-increasing, so
+            # no later v does better.
+            if c[v] < need or k.bit_count() < need:
+                return False
+            k &= k - 1
+            sub = k & ~conf[v]
+            bv = blocks[v]
+            t = sub
+            while t:
+                w = (t & -t).bit_length() - 1
+                child[w] = conf[w] | bv[w]
+                t &= t - 1
+            chosen.append(v)
+            if rec(chosen, sub, need - 1, child):
+                return True
+            chosen.pop()
+
+    full = (1 << n) - 1
+    for v in range(n - 2, -1, -1):
+        # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
+        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
+        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], blocks[v])
+    # The last increase of c yields the maximum set whose smallest vertex is
+    # largest; one ascending search finds the lexicographically smallest.
+    rec([], full, c[0], [0] * n)
     return c[0], found, nodes
 
 

@@ -29,6 +29,7 @@ from gpmop import census, graph, solve
 from gpmop.census import graph_from_chords
 from helpers import (
     brute_force_gp,
+    eager_row_search,
     exhaustive_interval,
     geodesic_triples,
     incumbent_search,
@@ -90,12 +91,34 @@ class TestPairBlockMasks:
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_matches_per_pair_masks(self, seed, mop):
-        # Testing each triple once gives the masks of testing it from each
-        # of its three pairs.
+        # The masks built from BFS level sets are those of testing each
+        # triple from each of its three pairs.
         rng = random.Random(seed)
         n = rng.randint(9, 40)
         g = random_mop(rng, n) if mop else random_connected_graph(rng, n)
         assert _block_masks(g) == per_pair_block_masks(all_pairs_distances(g), n)
+
+    @pytest.mark.parametrize(
+        "family,orders",
+        [
+            ("complete", range(2, 9)),
+            ("path", range(2, 41)),
+            ("cycle", range(3, 41)),
+            ("star", range(2, 41)),
+        ],
+        ids=["complete", "path", "cycle", "star"],
+    )
+    def test_level_sets_on_extreme_shapes(self, family, orders):
+        # Shapes the random property rarely draws: every pair adjacent (K_n),
+        # eccentricity n - 1 (P_n), odd and even cycles, and one centre
+        # between every two leaves (K_{1,n-1}).
+        for n in orders:
+            if family == "star":
+                g = build_graph(n, [(0, v) for v in range(1, n)])
+            else:
+                g = {"complete": complete, "path": path, "cycle": cycle}[family](n).graph
+            dist = all_pairs_distances(g)
+            assert solve._pair_block_masks(dist, n) == per_pair_block_masks(dist, n), n
 
 
 class TestGpNumber:
@@ -330,6 +353,16 @@ class TestGpNumber:
         assert (res.value, res.witness) == (value, witness)
         if not mop:
             assert res.nodes_explored <= nodes
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=40, deadline=None)
+    def test_node_counts_match_eager_rows(self, seed):
+        # Writing a node's rows only once its cover fails to prune visits the
+        # same nodes in the same order as writing every child's rows first.
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(17, 30))
+        blocks = _block_masks(g)
+        assert solve._search(g.order, blocks) == eager_row_search(g.order, blocks)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
