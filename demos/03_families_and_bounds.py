@@ -25,7 +25,7 @@ for inst in (
     generalized_sunflower(7),
     generalized_sunflower(12),
 ):
-    result = gp_number(inst.graph, cert=recognize(inst.graph))
+    result = gp_number(inst.graph)
     print(f"{inst.label:<26} {str(inst.predicted_gp):>9}   {result.value:>6}   {result.witness}")
 
 # The constructive bound walks the widest fan and keeps 2 of every 3

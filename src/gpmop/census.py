@@ -354,8 +354,7 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
 
     def weak_degree_bound(r, g):
         bound, witness = _fan_pattern(g)
-        # Both tests read only row 0 and the witness's rows.
-        dist = _source_rows(g, (0, *witness))
+        dist = _source_rows(g, witness)
         verified = (
             is_gp_naive(g, dist, witness).is_gp and is_gp_characterized(g, dist, witness).is_gp
         )

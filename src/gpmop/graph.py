@@ -111,8 +111,6 @@ def _source_rows(g: Graph, sources: Iterable[int]) -> tuple[tuple[int, ...], ...
 
 
 def is_connected(g: Graph) -> bool:
-    # The one connectivity rule: BFS from vertex 0 reaches every vertex.
-    # Callers that hold the rows test ``UNREACHABLE in dist[0]`` instead.
     return UNREACHABLE not in bfs_distances(g, 0)
 
 

@@ -209,7 +209,7 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     """
     check_certificate(g, cert)
     bound, witness = _fan_pattern(g)
-    if not is_gp_characterized(g, _source_rows(g, (0, *witness)), witness).is_gp:
+    if not is_gp_characterized(g, _source_rows(g, witness), witness).is_gp:
         raise RuntimeError("internal: fan pattern is not in general position")
     return bound, witness
 
@@ -238,7 +238,7 @@ def _mop_verified(
             raise RuntimeError(f"internal: labelling {i} has gp {lane_value}, its class {value}")
         positions[tuple(sorted(map(labels.index, witness)))] = None
     carried = [tuple(sorted(cycle[p] for p in s)) for s in positions]
-    rows = _source_rows(g, {0}.union(*carried))
+    rows = _source_rows(g, set().union(*carried))
     for witness in carried:
         _verified(g, rows, value, witness, nodes)
     return results, nodes

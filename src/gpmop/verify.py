@@ -35,7 +35,8 @@ class GpSetCheck:
 def _prepare(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -> tuple[int, ...]:
     members = tuple(sorted(set(s)))
     _check_vertices(g.order, members)
-    if UNREACHABLE in dist[0]:
+    # Any BFS row of a disconnected graph holds UNREACHABLE; read the first one given.
+    if UNREACHABLE in next(filter(None, dist), ()):
         raise Disconnected("general position tests require a connected graph")
     return members
 

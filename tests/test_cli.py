@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import gpmop
-from gpmop import cli, parse_edge_list, recognize
+from gpmop import cli, parse_edge_list, recognize, verify
 from gpmop.cli import main
 
 
@@ -91,6 +91,12 @@ class TestVerify:
         monkeypatch.setattr(cli, "is_gp_naive", lambda *a: replace(real(*a), is_gp=True))
         assert main(["verify", f, "0", "1", "3"]) == 70
         assert "the two general-position tests disagree on [0, 1, 3]" in capsys.readouterr().err
+
+    def test_characterized_rejecting_a_naive_pass_exit_70(self, tmp_path, capsys, monkeypatch):
+        f = generate(tmp_path, "path", 4)
+        monkeypatch.setattr(verify, "_is_clique_partition", lambda *a: False)
+        assert main(["verify", f, "0", "1"]) == 70
+        assert "the two general-position tests disagree on [0, 1]" in capsys.readouterr().err
 
 
 class TestRecognize:

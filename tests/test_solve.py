@@ -243,8 +243,8 @@ class TestGpNumber:
 
     def test_mop_reads_only_the_rows_its_check_needs(self, monkeypatch):
         # On a MOP no full distance table and no conflict masks: BFS from
-        # vertex 0 for connectivity, once more inside recognize, and the rows
-        # of 0 and the witness for the check.
+        # vertex 0 for connectivity, once more inside recognize, and the
+        # witness's rows for the check; this witness lacks vertex 0.
         def forbidden(*args):
             raise AssertionError("distance table or conflict masks built")
 
@@ -256,12 +256,13 @@ class TestGpNumber:
         monkeypatch.setattr(graph, "bfs_distances", counted)
         monkeypatch.setattr(solve, "all_pairs_distances", forbidden)
         monkeypatch.setattr(solve, "_pair_block_masks", forbidden)
-        rng = random.Random(30)
-        g = random_mop(rng, 30)
+        g = random_mop(random.Random(7), 30)
         for cert in (None, recognize(g)):
             sources.clear()
             res = gp_number(g, cert=cert)
-            assert len(sources) <= len(res.witness) + 3
+            assert 0 not in res.witness
+            assert sources == [0, 0, *res.witness]
+        rng = random.Random(30)
         for n in range(3, 10):
             h = random_mop(rng, n)
             res = gp_number(h)

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmop import (
+    Disconnected,
     VertexOutOfRange,
     all_pairs_distances,
+    build_graph,
     complete,
     fan,
     is_gp_characterized,
@@ -16,6 +18,7 @@ from gpmop import (
     run_census,
 )
 from gpmop.census import graph_from_chords
+from gpmop.graph import _source_rows
 from helpers import random_connected_graph, random_mop
 
 
@@ -137,6 +140,39 @@ class TestAgreement:
             return
         sub = tuple(v for v in members if rng.random() < 0.5)
         assert is_gp_naive(g, dist, sub).is_gp
+
+
+class TestPartialRows:
+    """Both tests on only the members' BFS rows, as their callers build them,
+    answer as on the full table, connectivity included."""
+
+    @staticmethod
+    def outcome(test, g, dist, members):
+        try:
+            return test(g, dist, members)
+        except Disconnected:
+            return Disconnected
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=120, deadline=None)
+    def test_members_rows_match_the_full_table(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        p = rng.choice((0.2, 0.4, 0.7))
+        g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        # A non-empty set: with no row given there is no row to read.
+        members = rng.sample(range(n), rng.randint(1, n))
+        partial, full = _source_rows(g, members), all_pairs_distances(g)
+        for test in (is_gp_naive, is_gp_characterized):
+            got = self.outcome(test, g, partial, members)
+            assert got == self.outcome(test, g, full, members)
+
+    def test_a_row_other_than_zero_shows_the_disconnection(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        dist = _source_rows(g, (2,))
+        for test in (is_gp_naive, is_gp_characterized):
+            with pytest.raises(Disconnected):
+                test(g, dist, (2,))
 
 
 class TestTriangulationWitnessStructure:
