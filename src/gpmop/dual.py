@@ -67,6 +67,17 @@ larger low part belongs to the set with the smallest differing label, so
 the best weight over the root states, with position 0 added when chosen,
 yields both gp and the lexicographically smallest maximum set.
 
+Quotient.  From the hull states the merge reaches 41 states, which fall into
+22 classes: the coarsest partition that keeps alpha and beta and that the
+merge preserves on either side, a rejected pair counting as a class of its
+own (partition refinement, as in Hopcroft's minimization of a finite
+automaton, 1971).  Members of one class pair with the same states across c,
+merge with any state into one class or are both rejected, and agree on alpha,
+all that the root reads, so the class of a set after every later join depends
+only on its class now.  Hence ``_merge`` returns the least member of its
+class, and each table holds a class at the max of its members' values: the
+best root value, and with it gp and the witness, are unchanged.
+
 Lanes.  One pass serves several labellings of the hull at once, each in its
 own bit lane of one integer: lane i is bits i*w to i*w + w - 1, with w = n +
 n.bit_length() + 1, and holds the value under labelling i.  A value is
@@ -140,8 +151,17 @@ def _merge(s1: int, s2: int) -> int:
         or (alpha and any(e >= -t for t in up2))
         or (beta and any(e <= -t for t in up1))
     }
-    return _state(alpha, beta, up1 | up2 | ({0} if gamma else set()), far)
+    r = _state(alpha, beta, up1 | up2 | ({0} if gamma else set()), far)
+    return _REP.get(r, r)
 
+
+# Each of the 19 reachable states that is not the least of its class (see
+# Quotient), sent to that least state.  A literal, so that no process pays to
+# derive it; tests/test_dual.py derives it by partition refinement.
+_REP = {
+    28: 20, 122: 106, 124: 108, 205: 201, 220: 216, 232: 228, 236: 228, 238: 230, 240: 228, 241: 237,
+    244: 228, 245: 237, 246: 230, 248: 228, 249: 237, 250: 230, 252: 228, 253: 237, 254: 230,
+}
 
 # The states of a hull edge, (alpha, beta) = (0, 0), (0, 1), (1, 0), (1, 1).
 _HULL = bytes(_state(alpha, beta, set(), set()) for alpha in (0, 1) for beta in (0, 1))
@@ -162,8 +182,9 @@ class _Plan(NamedTuple):
     pairs: int
 
 
-# The labelled census of order 14 needs 2,995 plans, and random MOPs up to
-# order 3,000 fewer than 1,700; the bound caps the memory of any other use.
+# The labelled census of order 14 needs 438 plans, and one random MOP of
+# each order 10, 20, ..., 3,000 needs 576; the bound caps the memory of any
+# other use.
 @lru_cache(maxsize=8192)
 def _plan(left: bytes, right: bytes) -> _Plan:
     reach: dict[int, list[tuple[int, int]]] = {}
@@ -221,9 +242,11 @@ def mop_gp_lanes(
     top = width - 1
     guard = sum(1 << (i * width + top) for i in range(len(labellings)))
     first = 1 << width
-    weight = [0] * n
-    for i, lab in enumerate(labellings):
-        weight = [x | ((1 << n) | (1 << (n - 1 - v))) << (i * width) for x, v in zip(weight, lab)]
+    # Position p weighs 2^n + 2^(n-1-v) in each lane i, where v = labellings[i][p]:
+    # the count bits of all lanes plus one label bit per lane.
+    count = sum(1 << (i * width + n) for i in range(len(labellings)))
+    bits = [[1 << (i * width + n - 1 - v) for v in lab] for i, lab in enumerate(labellings)]
+    weight = list(map(sum, zip(*bits), repeat(count)))
 
     def fold(values: list[int], into: Iterable[int], sums: Iterable[int]) -> None:
         # values[k] becomes the lane-wise max of itself and v, for k, v in zip(into, sums).

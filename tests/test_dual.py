@@ -3,6 +3,7 @@ oracles: Floyd-Warshall distances for the separator lemma, full bitmask
 enumeration and the suffix-bound search for values and witnesses."""
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from gpmop import (
     recognize,
     run_census,
 )
-from gpmop import solve
+from gpmop import dual, solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
 from gpmop.dual import mop_gp_lanes
 from helpers import brute_force_gp, floyd_warshall, random_mop, relabeled
@@ -167,6 +168,112 @@ class TestMopGp:
         assert len(run_census(8)) == 132
         with pytest.raises(AssertionError, match="conflict masks"):
             gp_number(build_graph(4, [(0, 1), (1, 2), (2, 3)]))
+
+
+@contextmanager
+def raw_merge():
+    # The merge before the quotient: no state goes to its class's least
+    # member.  Both caches are emptied on the way in and on the way out.
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dual, "_REP", {})
+            dual._merge.cache_clear()
+            dual._plan.cache_clear()
+            yield
+    finally:
+        dual._merge.cache_clear()
+        dual._plan.cache_clear()
+
+
+def agreeing(states) -> set[tuple[int, int]]:
+    # The pairs of a state of ac and a state of cb that agree on c.
+    return {(s1, s2) for s1 in states for s2 in states if s1 >> 1 & 1 == s2 & 1}
+
+
+def closure(merge) -> set[int]:
+    # The states that merges reach from the hull states.
+    states = set(dual._HULL)
+    while True:
+        new = {r for s1, s2 in agreeing(states) if (r := merge(s1, s2)) >= 0} - states
+        if not new:
+            return states
+        states |= new
+
+
+class TestQuotient:
+    def test_rep_is_the_coarsest_congruence(self):
+        # Refine the partition by (alpha, beta) until each state's class
+        # fixes the classes of its merges on either side, a rejected pair
+        # being a class of its own; the least member of each class stands
+        # for it.
+        with raw_merge():
+            states = sorted(closure(dual._merge))
+            block = {s: s & 3 for s in states}
+
+            def after(r):
+                return block[r] if r >= 0 else -1
+
+            while True:
+                signatures = {
+                    s: (
+                        block[s],
+                        tuple(after(dual._merge(s, z)) for z in states if s >> 1 & 1 == z & 1),
+                        tuple(after(dual._merge(z, s)) for z in states if z >> 1 & 1 == s & 1),
+                    )
+                    for s in states
+                }
+                ids: dict[tuple, int] = {}
+                refined = {s: ids.setdefault(signatures[s], len(ids)) for s in states}
+                if len(ids) == len(set(block.values())):
+                    break
+                block = refined
+        least: dict[int, int] = {}
+        for s in states:
+            least.setdefault(block[s], s)
+        assert len(states) == 41
+        assert len(least) == 22
+        assert {s: least[block[s]] for s in states if s != least[block[s]]} == dual._REP
+        assert all(s & 3 == r & 3 for s, r in dual._REP.items())
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_quotient_dp_equals_raw_dp(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(4, 100)
+        g = random_mop(rng, n)
+        cycle = list(recognize(g).cycle)
+        labellings = [rng.sample(range(n), n) for _ in range(rng.randint(1, 5))]
+        lanes, pairs = mop_gp_lanes(g, cycle, labellings)
+        with raw_merge():
+            raw, raw_pairs = mop_gp_lanes(g, cycle, labellings)
+        assert lanes == raw
+        assert pairs <= raw_pairs
+
+    def test_full_enumeration_reaches_every_quotient_pair(self):
+        # The triangulations of orders 3..9, each checked against
+        # brute_force_gp in TestMopGp, merge all 292 pairs of the 22 states
+        # that agree on c; 147 of them merge and the rest are rejected.
+        merge = dual._merge
+        seen = set()
+
+        def recording(s1, s2):
+            seen.add((s1, s2))
+            return merge(s1, s2)
+
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(dual, "_merge", recording)
+                dual._plan.cache_clear()
+                for n in range(3, 10):
+                    for chords in enumerate_triangulations(n):
+                        mop_gp_lanes(graph_from_chords(n, chords), range(n), [range(n)])
+        finally:
+            dual._plan.cache_clear()
+        states = closure(merge)
+        assert len(states) == 22
+        assert seen == agreeing(states)
+        assert len(seen) == 292
+        assert sum(merge(s1, s2) >= 0 for s1, s2 in seen) == 147
 
 
 class TestOrderSixteenCapClass:
