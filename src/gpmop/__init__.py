@@ -64,6 +64,6 @@ from .solve import (
     gp_number,
     mop_greedy_lower_bound,
 )
-from .verify import GpSetCheck, is_gp_characterized, is_gp_naive
+from .verify import GpSetCheck, is_gp_characterized, is_gp_levels, is_gp_naive
 
 __version__ = "0.1.0"

@@ -15,8 +15,9 @@ bit lane per member, which gives the exact general position number and each
 member's own witness.  A member's lane, the member's label of each vertex of
 the first member, comes from its dihedral move and is checked to send chords
 onto chords; the pass, its checks, and the verification of each distinct
-witness carried onto the first member, once on the BFS rows the check reads,
-are ``solve._mop_verified``, the path every verified MOP solve takes.
+witness carried onto the first member, once, with the class's BFS level
+masks shared, are ``solve._mop_verified``, the path every verified MOP solve
+takes.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` machine-checks the bounds, identities, and
@@ -214,7 +215,7 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     isomorphism.  ``solve._mop_verified`` runs one dual-tree pass on the class
     graph with a lane per member, which yields every member's witness in its
     own labels, and verifies each distinct witness, carried onto the class
-    graph, once on the BFS rows the check reads."""
+    graph, once, the witnesses sharing each source's BFS level masks."""
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 UNREACHABLE = 0xFFFF
@@ -57,6 +58,11 @@ class Graph:
         if u > v:
             u, v = v, u
         return (u, v) in self.edges
+
+    @cached_property
+    def neighbour_masks(self) -> tuple[int, ...]:
+        """Bit w of entry v is set when w is adjacent to v."""
+        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adjacency)
 
 
 def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:

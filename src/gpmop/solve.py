@@ -29,7 +29,10 @@ A final search in ascending label order for a set of size c[0] reports the
 lexicographically smallest maximum set as the witness, which the dynamic
 program yields through its weights.  No lower bound steers either route, so
 the result depends on the graph and its labels only, and every witness is
-checked against BFS rows before it is returned, on a MOP only those it reads.
+checked by ``verify.is_gp_levels`` before it is returned, which walks BFS
+levels as bitmasks and reads no distance table.  That check, not the dual
+tree, bounds the order a MOP solve can serve, hence ``MOP_SEARCH_CAP``; the
+search keeps ``DEFAULT_SEARCH_CAP``.
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ from typing import Sequence
 from .dual import mop_gp_lanes
 from .graph import Disconnected, Graph, GraphError, _source_rows, all_pairs_distances, is_connected
 from .mop import MopCertificate, NotAnMop, check_certificate, maximal_fan, recognize
-from .verify import is_gp_characterized
+from .verify import is_gp_characterized, is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
+# A random 2000-gon takes about 0.75 s of process time on a 2-core x86
+# machine, nearly all of it the witness check.
+MOP_SEARCH_CAP = 2000
 
 
 class SearchCapExceeded(GraphError):
@@ -215,11 +221,11 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
 
 
 def _verified(
-    g: Graph, dist: tuple[tuple[int, ...], ...], value: int, witness: tuple[int, ...], nodes: int
+    g: Graph, value: int, witness: tuple[int, ...], nodes: int, levels: dict[int, list[int]] | None = None
 ) -> GpResult:
     if len(witness) != value:
         raise RuntimeError(f"internal: solver returned {len(witness)} vertices for gp {value}")
-    if not is_gp_characterized(g, dist, witness).is_gp:
+    if not is_gp_levels(g, witness, levels):
         raise RuntimeError("internal: solver returned a set that fails verification")
     return GpResult(value, witness, nodes)
 
@@ -229,7 +235,7 @@ def _mop_verified(
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
     # mop_gp_lanes, where labellings[i][p] labels vertex cycle[p] in lane i:
     # every lane must have lane 0's value, and each distinct witness, carried
-    # to vertex ids, passes _verified once on the only BFS rows it reads.
+    # to vertex ids, passes _verified once; the sets share each source's BFS levels.
     results, nodes = mop_gp_lanes(g, cycle, labellings)
     value = results[0][0]
     positions: dict[tuple[int, ...], None] = {}
@@ -237,10 +243,11 @@ def _mop_verified(
         if lane_value != value:
             raise RuntimeError(f"internal: labelling {i} has gp {lane_value}, its class {value}")
         positions[tuple(sorted(map(labels.index, witness)))] = None
-    carried = [tuple(sorted(cycle[p] for p in s)) for s in positions]
-    rows = _source_rows(g, set().union(*carried))
-    for witness in carried:
-        _verified(g, rows, value, witness, nodes)
+    # Several sets share each source's levels; a lone set walks each source
+    # only as far as it must and holds one source's levels at a time.
+    levels: dict[int, list[int]] | None = {} if len(positions) > 1 else None
+    for s in positions:
+        _verified(g, value, tuple(sorted(cycle[p] for p in s)), nodes, levels)
     return results, nodes
 
 
@@ -250,14 +257,11 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     The witness is the lexicographically smallest maximum set.  A MOP, known
     by a given certificate, checked against ``g``, or else by ``recognize``
     on a graph with 2n-3 edges, is solved over its dual tree; both give one
-    result.  Any other graph is searched in label order.
+    result.  Any other graph is searched in label order.  The connectivity
+    test and ``recognize`` are linear; only after them does the order meet
+    its cap, ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
     """
     n = g.order
-    if n > DEFAULT_SEARCH_CAP and not force:
-        raise SearchCapExceeded(
-            f"order {n} exceeds the search cap {DEFAULT_SEARCH_CAP}; "
-            "pass force=True (gpmop gp --force) to override"
-        )
     if not is_connected(g):
         raise Disconnected("graph is not connected")
     if cert is not None:
@@ -265,8 +269,13 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     elif len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert = recognize(g)
+    cap = DEFAULT_SEARCH_CAP if cert is None else MOP_SEARCH_CAP
+    if n > cap and not force:
+        raise SearchCapExceeded(
+            f"order {n} exceeds the search cap {cap}; pass force=True (gpmop gp --force) to override"
+        )
     if cert is not None:
         results, nodes = _mop_verified(g, cert.cycle, [cert.cycle])
         return GpResult(*results[0], nodes)
     dist = all_pairs_distances(g)
-    return _verified(g, dist, *_search(n, _pair_block_masks(dist, n)))
+    return _verified(g, *_search(n, _pair_block_masks(dist, n)))

@@ -1,17 +1,25 @@
-"""Two independent general-position tests that must agree.
+"""Three general-position tests: two independent ones that must agree, and
+the one that checks every solver witness.
 
 ``is_gp_naive`` applies the definition: no member may lie on a geodesic
 between two other members.  ``is_gp_characterized`` decides through the
 clique-partition route: the components induced by the set must be complete
 subgraphs whose blocks are pairwise distance-constant, with no block
 sitting metrically between two others.  The naive form serves as the test
-oracle for the characterized one.
+oracle for the characterized one.  Both read BFS rows.
+
+``is_gp_levels`` applies the definition with no distance table: one walk
+down the BFS levels of each member, as bitmasks, marks every vertex that
+lies beyond another member on a geodesic from it.  It takes O(kn)
+big-integer operations for k members and, unless callers share levels
+between sets, holds one source's levels at a time, so it serves orders at
+which a row per member would not fit.  ``is_gp_naive`` is its test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .graph import UNREACHABLE, Disconnected, Graph, _check_vertices
 
@@ -63,6 +71,67 @@ def is_gp_naive(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -
     members = _prepare(g, dist, s)
     violation = _first_violation(dist, members)
     return GpSetCheck(members, violation is None, violation, None)
+
+
+def _bfs_levels(nbr: tuple[int, ...], source: int) -> Iterator[int]:
+    # The vertices at distance 0, 1, 2, ... from source, one bitmask each.
+    seen = level = 1 << source
+    while level:
+        yield level
+        reach = 0
+        while level:
+            # Clearing the top bit first keeps the int shrinking.
+            v = level.bit_length() - 1
+            reach |= nbr[v]
+            level ^= 1 << v
+        level = reach & ~seen
+        seen |= level
+
+
+def is_gp_levels(g: Graph, s: Iterable[int], levels: dict[int, list[int]] | None = None) -> bool:
+    """Definitional test that reads no distances.
+
+    Walking the BFS levels of a member a, a vertex is marked when a
+    neighbour one level up is a member other than a or is marked, so c is
+    marked exactly when some member b other than a and c has d(a, c) =
+    d(a, b) + d(b, c).  Each triple is sought from its smaller endpoint, so
+    the set fails once a mark meets a member above a, the last member walks
+    nowhere, and a walk stops once it has seen every member above a.  The
+    first walk runs to the end and raises ``Disconnected`` if it misses a
+    vertex; the empty set walks from vertex 0 for that.  ``levels``, when
+    given, keeps each source's level masks for later calls on the same
+    graph.
+    """
+    members = tuple(sorted(set(s)))
+    _check_vertices(g.order, members)
+    nbr = g.neighbour_masks
+    want = sum(1 << v for v in members)
+    for i, a in enumerate(members[:-1] or members or (0,)):
+        if levels is None:
+            walk: Iterable[int] = _bfs_levels(nbr, a)
+        else:
+            walk = levels.get(a) or levels.setdefault(a, list(_bfs_levels(nbr, a)))
+        others = want & ~(1 << a)
+        later = want >> a + 1 << a + 1
+        seen = bad = carry = 0
+        for level in walk:
+            # carry holds the marks and the members other than a one level up.
+            reach = 0
+            while carry:
+                v = carry.bit_length() - 1
+                reach |= nbr[v]
+                carry ^= 1 << v
+            marks = level & reach
+            bad |= marks & later
+            carry = marks | level & others
+            seen |= level
+            if i and (bad or not later & ~seen):
+                break
+        if not i and seen != (1 << g.order) - 1:
+            raise Disconnected("general position tests require a connected graph")
+        if bad:
+            return False
+    return True
 
 
 def _induced_components(g: Graph, members: tuple[int, ...]) -> list[tuple[int, ...]]:

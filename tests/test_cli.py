@@ -59,6 +59,16 @@ class TestGp:
         assert main(["gp", f, "--force"]) == 0
         assert "gp=2" in capsys.readouterr().out
 
+    def test_mop_cap_exceeded(self, tmp_path, capsys):
+        # A fan has 2n - 3 edges and is a MOP, so its own cap applies.
+        cap = gpmop.solve.MOP_SEARCH_CAP
+        f = generate(tmp_path, "fan", cap + 1)
+        assert main(["gp", f]) == 2
+        err = capsys.readouterr().err
+        assert f"order {cap + 1} exceeds the search cap {cap};" in err and "--force" in err
+        assert main(["gp", generate(tmp_path, "fan", 60)]) == 0
+        assert "gp=40" in capsys.readouterr().out
+
 
 class TestVerify:
     def test_yes_with_partition(self, tmp_path, capsys):

@@ -212,6 +212,25 @@ class TestGpNumber:
             gp_number(g)
         assert gp_number(g, force=True).value == 2
 
+    def test_mop_search_cap(self, monkeypatch):
+        # Just above the MOP cap: only the linear connectivity test and
+        # recognize run before the cap refuses the solve.
+        g = random_mop(random.Random(1), solve.MOP_SEARCH_CAP + 1)
+        with pytest.raises(SearchCapExceeded, match=f"search cap {solve.MOP_SEARCH_CAP};"):
+            gp_number(g)
+        # Above the search cap, a MOP is solved; with a cap of 50, at 50 it
+        # is solved and at 51 it is refused unless forced.
+        h = random_mop(random.Random(2), 50)
+        expected = gp_number(h)
+        monkeypatch.setattr(solve, "MOP_SEARCH_CAP", 50)
+        assert gp_number(h) == expected
+        h = random_mop(random.Random(2), 51)
+        with pytest.raises(SearchCapExceeded, match="search cap 50;"):
+            gp_number(h)
+        with pytest.raises(SearchCapExceeded, match="search cap 50;"):
+            gp_number(h, cert=recognize(h))
+        assert gp_number(h, force=True) == gp_number(h, cert=recognize(h), force=True)
+
     def test_disconnected(self):
         with pytest.raises(Disconnected):
             gp_number(build_graph(4, [(0, 1), (2, 3)]))
@@ -243,8 +262,9 @@ class TestGpNumber:
 
     def test_mop_reads_only_the_rows_its_check_needs(self, monkeypatch):
         # On a MOP no full distance table and no conflict masks: BFS from
-        # vertex 0 for connectivity, once more inside recognize, and the
-        # witness's rows for the check; this witness lacks vertex 0.
+        # vertex 0 for connectivity and once more inside recognize.  The
+        # witness check walks BFS levels as bitmasks and builds no row; this
+        # witness lacks vertex 0, so a row for it would show.
         def forbidden(*args):
             raise AssertionError("distance table or conflict masks built")
 
@@ -261,7 +281,7 @@ class TestGpNumber:
             sources.clear()
             res = gp_number(g, cert=cert)
             assert 0 not in res.witness
-            assert sources == [0, 0, *res.witness]
+            assert sources == [0, 0]
         rng = random.Random(30)
         for n in range(3, 10):
             h = random_mop(rng, n)

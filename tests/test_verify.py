@@ -12,7 +12,9 @@ from gpmop import (
     build_graph,
     complete,
     fan,
+    gp_number,
     is_gp_characterized,
+    is_gp_levels,
     is_gp_naive,
     path,
     run_census,
@@ -173,6 +175,45 @@ class TestPartialRows:
         for test in (is_gp_naive, is_gp_characterized):
             with pytest.raises(Disconnected):
                 test(g, dist, (2,))
+
+
+class TestLevels:
+    """The level-walk test against the naive oracle on the full table."""
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_naive(self, seed):
+        rng = random.Random(seed)
+        g = random_connected_graph(rng, rng.randint(1, 10), rng.choice((0.1, 0.3, 0.6)))
+        dist = all_pairs_distances(g)
+        levels = {}
+        # Empty, single and duplicated ids included; the shared cache answers as a fresh walk.
+        for size in (0, 1, rng.randint(2, g.order + 2)):
+            members = [rng.randrange(g.order) for _ in range(size)]
+            expected = is_gp_naive(g, dist, members).is_gp
+            assert is_gp_levels(g, members) == expected
+            assert is_gp_levels(g, members, levels) == expected
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_witness_plus_one_vertex_fails(self, seed, mop):
+        rng = random.Random(seed)
+        n = rng.randint(4, 12)
+        g = random_mop(rng, n) if mop else random_connected_graph(rng, n)
+        witness = gp_number(g).witness
+        assert is_gp_levels(g, witness)
+        for v in set(range(n)) - set(witness):
+            assert not is_gp_levels(g, (*witness, v))
+
+    @pytest.mark.parametrize("members", [(0, 1), (0,), (2, 3), ()])
+    def test_disconnected_even_within_one_component(self, members):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(Disconnected):
+            is_gp_levels(g, members)
+
+    def test_out_of_range(self):
+        with pytest.raises(VertexOutOfRange):
+            is_gp_levels(path(3).graph, (0, 3))
 
 
 class TestTriangulationWitnessStructure:
