@@ -218,8 +218,8 @@ class TestGpNumber:
         g = random_mop(random.Random(1), solve.MOP_SEARCH_CAP + 1)
         with pytest.raises(SearchCapExceeded, match=f"search cap {solve.MOP_SEARCH_CAP};"):
             gp_number(g)
-        # Above the search cap, a MOP is solved; with a cap of 50, at 50 it
-        # is solved and at 51 it is refused unless forced.
+        # Above the search cap of 40 a MOP is still solved; with a MOP cap of
+        # 50, order 50 is solved and order 51 refused unless forced.
         h = random_mop(random.Random(2), 50)
         expected = gp_number(h)
         monkeypatch.setattr(solve, "MOP_SEARCH_CAP", 50)
