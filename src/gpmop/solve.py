@@ -235,7 +235,7 @@ def _mop_verified(
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
     # mop_gp_lanes, where labellings[i][p] labels vertex cycle[p] in lane i:
     # every lane must have lane 0's value, and each distinct witness, carried
-    # to vertex ids, passes _verified once; the sets share each source's BFS levels.
+    # to vertex ids, passes _verified once.
     results, nodes = mop_gp_lanes(g, cycle, labellings)
     value = results[0][0]
     positions: dict[tuple[int, ...], None] = {}
