@@ -92,6 +92,14 @@ lane-wise max takes v when G = H, keeps u when G = 0, and otherwise takes
 u ^ ((v ^ u) & (G - (G >> (w-1)))), whose mask fills the lanes G marks below
 their guards.  When the larger of u and v is below 2^w, both lie in lane 0
 alone and the plain comparison decides, as it always does with one lane.
+
+Joins.  A table holds a value for each of 22 slots, one per class, and a mask
+of the slots present; slots 0..3 are the hull states, so a hull edge has mask
+15.  ``_JOINS`` holds the 147 merging pairs of slots as triples (left, right,
+merged slot) by left slot; a join runs over those whose slots are present
+(``_plan``, one list per pair of masks), at the root all into slot 0, the
+best root value.  A fact of the quotient, not of any graph, the list is a
+literal like ``_REP`` that no process derives; tests derive it from ``_merge``.
 """
 
 from __future__ import annotations
@@ -99,7 +107,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 from .graph import Graph
 
@@ -163,48 +171,46 @@ _REP = {
     244: 228, 245: 237, 246: 230, 248: 228, 249: 237, 250: 230, 252: 228, 253: 237, 254: 230,
 }
 
-# The states of a hull edge, (alpha, beta) = (0, 0), (0, 1), (1, 0), (1, 1).
-_HULL = bytes(_state(alpha, beta, set(), set()) for alpha in (0, 1) for beta in (0, 1))
+# The 22 states by slot: hull states (alpha, beta) = (0, 0), (0, 1), (1, 0), (1, 1) first.
+_SLOTS = (0, 2, 1, 3, 4, 8, 12, 16, 20, 24, 50, 56, 106, 108, 133, 140, 201, 216, 228, 230, 235, 237)
+_ALPHA, _BETA = (sum(1 << i for i, s in enumerate(_SLOTS) if s & bit) for bit in (1, 2))
+
+# Row i holds (i, j, k) for each slot j of cb that merges with slot i of ac
+# into slot k of ab: the 147 merging pairs (see Joins), derived in tests/test_dual.py.
+_JOINS = (
+    ((0, 0, 0), (0, 1, 1), (0, 4, 4), (0, 5, 4), (0, 6, 4), (0, 7, 5), (0, 8, 6), (0, 9, 6), (0, 10, 12),
+    (0, 11, 13), (0, 12, 19), (0, 13, 18), (0, 15, 4), (0, 17, 15), (0, 18, 18), (0, 19, 19)), ((1, 2, 5),
+    (1, 3, 12), (1, 14, 6), (1, 16, 15), (1, 20, 19), (1, 21, 18)), ((2, 0, 2), (2, 1, 3), (2, 4, 14),
+    (2, 5, 14), (2, 6, 14), (2, 7, 16), (2, 8, 16), (2, 9, 16), (2, 10, 20), (2, 11, 21), (2, 15, 14)),
+    ((3, 2, 16), (3, 3, 20), (3, 14, 16)), ((4, 0, 5), (4, 1, 12), (4, 4, 6), (4, 5, 6), (4, 6, 6), (4, 7, 5),
+    (4, 8, 6), (4, 9, 6), (4, 10, 12), (4, 11, 13), (4, 12, 19), (4, 13, 18)), ((5, 0, 7), (5, 1, 10),
+    (5, 4, 8), (5, 5, 8), (5, 6, 8), (5, 7, 9), (5, 8, 8), (5, 9, 8), (5, 10, 12), (5, 11, 13), (5, 12, 19),
+    (5, 13, 18)), ((6, 0, 9), (6, 1, 12), (6, 4, 8), (6, 5, 8), (6, 6, 8), (6, 7, 9), (6, 8, 8), (6, 9, 8),
+    (6, 10, 12), (6, 11, 13), (6, 12, 19), (6, 13, 18)), ((7, 0, 7), (7, 1, 10), (7, 4, 8), (7, 5, 8),
+    (7, 6, 8), (7, 7, 9), (7, 8, 8), (7, 9, 8), (7, 10, 12), (7, 11, 13), (7, 15, 8)), ((8, 0, 9), (8, 1, 12),
+    (8, 4, 8), (8, 5, 8), (8, 6, 8), (8, 7, 9), (8, 8, 8), (8, 9, 8), (8, 10, 12), (8, 11, 13)), ((9, 0, 7),
+    (9, 1, 10), (9, 4, 8), (9, 5, 8), (9, 6, 8), (9, 7, 9), (9, 8, 8), (9, 9, 8), (9, 10, 12), (9, 11, 13)),
+    ((10, 2, 9), (10, 3, 12), (10, 14, 8)), ((11, 0, 7), (11, 1, 10), (11, 4, 8)), ((12, 2, 11),),
+    ((13, 0, 11),), ((14, 0, 16), (14, 1, 20), (14, 4, 16), (14, 5, 16), (14, 6, 16), (14, 7, 16), (14, 8, 16),
+    (14, 9, 16), (14, 10, 20), (14, 11, 21)), ((15, 0, 17), (15, 1, 19), (15, 4, 17), (15, 5, 17), (15, 6, 17),
+    (15, 7, 17), (15, 8, 17), (15, 9, 17), (15, 10, 19), (15, 11, 18), (15, 12, 19), (15, 13, 18)),
+    ((16, 0, 21), (16, 5, 21), (16, 7, 21), (16, 9, 21), (16, 11, 21)), ((17, 0, 18), (17, 5, 18), (17, 7, 18),
+    (17, 9, 18), (17, 11, 18)), ((18, 0, 18),), ((19, 2, 18),), ((20, 2, 21),), ((21, 0, 21),),
+)
 
 
-class _Plan(NamedTuple):
-    """How the tables of ac and cb make the table of ab, in bytes, since a
-    state and an index into a table of states are below 256.  Pair k joins
-    state left[k] of ac with state right[k] of cb.  The first len(states)
-    pairs reach the states in order; each later pair reaches state
-    extra[k - len(states)] again.  ``pairs`` counts the state pairs that
-    agree on c."""
-
-    states: bytes
-    left: bytes
-    right: bytes
-    extra: bytes
-    pairs: int
-
-
-# The labelled census of order 14 needs 438 plans, and one random MOP of
-# each order 10, 20, ..., 3,000 needs 576; the bound caps the memory of any
-# other use.
-@lru_cache(maxsize=8192)
-def _plan(left: bytes, right: bytes) -> _Plan:
-    reach: dict[int, list[tuple[int, int]]] = {}
-    pairs = 0
-    for gamma in (0, 1):
-        lefts = [(i, s1) for i, s1 in enumerate(left) if s1 >> 1 & 1 == gamma]
-        rights = [(j, s2) for j, s2 in enumerate(right) if s2 & 1 == gamma]
-        pairs += len(lefts) * len(rights)
-        for i, s1 in lefts:
-            for j, s2 in rights:
-                r = _merge(s1, s2)
-                if r >= 0:
-                    reach.setdefault(r, []).append((i, j))
-    states = sorted(reach)
-    flat = [reach[r][0] for r in states]
-    extra = []
-    for k, r in enumerate(states):
-        flat += reach[r][1:]
-        extra += [k] * (len(reach[r]) - 1)
-    return _Plan(bytes(states), bytes(i for i, _ in flat), bytes(j for _, j in flat), bytes(extra), pairs)
+# Unbounded: joins reach 24 presence masks (pinned in tests), so at most 2 x 24 x 24 plans.
+@lru_cache(maxsize=None)
+def _plan(left: int, right: int, root: bool) -> tuple[list[tuple[int, int, int]], int, int]:
+    """For the presence masks of ac and cb: the merging triples (i, j, k) of present
+    slots, every k 0 at the root, the mask of ab and the number of agreeing pairs."""
+    triples = [t for i, row in enumerate(_JOINS) if left >> i & 1 for t in row if right >> t[1] & 1]
+    if root:
+        triples = [(i, j, 0) for i, j, _ in triples]
+    # c is beta on the left and alpha on the right.
+    l1, r1 = (left & _BETA).bit_count(), (right & _ALPHA).bit_count()
+    pairs = (left.bit_count() - l1) * (right.bit_count() - r1) + l1 * r1
+    return triples, sum({1 << k for _, _, k in triples}), pairs
 
 
 def mop_gp_lanes(
@@ -248,12 +254,20 @@ def mop_gp_lanes(
     bits = [[1 << (i * width + n - 1 - v) for v in lab] for i, lab in enumerate(labellings)]
     weight = list(map(sum, zip(*bits), repeat(count)))
 
-    def fold(values: list[int], into: Iterable[int], sums: Iterable[int]) -> None:
-        # values[k] becomes the lane-wise max of itself and v, for k, v in zip(into, sums).
-        for k, v in zip(into, sums):
+    # Position 0's weight rides on alpha of hull edge (0, 1), so on every root value.
+    tables = {(0, 1): (15, [0, weight[1], weight[0], weight[0] + weight[1]])}
+    pairs = 0
+    for a, c, b in reversed(triangles):
+        lm, lv = tables.pop((a, c), None) or (15, [0, weight[c], 0, weight[c]])
+        rm, rv = tables.pop((c, b), None) or (15, [0, weight[b], 0, weight[b]])
+        plan, mask, plan_pairs = _plan(lm, rm, b - a == n - 1)
+        # Each slot starts at 0, below every v in every lane, and ends at the lane-wise max (Lanes) of its v.
+        values = [0] * len(_SLOTS)
+        for i, j, k in plan:
+            v = lv[i] + rv[j]
             u = values[k]
             if v > u:
-                if v < first:
+                if v < first or not u:
                     values[k] = v
                     continue
             elif u < first:
@@ -263,27 +277,12 @@ def mop_gp_lanes(
                 values[k] = v
             elif ge:
                 values[k] = u ^ ((v ^ u) & (ge - (ge >> top)))
-
-    # The table of edge (a, b) holds its states and their values, in one order.
-    tables: dict[tuple[int, int], tuple[bytes, list[int]]] = {}
-    pairs = 0
-    for a, c, b in reversed(triangles):
-        ls, lv = tables.pop((a, c), None) or (_HULL, [0, weight[c], 0, weight[c]])
-        rs, rv = tables.pop((c, b), None) or (_HULL, [0, weight[b], 0, weight[b]])
-        plan = _plan(ls, rs)
-        sums = [lv[i] + rv[j] for i, j in zip(plan.left, plan.right)]
-        head = len(plan.states)
-        values = sums[:head]
-        fold(values, plan.extra, sums[head:])
-        tables[a, b] = plan.states, values
-        pairs += plan.pairs
-    # Every lane of a root value is at least 0.
-    best = [0]
-    fold(best, repeat(0), [v + (weight[0] if s & 1 else 0) for s, v in zip(*tables[0, n - 1])])
+        tables[a, b] = mask, values
+        pairs += plan_pairs
+    best = tables[0, n - 1][1][0]
     results = []
     for i in range(len(labellings)):
-        lane = best[0] >> (i * width) & ((1 << width) - 1)
+        lane = best >> (i * width) & ((1 << width) - 1)
         low = lane & ((1 << n) - 1)
         results.append((lane >> n, tuple(v for v in range(n) if low >> (n - 1 - v) & 1)))
     return results, pairs
-

@@ -257,18 +257,19 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     The witness is the lexicographically smallest maximum set.  A MOP, known
     by a given certificate, checked against ``g``, or else by ``recognize``
     on a graph with 2n-3 edges, is solved over its dual tree; both give one
-    result.  Any other graph is searched in label order.  The connectivity
-    test and ``recognize`` are linear; only after them does the order meet
-    its cap, ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
+    result.  Any other graph is searched in label order.  Connectivity comes
+    first, tested by ``recognize`` itself on 2n-3 edges and n >= 3; both tests
+    are linear, and only after them does the order meet its cap,
+    ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
     """
     n = g.order
-    if not is_connected(g):
-        raise Disconnected("graph is not connected")
-    if cert is not None:
-        check_certificate(g, cert)
-    elif len(g.edges) == 2 * n - 3:
+    if cert is None and n >= 3 and len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert = recognize(g)
+    elif not is_connected(g):
+        raise Disconnected("graph is not connected")
+    elif cert is not None:
+        check_certificate(g, cert)
     cap = DEFAULT_SEARCH_CAP if cert is None else MOP_SEARCH_CAP
     if n > cap and not force:
         raise SearchCapExceeded(

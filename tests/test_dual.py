@@ -3,7 +3,10 @@ oracles: Floyd-Warshall distances for the separator lemma, full bitmask
 enumeration and the suffix-bound search for values and witnesses."""
 
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -173,16 +176,18 @@ class TestMopGp:
 @contextmanager
 def raw_merge():
     # The merge before the quotient: no state goes to its class's least
-    # member.  Both caches are emptied on the way in and on the way out.
+    # member.  Its cache is emptied on the way in and on the way out.
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dual, "_REP", {})
             dual._merge.cache_clear()
-            dual._plan.cache_clear()
-            yield
+            yield mp
     finally:
         dual._merge.cache_clear()
-        dual._plan.cache_clear()
+
+
+# The states of a hull edge, (alpha, beta) = (0, 0), (0, 1), (1, 0), (1, 1).
+HULL = tuple(dual._state(alpha, beta, set(), set()) for alpha in (0, 1) for beta in (0, 1))
 
 
 def agreeing(states) -> set[tuple[int, int]]:
@@ -192,12 +197,45 @@ def agreeing(states) -> set[tuple[int, int]]:
 
 def closure(merge) -> set[int]:
     # The states that merges reach from the hull states.
-    states = set(dual._HULL)
+    states = set(HULL)
     while True:
         new = {r for s1, s2 in agreeing(states) if (r := merge(s1, s2)) >= 0} - states
         if not new:
             return states
         states |= new
+
+
+def join_table(merge):
+    # The slots, hull states first and then the others ascending, and for
+    # each slot i of ac the triples (i, slot of cb, merged slot) that merge.
+    slots = (*HULL, *sorted(closure(merge) - set(HULL)))
+    index = {s: i for i, s in enumerate(slots)}
+    joins = tuple(
+        tuple((i, j, index[r]) for j, s2 in enumerate(slots) if s1 >> 1 & 1 == s2 & 1 and (r := merge(s1, s2)) >= 0)
+        for i, s1 in enumerate(slots)
+    )
+    return slots, joins
+
+
+def slot_bits(slots, bit: int) -> int:
+    return sum(1 << i for i, s in enumerate(slots) if s & bit)
+
+
+@contextmanager
+def raw_table():
+    # mop_gp_lanes on the join table of the raw merge, with its plan cache
+    # emptied on the way in and on the way out.
+    with raw_merge() as mp:
+        slots, joins = join_table(dual._merge)
+        mp.setattr(dual, "_SLOTS", slots)
+        mp.setattr(dual, "_JOINS", joins)
+        mp.setattr(dual, "_ALPHA", slot_bits(slots, 1))
+        mp.setattr(dual, "_BETA", slot_bits(slots, 2))
+        dual._plan.cache_clear()
+        try:
+            yield len(slots)
+        finally:
+            dual._plan.cache_clear()
 
 
 class TestQuotient:
@@ -235,40 +273,78 @@ class TestQuotient:
         assert {s: least[block[s]] for s in states if s != least[block[s]]} == dual._REP
         assert all(s & 3 == r & 3 for s, r in dual._REP.items())
 
+    def test_join_list_is_derived_from_merge(self):
+        assert join_table(dual._merge) == (dual._SLOTS, dual._JOINS)
+        assert sum(map(len, dual._JOINS)) == 147
+        assert (dual._ALPHA, dual._BETA) == (slot_bits(dual._SLOTS, 1), slot_bits(dual._SLOTS, 2))
+
+    def test_joins_reach_24_presence_masks(self):
+        # Any two reachable tables can meet at a triangle, so the masks that
+        # joins reach from the hull mask close under _plan: 24 masks, hence
+        # at most 576 plans below the root and 576 at it.
+        masks = {0b1111}
+        while True:
+            new = {dual._plan(left, right, False)[1] for left in masks for right in masks} - masks
+            if not new:
+                break
+            masks |= new
+        assert len(masks) == 24
+
+    def test_no_run_calls_merge(self):
+        # The join list is a literal: neither a MOP solve nor the census
+        # derives it.
+        dual._merge.cache_clear()
+        gp_number(random_mop(random.Random(5), 40))
+        assert len(run_census(8)) == 132
+        info = dual._merge.cache_info()
+        assert info.hits + info.misses == 0
+
+    def test_import_leaves_the_caches_empty(self):
+        # What importing the package pays for is the literal, not a derivation.
+        src = str(Path(dual.__file__).resolve().parents[1])
+        code = (
+            "import gpmop\n"
+            "from gpmop import dual\n"
+            "print(dual._merge.cache_info().currsize, dual._plan.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True)
+        assert proc.stdout == "0 0\n"
+
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
     def test_quotient_dp_equals_raw_dp(self, seed):
+        # The raw merge's 41 states run through the same joins.
         rng = random.Random(seed)
         n = rng.randint(4, 100)
         g = random_mop(rng, n)
         cycle = list(recognize(g).cycle)
         labellings = [rng.sample(range(n), n) for _ in range(rng.randint(1, 5))]
         lanes, pairs = mop_gp_lanes(g, cycle, labellings)
-        with raw_merge():
+        with raw_table() as slots:
+            assert slots == 41
             raw, raw_pairs = mop_gp_lanes(g, cycle, labellings)
         assert lanes == raw
         assert pairs <= raw_pairs
 
     def test_full_enumeration_reaches_every_quotient_pair(self):
         # The triangulations of orders 3..9, each checked against
-        # brute_force_gp in TestMopGp, merge all 292 pairs of the 22 states
-        # that agree on c; 147 of them merge and the rest are rejected.
-        merge = dual._merge
+        # brute_force_gp in TestMopGp, join tables whose present states
+        # form all 292 pairs of the 22 states that agree on c; 147 of them
+        # merge and the rest are rejected.
+        plan = dual._plan
         seen = set()
 
-        def recording(s1, s2):
-            seen.add((s1, s2))
-            return merge(s1, s2)
+        def recording(left, right, root):
+            lefts, rights = ([s for i, s in enumerate(dual._SLOTS) if mask >> i & 1] for mask in (left, right))
+            seen.update((s1, s2) for s1 in lefts for s2 in rights if s1 >> 1 & 1 == s2 & 1)
+            return plan(left, right, root)
 
-        try:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(dual, "_merge", recording)
-                dual._plan.cache_clear()
-                for n in range(3, 10):
-                    for chords in enumerate_triangulations(n):
-                        mop_gp_lanes(graph_from_chords(n, chords), range(n), [range(n)])
-        finally:
-            dual._plan.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dual, "_plan", recording)
+            for n in range(3, 10):
+                for chords in enumerate_triangulations(n):
+                    mop_gp_lanes(graph_from_chords(n, chords), range(n), [range(n)])
+        merge = dual._merge
         states = closure(merge)
         assert len(states) == 22
         assert seen == agreeing(states)

@@ -36,6 +36,7 @@ from helpers import (
     per_pair_block_masks,
     random_connected_graph,
     random_mop,
+    relabeled,
     suffix_search,
 )
 
@@ -260,11 +261,21 @@ class TestGpNumber:
         with pytest.raises(Disconnected):
             gp_number(build_graph(7, edges))
 
+    def test_connected_non_mop_with_a_mop_edge_count(self):
+        # K5 with a pendant path 4-5-6-7: 13 = 2n - 3 edges on 8 vertices.
+        # recognize rejects it after its own connectivity test, and the
+        # search takes over.
+        edges = [(a, b) for a in range(5) for b in range(a + 1, 5)] + [(4, 5), (5, 6), (6, 7)]
+        g = build_graph(8, edges)
+        res = gp_number(g)
+        assert (res.value, res.witness) == brute_force_gp(g)
+
     def test_mop_reads_only_the_rows_its_check_needs(self, monkeypatch):
         # On a MOP no full distance table and no conflict masks: BFS from
-        # vertex 0 for connectivity and once more inside recognize.  The
-        # witness check walks BFS levels as bitmasks and builds no row; this
-        # witness lacks vertex 0, so a row for it would show.
+        # vertex 0 inside recognize, which answers connectivity when no
+        # certificate is given, and before it for connectivity when one is.
+        # The witness check walks BFS levels as bitmasks and builds no row;
+        # this witness lacks vertex 0, so a row for it would show.
         def forbidden(*args):
             raise AssertionError("distance table or conflict masks built")
 
@@ -281,12 +292,30 @@ class TestGpNumber:
             sources.clear()
             res = gp_number(g, cert=cert)
             assert 0 not in res.witness
-            assert sources == [0, 0]
+            assert sources == ([0] if cert is None else [0, 0])
         rng = random.Random(30)
         for n in range(3, 10):
             h = random_mop(rng, n)
             res = gp_number(h)
             assert (res.value, res.witness) == brute_force_gp(h)
+
+    def test_mop_without_certificate_runs_one_bfs_from_zero(self, monkeypatch):
+        # recognize's connectivity test is the only BFS of the solve, also
+        # when the witness holds vertex 0 and when labels run off the hull.
+        def counted(g, source):
+            sources.append(source)
+            return real_bfs(g, source)
+
+        real_bfs, sources = graph.bfs_distances, []
+        monkeypatch.setattr(graph, "bfs_distances", counted)
+        rng = random.Random(31)
+        zero_in_witness = 0
+        for n in (3, 12, 30, 60):
+            for g in (random_mop(rng, n), relabeled(random_mop(rng, n), rng.sample(range(n), n))):
+                sources.clear()
+                zero_in_witness += 0 in gp_number(g).witness
+                assert sources == [0]
+        assert zero_in_witness
 
     def test_bad_certificate(self):
         from gpmop import MopCertificate, StructureViolation
