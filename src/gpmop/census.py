@@ -43,12 +43,11 @@ from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, _source_rows, build_graph
 from .mop import (
     CrossingChords,
-    MopCertificate,
     _check_non_crossing,
+    _stats,
     canonical_form,
     dihedral_images,
     image_key,
-    mop_stats,
     recognize,
 )
 from .solve import _fan_pattern, _mop_verified
@@ -92,10 +91,6 @@ def graph_from_chords(n: int, chords: Chords) -> Graph:
     edges = [(i, (i + 1) % n) for i in range(n)]
     edges.extend(chords)
     return build_graph(n, edges)
-
-
-def certificate_from_chords(n: int, chords: Chords) -> MopCertificate:
-    return MopCertificate(n, tuple(range(n)), frozenset(chords))
 
 
 @dataclass(frozen=True)
@@ -147,13 +142,6 @@ def _generator_catalog(n: int) -> tuple[tuple[str, bytes], ...]:
     return tuple(out)
 
 
-def _labels_for(n: int, key: bytes, g: Graph, cert: MopCertificate) -> tuple[str, ...]:
-    labels = [label for label, k in _generator_catalog(n) if k == key]
-    if is_generalized_sunflower(g, cert):
-        labels.append("gsf")
-    return tuple(labels)
-
-
 def _quiddity_key(q: bytes) -> bytes:
     # The smallest of the 2n dihedral images of a quiddity sequence (triangles
     # per hull vertex): a complete isomorphism invariant of a triangulated polygon.
@@ -182,18 +170,20 @@ def quiddity_classes(n: int) -> tuple[bytes, ...]:
     return tuple(sorted(level))
 
 
-def _ear_cut(q: bytes) -> list[tuple[int, int]]:
-    # The chords of the triangulation of 0..n-1 with quiddity q: cut an ear tip
-    # (a vertex in one triangle) off the remaining polygon until a triangle is left.
-    counts, ring, chords = bytearray(q), list(range(len(q))), []
+def _ear_cut(q: bytes) -> list[tuple[int, int, int]]:
+    # The triangles of the triangulation of 0..n-1 with quiddity q: cut each ear
+    # tip (a vertex in one triangle) off the remaining polygon as a triangle
+    # (u, tip, w), leaving the chord (u, w), until one triangle is left, the last.
+    counts, ring, triangles = bytearray(q), list(range(len(q))), []
     while len(ring) > 3:
         i = next(i for i, v in enumerate(ring) if counts[v] == 1)
         u, w = ring[i - 1], ring[(i + 1) % len(ring)]
-        chords.append((u, w))
+        triangles.append((u, ring[i], w))
         counts[u] -= 1
         counts[w] -= 1
         del ring[i]
-    return chords
+    triangles.append(tuple(ring))
+    return triangles
 
 
 @lru_cache(maxsize=None)
@@ -205,29 +195,37 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
 def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _ClassResult:
     """The records of the class with quiddity sequence q, sorted by chords, and,
     when claims is set, the claims it breaks.  Ear cutting gives the class's
-    chords, and ``dihedral_images`` their images: every distinct image is a
-    member, or only the least when dedupe is set, and the least image, packed,
-    is the canonical key.  The first member's graph is the class graph, with
-    hull 0..n-1 as in mop_stats and _labels_for: gp, ``mop_stats``, the family
-    labels and ``class_violations`` come from it once.  Each member's dihedral
-    move (t, flip) gives its lane, the member's label of each class vertex,
-    checked to carry the class chords exactly onto the member's, so it is an
-    isomorphism.  ``solve._mop_verified`` runs one dual-tree pass on the class
-    graph with a lane per member, which yields every member's witness in its
-    own labels, and verifies each distinct witness, carried onto the class
-    graph, once, the witnesses sharing each source's BFS level masks."""
+    triangles and chords, and ``dihedral_images`` the chords' images: every
+    distinct image is a member, or only the least when dedupe is set, and the
+    least image, packed, is the canonical key.  The first member's graph, with
+    hull 0..n-1, is the class graph, which the family labels and
+    ``class_violations`` read once; the stats come from q and the triangles.
+    Each member's dihedral move (t, flip) gives its lane, the member's label
+    of each class vertex, checked to carry the class chords exactly onto the
+    member's, so it is an isomorphism.  ``solve._mop_verified`` runs one
+    dual-tree pass over the triangles, carried onto the class graph, with a
+    lane per member, which yields every member's witness in its own labels,
+    and verifies each distinct witness once, sharing each BFS level mask."""
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
-    # dihedral_images yields one image per (anchor, flip), in this order.
-    moves = dict(zip(dihedral_images(n, _ear_cut(q), anchors), [(t, f) for t in anchors for f in (1, -1)]))
+    # Each cut triangle (u, tip, w) but the last leaves the chord (u, w), and
+    # dihedral_images yields one image of the chords per (anchor, flip), in this order.
+    cut = _ear_cut(q)
+    images = dihedral_images(n, [(u, w) for u, _, w in cut[:-1]], anchors)
+    moves = dict(zip(images, [(t, f) for t in anchors for f in (1, -1)]))
     images = [min(moves)] if dedupe else sorted(moves)
     key, pairs = image_key(n, images[0]), _pair_table(n)
     members = [tuple(pairs[c] for c in image) for image in images]
     g = graph_from_chords(n, members[0])
-    cert = certificate_from_chords(n, members[0])
-    stats, labels = mop_stats(g, cert), _labels_for(n, key, g, cert)
+    labels = tuple(label for label, k in _generator_catalog(n) if k == key)
+    labels += ("gsf",) if is_generalized_sunflower(g) else ()
     t1, f1 = moves[images[0]]
+    # Ear-cut label y is class label f1(y - t1) + 1, as in dihedral_images.
+    to_class = [(f1 * (y - t1) + 1) % n for y in range(n)]
+    triangles = [tuple(sorted((to_class[u], to_class[v], to_class[w]))) for u, v, w in cut]
+    # Vertex v lies in q[v] triangles, so its degree is q[v] + 1.
+    stats = _stats(n, triangles, [k + 1 for k in q])
     lanes = []
     for chords, image in zip(members, images):
         # Class label x is ear-cut label t1 + f1(x - 1), which is member label
@@ -240,7 +238,7 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
         if tuple(sorted(mapped)) != image:
             raise RuntimeError(f"internal: move {(t, f)} does not carry {chords} onto its class {members[0]}")
         lanes.append(lane)
-    results, _ = _mop_verified(g, range(n), lanes)
+    results, _ = _mop_verified(g, range(n), triangles, lanes)
     records = [
         CensusRecord(
             n, key, chords, value, witness,
@@ -383,10 +381,11 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
         _Claim(
             "two_vertex_count", 4, "all classes: degree-2 vertices = internal triangles + 2",
             lambda r, g: r.two_vertices != r.internal_triangles + 2),
-        # n-1 faces holds already: _class_records' mop_stats raises on any other count.
+        # The n-2 inner faces are the triangles of g, each counted at its 3 edges.
         _Claim(
             "chord_count", 4, "all classes: n-3 chords and n-1 faces",
-            lambda r, g: len(r.chords) != n - 3),
+            lambda r, g: len(r.chords) != n - 3
+            or sum(len(set(g.adjacency[u]).intersection(g.adjacency[v])) for u, v in g.edges) != 3 * (n - 2)),
         _Claim(
             "degree_lower_bound", 4,
             "all classes: gp >= floor(2*(max_degree+1)/3) with a verified constructive witness",

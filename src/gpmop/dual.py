@@ -104,12 +104,9 @@ literal like ``_REP`` that no process derives; tests derive it from ``_merge``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
-
-from .graph import Graph
 
 _TYPES = (-1, 0, 1)
 
@@ -214,35 +211,14 @@ def _plan(left: int, right: int, root: bool) -> tuple[list[tuple[int, int, int]]
 
 
 def mop_gp_lanes(
-    g: Graph, cycle: Sequence[int], labellings: Sequence[Sequence[int]]
+    n: int, triangles: Sequence[tuple[int, int, int]], labellings: Sequence[Sequence[int]]
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """gp of a MOP whose hull cycle lists its vertices in order, with the
-    lexicographically smallest maximum set under each labelling, where
-    ``labellings[i][p]`` labels hull position p in lane i and the set of lane
-    i is given in its labels, and the number of state pairs merged.  The
-    cycle is trusted, not checked."""
-    n = g.order
-    pos = [0] * n
-    for p, v in enumerate(cycle):
-        pos[v] = p
-    # Neighbour positions of each position, ascending.
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for p, v in enumerate(cycle):
-        for w in g.adjacency[v]:
-            nbrs[pos[w]].append(p)
-    # Triangles in pre-order from the root edge: the apex of (a, b) is a's
-    # last neighbour before b.
-    triangles = []
-    stack = [(0, n - 1)]
-    while stack:
-        a, b = stack.pop()
-        na = nbrs[a]
-        c = na[bisect_left(na, b) - 1]
-        triangles.append((a, c, b))
-        if c - a > 1:
-            stack.append((a, c))
-        if b - c > 1:
-            stack.append((c, b))
+    """gp of the MOP of order n whose triangles, in any order, are the hull
+    position triples (a, c, b), a < c < b, with the lexicographically
+    smallest maximum set under each labelling, where ``labellings[i][p]``
+    labels hull position p in lane i and the set of lane i is given in its
+    labels, and the number of state pairs merged.  The triangles are
+    trusted, not checked."""
     # Lane i of a value is bits i*width .. i*width + top, bit top the guard (see Lanes).
     width = n + n.bit_length() + 1
     top = width - 1
@@ -257,7 +233,8 @@ def mop_gp_lanes(
     # Position 0's weight rides on alpha of hull edge (0, 1), so on every root value.
     tables = {(0, 1): (15, [0, weight[1], weight[0], weight[0] + weight[1]])}
     pairs = 0
-    for a, c, b in reversed(triangles):
+    # An arc's children are shorter, so they are joined first.
+    for a, c, b in sorted(triangles, key=lambda t: t[2] - t[0]):
         lm, lv = tables.pop((a, c), None) or (15, [0, weight[c], 0, weight[c]])
         rm, rv = tables.pop((c, b), None) or (15, [0, weight[b], 0, weight[b]])
         plan, mask, plan_pairs = _plan(lm, rm, b - a == n - 1)

@@ -213,11 +213,12 @@ def cycle(n: int) -> FamilyInstance:
     return FamilyInstance(f"cycle({n})", build_graph(n, edges), None, roles)
 
 
-def is_generalized_sunflower(g: Graph, cert: MopCertificate) -> bool:
+def is_generalized_sunflower(g: Graph, cert: MopCertificate | None = None) -> bool:
     """Structural petal test, independent of the core triangulation: order
     at least 5 and exactly floor(n/2) vertices of degree 2.
 
-    ``g`` must be maximal outerplanar, with ``cert`` its certificate.  Then
+    ``g`` must be maximal outerplanar; ``cert``, its certificate, is
+    accepted but not read.  Then
     that count is the whole definition: in a MOP of order >= 5 a degree-2
     vertex is an ear, whose two hull neighbours are adjacent, so it closes a
     triangle with them; no two ears are adjacent, since two adjacent ears

@@ -9,6 +9,7 @@ chords of that cycle.  Every rejection names its evidence.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (
@@ -155,17 +156,53 @@ def check_certificate(g: Graph, cert: MopCertificate) -> None:
         raise StructureViolation("certificate does not match the recognized hull and chord set")
 
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
-    adj_sets = [set(a) for a in g.adjacency]
-    tris = []
-    for u in range(g.order):
-        for v in g.adjacency[u]:
-            if v <= u:
-                continue
-            for w in sorted(adj_sets[u] & adj_sets[v]):
-                if w > v:
-                    tris.append((u, v, w))
-    return tris
+def hull_triangles(g: Graph, cycle) -> list[tuple[int, int, int]]:
+    """The n-2 triangles of g as hull positions (a, c, b), a < c < b, along
+    cycle, in pre-order from the root edge (0, n-1): the apex of (a, b) is
+    a's last neighbour before b, and b must be the last neighbour of c.
+
+    Raises StructureViolation unless the walk closes n-2 triangles, exactly
+    when g is a MOP with hull cycle: the triangles then have sides in g, and
+    any other edge (x, y), x < y, would be x's last neighbour or an apex
+    on an arc from x.
+    """
+    n = g.order
+    if sorted(cycle) != list(range(n)):
+        raise StructureViolation("certificate cycle is not a permutation of the vertices")
+    pos = [0] * n
+    for p, v in enumerate(cycle):
+        pos[v] = p
+    # Neighbour positions of each position, ascending.
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for p, v in enumerate(cycle):
+        for w in g.adjacency[v]:
+            nbrs[pos[w]].append(p)
+    triangles = []
+    # Every arc on the stack is an edge: the root is checked here, a left arc
+    # (a, c) by its apex and a right arc (c, b) as c's last neighbour.
+    stack = [(0, n - 1)] if n - 1 in nbrs[0] else []
+    while stack:
+        a, b = stack.pop()
+        na = nbrs[a]
+        i = bisect_left(na, b)
+        c = na[i - 1] if i else a
+        if c <= a or nbrs[c][-1] != b:
+            break
+        triangles.append((a, c, b))
+        if c - a > 1:
+            stack.append((a, c))
+        if b - c > 1:
+            stack.append((c, b))
+    if len(triangles) != n - 2:
+        raise StructureViolation(f"expected {n - 2} inner faces, found {len(triangles)} along the cycle")
+    return triangles
+
+
+def _stats(n: int, triangles, degrees) -> MopStats:
+    # A triangle (a, c, b) of hull positions, a < c < b, is internal when no
+    # side is a hull edge: c - a > 1, b - c > 1 and (a, b) is not (0, n-1).
+    internal = sum(c - a > 1 and b - c > 1 and b - a < n - 1 for a, c, b in triangles)
+    return MopStats(internal, degrees.count(2), max(degrees), internal == 0)
 
 
 def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
@@ -173,29 +210,11 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
     consumes.
 
     Every triangle of a maximal outerplanar graph is an inner face, so the
-    face list is exactly the triangle list; a face is internal when none of
-    its sides lies on the hull cycle.
+    face list is the triangle list of ``hull_triangles``, which rejects a
+    cert.cycle that is not g's hull; a face is internal when none of its
+    sides lies on the hull cycle.
     """
-    n = g.order
-    tris = _triangles(g)
-    if len(tris) != n - 2:
-        raise StructureViolation(f"expected {n - 2} inner faces, found {len(tris)}")
-    cycle_edges = set()
-    for i, u in enumerate(cert.cycle):
-        v = cert.cycle[(i + 1) % n]
-        cycle_edges.add((u, v) if u < v else (v, u))
-    internal = 0
-    for a, b, c in tris:
-        if ((a, b) in cycle_edges or (b, c) in cycle_edges or (a, c) in cycle_edges):
-            continue
-        internal += 1
-    two = sum(1 for v in range(n) if g.degree(v) == 2)
-    return MopStats(
-        internal_triangles=internal,
-        two_vertices=two,
-        max_degree=g.max_degree,
-        striped=internal == 0,
-    )
+    return _stats(g.order, hull_triangles(g, cert.cycle), list(map(len, g.adjacency)))
 
 
 def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:

@@ -1,14 +1,15 @@
 """Exact maximum general position sets: a dual-tree dynamic program for
 maximal outerplanar graphs, and a suffix-bound search for every other graph.
 
-A maximal outerplanar graph (MOP) goes to ``dual.mop_gp_lanes``, which reads
-the triangles off the hull cycle and needs no distances, through
-``_mop_verified``, which the census shares.  Every other graph goes to a
-branch and bound over its conflicts, which are 3-uniform: a subset is in
-general position exactly when it contains no geodesic triple.  Every subset
-of a general position set is one, so the suffix bound of Östergård's maximum
-clique algorithm ("A fast algorithm for the maximum clique problem", 2002)
-carries over.  With c[v] the gp of the vertex set {v, ..., n-1}, filled for
+A maximal outerplanar graph (MOP) goes through ``_mop_verified`` to
+``dual.mop_gp_lanes``, which takes its triangles as hull positions and needs
+no distances: ``gp_number`` reads them off the hull with
+``mop.hull_triangles``, and the census off its ear cut.  Every other graph
+goes to a branch and bound over its conflicts, which are 3-uniform: a subset
+is in general position exactly when it contains no geodesic triple.  Every
+subset of a general position set is one, so the suffix bound of Östergård's
+maximum clique algorithm ("A fast algorithm for the maximum clique problem",
+2002) carries over.  With c[v] the gp of the vertex set {v, ..., n-1}, filled for
 v = n-1 down to 0, a search for a set of size c[v+1] + 1 that starts at v
 prunes a branch once chosen + c[min(candidates)] or chosen + |candidates|
 falls short of the target.  Candidates are filtered through a per-pair
@@ -44,7 +45,7 @@ from typing import Sequence
 
 from .dual import mop_gp_lanes
 from .graph import Disconnected, Graph, GraphError, _source_rows, all_pairs_distances, is_connected
-from .mop import MopCertificate, NotAnMop, check_certificate, maximal_fan, recognize
+from .mop import MopCertificate, NotAnMop, check_certificate, hull_triangles, maximal_fan, recognize
 from .verify import is_gp_characterized, is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
@@ -231,12 +232,12 @@ def _verified(
 
 
 def _mop_verified(
-    g: Graph, cycle: Sequence[int], labellings: Sequence[Sequence[int]]
+    g: Graph, cycle: Sequence[int], triangles: Sequence[tuple[int, int, int]], labellings: Sequence[Sequence[int]]
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    # mop_gp_lanes, where labellings[i][p] labels vertex cycle[p] in lane i:
-    # every lane must have lane 0's value, and each distinct witness, carried
-    # to vertex ids, passes _verified once.
-    results, nodes = mop_gp_lanes(g, cycle, labellings)
+    # mop_gp_lanes on g's triangles in positions along cycle, labellings[i][p]
+    # labelling vertex cycle[p] in lane i: every lane must have lane 0's value,
+    # and each distinct witness, carried to vertex ids, passes _verified once.
+    results, nodes = mop_gp_lanes(g.order, triangles, labellings)
     value = results[0][0]
     positions: dict[tuple[int, ...], None] = {}
     for i, (labels, (lane_value, witness)) in enumerate(zip(labellings, results)):
@@ -276,7 +277,7 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
             f"order {n} exceeds the search cap {cap}; pass force=True (gpmop gp --force) to override"
         )
     if cert is not None:
-        results, nodes = _mop_verified(g, cert.cycle, [cert.cycle])
+        results, nodes = _mop_verified(g, cert.cycle, hull_triangles(g, cert.cycle), [cert.cycle])
         return GpResult(*results[0], nodes)
     dist = all_pairs_distances(g)
     return _verified(g, *_search(n, _pair_block_masks(dist, n)))

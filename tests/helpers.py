@@ -20,6 +20,7 @@ from itertools import permutations
 from gpmop import (
     CensusRecord,
     Graph,
+    MopCertificate,
     build_graph,
     canonical_form,
     enumerate_triangulations,
@@ -60,6 +61,11 @@ def random_mop(rng: random.Random, n: int) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return relabeled(build_graph(n, edges), perm)
+
+
+def polygon_certificate(n: int, chords) -> MopCertificate:
+    """The certificate of the polygon 0..n-1 triangulated by chords."""
+    return MopCertificate(n, tuple(range(n)), frozenset(chords))
 
 
 def first_crossing_pair(cycle, chords) -> tuple[tuple[int, int], tuple[int, int]] | None:

@@ -10,6 +10,7 @@ import pytest
 from gpmop import (
     BadParam,
     all_pairs_distances,
+    build_graph,
     canonical_form,
     catalan,
     census_to_csv,
@@ -18,6 +19,7 @@ from gpmop import (
     generalized_sunflower,
     is_gp_characterized,
     is_gp_naive,
+    mop_stats,
     recognize,
     run_census,
     verify_paper_claims,
@@ -29,7 +31,6 @@ from gpmop.census import (
     _ear_cut,
     _generator_catalog,
     _quiddity_key,
-    certificate_from_chords,
     class_violations,
     expected_extremal_keys,
     graph_from_chords,
@@ -37,7 +38,7 @@ from gpmop.census import (
     striped_catalog_keys,
 )
 from gpmop.mop import dihedral_images
-from helpers import census_by_member, graphs_isomorphic
+from helpers import census_by_member, graphs_isomorphic, polygon_certificate
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
 DIHEDRAL_CLASSES = {
@@ -118,7 +119,7 @@ class TestQuiddityKey:
             by_key: dict[bytes, set] = {}
             for chords in enumerate_triangulations(n):
                 by_quiddity.setdefault(_quiddity_key(quiddity(n, chords)), set()).add(chords)
-                key = canonical_form(certificate_from_chords(n, chords))
+                key = canonical_form(polygon_certificate(n, chords))
                 by_key.setdefault(key, set()).add(chords)
             assert set(map(frozenset, by_quiddity.values())) == set(map(frozenset, by_key.values()))
             if n in DIHEDRAL_CLASSES:
@@ -145,7 +146,7 @@ class TestQuiddityKey:
                 assert len(recs) == (DIHEDRAL_CLASSES[n] if dedupe else catalan(n - 2))
                 assert calls == [n] * DIHEDRAL_CLASSES[n]
                 for r in recs:
-                    assert r.canonical_key == canonical_form(certificate_from_chords(n, r.chords))
+                    assert r.canonical_key == canonical_form(polygon_certificate(n, r.chords))
 
 
 class TestQuiddityClasses:
@@ -166,7 +167,7 @@ class TestQuiddityClasses:
     def test_labelled_members_match_the_enumeration(self, n):
         # Oracle: the Catalan enumeration, keyed by canonical_form.
         expected = sorted(
-            (canonical_form(certificate_from_chords(n, chords)), chords)
+            (canonical_form(polygon_certificate(n, chords)), chords)
             for chords in enumerate_triangulations(n)
         )
         classes = class_tasks(n, dedupe=False)
@@ -178,7 +179,7 @@ class TestQuiddityClasses:
     def test_dedupe_keeps_the_smallest_chord_set_of_each_class(self, n):
         smallest: dict[bytes, tuple] = {}
         for chords in enumerate_triangulations(n):
-            key = canonical_form(certificate_from_chords(n, chords))
+            key = canonical_form(polygon_certificate(n, chords))
             if key not in smallest or chords < smallest[key]:
                 smallest[key] = chords
         classes = class_tasks(n, dedupe=True)
@@ -188,6 +189,17 @@ class TestQuiddityClasses:
     def test_chord_pairs_are_shared(self):
         pairs = [p for recs in class_tasks(9, dedupe=False) for r in recs for p in r.chords]
         assert len({id(p) for p in pairs}) == len(set(pairs))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_stats_match_mop_stats(self, n):
+        # Oracle: mop_stats on the class graph's recognized certificate; the
+        # census reads degrees off q and internal triangles off its ear cut.
+        for q in quiddity_classes(n):
+            r = _class_records(n, q, True)[0][0]
+            g = graph_from_chords(n, r.chords)
+            stats = mop_stats(g, recognize(g))
+            assert (r.internal_triangles, r.two_vertices, r.max_degree, r.striped) == (
+                stats.internal_triangles, stats.two_vertices, stats.max_degree, stats.striped)
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_each_move_carries_the_first_member_onto_its_member(self, n):
@@ -216,7 +228,8 @@ def class_moves(n, q, recs):
     # dihedral_images order, whose image is the member, as _class_records keeps it.
     moves = {}
     for move in [(t, flip) for t in range(n) for flip in (1, -1)]:
-        image = tuple(sorted(tuple(sorted(relabel(n, move, p) for p in c)) for c in _ear_cut(q)))
+        chords = [(u, w) for u, _, w in _ear_cut(q)[:-1]]
+        image = tuple(sorted(tuple(sorted(relabel(n, move, p) for p in c)) for c in chords))
         moves[image] = move
     return [moves[r.chords] for r in recs]
 
@@ -357,7 +370,7 @@ class TestRunCensus:
 
         # The DP pass is solve's, inside _mop_verified, and so is the one cache
         # of BFS levels that the class's witness checks share.
-        homes = {"graph_from_chords": census, "mop_stats": census, "is_generalized_sunflower": census,
+        homes = {"graph_from_chords": census, "_ear_cut": census, "is_generalized_sunflower": census,
                  "mop_gp_lanes": solve}
         for name, module in homes.items():
             monkeypatch.setattr(module, name, counting(module, name))
@@ -372,7 +385,7 @@ class TestRunCensus:
                 records = len(run_census(n, dedupe=dedupe))
                 classes = DIHEDRAL_CLASSES[n]
                 assert records == (classes if dedupe else catalan(n - 2))
-                # One graph, one DP pass with a lane per member, and one level
+                # One graph, one ear cut, one DP pass with a lane per member, and one level
                 # cache per class with several witnesses, none for a lone
                 # witness; either way each source is walked once per class.
                 assert calls == dict.fromkeys(homes, classes)
@@ -384,11 +397,14 @@ class TestRunCensus:
 
     @staticmethod
     def lanes_then(change):
-        # A stand-in for mop_gp_lanes that hands each class's results to change.
+        # A stand-in for mop_gp_lanes that hands each class's results to
+        # change, with the class graph: the census hull is 0..n-1, so the
+        # triangles' sides in positions are its edges.
         real = solve.mop_gp_lanes
 
-        def wrapped(g, cycle, labellings):
-            results, pairs = real(g, cycle, labellings)
+        def wrapped(n, triangles, labellings):
+            results, pairs = real(n, triangles, labellings)
+            g = build_graph(n, {e for a, c, b in triangles for e in ((a, c), (c, b), (a, b))})
             return change(g, labellings, results), pairs
 
         return wrapped
@@ -766,6 +782,13 @@ class TestClaimSensitivity:
         recs, mutated = _mutated(pick, change)
         assert claim in _violations(mutated)
         assert mutated.canonical_key.hex() in _report(_battery_on(recs), claim).violations
+
+    def test_extra_crossing_chord_breaks_the_face_count(self):
+        # The record keeps its n-3 chords; only the graph's own triangles
+        # tell.  (7, 9) crosses (6, 8) away from the hub 0, whose fan the
+        # degree claim still reads.
+        r = next(r for r in _order_ten_classes() if r.chords == LEANING_FAN)
+        assert "chord_count" in class_violations(r, graph_from_chords(ORDER, r.chords + ((7, 9),)))
 
     def test_striped_catalog_member_below_the_cap_is_named(self):
         reports, key = _battery_with(_is_fan, lambda r: {"gp": 5})

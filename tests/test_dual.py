@@ -26,7 +26,13 @@ from gpmop import (
 from gpmop import dual, solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
 from gpmop.dual import mop_gp_lanes
+from gpmop.mop import hull_triangles
 from helpers import brute_force_gp, floyd_warshall, random_mop, relabeled
+
+
+def hull_lanes(g, cycle, labellings):
+    # mop_gp_lanes on the triangles of g in positions along cycle.
+    return mop_gp_lanes(g.order, hull_triangles(g, cycle), labellings)
 
 
 def _sides(g, a, b) -> list[set[int]]:
@@ -85,13 +91,13 @@ class TestMopGp:
         for chords in enumerate_triangulations(n):
             g = graph_from_chords(n, chords)
             expected = brute_force_gp(g)
-            assert mop_gp_lanes(g, range(n), [range(n)])[0] == [expected]
+            assert hull_lanes(g, range(n), [range(n)])[0] == [expected]
             perms = [rng.sample(range(n), n) for _ in range(2)]
             h = relabeled(g, perms[0])
             hull = [perms[0][p] for p in range(n)]
-            assert mop_gp_lanes(h, hull, [hull])[0] == [brute_force_gp(h)]
-            lanes, _ = mop_gp_lanes(g, range(n), [range(n), *perms])
-            assert lanes == [expected, *(brute_force_gp(relabeled(g, perm)) for perm in perms)]
+            assert hull_lanes(h, hull, [hull])[0] == [brute_force_gp(h)]
+            results, _ = hull_lanes(g, range(n), [range(n), *perms])
+            assert results == [expected, *(brute_force_gp(relabeled(g, perm)) for perm in perms)]
 
     @staticmethod
     def lanes_match_one_pass_per_labelling(g, labellings):
@@ -99,13 +105,13 @@ class TestMopGp:
         # p by labellings[i][p], with its hull in that order; the merged pairs
         # depend on the frame only.
         cycle = recognize(g).cycle
-        lanes, pairs = mop_gp_lanes(g, cycle, labellings)
-        assert len(lanes) == len(labellings)
-        for lane, labels in zip(lanes, labellings):
+        results, pairs = hull_lanes(g, cycle, labellings)
+        assert len(results) == len(labellings)
+        for lane, labels in zip(results, labellings):
             perm = [0] * g.order
             for p, v in enumerate(cycle):
                 perm[v] = labels[p]
-            one, lane_pairs = mop_gp_lanes(relabeled(g, perm), labels, [labels])
+            one, lane_pairs = hull_lanes(relabeled(g, perm), labels, [labels])
             assert [lane] == one
             assert lane_pairs == pairs
 
@@ -131,7 +137,7 @@ class TestMopGp:
         self.lanes_match_one_pass_per_labelling(g, labellings)
         # The one-lane pass, on the fan's own labels, against the fan formula too.
         cycle = recognize(g).cycle
-        [(value, witness)], _ = mop_gp_lanes(g, cycle, [cycle])
+        [(value, witness)], _ = hull_lanes(g, cycle, [cycle])
         assert value == len(witness) == (2 * n) // 3
         assert is_gp_characterized(g, all_pairs_distances(g), witness).is_gp
 
@@ -147,15 +153,27 @@ class TestMopGp:
         turned = cycle[k:] + cycle[:k]
         if rng.random() < 0.5:
             turned.reverse()
-        assert mop_gp_lanes(g, turned, [turned])[0] == mop_gp_lanes(g, cycle, [cycle])[0]
+        assert hull_lanes(g, turned, [turned])[0] == hull_lanes(g, cycle, [cycle])[0]
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_any_order_of_the_triangles(self, seed):
+        # The triangles are a set: every order gives the same lanes and pairs.
+        rng = random.Random(seed)
+        n = rng.randint(4, 60)
+        g = random_mop(rng, n)
+        triangles = hull_triangles(g, recognize(g).cycle)
+        labellings = [rng.sample(range(n), n) for _ in range(rng.randint(1, 5))]
+        shuffled = rng.sample(triangles, len(triangles))
+        assert mop_gp_lanes(n, shuffled, labellings) == mop_gp_lanes(n, triangles, labellings)
 
     def test_merged_pairs_are_nodes_explored(self):
         g = fan(9).graph
         res = gp_number(g)
         cycle = recognize(g).cycle
-        assert ([(res.value, res.witness)], res.nodes_explored) == mop_gp_lanes(g, cycle, [cycle])
+        assert ([(res.value, res.witness)], res.nodes_explored) == hull_lanes(g, cycle, [cycle])
         # The one triangle of K3 merges two pairs per choice of its apex.
-        assert mop_gp_lanes(build_graph(3, [(0, 1), (1, 2), (0, 2)]), range(3), [range(3)]) == ([(3, (0, 1, 2))], 8)
+        assert mop_gp_lanes(3, [(0, 1, 2)], [range(3)]) == ([(3, (0, 1, 2))], 8)
 
     def test_no_conflict_masks_for_a_mop(self, monkeypatch):
         # A MOP, through gp_number or the census, never builds the pair
@@ -319,11 +337,11 @@ class TestQuotient:
         g = random_mop(rng, n)
         cycle = list(recognize(g).cycle)
         labellings = [rng.sample(range(n), n) for _ in range(rng.randint(1, 5))]
-        lanes, pairs = mop_gp_lanes(g, cycle, labellings)
+        results, pairs = hull_lanes(g, cycle, labellings)
         with raw_table() as slots:
             assert slots == 41
-            raw, raw_pairs = mop_gp_lanes(g, cycle, labellings)
-        assert lanes == raw
+            raw, raw_pairs = hull_lanes(g, cycle, labellings)
+        assert results == raw
         assert pairs <= raw_pairs
 
     def test_full_enumeration_reaches_every_quotient_pair(self):
@@ -343,7 +361,7 @@ class TestQuotient:
             mp.setattr(dual, "_plan", recording)
             for n in range(3, 10):
                 for chords in enumerate_triangulations(n):
-                    mop_gp_lanes(graph_from_chords(n, chords), range(n), [range(n)])
+                    hull_lanes(graph_from_chords(n, chords), range(n), [range(n)])
         merge = dual._merge
         states = closure(merge)
         assert len(states) == 22

@@ -24,9 +24,9 @@ from gpmop import (
     straight_linear_2tree,
 )
 from gpmop import families
-from gpmop.census import certificate_from_chords, enumerate_triangulations, graph_from_chords
-from gpmop.mop import _check_non_crossing, check_certificate
-from helpers import first_crossing_pair, graphs_isomorphic, random_mop, relabeled
+from gpmop.census import enumerate_triangulations, graph_from_chords
+from gpmop.mop import _check_non_crossing, check_certificate, hull_triangles
+from helpers import first_crossing_pair, graphs_isomorphic, polygon_certificate, random_mop, relabeled
 
 
 def complete_graph(n):
@@ -194,6 +194,68 @@ class TestStats:
             mop_stats(families.cycle(5).graph, cert)
 
 
+    def test_cycle_that_is_not_the_hull_rejected(self):
+        # A certificate whose cycle is a path and center order of the fan but
+        # swaps two path vertices: 0 and 2 are not adjacent.
+        g = fan(8).graph
+        cert = MopCertificate(8, (0, 2, 1, 3, 4, 5, 6, 7), recognize(g).chords)
+        with pytest.raises(StructureViolation, match="expected 6 inner faces"):
+            mop_stats(g, cert)
+
+    def test_extra_chord_rejected(self):
+        # K4 holds the triangulation of its hull 0, 1, 2, 3 and one more chord.
+        with pytest.raises(StructureViolation, match="expected 2 inner faces, found 1"):
+            mop_stats(complete_graph(4), MopCertificate(4, (0, 1, 2, 3), frozenset({(0, 2)})))
+
+    def test_cycle_that_is_not_a_permutation_rejected(self):
+        g = fan(5).graph
+        with pytest.raises(StructureViolation, match="not a permutation"):
+            mop_stats(g, MopCertificate(5, (0, 1, 2, 3, 3), recognize(g).chords))
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=25, deadline=None)
+    def test_any_rotation_and_direction_of_the_hull(self, seed):
+        rng = random.Random(seed)
+        g = random_mop(rng, rng.randint(3, 20))
+        cert = recognize(g)
+        expected = mop_stats(g, cert)
+        n = g.order
+        for k in range(n):
+            turned = cert.cycle[k:] + cert.cycle[:k]
+            for cycle in (turned, turned[::-1]):
+                assert mop_stats(g, MopCertificate(n, cycle, cert.chords)) == expected
+
+
+class TestHullTriangles:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=30, deadline=None)
+    def test_walk_finds_every_triangle_once(self, seed):
+        # Oracle: every mutually adjacent triple, on a relabelled random MOP.
+        rng = random.Random(seed)
+        n = rng.randint(3, 25)
+        g = random_mop(rng, n)
+        cycle = recognize(g).cycle
+        triangles = hull_triangles(g, cycle)
+        assert all(a < c < b for a, c, b in triangles)
+        found = {frozenset(cycle[p] for p in t) for t in triangles}
+        assert len(found) == len(triangles) == n - 2
+        assert found == {
+            frozenset(t) for t in combinations(range(n), 3) if all(g.has_edge(u, v) for u, v in combinations(t, 2))
+        }
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=20, deadline=None)
+    def test_every_extra_edge_stops_the_walk(self, seed):
+        # The walk reads no edge count, yet no edge beyond the triangulation gets past it.
+        rng = random.Random(seed)
+        g = random_mop(rng, rng.randint(4, 15))
+        cycle = recognize(g).cycle
+        for e in combinations(range(g.order), 2):
+            if not g.has_edge(*e):
+                with pytest.raises(StructureViolation, match="inner faces"):
+                    hull_triangles(build_graph(g.order, [*g.edges, e]), cycle)
+
+
 class TestRandomMopStats:
     @given(st.integers(0, 10**9), st.integers(5, 20))
     @settings(max_examples=25, deadline=None)
@@ -262,7 +324,7 @@ class TestMaximalFan:
 
 class TestCanonicalForm:
     def test_both_square_triangulations_collide(self):
-        keys = {canonical_form(certificate_from_chords(4, c)) for c in enumerate_triangulations(4)}
+        keys = {canonical_form(polygon_certificate(4, c)) for c in enumerate_triangulations(4)}
         assert len(keys) == 1
 
     def test_pentagon_triangulations_are_one_class(self):
@@ -271,7 +333,7 @@ class TestCanonicalForm:
         graphs = [graph_from_chords(5, c) for c in chord_sets]
         for other in graphs[1:]:
             assert graphs_isomorphic(graphs[0], other)
-        keys = {canonical_form(certificate_from_chords(5, c)) for c in chord_sets}
+        keys = {canonical_form(polygon_certificate(5, c)) for c in chord_sets}
         assert len(keys) == 1
 
     def test_fan_differs_from_linear_2tree(self):

@@ -197,8 +197,8 @@ class TestGpNumber:
 
             return wrapped
 
-        def lanes_one_more(g, cycle, labellings):
-            results, pairs = real_lanes(g, cycle, labellings)
+        def lanes_one_more(n, triangles, labellings):
+            results, pairs = real_lanes(n, triangles, labellings)
             return [(value + 1, witness) for value, witness in results], pairs
 
         real_lanes = solve.mop_gp_lanes
