@@ -8,16 +8,16 @@ starts from its quiddity sequence, and one call of ``run_census`` or
 one fork pool.  Ear cutting recovers a class's chords, which are expanded
 once into their dihedral images on the hull 0..n-1: the labelled census
 takes every distinct image, the deduplicated census only the least, and
-the least image, packed, is the class's canonical key.  A class's records
-are built together on its first member's graph: the structural statistics
-and the family labels once, and one pass of the dual-tree program with one
-bit lane per member, which gives the exact general position number and each
-member's own witness.  A member's lane, the member's label of each vertex of
-the first member, comes from its dihedral move and is checked to send chords
-onto chords; the pass, its checks, and the verification of each distinct
-witness carried onto the first member, once, with the class's BFS level
-masks shared, are ``solve._mop_verified``, the path every verified MOP solve
-takes.
+the least image, packed, is the class's canonical key.  Each member is one
+dihedral map of the ear cut's hull, the map that yields its image, and that
+map is the member's lane, its label of each hull position.  A class's
+records are built together: the structural statistics and the family labels
+once, on the first member's graph, and one pass of the dual-tree program
+over the ear cut's triangles with one bit lane per member, which gives the
+exact general position number and each member's own witness; the pass, its
+checks, and the verification of each distinct witness carried onto the
+first member by its map, once, with the class's BFS level masks shared, are
+``solve._mop_verified``, the path every verified MOP solve takes.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` machine-checks the bounds, identities, and
@@ -195,50 +195,34 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
 def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _ClassResult:
     """The records of the class with quiddity sequence q, sorted by chords, and,
     when claims is set, the claims it breaks.  Ear cutting gives the class's
-    triangles and chords, and ``dihedral_images`` the chords' images: every
+    triangles and chords on the hull 0..n-1, and ``dihedral_images`` each
+    dihedral map m of that hull with the chords' image under it: every
     distinct image is a member, or only the least when dedupe is set, and the
-    least image, packed, is the canonical key.  The first member's graph, with
-    hull 0..n-1, is the class graph, which the family labels and
-    ``class_violations`` read once; the stats come from q and the triangles.
-    Each member's dihedral move (t, flip) gives its lane, the member's label
-    of each class vertex, checked to carry the class chords exactly onto the
-    member's, so it is an isomorphism.  ``solve._mop_verified`` runs one
-    dual-tree pass over the triangles, carried onto the class graph, with a
-    lane per member, which yields every member's witness in its own labels,
-    and verifies each distinct witness once, sharing each BFS level mask."""
+    least image, packed, is the canonical key.  A member's map sends the ear
+    cut onto the member, so it is the member's lane, its label of each hull
+    position.  The first member's graph is the class graph, which the family
+    labels and ``class_violations`` read once; the stats come from q and the
+    triangles.  ``solve._mop_verified`` runs one dual-tree pass over the ear
+    cut's triangles with a lane per member, which yields every member's
+    witness in its own labels, and verifies each distinct witness, carried
+    onto the class graph by the first member's map, once, sharing each BFS
+    level mask."""
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
-    # Each cut triangle (u, tip, w) but the last leaves the chord (u, w), and
-    # dihedral_images yields one image of the chords per (anchor, flip), in this order.
+    # Each cut triangle (u, tip, w) but the last leaves the chord (u, w).
     cut = _ear_cut(q)
-    images = dihedral_images(n, [(u, w) for u, _, w in cut[:-1]], anchors)
-    moves = dict(zip(images, [(t, f) for t in anchors for f in (1, -1)]))
-    images = [min(moves)] if dedupe else sorted(moves)
+    maps = dict(dihedral_images(n, [(u, w) for u, _, w in cut[:-1]], anchors))
+    images = [min(maps)] if dedupe else sorted(maps)
     key, pairs = image_key(n, images[0]), _pair_table(n)
     members = [tuple(pairs[c] for c in image) for image in images]
     g = graph_from_chords(n, members[0])
     labels = tuple(label for label, k in _generator_catalog(n) if k == key)
     labels += ("gsf",) if is_generalized_sunflower(g) else ()
-    t1, f1 = moves[images[0]]
-    # Ear-cut label y is class label f1(y - t1) + 1, as in dihedral_images.
-    to_class = [(f1 * (y - t1) + 1) % n for y in range(n)]
-    triangles = [tuple(sorted((to_class[u], to_class[v], to_class[w]))) for u, v, w in cut]
+    triangles = [tuple(sorted(t)) for t in cut]
     # Vertex v lies in q[v] triangles, so its degree is q[v] + 1.
     stats = _stats(n, triangles, [k + 1 for k in q])
-    lanes = []
-    for chords, image in zip(members, images):
-        # Class label x is ear-cut label t1 + f1(x - 1), which is member label
-        # f(t1 + f1(x - 1) - t) + 1.  The map is dihedral, so it sends hull
-        # edges to hull edges, and an isomorphism once it sends the class's
-        # chords onto the member's image, whose codes a * n + b, a < b, are sorted.
-        t, f = moves[image]
-        lane = [(f * (t1 + f1 * (x - 1) - t) + 1) % n for x in range(n)]
-        mapped = (lane[a] * n + lane[b] if lane[a] < lane[b] else lane[b] * n + lane[a] for a, b in members[0])
-        if tuple(sorted(mapped)) != image:
-            raise RuntimeError(f"internal: move {(t, f)} does not carry {chords} onto its class {members[0]}")
-        lanes.append(lane)
-    results, _ = _mop_verified(g, range(n), triangles, lanes)
+    results, _ = _mop_verified(g, triangles, [maps[image] for image in images])
     records = [
         CensusRecord(
             n, key, chords, value, witness,

@@ -27,12 +27,15 @@ from .graph import (
     parse_edge_list,
 )
 from .mop import NotAnMop, certificate_to_text, recognize
-from .solve import gp_number
+from .solve import MOP_SEARCH_CAP, gp_number
 from .verify import is_gp_characterized, is_gp_naive
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+# verify builds one BFS row of order entries per distinct id, and refuses to
+# build more entries than the full distance table of a MOP at its cap.
+VERIFY_ENTRY_CAP = MOP_SEARCH_CAP * MOP_SEARCH_CAP
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -61,6 +64,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.file)
     # Both tests read only the members' rows; a full table of a large
     # sparse graph would not fit in memory.
+    ids = len(set(args.ids))
+    if ids * g.order > VERIFY_ENTRY_CAP:
+        raise families.BadParam(
+            f"{ids} ids on order {g.order} need {ids * g.order} BFS row entries, above the cap of {VERIFY_ENTRY_CAP}"
+        )
     dist = _source_rows(g, args.ids)
     naive = is_gp_naive(g, dist, args.ids)
     try:

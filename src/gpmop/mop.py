@@ -239,17 +239,18 @@ def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:
 
 
 def dihedral_images(n: int, chords, anchors=None):
-    """Yield the chord set of the polygon 0..n-1 under each dihedral
-    relabelling that sends an anchor to 1: p -> p - t + 1 and p -> t + 1 - p
+    """Yield (image, m) for each dihedral relabelling m of the polygon
+    0..n-1 that sends an anchor to 1: m[p] = p - t + 1 and m[p] = t + 1 - p
     (mod n) for each anchor t, so all 2n relabellings when anchors is None.
 
-    An image is the sorted tuple of the codes a * n + b of its chords (a, b),
-    a < b, so images order as their sorted chord lists do.
+    The image is the chord set under m, as the sorted tuple of the codes
+    a * n + b of its chords (a, b), a < b, so images order as their sorted
+    chord lists do.
     """
     for t in range(n) if anchors is None else anchors:
         for flip in (1, -1):
             m = [(flip * (p - t) + 1) % n for p in range(n)]
-            yield tuple(sorted(m[a] * n + m[b] if m[a] < m[b] else m[b] * n + m[a] for a, b in chords))
+            yield tuple(sorted(m[a] * n + m[b] if m[a] < m[b] else m[b] * n + m[a] for a, b in chords)), m
 
 
 def image_key(n: int, image: tuple[int, ...]) -> bytes:
@@ -266,7 +267,7 @@ def canonical_form(cert: MopCertificate) -> bytes:
     """
     n = cert.order
     pos = {v: i for i, v in enumerate(cert.cycle)}
-    return image_key(n, min(dihedral_images(n, [(pos[u], pos[v]) for u, v in cert.chords])))
+    return image_key(n, min(image for image, _ in dihedral_images(n, [(pos[u], pos[v]) for u, v in cert.chords])))
 
 
 def certificate_to_text(cert: MopCertificate) -> str:

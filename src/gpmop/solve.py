@@ -232,11 +232,12 @@ def _verified(
 
 
 def _mop_verified(
-    g: Graph, cycle: Sequence[int], triangles: Sequence[tuple[int, int, int]], labellings: Sequence[Sequence[int]]
+    g: Graph, triangles: Sequence[tuple[int, int, int]], labellings: Sequence[Sequence[int]]
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    # mop_gp_lanes on g's triangles in positions along cycle, labellings[i][p]
-    # labelling vertex cycle[p] in lane i: every lane must have lane 0's value,
-    # and each distinct witness, carried to vertex ids, passes _verified once.
+    # mop_gp_lanes on g's triangles as hull positions, labellings[i][p]
+    # labelling position p in lane i and labellings[0][p] naming g's vertex
+    # there: every lane must have lane 0's value, and each distinct witness,
+    # carried to g's vertices, passes _verified once.
     results, nodes = mop_gp_lanes(g.order, triangles, labellings)
     value = results[0][0]
     positions: dict[tuple[int, ...], None] = {}
@@ -248,7 +249,7 @@ def _mop_verified(
     # only as far as it must and holds one source's levels at a time.
     levels: dict[int, list[int]] | None = {} if len(positions) > 1 else None
     for s in positions:
-        _verified(g, value, tuple(sorted(cycle[p] for p in s)), nodes, levels)
+        _verified(g, value, tuple(sorted(labellings[0][p] for p in s)), nodes, levels)
     return results, nodes
 
 
@@ -277,7 +278,7 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
             f"order {n} exceeds the search cap {cap}; pass force=True (gpmop gp --force) to override"
         )
     if cert is not None:
-        results, nodes = _mop_verified(g, cert.cycle, hull_triangles(g, cert.cycle), [cert.cycle])
+        results, nodes = _mop_verified(g, hull_triangles(g, cert.cycle), [cert.cycle])
         return GpResult(*results[0], nodes)
     dist = all_pairs_distances(g)
     return _verified(g, *_search(n, _pair_block_masks(dist, n)))

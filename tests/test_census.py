@@ -205,11 +205,11 @@ class TestQuiddityClasses:
     def test_each_move_carries_the_first_member_onto_its_member(self, n):
         for q in quiddity_classes(n):
             recs, _ = _class_records(n, q, False)
-            moves = class_moves(n, q, recs)
+            maps = class_maps(n, q, recs)
             first = graph_from_chords(n, recs[0].chords).edges
-            for r, move in zip(recs, moves):
+            for r, m in zip(recs, maps):
                 edges = graph_from_chords(n, r.chords).edges
-                assert {carried_onto_first(n, moves, move, e) for e in edges} == first
+                assert {carried_onto_first(maps, m, e) for e in edges} == first
 
 
 def class_tasks(n, dedupe):
@@ -217,27 +217,16 @@ def class_tasks(n, dedupe):
     return [_class_records(n, q, dedupe)[0] for q in quiddity_classes(n)]
 
 
-def relabel(n, move, p):
-    # A dihedral move (t, flip) sends label p to flip * (p - t) + 1.
-    t, flip = move
-    return (flip * (p - t) + 1) % n
+def class_maps(n, q, recs):
+    # Each member's dihedral map of the ear-cut hull of q: the last that
+    # dihedral_images yields with the member as its image, as _class_records keeps it.
+    maps = dict(dihedral_images(n, [(u, w) for u, _, w in _ear_cut(q)[:-1]]))
+    return [maps[tuple(a * n + b for a, b in r.chords)] for r in recs]
 
 
-def class_moves(n, q, recs):
-    # Each member's move from the ear-cut chords of q: the last (t, flip), in
-    # dihedral_images order, whose image is the member, as _class_records keeps it.
-    moves = {}
-    for move in [(t, flip) for t in range(n) for flip in (1, -1)]:
-        chords = [(u, w) for u, _, w in _ear_cut(q)[:-1]]
-        image = tuple(sorted(tuple(sorted(relabel(n, move, p) for p in c)) for c in chords))
-        moves[image] = move
-    return [moves[r.chords] for r in recs]
-
-
-def carried_onto_first(n, moves, move, labels):
-    # Member labels back along the member's move, then out along the first member's.
-    back = {relabel(n, move, p): p for p in range(n)}
-    return tuple(sorted(relabel(n, moves[0], back[x]) for x in labels))
+def carried_onto_first(maps, m, labels):
+    # Member labels back along the member's map m, then out along the first member's.
+    return tuple(sorted(maps[0][m.index(x)] for x in labels))
 
 
 class RecordingPools:
@@ -398,8 +387,9 @@ class TestRunCensus:
     @staticmethod
     def lanes_then(change):
         # A stand-in for mop_gp_lanes that hands each class's results to
-        # change, with the class graph: the census hull is 0..n-1, so the
-        # triangles' sides in positions are its edges.
+        # change, with the graph whose edges are the triangles' sides: the
+        # positions are the ear cut's hull 0..n-1, so it is the ear cut's
+        # graph, which labellings[0] carries onto the class graph.
         real = solve.mop_gp_lanes
 
         def wrapped(n, triangles, labellings):
@@ -440,32 +430,31 @@ class TestRunCensus:
         with pytest.raises(RuntimeError, match="internal: solver returned a set that fails verification"):
             run_census(6)
 
-    @pytest.mark.parametrize("n", (6, 9))
-    def test_corrupted_move_is_an_isomorphism_error(self, n, monkeypatch):
-        # Swap the last two images dihedral_images yields (anchor n-1, both
-        # flips).  Each is the last yield of its image, whose move the task
-        # keeps, so each of those members gets the other's move; unless the two
-        # images are equal, some member's move then misses its class.
-        real, swapped = census.dihedral_images, []
+    @pytest.mark.parametrize("dedupe", (False, True))
+    def test_each_lane_carries_the_ear_cut_onto_its_record(self, dedupe, monkeypatch):
+        # Oracle: the graph whose edges are the sides of the triangles the
+        # census hands mop_gp_lanes is the ear cut's, and each lane is a
+        # permutation that carries it edge for edge onto its record's graph.
+        # An isomorphism of MOPs keeps the hull, so chords go onto chords.
+        real, passes = solve.mop_gp_lanes, []
 
-        def swapping(n, chords, anchors=None):
-            images = list(real(n, chords, anchors))
-            images[-2:] = images[:-3:-1]
-            swapped.append(images[-2] != images[-1])
-            return iter(images)
+        def recording(n, triangles, labellings):
+            passes.append((triangles, labellings))
+            return real(n, triangles, labellings)
 
-        monkeypatch.setattr(census, "dihedral_images", swapping)
-        raised = []
-        for q in quiddity_classes(n):
-            swapped.clear()
-            try:
-                _class_records(n, q, False)
-                raised.append(False)
-            except RuntimeError as exc:
-                assert re.match(r"internal: move .* does not carry", str(exc))
-                raised.append(True)
-            assert raised[-1:] == swapped
-        assert any(raised)
+        monkeypatch.setattr(solve, "mop_gp_lanes", recording)
+        for n in range(3, 12):
+            for q in quiddity_classes(n):
+                passes.clear()
+                recs, _ = _class_records(n, q, dedupe)
+                [(triangles, labellings)] = passes
+                edges = {e for a, c, b in triangles for e in ((a, c), (c, b), (a, b))}
+                assert edges == graph_from_chords(n, [(u, w) for u, _, w in _ear_cut(q)[:-1]]).edges
+                assert len(labellings) == len(recs)
+                for r, lane in zip(recs, labellings):
+                    assert sorted(lane) == list(range(n))
+                    carried = {(min(lane[u], lane[v]), max(lane[u], lane[v])) for u, v in edges}
+                    assert carried == graph_from_chords(n, r.chords).edges
 
     def test_each_distinct_carried_witness_verified_once(self, monkeypatch):
         real, calls = solve._verified, []
@@ -482,10 +471,10 @@ class TestRunCensus:
             for q in quiddity_classes(n):
                 recs, _ = _class_records(n, q, False)
                 records += len(recs)
-                moves = class_moves(n, q, recs)
+                maps = class_maps(n, q, recs)
                 first = graph_from_chords(n, recs[0].chords).edges
-                for r, move in zip(recs, moves):
-                    expected.add((first, carried_onto_first(n, moves, move, r.gp_witness)))
+                for r, m in zip(recs, maps):
+                    expected.add((first, carried_onto_first(maps, m, r.gp_witness)))
             assert len(calls) == len(set(calls))
             assert set(calls) == expected
             # From the pentagon on, members share carried witnesses: 4 checks for

@@ -305,6 +305,34 @@ def test_verify_on_a_large_sparse_graph(tmp_path):
     assert (proc.stdout, proc.returncode) == ("no\nviolation: (0,5,9)\n", 1), proc.stderr
 
 
+def test_verify_refuses_rows_above_the_entry_cap_before_building_one(tmp_path):
+    # 5,000 ids on a 20,000-vertex path would need 1e8 row entries, more
+    # than 1 GB holds; the refusal comes before the first row.
+    n = 20000
+    f = write_graph(tmp_path, "path.txt", f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpmop.cli", "verify", f, *map(str, range(5000))],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert (proc.stdout, proc.returncode) == ("", 2), proc.stderr
+    assert proc.stderr.startswith("error: 5000 ids on order 20000 need 100000000 BFS row entries")
+
+
+def test_verify_entry_cap_counts_distinct_ids(tmp_path, capsys, monkeypatch):
+    # Three distinct ids on a 10-vertex path fill a cap of 30 exactly, however
+    # often they are given; a fourth id goes over it.
+    monkeypatch.setattr(cli, "VERIFY_ENTRY_CAP", 30)
+    f = generate(tmp_path, "path", 10)
+    assert main(["verify", f, "0", "5", "9", "5"]) == 1
+    assert capsys.readouterr().out == "no\nviolation: (0,5,9)\n"
+    assert main(["verify", f, "0", "5", "9", "1"]) == 2
+    assert capsys.readouterr().err == "error: 4 ids on order 10 need 40 BFS row entries, above the cap of 30\n"
+
+
 def test_console_script_entry_point(tmp_path):
     env = _child_env()
     out = tmp_path / "fan5.txt"

@@ -25,7 +25,7 @@ from gpmop import (
 )
 from gpmop import families
 from gpmop.census import enumerate_triangulations, graph_from_chords
-from gpmop.mop import _check_non_crossing, check_certificate, hull_triangles
+from gpmop.mop import _check_non_crossing, check_certificate, dihedral_images, hull_triangles
 from helpers import first_crossing_pair, graphs_isomorphic, polygon_certificate, random_mop, relabeled
 
 
@@ -352,6 +352,32 @@ class TestCanonicalForm:
             rng.shuffle(perm)
             h = relabeled(g, perm)
             assert canonical_form(recognize(g)) == canonical_form(recognize(h))
+
+
+class TestDihedralImages:
+    @given(st.integers(0, 10**9), st.integers(3, 20), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_each_map_is_dihedral_and_sends_the_chords_to_its_image(self, seed, n, anchored):
+        # Oracle: a permutation of 0..n-1 is dihedral exactly when it sends
+        # every hull edge (p, p+1) to a hull edge; the image is compared as a
+        # set of chords.
+        rng = random.Random(seed)
+        cert = recognize(random_mop(rng, n))
+        pos = {v: i for i, v in enumerate(cert.cycle)}
+        chords = [(pos[u], pos[v]) for u, v in cert.chords]
+        anchors = sorted(rng.sample(range(n), rng.randint(1, n))) if anchored else None
+        hull = {frozenset((p, (p + 1) % n)) for p in range(n)}
+        yielded = list(dihedral_images(n, chords, anchors))
+        # Two distinct maps per anchor, each sending its anchor to 1.
+        sent_to_one = [t for t in anchors or range(n) for _ in (1, -1)]
+        assert len(yielded) == len(sent_to_one)
+        assert len({tuple(m) for _, m in yielded}) == len(yielded)
+        for (image, m), t in zip(yielded, sent_to_one):
+            assert sorted(m) == list(range(n)) and m[t] == 1
+            assert {frozenset((m[a], m[b])) for a, b in hull} == hull
+            assert list(image) == sorted(image)
+            assert {divmod(c, n) for c in image} == {(min(m[a], m[b]), max(m[a], m[b])) for a, b in chords}
+            assert len(image) == len(chords)
 
 
 class TestNetworkxIsomorphismOracle:
