@@ -5,19 +5,9 @@ by ear insertion on their quiddity sequences (triangles per hull vertex),
 each class kept as its least dihedral image.  Each class is one task that
 starts from its quiddity sequence, and one call of ``run_census`` or
 ``verify_paper_claims`` runs the tasks of every order it covers here or on
-one fork pool.  Ear cutting recovers a class's chords, which are expanded
-once into their dihedral images on the hull 0..n-1: the labelled census
-takes every distinct image, the deduplicated census only the least, and
-the least image, packed, is the class's canonical key.  Each member is one
-dihedral map of the ear cut's hull, the map that yields its image, and that
-map is the member's lane, its label of each hull position.  A class's
-records are built together: the structural statistics and the family labels
-once, on the first member's graph, and one pass of the dual-tree program
-over the ear cut's triangles with one bit lane per member, which gives the
-exact general position number and each member's own witness; the pass, its
-checks, and the verification of each distinct witness carried onto the
-first member by its map, once, with the class's BFS level masks shared, are
-``solve._mop_verified``, the path every verified MOP solve takes.
+one fork pool.  A task, ``_class_records``, takes the class's triangles from
+``mop.ear_cut``, the one route to the triangles of a MOP, and builds the
+records of all its members together, with one verified dual-tree pass.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` machine-checks the bounds, identities, and
@@ -47,6 +37,7 @@ from .mop import (
     _stats,
     canonical_form,
     dihedral_images,
+    ear_cut,
     image_key,
     recognize,
 )
@@ -170,22 +161,6 @@ def quiddity_classes(n: int) -> tuple[bytes, ...]:
     return tuple(sorted(level))
 
 
-def _ear_cut(q: bytes) -> list[tuple[int, int, int]]:
-    # The triangles of the triangulation of 0..n-1 with quiddity q: cut each ear
-    # tip (a vertex in one triangle) off the remaining polygon as a triangle
-    # (u, tip, w), leaving the chord (u, w), until one triangle is left, the last.
-    counts, ring, triangles = bytearray(q), list(range(len(q))), []
-    while len(ring) > 3:
-        i = next(i for i, v in enumerate(ring) if counts[v] == 1)
-        u, w = ring[i - 1], ring[(i + 1) % len(ring)]
-        triangles.append((u, ring[i], w))
-        counts[u] -= 1
-        counts[w] -= 1
-        del ring[i]
-    triangles.append(tuple(ring))
-    return triangles
-
-
 @lru_cache(maxsize=None)
 def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     # One (a, b) tuple per chord code a * n + b, shared by every record of order n.
@@ -194,7 +169,7 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
 
 def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _ClassResult:
     """The records of the class with quiddity sequence q, sorted by chords, and,
-    when claims is set, the claims it breaks.  Ear cutting gives the class's
+    when claims is set, the claims it breaks.  ``ear_cut`` gives the class's
     triangles and chords on the hull 0..n-1, and ``dihedral_images`` each
     dihedral map m of that hull with the chords' image under it: every
     distinct image is a member, or only the least when dedupe is set, and the
@@ -210,19 +185,18 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
-    # Each cut triangle (u, tip, w) but the last leaves the chord (u, w).
-    cut = _ear_cut(q)
-    maps = dict(dihedral_images(n, [(u, w) for u, _, w in cut[:-1]], anchors))
+    # Each cut triangle (a, c, b) but the root leaves the chord (a, b).
+    cut = ear_cut(q)
+    maps = dict(dihedral_images(n, [(a, b) for a, _, b in cut[:-1]], anchors))
     images = [min(maps)] if dedupe else sorted(maps)
     key, pairs = image_key(n, images[0]), _pair_table(n)
     members = [tuple(pairs[c] for c in image) for image in images]
     g = graph_from_chords(n, members[0])
     labels = tuple(label for label, k in _generator_catalog(n) if k == key)
     labels += ("gsf",) if is_generalized_sunflower(g) else ()
-    triangles = [tuple(sorted(t)) for t in cut]
     # Vertex v lies in q[v] triangles, so its degree is q[v] + 1.
-    stats = _stats(n, triangles, [k + 1 for k in q])
-    results, _ = _mop_verified(g, triangles, [maps[image] for image in images])
+    stats = _stats(n, cut, [k + 1 for k in q])
+    results, _ = _mop_verified(g, cut, [maps[image] for image in images])
     records = [
         CensusRecord(
             n, key, chords, value, witness,

@@ -9,7 +9,6 @@ chords of that cycle.  Every rejection names its evidence.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .graph import (
@@ -156,45 +155,58 @@ def check_certificate(g: Graph, cert: MopCertificate) -> None:
         raise StructureViolation("certificate does not match the recognized hull and chord set")
 
 
+def ear_cut(q) -> list[tuple[int, int, int]]:
+    """The triangles (a, c, b), a < c < b, of the triangulated polygon 0..n-1
+    whose quiddity sequence is q, the number of triangles at each position:
+    each after the triangles on (a, c) and (c, b), the root on (0, n-1) last.
+
+    One pass over the positions keeps on a stack those before the next
+    position b that no cut has removed; with b..n-1 they bound the polygon
+    left to cut.  A stack top c left in one triangle is an ear tip between
+    the position below it, a, and b, so (a, c, b) is cut off, and a and b
+    each lose a triangle.  For a quiddity sequence the counts are those of
+    the polygon left, in which every position on the stack below the top
+    lies in two triangles or more; as a triangulated polygon has two ear
+    tips that are not neighbours, or three, the pass makes all n-2 cuts.
+    Whatever q is, the cut triangles tile part of the polygon, and when
+    there are n-2 of them every position but 0 and n-1 lies in q of them.
+    """
+    counts, stack, triangles = list(q), [0], []
+    for b in range(1, len(counts)):
+        while len(stack) > 1 and counts[stack[-1]] == 1:
+            c = stack.pop()
+            a = stack[-1]
+            triangles.append((a, c, b))
+            counts[a] -= 1
+            counts[b] -= 1
+        stack.append(b)
+    return triangles
+
+
 def hull_triangles(g: Graph, cycle) -> list[tuple[int, int, int]]:
     """The n-2 triangles of g as hull positions (a, c, b), a < c < b, along
-    cycle, in pre-order from the root edge (0, n-1): the apex of (a, b) is
-    a's last neighbour before b, and b must be the last neighbour of c.
+    cycle: the ``ear_cut`` of the degrees minus one along cycle.
 
-    Raises StructureViolation unless the walk closes n-2 triangles, exactly
-    when g is a MOP with hull cycle: the triangles then have sides in g, and
-    any other edge (x, y), x < y, would be x's last neighbour or an apex
-    on an arc from x.
+    Raises StructureViolation unless the cut yields n-2 triangles whose
+    sides, the hull edges and the (a, b) of every triangle but the root, are
+    exactly the edges of g.  n-2 cut triangles always triangulate the
+    polygon on cycle, so the sides equal the edges exactly when g is that
+    MOP; and a MOP with hull cycle has its degrees minus one as quiddity
+    sequence, so its cut yields n-2 triangles.
     """
     n = g.order
     if sorted(cycle) != list(range(n)):
         raise StructureViolation("certificate cycle is not a permutation of the vertices")
-    pos = [0] * n
-    for p, v in enumerate(cycle):
-        pos[v] = p
-    # Neighbour positions of each position, ascending.
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for p, v in enumerate(cycle):
-        for w in g.adjacency[v]:
-            nbrs[pos[w]].append(p)
-    triangles = []
-    # Every arc on the stack is an edge: the root is checked here, a left arc
-    # (a, c) by its apex and a right arc (c, b) as c's last neighbour.
-    stack = [(0, n - 1)] if n - 1 in nbrs[0] else []
-    while stack:
-        a, b = stack.pop()
-        na = nbrs[a]
-        i = bisect_left(na, b)
-        c = na[i - 1] if i else a
-        if c <= a or nbrs[c][-1] != b:
-            break
-        triangles.append((a, c, b))
-        if c - a > 1:
-            stack.append((a, c))
-        if b - c > 1:
-            stack.append((c, b))
+    triangles = ear_cut([len(g.adjacency[v]) - 1 for v in cycle])
     if len(triangles) != n - 2:
         raise StructureViolation(f"expected {n - 2} inner faces, found {len(triangles)} along the cycle")
+    ends = [(cycle[p - 1], cycle[p]) for p in range(n)] + [(cycle[a], cycle[b]) for a, _, b in triangles[:-1]]
+    sides = {(u, v) if u < v else (v, u) for u, v in ends}
+    if g.edges != sides:
+        u, v = min(g.edges ^ sides)
+        if (u, v) in g.edges:
+            raise StructureViolation(f"edge ({u},{v}) is no side of the triangles along the cycle")
+        raise StructureViolation(f"side ({u},{v}) of the triangles along the cycle is no edge")
     return triangles
 
 
@@ -210,9 +222,9 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
     consumes.
 
     Every triangle of a maximal outerplanar graph is an inner face, so the
-    face list is the triangle list of ``hull_triangles``, which rejects a
-    cert.cycle that is not g's hull; a face is internal when none of its
-    sides lies on the hull cycle.
+    face list is the ear cut along cert.cycle, ``hull_triangles``, which
+    rejects g unless it is the MOP with hull cert.cycle; a face is internal
+    when none of its sides lies on the hull cycle.
     """
     return _stats(g.order, hull_triangles(g, cert.cycle), list(map(len, g.adjacency)))
 

@@ -3,8 +3,9 @@ maximal outerplanar graphs, and a suffix-bound search for every other graph.
 
 A maximal outerplanar graph (MOP) goes through ``_mop_verified`` to
 ``dual.mop_gp_lanes``, which takes its triangles as hull positions and needs
-no distances: ``gp_number`` reads them off the hull with
-``mop.hull_triangles``, and the census off its ear cut.  Every other graph
+no distances.  ``mop.ear_cut`` finds them, for ``gp_number`` from the degrees
+along the hull (``mop.hull_triangles``) and for the census from a class's
+quiddity sequence.  Every other graph
 goes to a branch and bound over its conflicts, which are 3-uniform: a subset
 is in general position exactly when it contains no geodesic triple.  Every
 subset of a general position set is one, so the suffix bound of Östergård's

@@ -28,7 +28,6 @@ from gpmop import census, solve, verify
 from gpmop.census import (
     MAX_CENSUS_ORDER,
     _class_records,
-    _ear_cut,
     _generator_catalog,
     _quiddity_key,
     class_violations,
@@ -37,7 +36,7 @@ from gpmop.census import (
     quiddity_classes,
     striped_catalog_keys,
 )
-from gpmop.mop import dihedral_images
+from gpmop.mop import dihedral_images, ear_cut
 from helpers import census_by_member, graphs_isomorphic, polygon_certificate
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
@@ -220,7 +219,7 @@ def class_tasks(n, dedupe):
 def class_maps(n, q, recs):
     # Each member's dihedral map of the ear-cut hull of q: the last that
     # dihedral_images yields with the member as its image, as _class_records keeps it.
-    maps = dict(dihedral_images(n, [(u, w) for u, _, w in _ear_cut(q)[:-1]]))
+    maps = dict(dihedral_images(n, [(a, b) for a, _, b in ear_cut(q)[:-1]]))
     return [maps[tuple(a * n + b for a, b in r.chords)] for r in recs]
 
 
@@ -359,7 +358,7 @@ class TestRunCensus:
 
         # The DP pass is solve's, inside _mop_verified, and so is the one cache
         # of BFS levels that the class's witness checks share.
-        homes = {"graph_from_chords": census, "_ear_cut": census, "is_generalized_sunflower": census,
+        homes = {"graph_from_chords": census, "ear_cut": census, "is_generalized_sunflower": census,
                  "mop_gp_lanes": solve}
         for name, module in homes.items():
             monkeypatch.setattr(module, name, counting(module, name))
@@ -449,7 +448,7 @@ class TestRunCensus:
                 recs, _ = _class_records(n, q, dedupe)
                 [(triangles, labellings)] = passes
                 edges = {e for a, c, b in triangles for e in ((a, c), (c, b), (a, b))}
-                assert edges == graph_from_chords(n, [(u, w) for u, _, w in _ear_cut(q)[:-1]]).edges
+                assert edges == graph_from_chords(n, [(a, b) for a, _, b in ear_cut(q)[:-1]]).edges
                 assert len(labellings) == len(recs)
                 for r, lane in zip(recs, labellings):
                     assert sorted(lane) == list(range(n))

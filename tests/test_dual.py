@@ -99,6 +99,15 @@ class TestMopGp:
             results, _ = hull_lanes(g, range(n), [range(n), *perms])
             assert results == [expected, *(brute_force_gp(relabeled(g, perm)) for perm in perms)]
 
+    @pytest.mark.parametrize("n", range(10, 14))
+    def test_every_class_matches_the_search(self, n):
+        # Beyond full enumeration, the suffix-bound search on the class
+        # graph's conflict masks, which shares no code with the program.
+        for r in run_census(n, dedupe=True):
+            g = graph_from_chords(n, r.chords)
+            value, witness, _ = solve._search(n, solve._pair_block_masks(all_pairs_distances(g), n))
+            assert (value, witness) == (r.gp, r.gp_witness)
+
     @staticmethod
     def lanes_match_one_pass_per_labelling(g, labellings):
         # Lane i equals the one-lane pass on the graph that names hull position

@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +25,7 @@ from gpmop import (
 )
 from gpmop import families
 from gpmop.census import enumerate_triangulations, graph_from_chords
-from gpmop.mop import _check_non_crossing, check_certificate, dihedral_images, hull_triangles
+from gpmop.mop import _check_non_crossing, check_certificate, dihedral_images, ear_cut, hull_triangles
 from helpers import first_crossing_pair, graphs_isomorphic, polygon_certificate, random_mop, relabeled
 
 
@@ -189,22 +189,26 @@ class TestStats:
             assert st_.internal_triangles == sum(hull_free)
 
     def test_triangle_free_graph_rejected(self):
+        # The degrees minus one are all 1: the cut takes the ears at 1 and 3,
+        # and then no count is left at 1.
         cert = MopCertificate(5, (0, 1, 2, 3, 4), frozenset())
-        with pytest.raises(StructureViolation, match="expected 3 inner faces, found 0"):
+        with pytest.raises(StructureViolation, match="expected 3 inner faces, found 2 along the cycle"):
             mop_stats(families.cycle(5).graph, cert)
 
 
     def test_cycle_that_is_not_the_hull_rejected(self):
         # A certificate whose cycle is a path and center order of the fan but
-        # swaps two path vertices: 0 and 2 are not adjacent.
+        # swaps two path vertices: 0 and 2 are not adjacent.  The cut along it
+        # still yields 6 triangles, whose sides miss the edge (0, 1).
         g = fan(8).graph
         cert = MopCertificate(8, (0, 2, 1, 3, 4, 5, 6, 7), recognize(g).chords)
-        with pytest.raises(StructureViolation, match="expected 6 inner faces"):
+        with pytest.raises(StructureViolation, match=r"edge \(0,1\) is no side of the triangles"):
             mop_stats(g, cert)
 
     def test_extra_chord_rejected(self):
-        # K4 holds the triangulation of its hull 0, 1, 2, 3 and one more chord.
-        with pytest.raises(StructureViolation, match="expected 2 inner faces, found 1"):
+        # K4 holds the triangulation of its hull 0, 1, 2, 3 and one more chord:
+        # every degree minus one is 2, so no position is an ear tip.
+        with pytest.raises(StructureViolation, match="expected 2 inner faces, found 0"):
             mop_stats(complete_graph(4), MopCertificate(4, (0, 1, 2, 3), frozenset({(0, 2)})))
 
     def test_cycle_that_is_not_a_permutation_rejected(self):
@@ -229,7 +233,7 @@ class TestStats:
 class TestHullTriangles:
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
-    def test_walk_finds_every_triangle_once(self, seed):
+    def test_cut_finds_every_triangle_once(self, seed):
         # Oracle: every mutually adjacent triple, on a relabelled random MOP.
         rng = random.Random(seed)
         n = rng.randint(3, 25)
@@ -245,15 +249,73 @@ class TestHullTriangles:
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=20, deadline=None)
-    def test_every_extra_edge_stops_the_walk(self, seed):
-        # The walk reads no edge count, yet no edge beyond the triangulation gets past it.
+    def test_every_extra_edge_is_rejected(self, seed):
+        # An extra edge raises two degrees: the cut comes up short, or it
+        # yields n-2 triangles whose sides lack the edge.
         rng = random.Random(seed)
         g = random_mop(rng, rng.randint(4, 15))
         cycle = recognize(g).cycle
         for e in combinations(range(g.order), 2):
             if not g.has_edge(*e):
-                with pytest.raises(StructureViolation, match="inner faces"):
+                with pytest.raises(StructureViolation, match="along the cycle"):
                     hull_triangles(build_graph(g.order, [*g.edges, e]), cycle)
+
+    def test_missing_side_is_named(self):
+        # The fan at 0 of the hexagon with (1, 2) and (3, 4) swapped for (1, 3)
+        # and (2, 4): every degree stays, so the cut is the fan's, and its
+        # side (1, 2) is missing from the graph.
+        edges = [(0, k) for k in range(1, 6)] + [(1, 3), (2, 3), (2, 4), (4, 5)]
+        with pytest.raises(StructureViolation, match=r"side \(1,2\) of the triangles along the cycle is no edge"):
+            hull_triangles(build_graph(6, edges), range(6))
+
+
+def assert_children_first(cut, n):
+    # Each arc (a, c) and (c, b) is a hull edge or the base of a triangle cut
+    # before (a, c, b), so the cut triangles tile the polygon 0..n-1.
+    bases = {(p, p + 1) for p in range(n - 1)}
+    for a, c, b in cut:
+        assert a < c < b and (a, c) in bases and (c, b) in bases
+        bases.add((a, b))
+
+
+class TestEarCut:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cuts_every_labelled_triangulation(self, n):
+        # Oracle: the mutually adjacent triples.
+        for chords in enumerate_triangulations(n):
+            g = graph_from_chords(n, chords)
+            cut = ear_cut([g.degree(v) - 1 for v in range(n)])
+            assert len(cut) == n - 2
+            assert {frozenset(t) for t in cut} == {
+                frozenset(t) for t in combinations(range(n), 3)
+                if all(g.has_edge(u, v) for u, v in combinations(t, 2))
+            }
+            assert_children_first(cut, n)
+            assert cut[-1][::2] == (0, n - 1)
+
+    @pytest.mark.parametrize("q", [(2, 2, 2, 2), (1, 0, 1), (1, 2, 0, 2, 1), (3, 1, 0, 1, 3)])
+    def test_short_on_a_sequence_that_is_not_a_quiddity_sequence(self, q):
+        # K4's degrees minus one, and sequences with an inner 0.
+        assert len(ear_cut(q)) < len(q) - 2
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_every_sequence_of_small_counts(self, n):
+        # Every q in 0..4: n-2 cut triangles tile the polygon and meet each
+        # position but 0 and n-1 q times; they meet all n positions q times
+        # exactly when q is a quiddity sequence.
+        quiddities = {
+            tuple(graph_from_chords(n, chords).degree(v) - 1 for v in range(n))
+            for chords in enumerate_triangulations(n)
+        }
+        for q in product(range(5), repeat=n):
+            cut = ear_cut(q)
+            if len(cut) < n - 2:
+                assert q not in quiddities
+                continue
+            assert_children_first(cut, n)
+            met = [sum(p in t for t in cut) for p in range(n)]
+            assert met[1:-1] == list(q[1:-1])
+            assert (met == list(q)) == (q in quiddities)
 
 
 class TestRandomMopStats:
