@@ -258,28 +258,34 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     """Exact general position number with a deterministic witness.
 
     The witness is the lexicographically smallest maximum set.  A MOP, known
-    by a given certificate, checked against ``g``, or else by ``recognize``
-    on a graph with 2n-3 edges, is solved over its dual tree; both give one
-    result.  Any other graph is searched in label order.  Connectivity comes
-    first, tested by ``recognize`` itself on 2n-3 edges and n >= 3; both tests
-    are linear, and only after them does the order meet its cap,
+    by a given certificate or else by ``recognize`` on a graph with 2n-3
+    edges, is solved over its dual tree; both give one result.  A given
+    certificate is proved by ``check_certificate``, one ear cut along its
+    cycle, whose triangles the dual tree then takes, and ``recognize`` does
+    not run.  Any other graph is searched in label order.  Connectivity
+    comes first: ``recognize`` tests it itself on 2n-3 edges and n >= 3, and
+    otherwise one BFS tests it before any certificate check.  All these
+    tests are linear, and only after them does the order meet its cap,
     ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
     """
     n = g.order
+    triangles = None
     if cert is None and n >= 3 and len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert = recognize(g)
     elif not is_connected(g):
         raise Disconnected("graph is not connected")
     elif cert is not None:
-        check_certificate(g, cert)
+        triangles = check_certificate(g, cert)
     cap = DEFAULT_SEARCH_CAP if cert is None else MOP_SEARCH_CAP
     if n > cap and not force:
         raise SearchCapExceeded(
             f"order {n} exceeds the search cap {cap}; pass force=True (gpmop gp --force) to override"
         )
     if cert is not None:
-        results, nodes = _mop_verified(g, hull_triangles(g, cert.cycle), [cert.cycle])
+        if triangles is None:
+            triangles = hull_triangles(g, cert.cycle)
+        results, nodes = _mop_verified(g, triangles, [cert.cycle])
         return GpResult(*results[0], nodes)
     dist = all_pairs_distances(g)
     return _verified(g, *_search(n, _pair_block_masks(dist, n)))

@@ -6,8 +6,9 @@ enumeration, a plain incumbent branch and bound or the suffix-bound search
 without its clique cover, node counts from the suffix-bound search with
 every child's conflict rows written before it is visited, conflict masks
 from a separate test of each triple at each of its three pairs, and
-isomorphism from raw permutation search instead of canonical keys, and
-chord crossings from a scan of every pair of spans with no early exit.
+isomorphism from raw permutation search instead of canonical keys,
+chord crossings from a scan of every pair of spans with no early exit, and
+a certificate's validity from a comparison with a full ``recognize``.
 The labelled census is rebuilt one triangulation at a time, each record
 from its own graph alone.
 """
@@ -19,8 +20,10 @@ from itertools import permutations
 
 from gpmop import (
     CensusRecord,
+    Disconnected,
     Graph,
     MopCertificate,
+    NotAnMop,
     build_graph,
     canonical_form,
     enumerate_triangulations,
@@ -78,6 +81,15 @@ def first_crossing_pair(cycle, chords) -> tuple[tuple[int, int], tuple[int, int]
             if a < c < b < d:
                 return e1, e2
     return None
+
+
+def recognized_certificate(g: Graph, cert) -> bool:
+    """Whether cert is g's certificate by the definition ``check_certificate``
+    must meet: it equals ``recognize(g)``, a rejection of g counting as False."""
+    try:
+        return recognize(g) == cert
+    except (NotAnMop, Disconnected):
+        return False
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

@@ -26,7 +26,14 @@ from gpmop import (
 from gpmop import families
 from gpmop.census import enumerate_triangulations, graph_from_chords
 from gpmop.mop import _check_non_crossing, check_certificate, dihedral_images, ear_cut, hull_triangles
-from helpers import first_crossing_pair, graphs_isomorphic, polygon_certificate, random_mop, relabeled
+from helpers import (
+    first_crossing_pair,
+    graphs_isomorphic,
+    polygon_certificate,
+    random_mop,
+    recognized_certificate,
+    relabeled,
+)
 
 
 def complete_graph(n):
@@ -115,6 +122,86 @@ class TestCheckCertificate:
         rotated = MopCertificate(6, cert.cycle[1:] + cert.cycle[:1], cert.chords)
         with pytest.raises(StructureViolation, match="chord set"):
             check_certificate(g, rotated)
+
+    def test_returns_the_cut_along_the_cycle(self):
+        g = random_mop(random.Random(4), 20)
+        cert = recognize(g)
+        assert check_certificate(g, cert) == hull_triangles(g, cert.cycle)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_recognize_on_every_triangulation(self, n):
+        # Each labelled triangulation with each of the 2n dihedral turns of
+        # its cycle (one of them normalized), each with its chord set, one
+        # chord fewer and one more, and the graph with a chord fewer or more.
+        # Exactly one certificate per triangulation is its own.
+        hull = [(p, p + 1) for p in range(n - 1)] + [(0, n - 1)]
+        triangulations = list(enumerate_triangulations(n))
+        accepted = 0
+        for chords in triangulations:
+            # The first pair that is no edge; the triangle has none.
+            extra = [e for e in combinations(range(n), 2) if e not in hull and e not in chords][:1]
+            chord_sets = {frozenset(chords), frozenset(chords[1:]), frozenset([*chords, *extra])}
+            graphs = [build_graph(n, hull + list(c)) for c in chord_sets]
+            for t, flip, g, c in product(range(n), (1, -1), graphs, chord_sets):
+                cycle = tuple((t + flip * p) % n for p in range(n))
+                accepted += assert_check_agrees(g, MopCertificate(n, cycle, c))
+        assert accepted == len(triangulations)
+
+    @given(st.integers(0, 10**9), st.sampled_from(["none", "rotate", "reflect", "swap", "order", "drop", "add"]))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_recognize_on_mutated_certificates(self, seed, mutation):
+        rng = random.Random(seed)
+        n = rng.randint(3, 60)
+        g = random_mop(rng, n)
+        cert = recognize(g)
+        cycle, chords = cert.cycle, set(cert.chords)
+        if mutation == "rotate":
+            k = rng.randrange(1, n)
+            cycle = cycle[k:] + cycle[:k]
+        elif mutation == "reflect":
+            cycle = cycle[::-1]
+        elif mutation == "swap":
+            i, j = rng.sample(range(n), 2)
+            swapped = list(cycle)
+            swapped[i], swapped[j] = cycle[j], cycle[i]
+            cycle = tuple(swapped)
+        elif mutation == "drop" and chords:
+            chords.remove(rng.choice(sorted(chords)))
+        elif mutation == "add":
+            # Any pair that is no chord: a hull edge or a non-edge.
+            chords.add(rng.choice([e for e in combinations(range(n), 2) if e not in chords]))
+        order = n + rng.choice((-1, 1)) if mutation == "order" else n
+        assert_check_agrees(g, MopCertificate(order, cycle, frozenset(chords)))
+
+    @pytest.mark.parametrize(
+        "edges, cycle",
+        [
+            ([(a, b) for a in (0, 2, 4) for b in (1, 3, 5)], (0, 1, 2, 3, 4, 5)),
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)], (0, 1, 2, 3, 4)),
+        ],
+        ids=["K33", "C5_crossed"],
+    )
+    def test_non_mops_with_a_mop_edge_count_rejected(self, edges, cycle):
+        g = build_graph(len(cycle), edges)
+        assert len(g.edges) == 2 * g.order - 3
+        hull = {(min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+        n = g.order
+        for t, flip in product(range(n), (1, -1)):
+            turned = tuple(cycle[(t + flip * p) % n] for p in range(n))
+            assert not assert_check_agrees(g, MopCertificate(n, turned, g.edges - hull))
+
+
+def assert_check_agrees(g, cert) -> bool:
+    # check_certificate accepts exactly when the recognize oracle does;
+    # returns whether both accept.
+    expected = recognized_certificate(g, cert)
+    try:
+        check_certificate(g, cert)
+    except StructureViolation:
+        assert not expected, cert
+    else:
+        assert expected, cert
+    return expected
 
 
 @st.composite
@@ -210,6 +297,14 @@ class TestStats:
         # every degree minus one is 2, so no position is an ear tip.
         with pytest.raises(StructureViolation, match="expected 2 inner faces, found 0"):
             mop_stats(complete_graph(4), MopCertificate(4, (0, 1, 2, 3), frozenset({(0, 2)})))
+
+    def test_wrong_order_or_chord_set_rejected(self):
+        # The cycle is the fan's hull, so only the order or the chords are wrong.
+        g = fan(8).graph
+        cert = recognize(g)
+        for wrong in (MopCertificate(8, cert.cycle, frozenset({(0, 1)})), MopCertificate(5, cert.cycle, cert.chords)):
+            with pytest.raises(StructureViolation, match="chord set"):
+                mop_stats(g, wrong)
 
     def test_cycle_that_is_not_a_permutation_rejected(self):
         g = fan(5).graph

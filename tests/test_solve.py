@@ -162,7 +162,8 @@ class TestGpNumber:
         assert with_cert == without
 
     def test_relabelled_mop_certificate_changes_nothing(self, monkeypatch):
-        # With or without a certificate, one recognize names the hull order.
+        # A given certificate is proved without recognize; without one, one
+        # recognize names the hull order.
         g = random_mop(random.Random(5), 30)
         cert = recognize(g)
         assert cert.cycle != tuple(range(30))
@@ -175,9 +176,9 @@ class TestGpNumber:
         monkeypatch.setattr(solve, "recognize", counted)
         monkeypatch.setattr("gpmop.mop.recognize", counted)
         with_cert = gp_number(g, cert=cert)
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert with_cert == gp_number(g)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_non_mop_with_mop_edge_count_keeps_label_order(self):
         # K_{3,3} has 2n - 3 = 9 edges but is not maximal outerplanar.
@@ -271,9 +272,10 @@ class TestGpNumber:
         assert (res.value, res.witness) == brute_force_gp(g)
 
     def test_mop_reads_only_the_rows_its_check_needs(self, monkeypatch):
-        # On a MOP no full distance table and no conflict masks: BFS from
-        # vertex 0 inside recognize, which answers connectivity when no
-        # certificate is given, and before it for connectivity when one is.
+        # On a MOP no full distance table and no conflict masks, and one BFS
+        # from vertex 0: inside recognize, which answers connectivity, when
+        # no certificate is given, and for connectivity alone when one is,
+        # as the certificate check builds no row.
         # The witness check walks BFS levels as bitmasks and builds no row;
         # this witness lacks vertex 0, so a row for it would show.
         def forbidden(*args):
@@ -292,7 +294,7 @@ class TestGpNumber:
             sources.clear()
             res = gp_number(g, cert=cert)
             assert 0 not in res.witness
-            assert sources == ([0] if cert is None else [0, 0])
+            assert sources == [0]
         rng = random.Random(30)
         for n in range(3, 10):
             h = random_mop(rng, n)
