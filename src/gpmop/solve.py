@@ -4,8 +4,8 @@ maximal outerplanar graphs, and a suffix-bound search for every other graph.
 A maximal outerplanar graph (MOP) goes through ``_mop_verified`` to
 ``dual.mop_gp_lanes``, which takes its triangles as hull positions and needs
 no distances.  ``mop.ear_cut`` finds them, for ``gp_number`` from the degrees
-along the hull (``mop.hull_triangles``) and for the census from a class's
-quiddity sequence.  Every other graph
+minus one along the hull and for the census from a class's quiddity
+sequence.  Every other graph
 goes to a branch and bound over its conflicts, which are 3-uniform: a subset
 is in general position exactly when it contains no geodesic triple.  Every
 subset of a general position set is one, so the suffix bound of Östergård's
@@ -15,6 +15,14 @@ v = n-1 down to 0, a search for a set of size c[v+1] + 1 that starts at v
 prunes a branch once chosen + c[min(candidates)] or chosen + |candidates|
 falls short of the target.  Candidates are filtered through a per-pair
 conflict index held as bitmasks.
+
+The search runs on the mirrored graph, which names vertex v by n-1-v: bit p
+of every mask, and row p of the conflict index, stand for vertex n-1-p.  The
+least label, which the search takes first, is then the top bit, read by
+``int.bit_length()`` and cleared by one XOR, where the lowest bit needs
+``x & -x``, a negated copy of the whole mask, per step.  Taking bits from the
+top is taking labels in ascending order, so the mirrored search visits the
+nodes of the label-order search in the same order.
 
 Each node also covers its candidates greedily by cliques of their pair
 conflicts, in the spirit of the colouring bound of Tomita and Seki (2003):
@@ -46,7 +54,7 @@ from typing import Sequence
 
 from .dual import mop_gp_lanes
 from .graph import Disconnected, Graph, GraphError, _source_rows, all_pairs_distances, is_connected
-from .mop import MopCertificate, NotAnMop, check_certificate, hull_triangles, maximal_fan, recognize
+from .mop import MopCertificate, NotAnMop, check_certificate, ear_cut, maximal_fan, recognize
 from .verify import is_gp_characterized, is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
@@ -121,43 +129,45 @@ def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[in
 
 
 def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
-    # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
-    c = [0] * (n + 1)
-    c[n - 1] = 1  # one vertex is in general position
+    # blocks are the mirrored graph's masks: row p and bit p stand for vertex
+    # n-1-p, and chosen holds positions.  c[p] is the gp of the positions
+    # {0, ..., p}, the vertices {n-1-p, ..., n-1}.
+    c = [0] * n
+    c[0] = 1  # one vertex is in general position
     found: tuple[int, ...] = ()
     nodes = 0
     zero = [0] * n
+    top = n - 1
 
     def rec(chosen: list[int], cand: int, need: int, pconf: list[int], bv: list[int]) -> bool:
         # Look for need >= 1 more members that extend chosen within cand;
-        # for w in cand, bit x of pconf[w] | bv[w] is set when w and x cannot
+        # for p in cand, bit x of pconf[p] | bv[p] is set when p and x cannot
         # both join chosen: pconf holds the parent's rows and bv the masks of
-        # the last chosen vertex.
+        # the last chosen position.
         nonlocal found, nodes
         nodes += 1
         if need == 1:
-            # Any candidate completes the set; the loop would take the least.
+            # Any candidate completes the set; the loop would take the top bit.
             if not cand:
                 return False
-            found = (*chosen, (cand & -cand).bit_length() - 1)
+            found = (*[top - p for p in chosen], n - cand.bit_length())
             return True
-        # Greedy cover of cand by cliques of the conflict rows: each clique
-        # adds at most one member, so fewer than need cliques prune.
+        # Greedy cover of cand by cliques of the conflict rows, each started
+        # at the least label left: each clique adds at most one member, so
+        # fewer than need cliques prune.
         rest = cand
         cliques = 0
         while rest:
             cliques += 1
             if cliques == need:
                 break
-            q = rest & -rest
-            rest ^= q
-            w = q.bit_length() - 1
-            q = rest & (pconf[w] | bv[w])
+            p = rest.bit_length() - 1
+            rest ^= 1 << p
+            q = rest & (pconf[p] | bv[p])
             while q:
-                x = q & -q
-                rest ^= x
-                w = x.bit_length() - 1
-                q &= pconf[w] | bv[w]
+                p = q.bit_length() - 1
+                rest ^= 1 << p
+                q &= pconf[p] | bv[p]
         else:
             return False
         # The cover did not prune, so the node builds its rows and branches.
@@ -165,27 +175,27 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
         k = cand
         # need >= 2 here, so the |k| bound below returns before k runs out.
         while True:
-            v = (k & -k).bit_length() - 1
-            # The rest of the set lies in k, inside {v, ..., n-1}, so it has
-            # at most |k| and at most c[v] members; c is non-increasing, so
-            # no later v does better.
-            if c[v] < need or k.bit_count() < need:
+            p = k.bit_length() - 1
+            # The rest of the set lies in k, inside the positions {0, ..., p},
+            # so it has at most |k| and at most c[p] members; c is
+            # non-decreasing, so no later p does better.
+            if c[p] < need or k.bit_count() < need:
                 return False
-            k &= k - 1
-            chosen.append(v)
-            if rec(chosen, k & ~conf[v], need - 1, conf, blocks[v]):
+            k ^= 1 << p
+            chosen.append(p)
+            if rec(chosen, k & ~conf[p], need - 1, conf, blocks[p]):
                 return True
             chosen.pop()
 
-    full = (1 << n) - 1
-    for v in range(n - 2, -1, -1):
-        # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
-        # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
-        c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], zero, blocks[v])
-    # The last increase of c yields the maximum set whose smallest vertex is
-    # largest; one ascending search finds the lexicographically smallest.
-    rec([], full, c[0], zero, zero)
-    return c[0], found, nodes
+    for p in range(1, n):
+        # Dropping p from a set in {0, ..., p} leaves one in {0, ..., p-1},
+        # so c[p] is c[p-1] or c[p-1] + 1.  The rows of {p} are blocks[p].
+        c[p] = c[p - 1] + rec([p], (1 << p) - 1, c[p - 1], zero, blocks[p])
+    # The last increase of c yields the maximum set whose least label is
+    # largest; one search from the top bit finds the lexicographically
+    # smallest.
+    rec([], (1 << n) - 1, c[top], zero, zero)
+    return c[top], found, nodes
 
 
 def _fan_pattern(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -262,11 +272,13 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     edges, is solved over its dual tree; both give one result.  A given
     certificate is proved by ``check_certificate``, one ear cut along its
     cycle, whose triangles the dual tree then takes, and ``recognize`` does
-    not run.  Any other graph is searched in label order.  Connectivity
-    comes first: ``recognize`` tests it itself on 2n-3 edges and n >= 3, and
-    otherwise one BFS tests it before any certificate check.  All these
-    tests are linear, and only after them does the order meet its cap,
-    ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
+    not run; after ``recognize`` the dual tree takes the bare ear cut, as
+    ``recognize`` has proved g the MOP on its cycle.  Any other graph is
+    searched in label order.  Connectivity comes first: ``recognize`` tests
+    it itself on 2n-3 edges and n >= 3, and otherwise one BFS tests it
+    before any certificate check.  All these tests are linear, and only
+    after them does the order meet its cap, ``MOP_SEARCH_CAP`` for a MOP and
+    ``DEFAULT_SEARCH_CAP`` else.
     """
     n = g.order
     triangles = None
@@ -284,8 +296,13 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
         )
     if cert is not None:
         if triangles is None:
-            triangles = hull_triangles(g, cert.cycle)
+            # recognize has proved g the MOP on cert.cycle, so the degrees
+            # minus one along it are its quiddity sequence.
+            triangles = ear_cut([len(g.adjacency[v]) - 1 for v in cert.cycle])
+            if len(triangles) != n - 2:
+                raise RuntimeError(f"internal: ear cut found {len(triangles)} triangles for order {n}")
         results, nodes = _mop_verified(g, triangles, [cert.cycle])
         return GpResult(*results[0], nodes)
-    dist = all_pairs_distances(g)
-    return _verified(g, *_search(n, _pair_block_masks(dist, n)))
+    # The search reads vertex v as position n-1-v.
+    mirrored = tuple(row[::-1] for row in reversed(all_pairs_distances(g)))
+    return _verified(g, *_search(n, _pair_block_masks(mirrored, n)))

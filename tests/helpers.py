@@ -222,6 +222,13 @@ def per_pair_block_masks(dist, n: int) -> list[list[int]]:
     return blocks
 
 
+def mirrored(dist):
+    """The distance table of the graph that names vertex v by n-1-v, entry
+    by entry: ``solve._search`` reads the pair masks of this graph."""
+    n = len(dist)
+    return tuple(tuple(dist[n - 1 - u][n - 1 - v] for v in range(n)) for u in range(n))
+
+
 def suffix_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]:
     """Suffix-bound search with no node-level cover: c[v], the gp of
     {v, ..., n-1}, is filled from v = n-1 down, a branch is pruned only by

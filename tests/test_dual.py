@@ -27,7 +27,7 @@ from gpmop import dual, solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
 from gpmop.dual import mop_gp_lanes
 from gpmop.mop import hull_triangles
-from helpers import brute_force_gp, floyd_warshall, random_mop, relabeled
+from helpers import brute_force_gp, floyd_warshall, mirrored, random_mop, relabeled
 
 
 def hull_lanes(g, cycle, labellings):
@@ -102,10 +102,12 @@ class TestMopGp:
     @pytest.mark.parametrize("n", range(10, 14))
     def test_every_class_matches_the_search(self, n):
         # Beyond full enumeration, the suffix-bound search on the class
-        # graph's conflict masks, which shares no code with the program.
+        # graph's conflict masks, which shares no code with the dual tree;
+        # it reads the masks of the mirrored graph, as gp_number hands them.
         for r in run_census(n, dedupe=True):
             g = graph_from_chords(n, r.chords)
-            value, witness, _ = solve._search(n, solve._pair_block_masks(all_pairs_distances(g), n))
+            blocks = solve._pair_block_masks(mirrored(all_pairs_distances(g)), n)
+            value, witness, _ = solve._search(n, blocks)
             assert (value, witness) == (r.gp, r.gp_witness)
 
     @staticmethod

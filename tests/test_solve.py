@@ -1,4 +1,5 @@
 import random
+from contextlib import suppress
 from itertools import permutations
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gpmop import (
     Disconnected,
     MopCertificate,
+    NotAnMop,
     SearchCapExceeded,
     all_pairs_distances,
     build_graph,
@@ -25,7 +27,7 @@ from gpmop import (
     run_census,
     straight_linear_2tree,
 )
-from gpmop import census, graph, solve
+from gpmop import census, graph, mop, solve
 from gpmop.census import graph_from_chords
 from helpers import (
     brute_force_gp,
@@ -33,6 +35,7 @@ from helpers import (
     exhaustive_interval,
     geodesic_triples,
     incumbent_search,
+    mirrored,
     per_pair_block_masks,
     random_connected_graph,
     random_mop,
@@ -42,7 +45,13 @@ from helpers import (
 
 
 def _block_masks(g):
+    # Label-order masks, which the oracles read.
     return solve._pair_block_masks(all_pairs_distances(g), g.order)
+
+
+def _search_masks(g):
+    # The masks gp_number hands solve._search: the mirrored graph's.
+    return solve._pair_block_masks(mirrored(all_pairs_distances(g)), g.order)
 
 
 def _mask_triples(g) -> set[int]:
@@ -180,13 +189,45 @@ class TestGpNumber:
         assert with_cert == gp_number(g)
         assert len(calls) == 1
 
+    def test_recognized_mop_is_not_proved_again(self, monkeypatch):
+        # Once recognize accepts g, the dual tree takes the ear cut of its
+        # degrees along the cycle and runs no hull_triangles, which only a
+        # given certificate's check needs; both routes give one result.
+        calls = []
+
+        def counted(g, cycle):
+            calls.append(cycle)
+            return real_hull(g, cycle)
+
+        real_hull = mop.hull_triangles
+        monkeypatch.setattr(mop, "hull_triangles", counted)
+        # solve imports no hull_triangles; a name bound there would be counted too.
+        monkeypatch.setattr(solve, "hull_triangles", counted, raising=False)
+        rng = random.Random(68)
+        for n in range(3, 201):
+            g = random_mop(rng, n)
+            res = gp_number(g)
+            assert not calls, n
+            cert = recognize(g)
+            assert gp_number(g, cert=cert) == res, n
+            assert calls == [cert.cycle], n
+            calls.clear()
+
+    def test_short_ear_cut_is_an_internal_error(self, monkeypatch):
+        # The dual tree trusts the triangles of a recognized MOP, so a cut
+        # short of n-2 triangles stops the solve.
+        monkeypatch.setattr(solve, "ear_cut", lambda q: mop.ear_cut(q)[:-1])
+        with pytest.raises(RuntimeError, match="internal: ear cut found 6 triangles for order 9"):
+            gp_number(fan(9).graph)
+
     def test_non_mop_with_mop_edge_count_keeps_label_order(self):
-        # K_{3,3} has 2n - 3 = 9 edges but is not maximal outerplanar.
-        g = build_graph(6, [(a, b) for a in (0, 2, 4) for b in (1, 3, 5)])
-        blocks = _block_masks(g)
+        # K_{3,3} has 2n - 3 = 9 edges but is not maximal outerplanar.  These
+        # parts are not swapped by v -> 5-v, so label-order masks handed to
+        # the search would give another witness.
+        g = build_graph(6, [(min(a, b), max(a, b)) for a in (0, 1, 4) for b in (2, 3, 5)])
         res = gp_number(g)
-        assert (res.value, res.witness) == suffix_search(6, blocks)[:2]
-        assert res.nodes_explored == solve._search(6, blocks)[2]
+        assert (res.value, res.witness) == suffix_search(6, _block_masks(g))[:2]
+        assert res.nodes_explored == solve._search(6, _search_masks(g))[2]
 
     @pytest.mark.parametrize("graph", [fan(9).graph, cycle(7).graph], ids=["mop", "search"])
     def test_count_off_its_witness_is_an_internal_error(self, graph, monkeypatch):
@@ -413,8 +454,41 @@ class TestGpNumber:
         # same nodes in the same order as writing every child's rows first.
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(17, 30))
-        blocks = _block_masks(g)
-        assert solve._search(g.order, blocks) == eager_row_search(g.order, blocks)
+        assert solve._search(g.order, _search_masks(g)) == eager_row_search(g.order, _block_masks(g))
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_mirrored_search_matches_label_order(self, seed, wide):
+        # The search reads vertex v as bit n-1-v and the oracle as bit v; both
+        # must visit the same nodes and return the same set, also on sparse
+        # graphs whose masks are wider than 63 bits.
+        rng = random.Random(seed)
+        if wide:
+            g = random_connected_graph(rng, rng.randint(64, 70), 0.005)
+        else:
+            g = random_connected_graph(rng, rng.randint(1, 30), 0.12)
+        res = gp_number(g, force=True)
+        value, witness, nodes = eager_row_search(g.order, _block_masks(g))
+        assert (res.value, res.witness) == (value, witness)
+        with suppress(NotAnMop):
+            recognize(g)
+            return  # a MOP takes the dual-tree route, which counts other nodes
+        assert res.nodes_explored == nodes
+
+    @pytest.mark.parametrize("family", ["complete", "path", "cycle", "star"])
+    def test_mirrored_search_on_extreme_shapes(self, family):
+        # No conflicts (K_n), gp 2 (P_n), gp 3 from order 7 (C_n) and all
+        # n-1 leaves in general position (K_{1,n-1}), up to the search cap.
+        for n in range(3, solve.DEFAULT_SEARCH_CAP + 1):
+            if family == "star":
+                g = build_graph(n, [(0, v) for v in range(1, n)])
+            else:
+                g = {"complete": complete, "path": path, "cycle": cycle}[family](n).graph
+            res = gp_number(g)
+            value, witness, nodes = suffix_search(n, _block_masks(g))
+            assert (res.value, res.witness) == (value, witness), n
+            if len(g.edges) != 2 * n - 3:
+                assert res.nodes_explored <= nodes, n
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
