@@ -111,7 +111,8 @@ def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def _source_rows(g: Graph, sources: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    # BFS rows of the given sources and () elsewhere, for tests that read no other row.
+    # BFS rows of the given sources and () elsewhere: all of them for
+    # all_pairs_distances, the given ids' for gpmop verify.
     wanted = set(sources)
     return tuple(tuple(bfs_distances(g, s)) if s in wanted else () for s in range(g.order))
 

@@ -144,15 +144,17 @@ def recognize(g: Graph) -> MopCertificate:
     return MopCertificate(n, tuple(cycle), chords)
 
 
-def check_certificate(g: Graph, cert: MopCertificate, *, turned: bool = False) -> list[tuple[int, int, int]]:
+def check_certificate(g: Graph, cert: MopCertificate) -> list[tuple[int, int, int]]:
     """Return ``hull_triangles(g, cert.cycle)``, raising StructureViolation
     unless cert equals recognize(g), in time linear in the order.
 
     n-2 cut triangles whose sides are exactly g's edges prove that g is the
     MOP with hull cert.cycle, and a MOP has one Hamiltonian cycle, its hull;
     so recognize(g) is that cycle normalized as MopCertificate describes,
-    with g's edges off it as chords, and a rotated copy is rejected.  With
-    turned, the cycle may start anywhere and run either way.
+    with g's edges off it as chords.  cert.cycle is that normalized form
+    when it starts at 0 and runs towards the smaller of 0's two hull
+    neighbours, so every other rotation or reflection of the hull is
+    rejected.
     """
     n = g.order
     if n < 3:
@@ -161,12 +163,7 @@ def check_certificate(g: Graph, cert: MopCertificate, *, turned: bool = False) -
     triangles = hull_triangles(g, cycle)
     sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
     chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
-    if not turned:
-        i = cycle.index(0)
-        cycle = (*cycle[i:], *cycle[:i])
-        if cycle[1] > cycle[-1]:
-            cycle = (0, *cycle[:0:-1])
-    if cert != MopCertificate(n, cycle, chords):
+    if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != MopCertificate(n, tuple(cycle), chords):
         raise StructureViolation("certificate does not match the hull and chord set of g")
     return triangles
 
@@ -239,11 +236,10 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
 
     Every triangle of a maximal outerplanar graph is an inner face, so the
     face list is the ear cut along cert.cycle, which ``check_certificate``
-    returns once it has proved cert, its cycle started anywhere and run
-    either way; a face is internal when none of its sides lies on the hull
-    cycle.
+    returns once it has proved cert equal to ``recognize(g)``; a face is
+    internal when none of its sides lies on the hull cycle.
     """
-    return _stats(g.order, check_certificate(g, cert, turned=True), list(map(len, g.adjacency)))
+    return _stats(g.order, check_certificate(g, cert), list(map(len, g.adjacency)))
 
 
 def maximal_fan(g: Graph, v: int) -> tuple[int, ...]:

@@ -53,9 +53,9 @@ from operator import or_
 from typing import Sequence
 
 from .dual import mop_gp_lanes
-from .graph import Disconnected, Graph, GraphError, _source_rows, all_pairs_distances, is_connected
+from .graph import Disconnected, Graph, GraphError, all_pairs_distances, is_connected
 from .mop import MopCertificate, NotAnMop, check_certificate, ear_cut, maximal_fan, recognize
-from .verify import is_gp_characterized, is_gp_levels
+from .verify import is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
 # A random 2000-gon takes about 0.75 s of process time on a 2-core x86
@@ -210,11 +210,8 @@ def _fan_pattern(g: Graph) -> tuple[int, tuple[int, ...]]:
         picks.append(path[3 * i - 2])
     if r == 2:
         picks.append(path[k - 2])
-    bound = (2 * k) // 3
-    witness = tuple(sorted(picks))
-    if len(witness) != bound:
-        raise RuntimeError("internal: fan pattern size mismatch")
-    return bound, witness
+    # 2j picks, plus one when r == 2, are floor(2k/3) distinct path vertices.
+    return (2 * k) // 3, tuple(sorted(picks))
 
 
 def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[int, ...]]:
@@ -222,12 +219,13 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
 
     Walks the widest maximal fan and keeps two out of every three
     consecutive path vertices (plus the final path vertex when the fan
-    order is 2 mod 3); the returned witness always verifies as a general
-    position set.
+    order is 2 mod 3).  cert must equal ``recognize(g)``, which
+    ``check_certificate`` proves, and the witness is checked by
+    ``verify.is_gp_levels``, so no BFS row is built.
     """
     check_certificate(g, cert)
     bound, witness = _fan_pattern(g)
-    if not is_gp_characterized(g, _source_rows(g, witness), witness).is_gp:
+    if not is_gp_levels(g, witness):
         raise RuntimeError("internal: fan pattern is not in general position")
     return bound, witness
 

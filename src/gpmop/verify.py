@@ -1,19 +1,22 @@
 """Three general-position tests: two independent ones that must agree, and
-the one that checks every solver witness.
+the one that the solver and the census call.
 
 ``is_gp_naive`` applies the definition: no member may lie on a geodesic
 between two other members.  ``is_gp_characterized`` decides through the
 clique-partition route: the components induced by the set must be complete
 subgraphs whose blocks are pairwise distance-constant, with no block
 sitting metrically between two others.  The naive form serves as the test
-oracle for the characterized one.  Both read BFS rows.
+oracle for the characterized one.  Both read BFS rows, and only
+``gpmop verify`` and the tests call them.
 
 ``is_gp_levels`` applies the definition with no distance table: one walk
 down the BFS levels of each member, as bitmasks, marks every vertex that
 lies beyond another member on a geodesic from it.  It takes O(kn)
 big-integer operations for k members and, unless callers share levels
 between sets, holds one source's levels at a time, so it serves orders at
-which a row per member would not fit.  ``is_gp_naive`` is its test oracle.
+which a row per member would not fit.  It checks every solver witness, the
+degree claim's fan pattern and ``mop_greedy_lower_bound``'s.
+``is_gp_naive`` is its test oracle.
 """
 
 from __future__ import annotations

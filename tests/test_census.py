@@ -24,7 +24,7 @@ from gpmop import (
     run_census,
     verify_paper_claims,
 )
-from gpmop import census, solve, verify
+from gpmop import census, graph, solve, verify
 from gpmop.census import (
     MAX_CENSUS_ORDER,
     _class_records,
@@ -617,6 +617,21 @@ class TestClaims:
         report = _report(verify_paper_claims(n, n), "degree_lower_bound")
         assert report.violations == (fan_key.hex(),)
         assert report.checked == len(recs)
+
+    def test_claims_build_no_row_from_a_witness(self, monkeypatch):
+        # The degree claim checks its fan pattern by the level walk on the
+        # class graph, so the only BFS left is recognize's connectivity test
+        # from vertex 0 in the generator catalog.
+        def counted(g, source):
+            sources.add(source)
+            return real_bfs(g, source)
+
+        real_bfs, sources = graph.bfs_distances, set()
+        monkeypatch.setattr(graph, "bfs_distances", counted)
+        census._generator_catalog.cache_clear()
+        census._claim_table.cache_clear()
+        verify_paper_claims(4, 10)
+        assert sources == {0}
 
     def test_one_graph_per_class_built_in_its_task(self, monkeypatch):
         real, calls = census.graph_from_chords, []

@@ -1,6 +1,6 @@
 import random
 from contextlib import suppress
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -571,3 +571,26 @@ class TestGreedyLowerBound:
         broken = MopCertificate(3, (0, 1, 2), frozenset({(0, 2)}))
         with pytest.raises(StructureViolation):
             mop_greedy_lower_bound(complete(3).graph, broken)
+
+    def test_builds_no_bfs_row(self, monkeypatch):
+        # The pattern is checked by the level walk, so once the certificates
+        # are recognized no BFS runs at all.
+        def forbidden(*args):
+            raise AssertionError("BFS row built")
+
+        rng = random.Random(60)
+        graphs = [random_mop(rng, n) for n in range(3, 61)]
+        certs = [recognize(g) for g in graphs]
+        monkeypatch.setattr(graph, "bfs_distances", forbidden)
+        for g, cert in zip(graphs, certs):
+            bound, witness = mop_greedy_lower_bound(g, cert)
+            assert len(witness) == bound == (2 * (g.max_degree + 1)) // 3
+
+    def test_pattern_not_in_general_position_is_an_internal_error(self, monkeypatch):
+        g = fan(9).graph
+        bound = solve._fan_pattern(g)[0]
+        dist = all_pairs_distances(g)
+        bad = next(s for s in combinations(range(g.order), bound) if not is_gp_naive(g, dist, s).is_gp)
+        monkeypatch.setattr(solve, "_fan_pattern", lambda h: (bound, bad))
+        with pytest.raises(RuntimeError, match="internal: fan pattern is not in general position"):
+            mop_greedy_lower_bound(g, recognize(g))
