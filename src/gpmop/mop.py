@@ -1,9 +1,12 @@
 """Maximal outerplanar graph recognition, certificates, and canonical keys.
 
 Recognition avoids generic planarity testing.  A graph is accepted exactly
-when it has 2n-3 edges, the edges lying in exactly one triangle close into
-a single spanning cycle, and the remaining edges are pairwise non-crossing
-chords of that cycle.  Every rejection names its evidence.
+when it is connected with 2n-3 edges, the edges lying in exactly one
+triangle close into a single spanning cycle, the hull, and the ear cut of
+the degrees minus one along the hull, the one proof that ``recognize`` and
+``check_certificate`` share, yields n-2 triangles whose sides are exactly
+the edges: the n-3 edges off the hull are then non-crossing chords.  Every
+rejection names its evidence.
 """
 
 from __future__ import annotations
@@ -104,44 +107,11 @@ def _walk(adj, start: int, behind: int | None) -> list[int]:
 def recognize(g: Graph) -> MopCertificate:
     """Accept a maximal outerplanar graph, returning its certificate.
 
-    Raises WrongEdgeCount, EdgeInTooManyTriangles, HullNotHamiltonian, or
-    CrossingChords with the offending evidence, and Disconnected for
-    graphs that are not connected.
+    Raises WrongEdgeCount, EdgeInTooManyTriangles or HullNotHamiltonian
+    with the offending evidence, Disconnected for graphs that are not
+    connected, and StructureViolation should the ear cut along the hull fail.
     """
-    n = g.order
-    if n < 3:
-        raise WrongEdgeCount(f"order {n} is below the minimum of 3")
-    if not is_connected(g):
-        raise Disconnected("graph is not connected")
-    expected = 2 * n - 3
-    if len(g.edges) != expected:
-        raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
-
-    adj_sets = [set(a) for a in g.adjacency]
-    hull_adj: list[list[int]] = [[] for _ in range(n)]
-    hull_edges: set[tuple[int, int]] = set()
-    for u, v in sorted(g.edges):
-        t = len(adj_sets[u] & adj_sets[v])
-        if t > 2:
-            raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
-        if t == 1:
-            hull_edges.add((u, v))
-            hull_adj[u].append(v)
-            hull_adj[v].append(u)
-
-    bad = [v for v in range(n) if len(hull_adj[v]) != 2]
-    if bad:
-        raise HullNotHamiltonian(
-            f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
-        )
-    # Leaving 0 towards its smaller neighbor gives the normalized cycle.
-    cycle = _walk(hull_adj, 0, max(hull_adj[0]))
-    if len(cycle) < n:
-        raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
-
-    chords = frozenset(e for e in g.edges if e not in hull_edges)
-    _check_non_crossing(cycle, chords, "chords")
-    return MopCertificate(n, tuple(cycle), chords)
+    return _proof(g)[0]
 
 
 def check_certificate(g: Graph, cert: MopCertificate) -> list[tuple[int, int, int]]:
@@ -156,16 +126,50 @@ def check_certificate(g: Graph, cert: MopCertificate) -> list[tuple[int, int, in
     neighbours, so every other rotation or reflection of the hull is
     rejected.
     """
-    n = g.order
-    if n < 3:
-        raise StructureViolation(f"order {n} is below the minimum of 3")
+    if g.order < 3:
+        raise StructureViolation(f"order {g.order} is below the minimum of 3")
     cycle = cert.cycle
+    proved, triangles = _proof(g, cycle)
+    if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != proved:
+        raise StructureViolation("certificate does not match the hull and chord set of g")
+    return triangles
+
+
+def _proof(g: Graph, cycle=None) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
+    # The one proof of maximal outerplanarity: ``hull_triangles`` along
+    # cycle, or else along the hull found from g's triangles, and the
+    # certificate on it, the sides (a, b) of all but the root its chords.
+    n = g.order
+    if cycle is None:
+        if n < 3:
+            raise WrongEdgeCount(f"order {n} is below the minimum of 3")
+        if not is_connected(g):
+            raise Disconnected("graph is not connected")
+        expected = 2 * n - 3
+        if len(g.edges) != expected:
+            raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
+        adj_sets = [set(a) for a in g.adjacency]
+        hull_adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in sorted(g.edges):
+            t = len(adj_sets[u] & adj_sets[v])
+            if t > 2:
+                raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
+            if t == 1:
+                hull_adj[u].append(v)
+                hull_adj[v].append(u)
+        bad = [v for v in range(n) if len(hull_adj[v]) != 2]
+        if bad:
+            raise HullNotHamiltonian(
+                f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
+            )
+        # Leaving 0 towards its smaller neighbor gives the normalized cycle.
+        cycle = _walk(hull_adj, 0, max(hull_adj[0]))
+        if len(cycle) < n:
+            raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
     triangles = hull_triangles(g, cycle)
     sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
     chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
-    if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != MopCertificate(n, tuple(cycle), chords):
-        raise StructureViolation("certificate does not match the hull and chord set of g")
-    return triangles
+    return MopCertificate(n, tuple(cycle), chords), triangles
 
 
 def ear_cut(q) -> list[tuple[int, int, int]]:
@@ -183,6 +187,8 @@ def ear_cut(q) -> list[tuple[int, int, int]]:
     tips that are not neighbours, or three, the pass makes all n-2 cuts.
     Whatever q is, the cut triangles tile part of the polygon, and when
     there are n-2 of them every position but 0 and n-1 lies in q of them.
+    Along a graph's hull, of its degrees minus one, the cut is the one proof
+    that the graph is maximal outerplanar (``hull_triangles``).
     """
     counts, stack, triangles = list(q), [0], []
     for b in range(1, len(counts)):

@@ -3,9 +3,9 @@ maximal outerplanar graphs, and a suffix-bound search for every other graph.
 
 A maximal outerplanar graph (MOP) goes through ``_mop_verified`` to
 ``dual.mop_gp_lanes``, which takes its triangles as hull positions and needs
-no distances.  ``mop.ear_cut`` finds them, for ``gp_number`` from the degrees
-minus one along the hull and for the census from a class's quiddity
-sequence.  Every other graph
+no distances.  ``mop.ear_cut`` finds them, for ``gp_number`` in the one proof
+of maximal outerplanarity, the cut of the degrees minus one along the hull,
+and for the census from a class's quiddity sequence.  Every other graph
 goes to a branch and bound over its conflicts, which are 3-uniform: a subset
 is in general position exactly when it contains no geodesic triple.  Every
 subset of a general position set is one, so the suffix bound of Östergård's
@@ -54,7 +54,7 @@ from typing import Sequence
 
 from .dual import mop_gp_lanes
 from .graph import Disconnected, Graph, GraphError, all_pairs_distances, is_connected
-from .mop import MopCertificate, NotAnMop, check_certificate, ear_cut, maximal_fan, recognize
+from .mop import MopCertificate, NotAnMop, _proof, check_certificate, maximal_fan
 from .verify import is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
@@ -266,23 +266,21 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     """Exact general position number with a deterministic witness.
 
     The witness is the lexicographically smallest maximum set.  A MOP, known
-    by a given certificate or else by ``recognize`` on a graph with 2n-3
-    edges, is solved over its dual tree; both give one result.  A given
-    certificate is proved by ``check_certificate``, one ear cut along its
-    cycle, whose triangles the dual tree then takes, and ``recognize`` does
-    not run; after ``recognize`` the dual tree takes the bare ear cut, as
-    ``recognize`` has proved g the MOP on its cycle.  Any other graph is
-    searched in label order.  Connectivity comes first: ``recognize`` tests
-    it itself on 2n-3 edges and n >= 3, and otherwise one BFS tests it
-    before any certificate check.  All these tests are linear, and only
-    after them does the order meet its cap, ``MOP_SEARCH_CAP`` for a MOP and
-    ``DEFAULT_SEARCH_CAP`` else.
+    by a given certificate or else by ``recognize``'s proof on a graph with
+    2n-3 edges, is solved over its dual tree; both give one result.  Either
+    way one ear cut along the hull proves g maximal outerplanar, along a
+    given certificate's cycle by ``check_certificate`` and otherwise along
+    the hull found from g, and the dual tree takes that cut's triangles.
+    Any other graph is searched in label order.  Connectivity comes first:
+    the proof from g alone tests it itself on 2n-3 edges and n >= 3, and
+    otherwise one BFS tests it before any certificate check.  All these
+    tests are linear, and only after them does the order meet its cap,
+    ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
     """
     n = g.order
-    triangles = None
     if cert is None and n >= 3 and len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
-            cert = recognize(g)
+            cert, triangles = _proof(g)
     elif not is_connected(g):
         raise Disconnected("graph is not connected")
     elif cert is not None:
@@ -293,12 +291,6 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
             f"order {n} exceeds the search cap {cap}; pass force=True (gpmop gp --force) to override"
         )
     if cert is not None:
-        if triangles is None:
-            # recognize has proved g the MOP on cert.cycle, so the degrees
-            # minus one along it are its quiddity sequence.
-            triangles = ear_cut([len(g.adjacency[v]) - 1 for v in cert.cycle])
-            if len(triangles) != n - 2:
-                raise RuntimeError(f"internal: ear cut found {len(triangles)} triangles for order {n}")
         results, nodes = _mop_verified(g, triangles, [cert.cycle])
         return GpResult(*results[0], nodes)
     # The search reads vertex v as position n-1-v.

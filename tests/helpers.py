@@ -8,7 +8,9 @@ every child's conflict rows written before it is visited, conflict masks
 from a separate test of each triple at each of its three pairs, and
 isomorphism from raw permutation search instead of canonical keys,
 chord crossings from a scan of every pair of spans with no early exit, and
-a certificate's validity from a comparison with a full ``recognize``.
+a certificate's validity from its definition, a normalized Hamiltonian
+cycle of g whose other edges are chords that this pair scan finds
+non-crossing, with no ear cut.
 The labelled census is rebuilt one triangulation at a time, each record
 from its own graph alone.
 """
@@ -20,10 +22,8 @@ from itertools import permutations
 
 from gpmop import (
     CensusRecord,
-    Disconnected,
     Graph,
     MopCertificate,
-    NotAnMop,
     build_graph,
     canonical_form,
     enumerate_triangulations,
@@ -85,11 +85,17 @@ def first_crossing_pair(cycle, chords) -> tuple[tuple[int, int], tuple[int, int]
 
 def recognized_certificate(g: Graph, cert) -> bool:
     """Whether cert is g's certificate by the definition ``check_certificate``
-    must meet: it equals ``recognize(g)``, a rejection of g counting as False."""
-    try:
-        return recognize(g) == cert
-    except (NotAnMop, Disconnected):
+    must meet: g has order cert.order >= 3 and 2n-3 edges, cert.cycle is a
+    tuple of the vertices that starts at 0 and runs towards the smaller of
+    0's cycle neighbours, each two consecutive vertices are an edge, the
+    chords are g's other edges, and no two chords cross."""
+    n, cycle = g.order, cert.cycle
+    if n < 3 or cert.order != n or len(g.edges) != 2 * n - 3:
         return False
+    if not isinstance(cycle, tuple) or sorted(cycle) != list(range(n)) or cycle[0] != 0 or cycle[1] > cycle[-1]:
+        return False
+    hull = {(min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+    return hull <= g.edges and cert.chords == g.edges - hull and first_crossing_pair(cycle, cert.chords) is None
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -90,6 +91,36 @@ class TestRecognize:
         for chords in enumerate_triangulations(n):
             cert = recognize(graph_from_chords(n, chords))
             assert cert.chords == frozenset(chords)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_polygon_with_n_minus_3_diagonals(self, n):
+        # The n-gon plus every set of n-3 of its diagonals passes the edge
+        # count; the ear cut accepts exactly the sets that the full pair scan
+        # finds non-crossing, and the hull checks reject every other set.
+        hull = [(p, p + 1) for p in range(n - 1)] + [(0, n - 1)]
+        diagonals = [e for e in combinations(range(n), 2) if e not in hull]
+        verdicts = Counter()
+        for chords in combinations(diagonals, n - 3):
+            g = build_graph(n, hull + list(chords))
+            if first_crossing_pair(range(n), chords) is None:
+                assert recognize(g) == polygon_certificate(n, chords)
+                verdicts["accepted"] += 1
+            else:
+                with pytest.raises((EdgeInTooManyTriangles, HullNotHamiltonian)) as exc:
+                    recognize(g)
+                verdicts[exc.type.__name__] += 1
+        assert verdicts["accepted"] == len(list(enumerate_triangulations(n)))
+        if n == 8:
+            assert verdicts == {"accepted": 132, "EdgeInTooManyTriangles": 2996, "HullNotHamiltonian": 12376}
+
+    def test_large_fan_is_recognized_fast(self):
+        # Recognition is linear in the order: the triangle counts, the hull
+        # walk and one ear cut.
+        g = fan(20000).graph
+        start = time.process_time()
+        cert = recognize(g)
+        assert time.process_time() - start < 2
+        assert len(cert.chords) == 19997
 
 
 class TestCheckCertificate:
@@ -192,7 +223,7 @@ class TestCheckCertificate:
 
 
 def assert_check_agrees(g, cert) -> bool:
-    # check_certificate accepts exactly when the recognize oracle does;
+    # check_certificate accepts exactly when the definition oracle does;
     # returns whether both accept.
     expected = recognized_certificate(g, cert)
     try:
@@ -230,11 +261,10 @@ class TestNonCrossing:
 
     def test_large_fan_is_fast(self):
         # Every chord of a fan starts at hull position 0, so a pair scan is quadratic.
-        g = fan(20000).graph
+        chords = [(0, k) for k in range(2, 19999)]
         start = time.process_time()
-        cert = recognize(g)
+        _check_non_crossing(range(20000), chords, "chords")
         assert time.process_time() - start < 2
-        assert len(cert.chords) == 19997
 
     def test_crossing_in_a_large_fan_is_named_fast(self):
         # Only the last fan chord is crossed, so a pair scan tests every pair first.

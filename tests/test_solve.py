@@ -171,32 +171,33 @@ class TestGpNumber:
         assert with_cert == without
 
     def test_relabelled_mop_certificate_changes_nothing(self, monkeypatch):
-        # A given certificate is proved without recognize; without one, one
-        # recognize names the hull order.
+        # A given certificate is proved along its own cycle, so no hull is
+        # searched for; without one, one proof finds the hull order.
         g = random_mop(random.Random(5), 30)
         cert = recognize(g)
         assert cert.cycle != tuple(range(30))
         calls = []
+        real_proof = mop._proof
 
-        def counted(h):
-            calls.append(h)
-            return recognize(h)
+        def counted(h, cycle=None):
+            calls.append(cycle)
+            return real_proof(h, cycle)
 
-        monkeypatch.setattr(solve, "recognize", counted)
-        monkeypatch.setattr("gpmop.mop.recognize", counted)
+        monkeypatch.setattr(mop, "_proof", counted)
+        monkeypatch.setattr(solve, "_proof", counted)
         with_cert = gp_number(g, cert=cert)
-        assert len(calls) == 0
+        assert calls == [cert.cycle]
         assert with_cert == gp_number(g)
-        assert len(calls) == 1
+        assert calls == [cert.cycle, None]
 
     def test_recognized_mop_is_not_proved_again(self, monkeypatch):
-        # Once recognize accepts g, the dual tree takes the ear cut of its
-        # degrees along the cycle and runs no hull_triangles, which only a
-        # given certificate's check needs; both routes give one result.
+        # Either route runs one hull_triangles, along the hull found from g
+        # or along the given certificate's cycle, and the dual tree takes
+        # that cut's triangles; both routes give one result.
         calls = []
 
         def counted(g, cycle):
-            calls.append(cycle)
+            calls.append(tuple(cycle))
             return real_hull(g, cycle)
 
         real_hull = mop.hull_triangles
@@ -207,18 +208,37 @@ class TestGpNumber:
         for n in range(3, 201):
             g = random_mop(rng, n)
             res = gp_number(g)
-            assert not calls, n
             cert = recognize(g)
+            assert calls == [cert.cycle, cert.cycle], n
+            calls.clear()
             assert gp_number(g, cert=cert) == res, n
             assert calls == [cert.cycle], n
             calls.clear()
 
-    def test_short_ear_cut_is_an_internal_error(self, monkeypatch):
-        # The dual tree trusts the triangles of a recognized MOP, so a cut
-        # short of n-2 triangles stops the solve.
-        monkeypatch.setattr(solve, "ear_cut", lambda q: mop.ear_cut(q)[:-1])
-        with pytest.raises(RuntimeError, match="internal: ear cut found 6 triangles for order 9"):
-            gp_number(fan(9).graph)
+    def test_certificate_free_mop_is_cut_once(self, monkeypatch):
+        # Without a certificate, the one ear cut that proves g maximal
+        # outerplanar also hands the dual tree its triangles, and no chord
+        # crossing scan runs.
+        cuts = []
+
+        def counted(q):
+            cuts.append(q)
+            return real_cut(q)
+
+        def no_scan(*args):
+            raise AssertionError("chord crossing scan ran")
+
+        real_cut = mop.ear_cut
+        monkeypatch.setattr(mop, "ear_cut", counted)
+        # solve imports no ear_cut; a name bound there would be counted too.
+        monkeypatch.setattr(solve, "ear_cut", counted, raising=False)
+        monkeypatch.setattr(mop, "_check_non_crossing", no_scan)
+        rng = random.Random(35)
+        for n in range(3, 101):
+            g = random_mop(rng, n)
+            gp_number(g)
+            assert len(cuts) == 1, n
+            cuts.clear()
 
     def test_non_mop_with_mop_edge_count_keeps_label_order(self):
         # K_{3,3} has 2n - 3 = 9 edges but is not maximal outerplanar.  These
@@ -502,15 +522,19 @@ class TestGpNumber:
 
     def test_census_records_never_recognize(self, monkeypatch):
         # A census record hands the dual-tree program its known hull 0..n-1,
-        # so no recognize runs once the family catalog is built.
+        # so no hull is searched for once the family catalog is built.
         census._generator_catalog(9)
+        real_proof = mop._proof
 
-        def no_recognize(g):
-            raise AssertionError("census graph recognized")
+        def no_recognize(g, cycle=None):
+            if cycle is None:
+                raise AssertionError("census graph recognized")
+            return real_proof(g, cycle)
 
         monkeypatch.setattr(census, "recognize", no_recognize)
-        monkeypatch.setattr(solve, "recognize", no_recognize)
-        monkeypatch.setattr("gpmop.mop.recognize", no_recognize)
+        monkeypatch.setattr(mop, "recognize", no_recognize)
+        monkeypatch.setattr(mop, "_proof", no_recognize)
+        monkeypatch.setattr(solve, "_proof", no_recognize)
         records = run_census(9)
         assert len(records) == 429  # catalan(7)
 
