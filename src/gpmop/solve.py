@@ -12,37 +12,38 @@ subset of a general position set is one, so the suffix bound of Östergård's
 maximum clique algorithm ("A fast algorithm for the maximum clique problem",
 2002) carries over.  With c[v] the gp of the vertex set {v, ..., n-1}, filled for
 v = n-1 down to 0, a search for a set of size c[v+1] + 1 that starts at v
-prunes a branch once chosen + c[min(candidates)] or chosen + |candidates|
-falls short of the target.  Candidates are filtered through a per-pair
-conflict index held as bitmasks.
+prunes a branch once chosen + c[min(candidates)] falls short of the target.
+Candidates are filtered through a per-pair conflict index of bitmasks,
+built from each vertex's level walk; the search reads no distance table.
 
 The search runs on the mirrored graph, which names vertex v by n-1-v: bit p
-of every mask, and row p of the conflict index, stand for vertex n-1-p.  The
-least label, which the search takes first, is then the top bit, read by
-``int.bit_length()`` and cleared by one XOR, where the lowest bit needs
-``x & -x``, a negated copy of the whole mask, per step.  Taking bits from the
-top is taking labels in ascending order, so the mirrored search visits the
-nodes of the label-order search in the same order.
+of every mask, and row p of the index, which holds only the positions below
+p, stand for vertex n-1-p.  Branching in ascending label order then reads
+the top bit by ``int.bit_length()`` and clears it by one XOR, with no
+``x & -x``, a negated copy of the whole mask, per step.
 
 Each node also covers its candidates greedily by cliques of their pair
 conflicts, in the spirit of the colouring bound of Tomita and Seki (2003):
 two candidates w and x conflict when {a, w, x} is a geodesic triple for some
-chosen a, so at most one member of a clique can join and a cover by fewer
-cliques than the members still needed prunes the node.  The bound follows
-from the definition of general position alone.  A candidate's conflict row
-is the OR of its pair masks with the chosen vertices, so a node's rows are
-its parent's with the new vertex's masks ORed in.  The cover forms each row
-as it reads it, and most nodes are pruned there; only a node that survives
-its cover builds its rows, one list in one pass, before it branches.
+chosen a, so at most one member of a clique can join.  Only the cover reads
+bits by ``x & -x``: each clique starts at the lowest position left, the
+largest label, and absorbs the lowest first, so a clique meets the
+positions {0, ..., p} only if it starts there.  Fewer cliques than the
+members still needed prune the node, and its branching returns once p falls
+below the start of the need-th clique, since fewer than need cliques then
+reach what is left; this implies the bound of |candidates| against need.
+Both follow from the definition of general position alone.  A node's
+conflict rows are its parent's with the new vertex's masks ORed in; the
+cover forms each row as it reads it, and only a node that survives its
+cover builds its rows, one list in one pass, before it branches.
 
 A final search in ascending label order for a set of size c[0] reports the
 lexicographically smallest maximum set as the witness, which the dynamic
 program yields through its weights.  No lower bound steers either route, so
 the result depends on the graph and its labels only, and every witness is
-checked by ``verify.is_gp_levels`` before it is returned, which walks BFS
-levels as bitmasks and reads no distance table.  That check, not the dual
-tree, bounds the order a MOP solve can serve, hence ``MOP_SEARCH_CAP``; the
-search keeps ``DEFAULT_SEARCH_CAP``.
+checked by ``verify.is_gp_levels``, which walks the same BFS levels, before
+it is returned.  That check, not the dual tree, bounds the order a MOP solve
+can serve, hence ``MOP_SEARCH_CAP``; the search keeps ``DEFAULT_SEARCH_CAP``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from operator import or_
 from typing import Sequence
 
 from .dual import mop_gp_lanes
-from .graph import Disconnected, Graph, GraphError, all_pairs_distances, is_connected
+from .graph import Disconnected, Graph, GraphError, _bfs_levels, is_connected
 from .mop import MopCertificate, NotAnMop, _proof, check_certificate, maximal_fan
 from .verify import is_gp_levels
 
@@ -83,48 +84,44 @@ class GpResult:
     nodes_explored: int
 
 
-def _pair_block_masks(dist: tuple[tuple[int, ...], ...], n: int) -> list[list[int]]:
-    # Bit c of blocks[a][b] is set when one of a, b, c lies on a geodesic
-    # between the other two.  With lev[a][k] the vertices at distance k from
-    # a and d = dist[a][b], c lies between a and b when it is in
+def _pair_block_masks(g: Graph) -> list[list[int]]:
+    # The mirrored graph's masks: for positions a < b, bit c of blocks[b][a]
+    # is set when one of a, b, c lies on a geodesic between the other two.
+    # With lev[a][k] the positions at distance k from a and d the level of
+    # b's walk that holds a, c lies between a and b when it is in
     # lev[a][k] & lev[b][d - k] for some 0 < k < d, and b between a and c
     # when it is in lev[a][d + k] & lev[b][k] for some k > 0; a between b and
-    # c likewise with a and b swapped.  Each pair is built once from its two
-    # rows' levels.  The graph is connected, so every distance is a level, and
-    # since the eccentricity of a is at most d plus that of b, every k with
-    # d + k a level of a is a level of b.  Short counted loops cost less than
-    # range objects here.
-    levels = []
-    for row in dist:
-        lev = [0] * (max(row) + 1)
-        bit = 1
-        for k in row:
-            lev[k] |= bit
-            bit <<= 1
-        levels.append(lev)
-    blocks = [[0] * n for _ in range(n)]
-    for a in range(n):
-        la = levels[a]
-        ea = len(la) - 1
-        da = dist[a]
-        ba = blocks[a]
-        for b in range(a + 1, n):
-            lb = levels[b]
-            d = da[b]
-            mask = 0
-            k = d - 1
-            while k > 0:
-                mask |= la[k] & lb[d - k]
-                k -= 1
-            k = ea - d
-            while k > 0:
-                mask |= la[d + k] & lb[k]
-                k -= 1
-            k = len(lb) - 1 - d
-            while k > 0:
-                mask |= lb[d + k] & la[k]
-                k -= 1
-            ba[b] = blocks[b][a] = mask
+    # c likewise.  g is connected, and ecc(a) <= d + ecc(b), so every k with
+    # d + k a level of a is one of b.  Counted loops beat range objects here.
+    n = g.order
+    nbr = [sum(1 << n - 1 - w for w in g.adjacency[n - 1 - p]) for p in range(n)]
+    levels = [list(_bfs_levels(nbr, p)) for p in range(n)]
+    blocks = []
+    for b, lb in enumerate(levels):
+        eb = len(lb) - 1
+        below = (1 << b) - 1
+        row = [0] * b
+        for d in range(1, eb + 1):
+            t = lb[d] & below
+            while t:
+                a = t.bit_length() - 1
+                t ^= 1 << a
+                la = levels[a]
+                mask = 0
+                k = d - 1
+                while k > 0:
+                    mask |= la[k] & lb[d - k]
+                    k -= 1
+                k = len(la) - 1 - d
+                while k > 0:
+                    mask |= la[d + k] & lb[k]
+                    k -= 1
+                k = eb - d
+                while k > 0:
+                    mask |= lb[d + k] & la[k]
+                    k -= 1
+                row[a] = mask
+        blocks.append(row)
     return blocks
 
 
@@ -152,34 +149,37 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
                 return False
             found = (*[top - p for p in chosen], n - cand.bit_length())
             return True
-        # Greedy cover of cand by cliques of the conflict rows, each started
-        # at the least label left: each clique adds at most one member, so
-        # fewer than need cliques prune.
+        # Greedy cover of cand by cliques of the conflict rows, lowest
+        # position first: fewer than need cliques prune, and s is where the
+        # need-th clique starts.
         rest = cand
-        cliques = 0
+        cliques = 1
         while rest:
-            cliques += 1
+            bit = rest & -rest
             if cliques == need:
+                s = bit.bit_length() - 1
                 break
-            p = rest.bit_length() - 1
-            rest ^= 1 << p
-            q = rest & (pconf[p] | bv[p])
+            cliques += 1
+            rest ^= bit
+            i = bit.bit_length() - 1
+            q = rest & (pconf[i] | bv[i])
             while q:
-                p = q.bit_length() - 1
-                rest ^= 1 << p
-                q &= pconf[p] | bv[p]
+                bit = q & -q
+                rest ^= bit
+                i = bit.bit_length() - 1
+                q &= pconf[i] | bv[i]
         else:
             return False
         # The cover did not prune, so the node builds its rows and branches.
         conf = list(map(or_, pconf, bv))
         k = cand
-        # need >= 2 here, so the |k| bound below returns before k runs out.
         while True:
             p = k.bit_length() - 1
             # The rest of the set lies in k, inside the positions {0, ..., p},
-            # so it has at most |k| and at most c[p] members; c is
-            # non-decreasing, so no later p does better.
-            if c[p] < need or k.bit_count() < need:
+            # so it has at most c[p] members, and once p < s fewer than need
+            # cliques reach it; c is non-decreasing, and s is in cand, so this
+            # returns before k runs out and no later p does better.
+            if p < s or c[p] < need:
                 return False
             k ^= 1 << p
             chosen.append(p)
@@ -217,12 +217,14 @@ def _fan_pattern(g: Graph) -> tuple[int, tuple[int, ...]]:
 def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[int, ...]]:
     """Constructive lower bound floor(2*(max_degree+1)/3).
 
-    Walks the widest maximal fan and keeps two out of every three
-    consecutive path vertices (plus the final path vertex when the fan
-    order is 2 mod 3).  cert must equal ``recognize(g)``, which
-    ``check_certificate`` proves, and the witness is checked by
-    ``verify.is_gp_levels``, so no BFS row is built.
+    Walks the widest maximal fan and keeps two out of every three consecutive
+    path vertices (plus the final path vertex when the fan order is 2 mod 3).
+    cert must equal ``recognize(g)``, which ``check_certificate`` proves, and
+    the witness is checked by ``verify.is_gp_levels``, building no BFS row.
+    An order above ``MOP_SEARCH_CAP`` raises ``SearchCapExceeded`` first.
     """
+    if g.order > MOP_SEARCH_CAP:
+        raise SearchCapExceeded(f"order {g.order} exceeds the MOP cap {MOP_SEARCH_CAP}")
     check_certificate(g, cert)
     bound, witness = _fan_pattern(g)
     if not is_gp_levels(g, witness):
@@ -293,6 +295,4 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     if cert is not None:
         results, nodes = _mop_verified(g, triangles, [cert.cycle])
         return GpResult(*results[0], nodes)
-    # The search reads vertex v as position n-1-v.
-    mirrored = tuple(row[::-1] for row in reversed(all_pairs_distances(g)))
-    return _verified(g, *_search(n, _pair_block_masks(mirrored, n)))
+    return _verified(g, *_search(n, _pair_block_masks(g)))

@@ -22,9 +22,9 @@ degree claim's fan pattern and ``mop_greedy_lower_bound``'s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .graph import UNREACHABLE, Disconnected, Graph, _check_vertices
+from .graph import UNREACHABLE, Disconnected, Graph, _bfs_levels, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -74,21 +74,6 @@ def is_gp_naive(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -
     members = _prepare(g, dist, s)
     violation = _first_violation(dist, members)
     return GpSetCheck(members, violation is None, violation, None)
-
-
-def _bfs_levels(nbr: tuple[int, ...], source: int) -> Iterator[int]:
-    # The vertices at distance 0, 1, 2, ... from source, one bitmask each.
-    seen = level = 1 << source
-    while level:
-        yield level
-        reach = 0
-        while level:
-            # Clearing the top bit first keeps the int shrinking.
-            v = level.bit_length() - 1
-            reach |= nbr[v]
-            level ^= 1 << v
-        level = reach & ~seen
-        seen |= level
 
 
 def is_gp_levels(g: Graph, s: Iterable[int], levels: dict[int, list[int]] | None = None) -> bool:

@@ -52,15 +52,42 @@ def random_connected_graph(rng: random.Random, n: int, extra: float = 0.3) -> Gr
     return build_graph(n, sorted(edges))
 
 
-def random_mop(rng: random.Random, n: int) -> Graph:
-    """Random maximal outerplanar graph of order n >= 3: glue ears onto
-    random hull edges of a triangle, then relabel the vertices at random."""
+def _glued_ears(rng: random.Random, n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    # A triangle with ears glued onto random hull edges: the hull cycle and
+    # the edges of a maximal outerplanar graph of order n >= 3.
     hull = [0, 1, 2]
     edges = [(0, 1), (1, 2), (0, 2)]
     for v in range(3, n):
         i = rng.randrange(len(hull))
         edges += [(hull[i], v), (hull[(i + 1) % len(hull)], v)]
         hull.insert(i + 1, v)
+    return hull, edges
+
+
+def random_mop(rng: random.Random, n: int) -> Graph:
+    """Random maximal outerplanar graph of order n >= 3: glue ears onto
+    random hull edges of a triangle, then relabel the vertices at random."""
+    _, edges = _glued_ears(rng, n)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabeled(build_graph(n, edges), perm)
+
+
+def random_moved_chord(rng: random.Random, n: int) -> Graph:
+    """A random maximal outerplanar graph of order n >= 5 with one chord
+    moved across the polygon, then relabelled at random: connected, with
+    2n-3 edges, and not outerplanar.  The moved chord joins the two sides of
+    a chord that stays, so the hull cycle with these two crossing chords is
+    a subdivision of K_4; no chord of the original crossed that chord, so
+    the moved one is a new edge."""
+    hull, edges = _glued_ears(rng, n)
+    ring = {(min(u, v), max(u, v)) for u, v in zip(hull, hull[1:] + hull[:1])}
+    chords = [e for e in edges if (min(e), max(e)) not in ring]
+    edges.remove(chords.pop(rng.randrange(len(chords))))
+    u, w = sorted(map(hull.index, rng.choice(chords)))
+    inside = hull[rng.randrange(u + 1, w)]
+    outside = hull[rng.choice([*range(u), *range(w + 1, n)])]
+    edges.append((inside, outside))
     perm = list(range(n))
     rng.shuffle(perm)
     return relabeled(build_graph(n, edges), perm)
@@ -277,7 +304,9 @@ def eager_row_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, .
     """The suffix-bound search with its clique cover, writing every child's
     conflict rows before the child is visited: a parent ORs the new vertex's
     masks into the row of each of the child's candidates, and the child's
-    cover reads them.  Returns the value, the lexicographically smallest
+    cover reads them.  Each clique starts at the largest vertex left and
+    absorbs the largest first, and a node stops branching past the start of
+    its need-th clique.  Returns the value, the lexicographically smallest
     maximum set and the number of nodes visited, which must equal
     ``solve._search``'s."""
     # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
@@ -301,32 +330,32 @@ def eager_row_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, .
                 return False
             found = (*chosen, (cand & -cand).bit_length() - 1)
             return True
-        # Greedy cover of cand by cliques of the conflict rows: each clique
-        # adds at most one member, so fewer than need cliques prune.
+        # Greedy cover of cand by cliques of the conflict rows, from the
+        # largest vertex down: each clique adds at most one member, so fewer
+        # than need cliques prune.  The need-th clique starts at last.
+        starts = []
         rest = cand
-        cliques = 0
-        while rest:
-            cliques += 1
-            if cliques == need:
-                break
-            q = rest & -rest
-            rest ^= q
-            q = rest & conf[q.bit_length() - 1]
+        while rest and len(starts) < need:
+            x = rest.bit_length() - 1
+            starts.append(x)
+            rest ^= 1 << x
+            q = rest & conf[x]
             while q:
-                x = q & -q
-                rest ^= x
-                q &= conf[x.bit_length() - 1]
-        else:
+                x = q.bit_length() - 1
+                rest ^= 1 << x
+                q &= conf[x]
+        if len(starts) < need:
             return False
+        last = starts[-1]
         child = rows[len(chosen)]
         k = cand
-        # need >= 2 here, so the |k| bound below returns before k runs out.
         while True:
             v = (k & -k).bit_length() - 1
             # The rest of the set lies in k, inside {v, ..., n-1}, so it has
-            # at most |k| and at most c[v] members; c is non-increasing, so
-            # no later v does better.
-            if c[v] < need or k.bit_count() < need:
+            # at most c[v] members; c is non-increasing, so no later v does
+            # better.  Only the cliques that start at v or above meet k, and
+            # past last there are fewer than need of them.
+            if v > last or c[v] < need:
                 return False
             k &= k - 1
             sub = k & ~conf[v]

@@ -27,7 +27,7 @@ from gpmop import dual, solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
 from gpmop.dual import mop_gp_lanes
 from gpmop.mop import hull_triangles
-from helpers import brute_force_gp, floyd_warshall, mirrored, random_mop, relabeled
+from helpers import brute_force_gp, floyd_warshall, per_pair_block_masks, random_mop, relabeled, suffix_search
 
 
 def hull_lanes(g, cycle, labellings):
@@ -101,13 +101,12 @@ class TestMopGp:
 
     @pytest.mark.parametrize("n", range(10, 14))
     def test_every_class_matches_the_search(self, n):
-        # Beyond full enumeration, the suffix-bound search on the class
-        # graph's conflict masks, which shares no code with the dual tree;
-        # it reads the masks of the mirrored graph, as gp_number hands them.
+        # Beyond full enumeration, the suffix-bound search of the test
+        # helpers on the class graph's label-order conflict masks, both of
+        # which share no code with the dual tree or the solver's search.
         for r in run_census(n, dedupe=True):
             g = graph_from_chords(n, r.chords)
-            blocks = solve._pair_block_masks(mirrored(all_pairs_distances(g)), n)
-            value, witness, _ = solve._search(n, blocks)
+            value, witness, _ = suffix_search(n, per_pair_block_masks(all_pairs_distances(g), n))
             assert (value, witness) == (r.gp, r.gp_witness)
 
     @staticmethod
@@ -189,7 +188,7 @@ class TestMopGp:
     def test_no_conflict_masks_for_a_mop(self, monkeypatch):
         # A MOP, through gp_number or the census, never builds the pair
         # conflict masks of the branch and bound.
-        def no_masks(dist, n):
+        def no_masks(g):
             raise AssertionError("conflict masks built")
 
         monkeypatch.setattr(solve, "_pair_block_masks", no_masks)

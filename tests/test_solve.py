@@ -33,12 +33,14 @@ from helpers import (
     brute_force_gp,
     eager_row_search,
     exhaustive_interval,
+    floyd_warshall,
     geodesic_triples,
     incumbent_search,
     mirrored,
     per_pair_block_masks,
     random_connected_graph,
     random_mop,
+    random_moved_chord,
     relabeled,
     suffix_search,
 )
@@ -46,17 +48,36 @@ from helpers import (
 
 def _block_masks(g):
     # Label-order masks, which the oracles read.
-    return solve._pair_block_masks(all_pairs_distances(g), g.order)
+    return per_pair_block_masks(all_pairs_distances(g), g.order)
 
 
-def _search_masks(g):
-    # The masks gp_number hands solve._search: the mirrored graph's.
-    return solve._pair_block_masks(mirrored(all_pairs_distances(g)), g.order)
+def _label_masks(g):
+    # solve._pair_block_masks(g) read back in label order: entry [b][a],
+    # a < b, of the mirrored graph's masks names the pair of vertices
+    # n-1-a and n-1-b, and its bit c vertex n-1-c.
+    n = g.order
+    blocks = [[0] * n for _ in range(n)]
+    for b, row in enumerate(solve._pair_block_masks(g)):
+        for a, mask in enumerate(row):
+            mask = sum(1 << n - 1 - c for c in range(n) if mask >> c & 1)
+            blocks[n - 1 - a][n - 1 - b] = blocks[n - 1 - b][n - 1 - a] = mask
+    return blocks
+
+
+def _assert_kept_entries(g):
+    # Row b of the search's masks has length b, and each entry is the
+    # per-pair oracle's on the mirrored distance table.
+    n = g.order
+    blocks = solve._pair_block_masks(g)
+    expected = per_pair_block_masks(mirrored(floyd_warshall(g)), n)
+    assert [len(row) for row in blocks] == list(range(n))
+    for b, row in enumerate(blocks):
+        assert row == expected[b][:b], (n, b)
 
 
 def _mask_triples(g) -> set[int]:
-    # Every triple named by the pair masks, as a vertex bitmask.
-    blocks = _block_masks(g)
+    # Every triple named by the search's pair masks, as a vertex bitmask.
+    blocks = _label_masks(g)
     n = g.order
     return {
         (1 << a) | (1 << b) | (1 << c)
@@ -81,7 +102,7 @@ class TestPairBlockMasks:
         # Each triple is named by all three of its pairs, and the triples are
         # the Floyd-Warshall oracle's.
         g = fan(7).graph
-        blocks = _block_masks(g)
+        blocks = _label_masks(g)
         for a, b, c in permutations(range(g.order), 3):
             assert (blocks[a][b] >> c) & 1 == (blocks[a][c] >> b) & 1 == (blocks[b][a] >> c) & 1
         assert _mask_triples(g) == set(geodesic_triples(g))
@@ -92,7 +113,7 @@ class TestPairBlockMasks:
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(2, 8))
         n = g.order
-        blocks = _block_masks(g)
+        blocks = _label_masks(g)
         between = {(u, v): exhaustive_interval(g, u, v) for u, v in permutations(range(n), 2)}
         for a, b, c in permutations(range(n), 3):
             expected = c in between[a, b] or a in between[b, c] or b in between[a, c]
@@ -101,12 +122,12 @@ class TestPairBlockMasks:
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_matches_per_pair_masks(self, seed, mop):
-        # The masks built from BFS level sets are those of testing each
-        # triple from each of its three pairs.
+        # The masks built from the level walk are those of testing each
+        # triple from each of its three pairs, on every entry the search
+        # reads.
         rng = random.Random(seed)
         n = rng.randint(9, 40)
-        g = random_mop(rng, n) if mop else random_connected_graph(rng, n)
-        assert _block_masks(g) == per_pair_block_masks(all_pairs_distances(g), n)
+        _assert_kept_entries(random_mop(rng, n) if mop else random_connected_graph(rng, n))
 
     @pytest.mark.parametrize(
         "family,orders",
@@ -115,20 +136,23 @@ class TestPairBlockMasks:
             ("path", range(2, 41)),
             ("cycle", range(3, 41)),
             ("star", range(2, 41)),
+            ("sparse", range(64, 71)),
         ],
-        ids=["complete", "path", "cycle", "star"],
+        ids=["complete", "path", "cycle", "star", "sparse"],
     )
     def test_level_sets_on_extreme_shapes(self, family, orders):
         # Shapes the random property rarely draws: every pair adjacent (K_n),
-        # eccentricity n - 1 (P_n), odd and even cycles, and one centre
-        # between every two leaves (K_{1,n-1}).
+        # eccentricity n - 1 (P_n), odd and even cycles, one centre between
+        # every two leaves (K_{1,n-1}), and sparse graphs whose masks are
+        # wider than 63 bits.
         for n in orders:
             if family == "star":
                 g = build_graph(n, [(0, v) for v in range(1, n)])
+            elif family == "sparse":
+                g = random_connected_graph(random.Random(n), n, 0.005)
             else:
                 g = {"complete": complete, "path": path, "cycle": cycle}[family](n).graph
-            dist = all_pairs_distances(g)
-            assert solve._pair_block_masks(dist, n) == per_pair_block_masks(dist, n), n
+            _assert_kept_entries(g)
 
 
 class TestGpNumber:
@@ -247,7 +271,23 @@ class TestGpNumber:
         g = build_graph(6, [(min(a, b), max(a, b)) for a in (0, 1, 4) for b in (2, 3, 5)])
         res = gp_number(g)
         assert (res.value, res.witness) == suffix_search(6, _block_masks(g))[:2]
-        assert res.nodes_explored == solve._search(6, _search_masks(g))[2]
+        assert res.nodes_explored == solve._search(6, solve._pair_block_masks(g))[2]
+
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=20, deadline=None)
+    def test_moved_chord_fails_the_proof_then_searches(self, seed):
+        # 2n-3 edges that are not maximal outerplanar: gp_number tries the
+        # proof from the graph, which fails, and then searches in label order.
+        rng = random.Random(seed)
+        g = random_moved_chord(rng, rng.randint(5, 24))
+        n = g.order
+        assert len(g.edges) == 2 * n - 3
+        with pytest.raises(NotAnMop):
+            recognize(g)
+        res = gp_number(g)
+        value, witness, nodes = eager_row_search(n, _block_masks(g))
+        assert (res.value, res.witness, res.nodes_explored) == (value, witness, nodes)
+        assert (value, witness) == suffix_search(n, _block_masks(g))[:2]
 
     @pytest.mark.parametrize("graph", [fan(9).graph, cycle(7).graph], ids=["mop", "search"])
     def test_count_off_its_witness_is_an_internal_error(self, graph, monkeypatch):
@@ -348,7 +388,7 @@ class TestGpNumber:
 
         real_bfs, sources = graph.bfs_distances, []
         monkeypatch.setattr(graph, "bfs_distances", counted)
-        monkeypatch.setattr(solve, "all_pairs_distances", forbidden)
+        monkeypatch.setattr(graph, "all_pairs_distances", forbidden)
         monkeypatch.setattr(solve, "_pair_block_masks", forbidden)
         g = random_mop(random.Random(7), 30)
         for cert in (None, recognize(g)):
@@ -474,7 +514,7 @@ class TestGpNumber:
         # same nodes in the same order as writing every child's rows first.
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(17, 30))
-        assert solve._search(g.order, _search_masks(g)) == eager_row_search(g.order, _block_masks(g))
+        assert solve._search(g.order, solve._pair_block_masks(g)) == eager_row_search(g.order, _block_masks(g))
 
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -545,7 +585,7 @@ class TestGpNumber:
         graphs = [random_connected_graph(random.Random(seed), 40, 0.12) for seed in range(4)]
         assert all(len(g.edges) != 77 for g in graphs)
         nodes = [gp_number(g).nodes_explored for g in graphs]
-        assert nodes == [1164, 1215, 641, 1070]
+        assert nodes == [788, 840, 507, 644]
         reference = sum(suffix_search(40, _block_masks(g))[2] for g in graphs)
         assert reference == 26787
         assert 5 * sum(nodes) <= reference
@@ -609,6 +649,19 @@ class TestGreedyLowerBound:
         for g, cert in zip(graphs, certs):
             bound, witness = mop_greedy_lower_bound(g, cert)
             assert len(witness) == bound == (2 * (g.max_degree + 1)) // 3
+
+    def test_order_above_the_mop_cap_is_refused_first(self, monkeypatch):
+        # The neighbour masks of fan(65535) would take about 512 MB; the cap
+        # is met before the certificate check or any mask is built.
+        def forbidden(*args):
+            raise AssertionError("certificate checked or neighbour masks built")
+
+        g = fan(solve.MOP_SEARCH_CAP + 1).graph
+        cert = recognize(g)
+        monkeypatch.setattr(graph.Graph, "neighbour_masks", property(forbidden))
+        monkeypatch.setattr(solve, "check_certificate", forbidden)
+        with pytest.raises(SearchCapExceeded, match="order 2001 exceeds the MOP cap 2000"):
+            mop_greedy_lower_bound(g, cert)
 
     def test_pattern_not_in_general_position_is_an_internal_error(self, monkeypatch):
         g = fan(9).graph
