@@ -44,7 +44,6 @@ from .graph import (
     parse_edge_list,
 )
 from .mop import (
-    CrossingChords,
     EdgeInTooManyTriangles,
     HullNotHamiltonian,
     MopCertificate,

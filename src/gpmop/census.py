@@ -32,12 +32,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from .families import BadParam, generators_at, is_generalized_sunflower
 from .graph import Graph, build_graph
 from .mop import (
-    CrossingChords,
-    _check_non_crossing,
+    StructureViolation,
     _stats,
     canonical_form,
     dihedral_images,
     ear_cut,
+    hull_triangles,
     image_key,
     recognize,
 )
@@ -325,10 +325,13 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
     def leaves_a_segment(r, g):
         # Edge (u, v), u < v, splits the hull into u..v and v..n-1, 0..u; an
         # interior vertex of either segment with a neighbor outside it is an
-        # end of an edge that crosses (u, v) on the polygon 0..n-1.
+        # end of an edge that crosses (u, v) on the polygon 0..n-1.  The class
+        # task built g as that polygon with the n-3 chords of its ear cut, and
+        # the sides plus n-3 chords or more cross nowhere exactly when g is
+        # the MOP along 0..n-1, so the claim restates that construction.
         try:
-            _check_non_crossing(range(n), g.edges, "edges")
-        except CrossingChords:
+            hull_triangles(g, range(n))
+        except StructureViolation:
             return True
         return False
 

@@ -2,8 +2,10 @@
 
 Each constructor returns the graph together with a role map (which vertex
 plays center, petal, path position, ...) and, where a closed-form value is
-known, the predicted general position number.  All families except the
-sunflower are maximal outerplanar and pass recognition.
+known, the predicted general position number.  The fan, quasi-fan, glued
+fans, straight linear 2-tree and generalized sunflower are maximal
+outerplanar and pass recognition; the sunflower, complete graph, path and
+cycle are not, except the complete graph and cycle of order 3.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import UNREACHABLE, Graph, GraphError, build_graph
-from .mop import MopCertificate, _check_non_crossing
+from .mop import MopCertificate, StructureViolation, hull_triangles
 
 
 class BadParam(GraphError):
@@ -149,7 +151,13 @@ def _validate_base_chords(m: int, chords) -> frozenset[tuple[int, int]]:
         normalized.add((a, b))
     if len(normalized) != m - 3:
         raise BadParam(f"a triangulated {m}-gon needs {m - 3} chords, got {len(normalized)}")
-    _check_non_crossing(range(m), normalized, "base chords")
+    # m-3 distinct chords, none a side, are non-crossing exactly when the
+    # m-gon with them is a MOP along 0..m-1.
+    sides = [(i, (i + 1) % m) for i in range(m)]
+    try:
+        hull_triangles(build_graph(m, sides + list(normalized)), range(m))
+    except StructureViolation as exc:
+        raise BadParam(f"base chords do not triangulate the {m}-gon: {exc}") from None
     return frozenset(normalized)
 
 

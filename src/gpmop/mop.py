@@ -5,8 +5,10 @@ when it is connected with 2n-3 edges, the edges lying in exactly one
 triangle close into a single spanning cycle, the hull, and the ear cut of
 the degrees minus one along the hull, the one proof that ``recognize`` and
 ``check_certificate`` share, yields n-2 triangles whose sides are exactly
-the edges: the n-3 edges off the hull are then non-crossing chords.  Every
-rejection names its evidence.
+the edges: the n-3 edges off the hull are then non-crossing chords.  The
+package has no other crossing test: ``hull_triangles`` along a given
+polygon also judges the generalized sunflower's base chords and the
+census's segment claim.  Every rejection names its evidence.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class HullNotHamiltonian(NotAnMop):
     pass
 
 
-class CrossingChords(NotAnMop):
-    pass
-
-
 class StructureViolation(NotAnMop):
     """A certificate is inconsistent with its graph."""
 
@@ -66,29 +64,6 @@ class MopStats:
     two_vertices: int
     max_degree: int
     striped: bool
-
-
-def _check_non_crossing(cycle, chords, label: str) -> None:
-    """Raise CrossingChords naming the first two chords that cross on cycle."""
-    pos = {v: i for i, v in enumerate(cycle)}
-    spans = [(min(pos[u], pos[v]), max(pos[u], pos[v]), (u, v)) for u, v in chords]
-    # Span (a, b) is crossed by (c, d) when a < c < b < d.  Scanned by
-    # descending start, then ascending end, the stack holds the spans seen so
-    # far that no later-scanned span covers, starts and ends rising towards
-    # the bottom; once the ends <= b are popped, (a, b) is crossed exactly
-    # when the top starts before b.  The first crossed span in (start, end)
-    # order and its first crossing partner are named.
-    crossed, stack = [], []
-    for a, b, e in sorted(spans, key=lambda s: (-s[0], s[1])):
-        while stack and stack[-1][1] <= b:
-            stack.pop()
-        if stack and stack[-1][0] < b:
-            crossed.append((a, b, e))
-        stack.append((a, b))
-    if crossed:
-        a, b, e1 = min(crossed)
-        e2 = min(s for s in spans if a < s[0] < b < s[1])[2]
-        raise CrossingChords(f"{label} {e1} and {e2} cross on the hull cycle")
 
 
 def _walk(adj, start: int, behind: int | None) -> list[int]:

@@ -3,7 +3,6 @@ import pytest
 from gpmop import (
     UNREACHABLE,
     BadParam,
-    CrossingChords,
     WrongEdgeCount,
     canonical_form,
     complete,
@@ -142,8 +141,13 @@ class TestBadParams:
     def test_gsf_base_validation(self):
         with pytest.raises(BadParam, match="needs 2 chords"):
             generalized_sunflower(10, base_chords=[(0, 2)])
-        with pytest.raises(CrossingChords):
+        # A crossing set fails the ear cut along the 6-gon, which names its
+        # evidence: too few faces for the first set, and for the second an
+        # edge that is no side of the cut's triangles.
+        with pytest.raises(BadParam, match="triangulate the 6-gon: expected 4 inner faces, found 1"):
             generalized_sunflower(12, base_chords=[(0, 2), (1, 3), (3, 5)])
+        with pytest.raises(BadParam, match=r"triangulate the 6-gon: edge \(0,2\) is no side of the triangles"):
+            generalized_sunflower(12, base_chords=[(0, 2), (1, 4), (2, 5)])
         with pytest.raises(BadParam, match="polygon side"):
             generalized_sunflower(10, base_chords=[(0, 1), (0, 3)])
         with pytest.raises(BadParam, match=r"base chord \(0,7\) outside the 5-gon"):

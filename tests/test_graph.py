@@ -1,3 +1,4 @@
+import ast
 import random
 import subprocess
 import sys
@@ -153,6 +154,26 @@ def test_import_does_not_load_numpy():
         [sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True
     )
     assert proc.stdout.splitlines() == ["False", "[]"]
+
+
+def test_every_import_is_used():
+    # Each module but __init__.py, which imports only to re-export, loads
+    # every name it imports; a __future__ import binds no name to load.
+    unused = {}
+    for path in sorted(Path(gpmop.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if imported - loaded:
+            unused[path.name] = sorted(imported - loaded)
+    assert unused == {}
 
 
 class TestInterval:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpmop import (
-    CrossingChords,
     Disconnected,
     EdgeInTooManyTriangles,
     HullNotHamiltonian,
@@ -26,7 +25,7 @@ from gpmop import (
 )
 from gpmop import families
 from gpmop.census import enumerate_triangulations, graph_from_chords
-from gpmop.mop import _check_non_crossing, check_certificate, dihedral_images, ear_cut, hull_triangles
+from gpmop.mop import check_certificate, dihedral_images, ear_cut, hull_triangles
 from helpers import (
     first_crossing_pair,
     graphs_isomorphic,
@@ -97,6 +96,8 @@ class TestRecognize:
         # The n-gon plus every set of n-3 of its diagonals passes the edge
         # count; the ear cut accepts exactly the sets that the full pair scan
         # finds non-crossing, and the hull checks reject every other set.
+        # The cut along the polygon 0..n-1 alone, the judge of base chords
+        # and of the segment claim, draws the same line.
         hull = [(p, p + 1) for p in range(n - 1)] + [(0, n - 1)]
         diagonals = [e for e in combinations(range(n), 2) if e not in hull]
         verdicts = Counter()
@@ -104,8 +105,11 @@ class TestRecognize:
             g = build_graph(n, hull + list(chords))
             if first_crossing_pair(range(n), chords) is None:
                 assert recognize(g) == polygon_certificate(n, chords)
+                assert len(hull_triangles(g, range(n))) == n - 2
                 verdicts["accepted"] += 1
             else:
+                with pytest.raises(StructureViolation):
+                    hull_triangles(g, range(n))
                 with pytest.raises((EdgeInTooManyTriangles, HullNotHamiltonian)) as exc:
                     recognize(g)
                 verdicts[exc.type.__name__] += 1
@@ -233,46 +237,6 @@ def assert_check_agrees(g, cert) -> bool:
     else:
         assert expected, cert
     return expected
-
-
-@st.composite
-def polygon_chords(draw):
-    # A relabelled m-gon and random vertex pairs as chords; hull edges and
-    # crossing pairs are both allowed.
-    m = draw(st.integers(4, 30))
-    cycle = draw(st.permutations(range(m)))
-    pairs = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=m))
-    return cycle, {(min(u, v), max(u, v)) for u, v in pairs if u != v}
-
-
-class TestNonCrossing:
-    @given(polygon_chords())
-    @settings(max_examples=200, deadline=None)
-    def test_matches_full_pair_scan(self, case):
-        cycle, chords = case
-        pair = first_crossing_pair(cycle, chords)
-        if pair is None:
-            _check_non_crossing(cycle, chords, "chords")
-        else:
-            message = f"chords {pair[0]} and {pair[1]} cross on the hull cycle"
-            with pytest.raises(CrossingChords) as exc:
-                _check_non_crossing(cycle, chords, "chords")
-            assert str(exc.value) == message
-
-    def test_large_fan_is_fast(self):
-        # Every chord of a fan starts at hull position 0, so a pair scan is quadratic.
-        chords = [(0, k) for k in range(2, 19999)]
-        start = time.process_time()
-        _check_non_crossing(range(20000), chords, "chords")
-        assert time.process_time() - start < 2
-
-    def test_crossing_in_a_large_fan_is_named_fast(self):
-        # Only the last fan chord is crossed, so a pair scan tests every pair first.
-        chords = [(0, k) for k in range(2, 19999)] + [(19997, 19999)]
-        start = time.process_time()
-        with pytest.raises(CrossingChords, match=r"\(0, 19998\) and \(19997, 19999\)"):
-            _check_non_crossing(range(20000), chords, "chords")
-        assert time.process_time() - start < 2
 
 
 class TestStats:

@@ -241,22 +241,17 @@ class TestGpNumber:
 
     def test_certificate_free_mop_is_cut_once(self, monkeypatch):
         # Without a certificate, the one ear cut that proves g maximal
-        # outerplanar also hands the dual tree its triangles, and no chord
-        # crossing scan runs.
+        # outerplanar also hands the dual tree its triangles.
         cuts = []
 
         def counted(q):
             cuts.append(q)
             return real_cut(q)
 
-        def no_scan(*args):
-            raise AssertionError("chord crossing scan ran")
-
         real_cut = mop.ear_cut
         monkeypatch.setattr(mop, "ear_cut", counted)
         # solve imports no ear_cut; a name bound there would be counted too.
         monkeypatch.setattr(solve, "ear_cut", counted, raising=False)
-        monkeypatch.setattr(mop, "_check_non_crossing", no_scan)
         rng = random.Random(35)
         for n in range(3, 101):
             g = random_mop(rng, n)
