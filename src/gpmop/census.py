@@ -180,8 +180,7 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     triangles.  ``solve._mop_verified`` runs one dual-tree pass over the ear
     cut's triangles with a lane per member, which yields every member's
     witness in its own labels, and verifies each distinct witness, carried
-    onto the class graph by the first member's map, once, sharing each BFS
-    level mask."""
+    onto the class graph by the first member's map, once."""
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)

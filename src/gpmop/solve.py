@@ -41,9 +41,10 @@ A final search in ascending label order for a set of size c[0] reports the
 lexicographically smallest maximum set as the witness, which the dynamic
 program yields through its weights.  No lower bound steers either route, so
 the result depends on the graph and its labels only, and every witness is
-checked by ``verify.is_gp_levels``, which walks the same BFS levels, before
-it is returned.  That check, not the dual tree, bounds the order a MOP solve
-can serve, hence ``MOP_SEARCH_CAP``; the search keeps ``DEFAULT_SEARCH_CAP``.
+checked by ``verify.is_gp_levels``, which walks BFS levels of its own,
+before it is returned.  That check, not the dual tree, bounds the order a
+MOP solve can serve, hence ``MOP_SEARCH_CAP``; the search keeps
+``DEFAULT_SEARCH_CAP``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .mop import MopCertificate, NotAnMop, _proof, check_certificate, maximal_fa
 from .verify import is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
-# A random 2000-gon takes about 0.75 s of process time on a 2-core x86
+# A random 2000-gon takes about 0.35 s of process time on a 2-core x86
 # machine, nearly all of it the witness check.
 MOP_SEARCH_CAP = 2000
 
@@ -232,12 +233,10 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
     return bound, witness
 
 
-def _verified(
-    g: Graph, value: int, witness: tuple[int, ...], nodes: int, levels: dict[int, list[int]] | None = None
-) -> GpResult:
+def _verified(g: Graph, value: int, witness: tuple[int, ...], nodes: int) -> GpResult:
     if len(witness) != value:
         raise RuntimeError(f"internal: solver returned {len(witness)} vertices for gp {value}")
-    if not is_gp_levels(g, witness, levels):
+    if not is_gp_levels(g, witness):
         raise RuntimeError("internal: solver returned a set that fails verification")
     return GpResult(value, witness, nodes)
 
@@ -256,11 +255,8 @@ def _mop_verified(
         if lane_value != value:
             raise RuntimeError(f"internal: labelling {i} has gp {lane_value}, its class {value}")
         positions[tuple(sorted(map(labels.index, witness)))] = None
-    # Several sets share each source's levels; a lone set walks each source
-    # only as far as it must and holds one source's levels at a time.
-    levels: dict[int, list[int]] | None = {} if len(positions) > 1 else None
     for s in positions:
-        _verified(g, value, tuple(sorted(labellings[0][p] for p in s)), nodes, levels)
+        _verified(g, value, tuple(sorted(labellings[0][p] for p in s)), nodes)
     return results, nodes
 
 

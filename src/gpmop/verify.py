@@ -12,10 +12,10 @@ oracle for the characterized one.  Both read BFS rows, and only
 ``is_gp_levels`` applies the definition with no distance table: one walk
 down the BFS levels of each member, as bitmasks, marks every vertex that
 lies beyond another member on a geodesic from it.  It takes O(kn)
-big-integer operations for k members and, unless callers share levels
-between sets, holds one source's levels at a time, so it serves orders at
-which a row per member would not fit.  It checks every solver witness, the
-degree claim's fan pattern and ``mop_greedy_lower_bound``'s.
+big-integer operations for k members and holds a few n-bit masks at a
+time, so it serves orders at which a row per member would not fit.  It
+checks every solver witness, the degree claim's fan pattern and
+``mop_greedy_lower_bound``'s.
 ``is_gp_naive`` is its test oracle.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import UNREACHABLE, Disconnected, Graph, _bfs_levels, _check_vertices
+from .graph import UNREACHABLE, Disconnected, Graph, _check_vertices
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def is_gp_naive(g: Graph, dist: tuple[tuple[int, ...], ...], s: Iterable[int]) -
     return GpSetCheck(members, violation is None, violation, None)
 
 
-def is_gp_levels(g: Graph, s: Iterable[int], levels: dict[int, list[int]] | None = None) -> bool:
+def is_gp_levels(g: Graph, s: Iterable[int]) -> bool:
     """Definitional test that reads no distances.
 
     Walking the BFS levels of a member a, a vertex is marked when a
@@ -84,32 +84,37 @@ def is_gp_levels(g: Graph, s: Iterable[int], levels: dict[int, list[int]] | None
     marked exactly when some member b other than a and c has d(a, c) =
     d(a, b) + d(b, c).  Each triple is sought from its smaller endpoint, so
     the set fails once a mark meets a member above a, the last member walks
-    nowhere, and a walk stops once it has seen every member above a.  The
-    first walk runs to the end and raises ``Disconnected`` if it misses a
-    vertex; the empty set walks from vertex 0 for that.  ``levels``, when
-    given, keeps each source's level masks for later calls on the same
-    graph.
+    nowhere, and a walk stops once it has seen every member above a.  A walk
+    reads each vertex's neighbour mask at most once.  The first walk runs to
+    the end and raises ``Disconnected`` if it misses a vertex; the empty set
+    walks from vertex 0 for that.
     """
     members = tuple(sorted(set(s)))
     _check_vertices(g.order, members)
     nbr = g.neighbour_masks
     want = sum(1 << v for v in members)
     for i, a in enumerate(members[:-1] or members or (0,)):
-        if levels is None:
-            walk: Iterable[int] = _bfs_levels(nbr, a)
-        else:
-            walk = levels.get(a) or levels.setdefault(a, list(_bfs_levels(nbr, a)))
         others = want & ~(1 << a)
         later = want >> a + 1 << a + 1
-        seen = bad = carry = 0
-        for level in walk:
-            # carry holds the marks and the members other than a one level up.
-            reach = 0
+        seen = level = 1 << a
+        bad = carry = 0
+        while level:
+            # carry holds the level's marks and members other than a: their
+            # neighbours make near, and the rest of the level adds to reach.
+            rest = level ^ carry
+            near = 0
             while carry:
+                # Clearing the top bit first keeps the int shrinking.
                 v = carry.bit_length() - 1
-                reach |= nbr[v]
+                near |= nbr[v]
                 carry ^= 1 << v
-            marks = level & reach
+            reach = near
+            while rest:
+                v = rest.bit_length() - 1
+                reach |= nbr[v]
+                rest ^= 1 << v
+            level = reach & ~seen
+            marks = level & near
             bad |= marks & later
             carry = marks | level & others
             seen |= level

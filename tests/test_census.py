@@ -24,7 +24,7 @@ from gpmop import (
     run_census,
     verify_paper_claims,
 )
-from gpmop import census, graph, solve, verify
+from gpmop import census, graph, solve
 from gpmop.census import (
     MAX_CENSUS_ORDER,
     _class_records,
@@ -348,40 +348,19 @@ class TestRunCensus:
 
             return wrapped
 
-        def verified(g, value, witness, nodes, levels=None):
-            caches.setdefault(g.edges, []).append(levels)
-            return real_verified(g, value, witness, nodes, levels)
-
-        def bfs_levels(nbr, source):
-            walks.append((nbr, source))
-            return real_levels(nbr, source)
-
-        # The DP pass is solve's, inside _mop_verified, and so is the one cache
-        # of BFS levels that the class's witness checks share.
+        # The DP pass is solve's, inside _mop_verified.
         homes = {"graph_from_chords": census, "ear_cut": census, "is_generalized_sunflower": census,
                  "mop_gp_lanes": solve}
         for name, module in homes.items():
             monkeypatch.setattr(module, name, counting(module, name))
-        real_verified, real_levels, caches, walks = solve._verified, verify._bfs_levels, {}, []
-        monkeypatch.setattr(solve, "_verified", verified)
-        monkeypatch.setattr(verify, "_bfs_levels", bfs_levels)
         for dedupe in (False, True):
             for n in range(4, 12):
                 calls.clear()
-                caches.clear()
-                walks.clear()
                 records = len(run_census(n, dedupe=dedupe))
                 classes = DIHEDRAL_CLASSES[n]
                 assert records == (classes if dedupe else catalan(n - 2))
-                # One graph, one ear cut, one DP pass with a lane per member, and one level
-                # cache per class with several witnesses, none for a lone
-                # witness; either way each source is walked once per class.
+                # One graph, one ear cut and one DP pass with a lane per member.
                 assert calls == dict.fromkeys(homes, classes)
-                assert len(caches) == classes
-                for shared in caches.values():
-                    assert all(c is shared[0] for c in shared)
-                    assert (shared[0] is None) == (len(shared) == 1)
-                assert len(walks) == len(set(walks))
 
     @staticmethod
     def lanes_then(change):
@@ -458,9 +437,9 @@ class TestRunCensus:
     def test_each_distinct_carried_witness_verified_once(self, monkeypatch):
         real, calls = solve._verified, []
 
-        def recording(g, value, witness, nodes, levels=None):
+        def recording(g, value, witness, nodes):
             calls.append((g.edges, witness))
-            return real(g, value, witness, nodes, levels)
+            return real(g, value, witness, nodes)
 
         monkeypatch.setattr(solve, "_verified", recording)
         for n in range(4, 11):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from gpmop import (
     all_pairs_distances,
     build_graph,
     complete,
+    cycle,
     fan,
     gp_number,
     is_gp_characterized,
@@ -186,13 +188,49 @@ class TestLevels:
         rng = random.Random(seed)
         g = random_connected_graph(rng, rng.randint(1, 10), rng.choice((0.1, 0.3, 0.6)))
         dist = all_pairs_distances(g)
-        levels = {}
-        # Empty, single and duplicated ids included; the shared cache answers as a fresh walk.
+        # Empty, single and duplicated ids included.
         for size in (0, 1, rng.randint(2, g.order + 2)):
             members = [rng.randrange(g.order) for _ in range(size)]
-            expected = is_gp_naive(g, dist, members).is_gp
-            assert is_gp_levels(g, members) == expected
-            assert is_gp_levels(g, members, levels) == expected
+            assert is_gp_levels(g, members) == is_gp_naive(g, dist, members).is_gp
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    def test_agrees_with_naive_at_solved_orders(self, seed, mop):
+        # The orders the solver and the benchmark reach: MOPs up to 60 and
+        # other graphs up to 30, on random sets and the solver's witness,
+        # each also with one vertex added.
+        rng = random.Random(seed)
+        if mop:
+            g = random_mop(rng, rng.randint(13, 60))
+        else:
+            g = random_connected_graph(rng, rng.randint(11, 30), rng.choice((0.1, 0.3, 0.6)))
+        n = g.order
+        dist = all_pairs_distances(g)
+        sets = [gp_number(g).witness, rng.sample(range(n), rng.randint(2, 6))]
+        sets.append(rng.sample(range(n), rng.randint(2, n)))
+        for s in sets[:]:
+            missing = sorted(set(range(n)) - set(s))
+            if missing:
+                sets.append((*s, rng.choice(missing)))
+        for s in sets:
+            assert is_gp_levels(g, s) == is_gp_naive(g, dist, s).is_gp
+
+    @pytest.mark.parametrize("case", ["c6", "mop40"])
+    def test_each_walk_reads_a_mask_at_most_once(self, case):
+        class CountingMasks(tuple):
+            def __getitem__(self, v):
+                reads[v] += 1
+                return tuple.__getitem__(self, v)
+
+        if case == "c6":
+            g, s = cycle(6).graph, (0, 2, 4)
+        else:
+            g = random_mop(random.Random(40), 40)
+            s = gp_number(g).witness
+        reads: Counter[int] = Counter()
+        vars(g)["neighbour_masks"] = CountingMasks(g.neighbour_masks)
+        assert is_gp_levels(g, s)
+        assert max(reads.values()) <= max(1, len(s) - 1)
 
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=40, deadline=None)
