@@ -30,13 +30,14 @@ from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .families import BadParam, generators_at, is_generalized_sunflower
-from .graph import Graph, build_graph
+from .graph import Graph
 from .mop import (
     StructureViolation,
     _stats,
     canonical_form,
     dihedral_images,
     ear_cut,
+    graph_from_chords,
     hull_triangles,
     image_key,
     recognize,
@@ -76,12 +77,6 @@ def enumerate_triangulations(n: int) -> Iterator[Chords]:
         raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
     for chords in _tri(0, n - 1):
         yield tuple(sorted(chords))
-
-
-def graph_from_chords(n: int, chords: Chords) -> Graph:
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    edges.extend(chords)
-    return build_graph(n, edges)
 
 
 @dataclass(frozen=True)

@@ -213,12 +213,12 @@ def _plan(left: int, right: int, root: bool) -> tuple[list[tuple[int, int, int]]
 def mop_gp_lanes(
     n: int, triangles: Sequence[tuple[int, int, int]], labellings: Sequence[Sequence[int]]
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """gp of the MOP of order n whose triangles, in any order, are the hull
-    position triples (a, c, b), a < c < b, with the lexicographically
-    smallest maximum set under each labelling, where ``labellings[i][p]``
-    labels hull position p in lane i and the set of lane i is given in its
-    labels, and the number of state pairs merged.  The triangles are
-    trusted, not checked."""
+    """gp of the MOP of order n whose triangles are the hull position
+    triples (a, c, b), a < c < b, with the lexicographically smallest
+    maximum set under each labelling, where ``labellings[i][p]`` labels hull
+    position p in lane i and the set of lane i is given in its labels, and
+    the number of state pairs merged.  The triangles are trusted, not
+    checked, in ``mop.ear_cut`` order: children first, root last."""
     # Lane i of a value is bits i*width .. i*width + top, bit top the guard (see Lanes).
     width = n + n.bit_length() + 1
     top = width - 1
@@ -233,8 +233,8 @@ def mop_gp_lanes(
     # Position 0's weight rides on alpha of hull edge (0, 1), so on every root value.
     tables = {(0, 1): (15, [0, weight[1], weight[0], weight[0] + weight[1]])}
     pairs = 0
-    # An arc's children are shorter, so they are joined first.
-    for a, c, b in sorted(triangles, key=lambda t: t[2] - t[0]):
+    # In ear-cut order an arc's children are joined before it.
+    for a, c, b in triangles:
         lm, lv = tables.pop((a, c), None) or (15, [0, weight[c], 0, weight[c]])
         rm, rv = tables.pop((c, b), None) or (15, [0, weight[b], 0, weight[b]])
         plan, mask, plan_pairs = _plan(lm, rm, b - a == n - 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .graph import UNREACHABLE, Graph, GraphError, build_graph
-from .mop import MopCertificate, StructureViolation, hull_triangles
+from .mop import MopCertificate, graph_from_chords, hull_triangles
 
 
 class BadParam(GraphError):
@@ -133,51 +133,25 @@ def sunflower(m: int) -> FamilyInstance:
     return FamilyInstance(f"sunflower({m})", build_graph(2 * m + 1, edges), None, roles)
 
 
-def _default_base_chords(m: int) -> frozenset[tuple[int, int]]:
-    return frozenset((0, k) for k in range(2, m - 1))
-
-
-def _validate_base_chords(m: int, chords) -> frozenset[tuple[int, int]]:
-    normalized: set[tuple[int, int]] = set()
-    for a, b in chords:
-        if a > b:
-            a, b = b, a
-        if not (0 <= a < b < m):
-            raise BadParam(f"base chord ({a},{b}) outside the {m}-gon")
-        if b - a in (1, m - 1):
-            raise BadParam(f"base chord ({a},{b}) is a polygon side")
-        if (a, b) in normalized:
-            raise BadParam(f"duplicate base chord ({a},{b})")
-        normalized.add((a, b))
-    if len(normalized) != m - 3:
-        raise BadParam(f"a triangulated {m}-gon needs {m - 3} chords, got {len(normalized)}")
-    # m-3 distinct chords, none a side, are non-crossing exactly when the
-    # m-gon with them is a MOP along 0..m-1.
-    sides = [(i, (i + 1) % m) for i in range(m)]
-    try:
-        hull_triangles(build_graph(m, sides + list(normalized)), range(m))
-    except StructureViolation as exc:
-        raise BadParam(f"base chords do not triangulate the {m}-gon: {exc}") from None
-    return frozenset(normalized)
-
-
 def generalized_sunflower(n: int, base_chords=None) -> FamilyInstance:
     """Triangulated polygon core with a degree-2 petal on (almost) every side.
 
     The core has m = ceil(n/2) vertices h_0..h_{m-1}; petal v_i attaches to
     h_i and h_{i+1 mod m}.  Even orders place a petal on every side, odd
     orders leave exactly one side bare.  The core triangulation defaults to
-    a fan from h_0 and may be overridden by any non-crossing chord set.
+    a fan from h_0 and may be overridden by base_chords.  The ear cut along
+    0..m-1 proves the core, and BadParam names the evidence of the build or
+    the cut.
     """
     _check_order("generalized sunflower", n, 5)
     m = (n + 1) // 2
     x = m if n % 2 == 0 else m - 1
-    if base_chords is None:
-        chords = _default_base_chords(m)
-    else:
-        chords = _validate_base_chords(m, base_chords)
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    edges += list(chords)
+    try:
+        core = graph_from_chords(m, [(0, k) for k in range(2, m - 1)] if base_chords is None else base_chords)
+        hull_triangles(core, range(m))
+    except GraphError as exc:
+        raise BadParam(f"base chords do not triangulate the {m}-gon: {exc}") from None
+    edges = list(core.edges)
     petals = list(range(m, m + x))
     for i in range(x):
         edges.append((petals[i], i))

@@ -8,7 +8,8 @@ the degrees minus one along the hull, the one proof that ``recognize`` and
 the edges: the n-3 edges off the hull are then non-crossing chords.  The
 package has no other crossing test: ``hull_triangles`` along a given
 polygon also judges the generalized sunflower's base chords and the
-census's segment claim.  Every rejection names its evidence.
+census's segment claim.  ``graph_from_chords`` is the one polygon
+builder.  Every rejection names its evidence.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .graph import (
     Graph,
     GraphError,
     _check_vertices,
+    build_graph,
     is_connected,
 )
 
@@ -202,6 +204,13 @@ def hull_triangles(g: Graph, cycle) -> list[tuple[int, int, int]]:
             raise StructureViolation(f"edge ({u},{v}) is no side of the triangles along the cycle")
         raise StructureViolation(f"side ({u},{v}) of the triangles along the cycle is no edge")
     return triangles
+
+
+def graph_from_chords(n: int, chords) -> Graph:
+    """The polygon 0..n-1 with chords; ``build_graph`` names a bad chord."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges.extend(chords)
+    return build_graph(n, edges)
 
 
 def _stats(n: int, triangles, degrees) -> MopStats:

@@ -165,18 +165,6 @@ class TestMopGp:
             turned.reverse()
         assert hull_lanes(g, turned, [turned])[0] == hull_lanes(g, cycle, [cycle])[0]
 
-    @given(st.integers(0, 10**9))
-    @settings(max_examples=30, deadline=None)
-    def test_any_order_of_the_triangles(self, seed):
-        # The triangles are a set: every order gives the same lanes and pairs.
-        rng = random.Random(seed)
-        n = rng.randint(4, 60)
-        g = random_mop(rng, n)
-        triangles = hull_triangles(g, recognize(g).cycle)
-        labellings = [rng.sample(range(n), n) for _ in range(rng.randint(1, 5))]
-        shuffled = rng.sample(triangles, len(triangles))
-        assert mop_gp_lanes(n, shuffled, labellings) == mop_gp_lanes(n, triangles, labellings)
-
     def test_merged_pairs_are_nodes_explored(self):
         g = fan(9).graph
         res = gp_number(g)

@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from gpmop import (
@@ -20,6 +23,7 @@ from gpmop import (
     sunflower,
 )
 from gpmop.census import enumerate_triangulations
+from helpers import first_crossing_pair
 
 
 def key_of(g):
@@ -139,21 +143,74 @@ class TestBadParams:
             complete(513)
 
     def test_gsf_base_validation(self):
-        with pytest.raises(BadParam, match="needs 2 chords"):
-            generalized_sunflower(10, base_chords=[(0, 2)])
-        # A crossing set fails the ear cut along the 6-gon, which names its
-        # evidence: too few faces for the first set, and for the second an
-        # edge that is no side of the cut's triangles.
-        with pytest.raises(BadParam, match="triangulate the 6-gon: expected 4 inner faces, found 1"):
-            generalized_sunflower(12, base_chords=[(0, 2), (1, 3), (3, 5)])
-        with pytest.raises(BadParam, match=r"triangulate the 6-gon: edge \(0,2\) is no side of the triangles"):
-            generalized_sunflower(12, base_chords=[(0, 2), (1, 4), (2, 5)])
-        with pytest.raises(BadParam, match="polygon side"):
-            generalized_sunflower(10, base_chords=[(0, 1), (0, 3)])
-        with pytest.raises(BadParam, match=r"base chord \(0,7\) outside the 5-gon"):
-            generalized_sunflower(10, base_chords=[(0, 7), (0, 2)])
-        with pytest.raises(BadParam, match=r"duplicate base chord \(0,2\)"):
-            generalized_sunflower(10, base_chords=[(0, 2), (2, 0)])
+        # The build of the core names a chord off the m-gon, a self-loop, a
+        # side or a repeat; the ear cut along the m-gon names a wrong count or
+        # a crossing set by a face count or an edge that is no side of its
+        # triangles.
+        def rejects(n, chords, evidence):
+            with pytest.raises(BadParam, match=f"triangulate the {(n + 1) // 2}-gon: {evidence}"):
+                generalized_sunflower(n, base_chords=chords)
+
+        rejects(10, [(0, 2)], "expected 3 inner faces, found 2")
+        rejects(10, [(0, 2), (0, 3), (1, 3)], "expected 3 inner faces, found 0")
+        rejects(12, [(0, 2), (1, 3), (3, 5)], "expected 4 inner faces, found 1")
+        rejects(12, [(0, 2), (1, 4), (2, 5)], r"edge \(0,2\) is no side of the triangles")
+        rejects(10, [(0, 1), (0, 3)], r"duplicate edge \(0,1\)")
+        rejects(10, [(0, 7), (0, 2)], r"edge \(0,7\) has an endpoint outside 0..4")
+        rejects(10, [(0, 2), (2, 0)], r"duplicate edge \(2,0\)")
+        rejects(10, [(2, 2), (0, 2)], r"self-loop \(2,2\)")
+
+    def test_every_set_of_m_minus_3_diagonals(self):
+        # generalized_sunflower(2m) accepts exactly the base chord sets that
+        # the pair scan finds non-crossing, and then its core is the m-gon's
+        # sides plus those chords: 16,601 sets at m = 4..8.  The scan is
+        # run once per pair of diagonals, since a set crosses exactly when
+        # one of its pairs does.
+        accepted = 0
+        for m in range(4, 9):
+            sides = {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)}
+            diagonals = [e for e in combinations(range(m), 2) if e not in sides]
+            crossing = {pair for pair in combinations(diagonals, 2) if first_crossing_pair(range(m), pair)}
+            for chords in combinations(diagonals, m - 3):
+                crosses = not crossing.isdisjoint(combinations(chords, 2))
+                try:
+                    g = generalized_sunflower(2 * m, base_chords=chords).graph
+                except BadParam as exc:
+                    assert crosses and f"triangulate the {m}-gon: " in str(exc)
+                else:
+                    assert not crosses
+                    assert {(u, v) for u, v in g.edges if v < m} == sides | set(chords)
+                    accepted += 1
+        assert accepted == sum(len(list(enumerate_triangulations(m))) for m in range(4, 9))
+
+    def test_seeded_malformed_base_chords(self):
+        # A triangulation's chords with one fault: an endpoint off the m-gon,
+        # a side, a repeated chord, a self-loop, one chord too few or one too
+        # many, at n = 2m-1 and n = 2m.
+        rng = random.Random(39)
+        wrong_count = "inner faces|is no side|is no edge"
+        for m in range(4, 9):
+            sides = [(i, i + 1) for i in range(m - 1)] + [(0, m - 1)]
+            diagonals = [e for e in combinations(range(m), 2) if e not in sides]
+            triangulations = list(enumerate_triangulations(m))
+            for _ in range(20):
+                chords = list(rng.choice(triangulations))
+                k = rng.randrange(len(chords))
+                v = rng.randrange(m)
+                off = rng.choice([-1, -m, m, m + 1, 3 * m])
+                extra = rng.choice([e for e in diagonals if e not in chords])
+                faults = [
+                    ("has an endpoint outside", [*chords[:k], (v, off), *chords[k + 1 :]]),
+                    ("duplicate edge", [*chords[:k], rng.choice(sides), *chords[k + 1 :]]),
+                    ("duplicate edge", [*chords, chords[k][::-1]]),
+                    ("self-loop", [*chords[:k], (v, v), *chords[k + 1 :]]),
+                    (wrong_count, chords[:k] + chords[k + 1 :]),
+                    (wrong_count, [*chords, extra]),
+                ]
+                for evidence, bad in faults:
+                    bad = [e[::-1] if rng.random() < 0.5 else e for e in rng.sample(bad, len(bad))]
+                    with pytest.raises(BadParam, match=f"triangulate the {m}-gon: .*({evidence})"):
+                        generalized_sunflower(2 * m - rng.randrange(2), base_chords=bad)
 
     def test_gsf_reversed_base_chord(self):
         inst = generalized_sunflower(10, base_chords=[(3, 0), (0, 2)])
