@@ -6,8 +6,9 @@ between two other members.  ``is_gp_characterized`` decides through the
 clique-partition route: the components induced by the set must be complete
 subgraphs whose blocks are pairwise distance-constant, with no block
 sitting metrically between two others.  The naive form serves as the test
-oracle for the characterized one.  Both read BFS rows, and only
-``gpmop verify`` and the tests call them.
+oracle for the characterized one.  Both read only the members' BFS rows
+and share nothing but ``_prepare``'s input checks; only ``gpmop verify``
+and the tests call them.
 
 ``is_gp_levels`` applies the definition with no distance table: one walk
 down the BFS levels of each member, as bitmasks, marks every vertex that
@@ -31,10 +32,11 @@ from .graph import UNREACHABLE, Disconnected, Graph, _check_vertices
 class GpSetCheck:
     """Outcome of a general-position test.
 
-    ``witness_violation`` is the lexicographically smallest ordered triple
-    (a, b, c) with b on an a,c-geodesic, present exactly when the set fails.
-    ``clique_partition`` is present when the set passes and the
-    characterized route ran.
+    ``witness_violation`` comes only from the naive test: the
+    lexicographically smallest ordered triple (a, b, c) with b on an
+    a,c-geodesic, present exactly when the set fails.
+    ``clique_partition`` comes only from a passing clique-partition test:
+    the blocks of the induced subgraph, sorted.
     """
 
     members: tuple[int, ...]
@@ -127,37 +129,17 @@ def is_gp_levels(g: Graph, s: Iterable[int]) -> bool:
     return True
 
 
-def _induced_components(g: Graph, members: tuple[int, ...]) -> list[tuple[int, ...]]:
-    member_set = set(members)
-    seen: set[int] = set()
-    blocks: list[tuple[int, ...]] = []
-    for start in members:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for w in g.adjacency[u]:
-                if w in member_set and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    frontier.append(w)
-        blocks.append(tuple(sorted(comp)))
-    blocks.sort()
-    return blocks
-
-
-def _is_clique_partition(
-    g: Graph, dist: tuple[tuple[int, ...], ...], blocks: list[tuple[int, ...]]
-) -> bool:
-    # (a) every block is complete.
-    for block in blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1 :]:
-                if not g.has_edge(a, b):
-                    return False
+def _clique_partition(
+    dist: tuple[tuple[int, ...], ...], members: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...] | None:
+    # (a) each member's block is its closed neighbourhood in the set.  The
+    # induced components are all complete exactly when every member has
+    # the same block as each of its neighbours, and then the blocks are the
+    # components.
+    nbhd = {a: tuple(b for b in members if dist[a][b] <= 1) for a in members}
+    if any(nbhd[b] != block for block in nbhd.values() for b in block):
+        return None
+    blocks = tuple(sorted(set(nbhd.values())))
     # (b) every pair of blocks is distance-constant.
     k = len(blocks)
     block_dist = [[0] * k for _ in range(k)]
@@ -167,7 +149,7 @@ def _is_clique_partition(
             for a in blocks[i]:
                 for b in blocks[j]:
                     if dist[a][b] != val:
-                        return False
+                        return None
             block_dist[i][j] = block_dist[j][i] = val
     # (c) no block j lies metrically between blocks i and m.
     for i in range(k):
@@ -176,8 +158,8 @@ def _is_clique_partition(
                 continue
             for m in range(i + 1, k):
                 if m != j and block_dist[i][m] == block_dist[i][j] + block_dist[j][m]:
-                    return False
-    return True
+                    return None
+    return blocks
 
 
 def is_gp_characterized(
@@ -188,15 +170,9 @@ def is_gp_characterized(
     Passes exactly when (a) every component of the induced subgraph is
     complete, (b) the blocks are pairwise distance-constant, and (c) no
     block distance equals the sum of the distances through a third block.
+    It reads only the members' rows, names no violating triple, and on a
+    pass returns the blocks as ``clique_partition``.
     """
     members = _prepare(g, dist, s)
-    blocks = _induced_components(g, members)
-    if _is_clique_partition(g, dist, blocks):
-        return GpSetCheck(members, True, None, tuple(blocks))
-    violation = _first_violation(dist, members)
-    if violation is None:
-        raise RuntimeError(
-            "clique-partition test rejected a set with no violating triple; "
-            "the two general-position tests disagree"
-        )
-    return GpSetCheck(members, False, violation, None)
+    blocks = _clique_partition(dist, members)
+    return GpSetCheck(members, blocks is not None, None, blocks)

@@ -7,6 +7,7 @@ without its clique cover, node counts from the suffix-bound search with
 every child's conflict rows written before it is visited, conflict masks
 from a separate test of each triple at each of its three pairs, and
 isomorphism from raw permutation search instead of canonical keys,
+the components of an induced subgraph from a BFS over adjacency lists,
 chord crossings from a scan of every pair of spans with no early exit, and
 a certificate's validity from its definition, a normalized Hamiltonian
 cycle of g whose other edges are chords that this pair scan finds
@@ -143,6 +144,26 @@ def floyd_warshall(g: Graph) -> list[list[int]]:
                 if dik + dk[j] < di[j]:
                     di[j] = dik + dk[j]
     return d
+
+
+def induced_components(g: Graph, members) -> tuple[tuple[int, ...], ...]:
+    """Components of the subgraph induced by members, each sorted, in order
+    of their least vertices, by a BFS over g.adjacency."""
+    member_set = set(members)
+    seen: set[int] = set()
+    comps = []
+    for start in sorted(member_set):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for u in comp:
+            for w in g.adjacency[u]:
+                if w in member_set and w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(tuple(sorted(comp)))
+    return tuple(comps)
 
 
 def exhaustive_interval(g: Graph, u: int, v: int) -> frozenset[int]:

@@ -104,9 +104,17 @@ class TestVerify:
 
     def test_characterized_rejecting_a_naive_pass_exit_70(self, tmp_path, capsys, monkeypatch):
         f = generate(tmp_path, "path", 4)
-        monkeypatch.setattr(verify, "_is_clique_partition", lambda *a: False)
+        monkeypatch.setattr(verify, "_clique_partition", lambda *a: None)
         assert main(["verify", f, "0", "1"]) == 70
         assert "the two general-position tests disagree on [0, 1]" in capsys.readouterr().err
+
+    def test_characterized_passing_a_naive_failure_exit_70(self, tmp_path, capsys, monkeypatch):
+        f = generate(tmp_path, "path", 4)
+        monkeypatch.setattr(verify, "_clique_partition", lambda dist, members: ((0, 1, 3),))
+        assert main(["verify", f, "0", "1", "3"]) == 70
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the two general-position tests disagree on [0, 1, 3]" in captured.err
 
 
 class TestRecognize:

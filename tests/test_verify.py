@@ -20,10 +20,11 @@ from gpmop import (
     is_gp_naive,
     path,
     run_census,
+    verify,
 )
 from gpmop.census import graph_from_chords
 from gpmop.graph import _source_rows
-from helpers import random_connected_graph, random_mop
+from helpers import induced_components, random_connected_graph, random_mop
 
 
 def prepared(g):
@@ -79,7 +80,7 @@ class TestCharacterized:
         g, dist = prepared(path(4).graph)
         chk = is_gp_characterized(g, dist, (0, 1, 2))
         assert not chk.is_gp
-        assert chk.witness_violation == (0, 1, 2)
+        assert chk.witness_violation is None
         assert chk.clique_partition is None
 
     def test_distance_constant_failure(self):
@@ -93,7 +94,20 @@ class TestCharacterized:
         g, dist = prepared(path(5).graph)
         chk = is_gp_characterized(g, dist, (0, 2, 4))
         assert not chk.is_gp
-        assert chk.witness_violation == (0, 2, 4)
+        assert chk.witness_violation is None
+        assert chk.clique_partition is None
+
+    def test_names_no_triple_without_the_naive_scan(self, monkeypatch):
+        # The clique-partition test decides on its own: the naive test's
+        # triple scan is never reached, even when the set fails.
+        def scan(*args):
+            raise AssertionError("the naive scan ran")
+
+        monkeypatch.setattr(verify, "_first_violation", scan)
+        g, dist = prepared(path(4).graph)
+        chk = is_gp_characterized(g, dist, (0, 1, 2))
+        assert not chk.is_gp
+        assert chk.witness_violation is None
 
 
 class TestAgreement:
@@ -126,12 +140,12 @@ class TestAgreement:
         g = random_connected_graph(rng, rng.randint(3, 8))
         dist = all_pairs_distances(g)
         members = [v for v in range(g.order) if rng.random() < 0.6]
-        for chk in (is_gp_naive(g, dist, members), is_gp_characterized(g, dist, members)):
-            if chk.is_gp:
-                assert chk.witness_violation is None
-            else:
-                a, b, c = chk.witness_violation
-                assert lies_on_geodesic(dist, a, b, c)
+        chk = is_gp_naive(g, dist, members)
+        if chk.is_gp:
+            assert chk.witness_violation is None
+        else:
+            a, b, c = chk.witness_violation
+            assert lies_on_geodesic(dist, a, b, c)
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)
@@ -144,6 +158,33 @@ class TestAgreement:
             return
         sub = tuple(v for v in members if rng.random() < 0.5)
         assert is_gp_naive(g, dist, sub).is_gp
+
+
+class TestPartitionOracle:
+    """On every passing set, the clique partition is the components of the
+    induced subgraph, as a BFS over adjacency finds them, and each is a
+    clique."""
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_partition_is_the_induced_components(self, seed, mop):
+        rng = random.Random(seed)
+        if mop:
+            g = random_mop(rng, rng.randint(13, 60))
+        else:
+            g = random_connected_graph(rng, rng.randint(2, 12), rng.choice((0.1, 0.3, 0.6)))
+        dist = all_pairs_distances(g)
+        witness = gp_number(g).witness
+        # The witness and a subset of it pass; a random set may pass or fail.
+        sets = [witness, rng.sample(witness, rng.randint(0, len(witness)))]
+        sets.append(rng.sample(range(g.order), rng.randint(0, min(g.order, 6))))
+        for i, s in enumerate(sets):
+            chk = is_gp_characterized(g, dist, s)
+            assert chk.is_gp or i == 2
+            if chk.is_gp:
+                assert chk.clique_partition == induced_components(g, s)
+                for block in chk.clique_partition:
+                    assert all(g.has_edge(a, b) for a, b in combinations(block, 2))
 
 
 class TestPartialRows:
