@@ -79,8 +79,11 @@ def enumerate_triangulations(n: int) -> Iterator[Chords]:
         yield tuple(sorted(chords))
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
+    """One triangulation of the census; a tuple, so that a class task builds
+    and pickles its records cheaply and the cyclic collector may leave them
+    alone."""
+
     n: int
     canonical_key: bytes
     chords: Chords
@@ -131,8 +134,10 @@ def _generator_catalog(n: int) -> tuple[tuple[str, bytes], ...]:
 def _quiddity_key(q: bytes) -> bytes:
     # The smallest of the 2n dihedral images of a quiddity sequence (triangles
     # per hull vertex): a complete isomorphism invariant of a triangulated polygon.
+    # The least image starts with the least entry, 1 in every triangulated
+    # polygon (an ear tip), so only the rotations from a 1 compete.
     n, fwd = len(q), q * 2
-    return min([s[i : i + n] for s in (fwd, fwd[::-1]) for i in range(n)])
+    return min([s[i : i + n] for s in (fwd, fwd[::-1]) for i in range(n) if s[i] == 1])
 
 
 @lru_cache(maxsize=None)
@@ -184,7 +189,7 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     maps = dict(dihedral_images(n, [(a, b) for a, _, b in cut[:-1]], anchors))
     images = [min(maps)] if dedupe else sorted(maps)
     key, pairs = image_key(n, images[0]), _pair_table(n)
-    members = [tuple(pairs[c] for c in image) for image in images]
+    members = [tuple(map(pairs.__getitem__, image)) for image in images]
     g = graph_from_chords(n, members[0])
     labels = tuple(label for label, k in _generator_catalog(n) if k == key)
     labels += ("gsf",) if is_generalized_sunflower(g) else ()
@@ -309,6 +314,19 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
         expected = (2 * (r.max_degree + 1)) // 3
         return r.gp < bound or bound != expected or len(witness) != bound or not is_gp_levels(g, witness)
 
+    def crowded_member(r, g):
+        # The witness as one bitmask against each member's neighbour mask,
+        # which the class's witness check has built.
+        w, nbr = sum(1 << v for v in r.gp_witness), g.neighbour_masks
+        return any((nbr[x] & w).bit_count() > 2 for x in r.gp_witness)
+
+    def full_window(r, g):
+        # Bits i, i+1, i+2 of the witness mask taken twice around the hull are
+        # hull vertices i, i+1, i+2 (mod n).
+        w = sum(1 << v for v in r.gp_witness)
+        ring = w | w << n
+        return any(ring >> i & 7 == 7 for i in range(n))
+
     def misses_internal_bound(r, g):
         if r.gp < r.internal_triangles + 2:
             return True
@@ -337,7 +355,7 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
         _Claim(
             "chord_count", 4, "all classes: n-3 chords and n-1 faces",
             lambda r, g: len(r.chords) != n - 3
-            or sum(len(set(g.adjacency[u]).intersection(g.adjacency[v])) for u, v in g.edges) != 3 * (n - 2)),
+            or sum((g.neighbour_masks[u] & g.neighbour_masks[v]).bit_count() for u, v in g.edges) != 3 * (n - 2)),
         _Claim(
             "degree_lower_bound", 4,
             "all classes: gp >= floor(2*(max_degree+1)/3) with a verified constructive witness",
@@ -345,8 +363,7 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
         _Claim(
             "witness_neighbor_cap", 4,
             "witnesses of size >= 3: each member has at most 2 in-set neighbors",
-            lambda r, g: any(
-                len(set(g.adjacency[x]) & set(r.gp_witness)) > 2 for x in r.gp_witness),
+            crowded_member,
             lambda r: len(r.gp_witness) >= 3),
         _Claim(
             "witness_triangle_free", 4, "witnesses of size >= 4 induce no triangle",
@@ -387,11 +404,11 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
         _Claim(
             "common_neighbor", 4, "every hull-adjacent pair has a common neighbor",
             lambda r, g: any(
-                not set(g.adjacency[i]).intersection(g.adjacency[(i + 1) % n]) for i in range(n))),
+                not g.neighbour_masks[i] & g.neighbour_masks[(i + 1) % n] for i in range(n))),
         _Claim(
             "cycle_window_cap", 4,
             "witnesses of size >= 4: any 3 consecutive hull vertices hold at most 2 of them",
-            lambda r, g: any({i, (i + 1) % n, (i + 2) % n} <= set(r.gp_witness) for i in range(n)),
+            full_window,
             lambda r: len(r.gp_witness) >= 4),
     )
 

@@ -98,14 +98,17 @@ of the slots present; slots 0..3 are the hull states, so a hull edge has mask
 15.  ``_JOINS`` holds the 147 merging pairs of slots as triples (left, right,
 merged slot) by left slot; a join runs over those whose slots are present
 (``_plan``, one list per pair of masks), at the root all into slot 0, the
-best root value.  A fact of the quotient, not of any graph, the list is a
-literal like ``_REP`` that no process derives; tests derive it from ``_merge``.
+best root value.  A plan is the rows of the left slots present, each already
+cut to the right mask with the mask of its merged slots (``_rows``, one row
+set per right mask).  Joins reach 24 masks, so there are at most 24 row sets
+and 2 x 24 x 24 plans.  A fact of the quotient, not of any graph, the list
+is a literal like ``_REP`` that no process derives; tests derive it from
+``_merge``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from typing import Sequence
 
 _TYPES = (-1, 0, 1)
@@ -196,18 +199,33 @@ _JOINS = (
 )
 
 
-# Unbounded: joins reach 24 presence masks (pinned in tests), so at most 2 x 24 x 24 plans.
+# Both caches are unbounded: joins reach 24 presence masks (pinned in tests),
+# so at most 24 row sets and 2 x 24 x 24 plans.
+@lru_cache(maxsize=None)
+def _rows(right: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], int], ...]:
+    """For the presence mask of cb: each row of ``_JOINS`` cut to the triples
+    whose slot j is present, with the mask of their merged slots."""
+    cut = [tuple(t for t in row if right >> t[1] & 1) for row in _JOINS]
+    return tuple((row, sum({1 << k for _, _, k in row})) for row in cut)
+
+
 @lru_cache(maxsize=None)
 def _plan(left: int, right: int, root: bool) -> tuple[list[tuple[int, int, int]], int, int]:
     """For the presence masks of ac and cb: the merging triples (i, j, k) of present
     slots, every k 0 at the root, the mask of ab and the number of agreeing pairs."""
-    triples = [t for i, row in enumerate(_JOINS) if left >> i & 1 for t in row if right >> t[1] & 1]
+    triples: list[tuple[int, int, int]] = []
+    mask = 0
+    for i, (row, merged) in enumerate(_rows(right)):
+        if left >> i & 1:
+            triples += row
+            mask |= merged
     if root:
-        triples = [(i, j, 0) for i, j, _ in triples]
+        # Slot 0 alone holds the root, when any pair merges.
+        triples, mask = [(i, j, 0) for i, j, _ in triples], min(mask, 1)
     # c is beta on the left and alpha on the right.
     l1, r1 = (left & _BETA).bit_count(), (right & _ALPHA).bit_count()
     pairs = (left.bit_count() - l1) * (right.bit_count() - r1) + l1 * r1
-    return triples, sum({1 << k for _, _, k in triples}), pairs
+    return triples, mask, pairs
 
 
 def mop_gp_lanes(
@@ -226,9 +244,10 @@ def mop_gp_lanes(
     first = 1 << width
     # Position p weighs 2^n + 2^(n-1-v) in each lane i, where v = labellings[i][p]:
     # the count bits of all lanes plus one label bit per lane.
-    count = sum(1 << (i * width + n) for i in range(len(labellings)))
-    bits = [[1 << (i * width + n - 1 - v) for v in lab] for i, lab in enumerate(labellings)]
-    weight = list(map(sum, zip(*bits), repeat(count)))
+    weight = [sum(1 << (i * width + n) for i in range(len(labellings)))] * n
+    for i, lab in enumerate(labellings):
+        shift = i * width + n - 1
+        weight = [w + (1 << shift - v) for w, v in zip(weight, lab)]
 
     # Position 0's weight rides on alpha of hull edge (0, 1), so on every root value.
     tables = {(0, 1): (15, [0, weight[1], weight[0], weight[0] + weight[1]])}
@@ -261,5 +280,11 @@ def mop_gp_lanes(
     for i in range(len(labellings)):
         lane = best >> (i * width) & ((1 << width) - 1)
         low = lane & ((1 << n) - 1)
-        results.append((lane >> n, tuple(v for v in range(n) if low >> (n - 1 - v) & 1)))
+        # Label v is bit n-1-v, so clearing the top bit reads the labels ascending.
+        labels = []
+        while low:
+            b = low.bit_length()
+            labels.append(n - b)
+            low ^= 1 << b - 1
+        results.append((lane >> n, tuple(labels)))
     return results, pairs

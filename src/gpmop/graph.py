@@ -175,10 +175,11 @@ def parse_edge_list(text: str) -> Graph:
     order: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
         if order is None:
+            line = raw.strip()
             try:
                 order = int(line)
             except ValueError:
@@ -186,14 +187,13 @@ def parse_edge_list(text: str) -> Graph:
             if order < 1:
                 raise EdgeListError(f"line {lineno}: vertex count must be >= 1, got {order}")
             continue
-        parts = line.split()
         if len(parts) != 2:
-            raise EdgeListError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise EdgeListError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+        u, v = parts
         try:
-            u, v = int(parts[0]), int(parts[1])
+            edges.append((int(u), int(v)))
         except ValueError:
-            raise EdgeListError(f"line {lineno}: endpoints must be integers, got {line!r}") from None
-        edges.append((u, v))
+            raise EdgeListError(f"line {lineno}: endpoints must be integers, got {raw.strip()!r}") from None
     if order is None:
         raise EdgeListError("no vertex count line found")
     return build_graph(order, edges)

@@ -74,10 +74,14 @@ def _walk(adj, start: int, behind: int | None) -> list[int]:
     walk = [start]
     prev, cur = behind, start
     while True:
-        ahead = [w for w in adj[cur] if w != prev]
-        if not ahead or ahead[0] == start:
+        for ahead in adj[cur]:
+            if ahead != prev:
+                break
+        else:
             return walk
-        prev, cur = cur, ahead[0]
+        if ahead == start:
+            return walk
+        prev, cur = cur, ahead
         walk.append(cur)
 
 

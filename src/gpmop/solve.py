@@ -246,17 +246,20 @@ def _mop_verified(
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
     # mop_gp_lanes on g's triangles as hull positions, labellings[i][p]
     # labelling position p in lane i and labellings[0][p] naming g's vertex
-    # there: every lane must have lane 0's value, and each distinct witness,
-    # carried to g's vertices, passes _verified once.
+    # there: every lane must have lane 0's value, and each distinct witness
+    # in g's vertices passes _verified once.  Lane 0's witness is one as it
+    # stands; another lane's goes from its labels to positions to vertices.
     results, nodes = mop_gp_lanes(g.order, triangles, labellings)
-    value = results[0][0]
-    positions: dict[tuple[int, ...], None] = {}
-    for i, (labels, (lane_value, witness)) in enumerate(zip(labellings, results)):
+    value, witness = results[0]
+    ids = labellings[0]
+    witnesses = {witness: None}
+    for i in range(1, len(results)):
+        labels, (lane_value, lane_witness) = labellings[i], results[i]
         if lane_value != value:
             raise RuntimeError(f"internal: labelling {i} has gp {lane_value}, its class {value}")
-        positions[tuple(sorted(map(labels.index, witness)))] = None
-    for s in positions:
-        _verified(g, value, tuple(sorted(labellings[0][p] for p in s)), nodes)
+        witnesses[tuple(sorted([ids[labels.index(v)] for v in lane_witness]))] = None
+    for s in witnesses:
+        _verified(g, value, s, nodes)
     return results, nodes
 
 

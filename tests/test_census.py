@@ -1,6 +1,5 @@
 import hashlib
 import re
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -123,6 +122,16 @@ class TestQuiddityKey:
             assert set(map(frozenset, by_quiddity.values())) == set(map(frozenset, by_key.values()))
             if n in DIHEDRAL_CLASSES:
                 assert len(by_quiddity) == DIHEDRAL_CLASSES[n]
+
+    def test_ear_tip_rotations_give_the_least_image(self):
+        # Oracle: the least of all 2n rotations and reflections, against the
+        # key that tries only those starting at a 1, on every image of every
+        # class of orders 3..13.
+        for n in range(3, 14):
+            for q in quiddity_classes(n):
+                images = {s[i:] + s[:i] for s in (q, q[::-1]) for i in range(n)}
+                for image in images:
+                    assert _quiddity_key(image) == min(images) == q
 
     def test_dihedral_images_run_once_per_class(self, monkeypatch):
         calls: list[int] = []
@@ -736,7 +745,7 @@ def _mutated(pick, change):
     change, and that class's mutated record."""
     recs = list(_order_ten_classes())
     i = next(i for i, r in enumerate(recs) if pick(r))
-    recs[i] = replace(recs[i], **change(recs[i]))
+    recs[i] = recs[i]._replace(**change(recs[i]))
     return recs, recs[i]
 
 

@@ -237,21 +237,46 @@ def slot_bits(slots, bit: int) -> int:
     return sum(1 << i for i, s in enumerate(slots) if s & bit)
 
 
+def clear_plans():
+    dual._plan.cache_clear()
+    dual._rows.cache_clear()
+
+
 @contextmanager
 def raw_table():
-    # mop_gp_lanes on the join table of the raw merge, with its plan cache
-    # emptied on the way in and on the way out.
+    # mop_gp_lanes on the join table of the raw merge, with its plan and row
+    # caches emptied on the way in and on the way out.
     with raw_merge() as mp:
         slots, joins = join_table(dual._merge)
         mp.setattr(dual, "_SLOTS", slots)
         mp.setattr(dual, "_JOINS", joins)
         mp.setattr(dual, "_ALPHA", slot_bits(slots, 1))
         mp.setattr(dual, "_BETA", slot_bits(slots, 2))
-        dual._plan.cache_clear()
+        clear_plans()
         try:
             yield len(slots)
         finally:
-            dual._plan.cache_clear()
+            clear_plans()
+
+
+def filtered_plan(left, right, root):
+    # The plan as the direct filter of the whole join list by both masks.
+    triples = [t for i, row in enumerate(dual._JOINS) if left >> i & 1 for t in row if right >> t[1] & 1]
+    if root:
+        triples = [(i, j, 0) for i, j, _ in triples]
+    l1, r1 = (left & dual._BETA).bit_count(), (right & dual._ALPHA).bit_count()
+    pairs = (left.bit_count() - l1) * (right.bit_count() - r1) + l1 * r1
+    return triples, sum({1 << k for _, _, k in triples}), pairs
+
+
+def filtered_masks() -> set[int]:
+    # The presence masks that joins reach from the hull mask, by the direct filter.
+    masks = {0b1111}
+    while True:
+        new = {filtered_plan(left, right, False)[1] for left in masks for right in masks} - masks
+        if not new:
+            return masks
+        masks |= new
 
 
 class TestQuotient:
@@ -306,6 +331,20 @@ class TestQuotient:
             masks |= new
         assert len(masks) == 24
 
+    def test_plans_from_rows_equal_the_filtered_join_list(self):
+        # Every plan of two reachable masks, below the root and at it, holds
+        # the direct filter's triples in its order, its mask and its pairs;
+        # one row set per right mask serves them all.
+        clear_plans()
+        masks = filtered_masks()
+        assert len(masks) == 24
+        for left in masks:
+            for right in masks:
+                for root in (False, True):
+                    assert dual._plan(left, right, root) == filtered_plan(left, right, root)
+        assert dual._rows.cache_info().currsize == 24
+        assert dual._plan.cache_info().currsize == 2 * 24 * 24
+
     def test_no_run_calls_merge(self):
         # The join list is a literal: neither a MOP solve nor the census
         # derives it.
@@ -321,10 +360,10 @@ class TestQuotient:
         code = (
             "import gpmop\n"
             "from gpmop import dual\n"
-            "print(dual._merge.cache_info().currsize, dual._plan.cache_info().currsize)\n"
+            "print(*(f.cache_info().currsize for f in (dual._merge, dual._rows, dual._plan)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True)
-        assert proc.stdout == "0 0\n"
+        assert proc.stdout == "0 0 0\n"
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)

@@ -290,3 +290,84 @@ class TestEdgeListFormat:
     def test_huge_declared_order_rejected(self):
         with pytest.raises(VertexOutOfRange, match="order must be in 1..65535"):
             parse_edge_list("999999999\n")
+
+
+def stripping_parse(text):
+    # The parser that strips every line before it looks at it: the count line
+    # is the first non-comment line, each later one must split into two ints.
+    order = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if order is None:
+            try:
+                order = int(line)
+            except ValueError:
+                raise EdgeListError(f"line {lineno}: expected vertex count, got {line!r}") from None
+            if order < 1:
+                raise EdgeListError(f"line {lineno}: vertex count must be >= 1, got {order}")
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListError(f"line {lineno}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListError(f"line {lineno}: endpoints must be integers, got {line!r}") from None
+        edges.append((u, v))
+    if order is None:
+        raise EdgeListError("no vertex count line found")
+    return build_graph(order, edges)
+
+
+def outcome(parse, text):
+    # The graph, or the error's type and message.
+    try:
+        return parse(text)
+    except gpmop.GraphError as exc:
+        return type(exc), str(exc)
+
+
+# Blank, whitespace-only and comment lines, tabs, CRLF endings, trailing
+# spaces, separators that str.strip removes but int() keeps, and every error.
+PARSE_CORPUS = [
+    "",
+    "\n\n",
+    "# only a comment\n   \n",
+    "# a fan\n\n4\n0 1\n# middle\n1 2\n2 3\n",
+    "  # indented\n\t# tabbed\n3\r\n0 1\r\n1\t2\r\n\r\n  \t \r\n0 2  \r\n",
+    "3 \n 0   1 \n\t1 2\t\n",
+    "\x1f3\x1f\n0\x1f1\n",
+    "3\x0b0 1\x0c1 2\x1c\n",
+    "3\n0 1 # trailing comment\n",
+    "3\n0 1#x\n",
+    "3\n#0 1\n",
+    "x\n0 1\n",
+    "3 4\n0 1\n",
+    "  0 \n",
+    "-2\n",
+    "1_0\n0 1\n",
+    "3\n0\n",
+    "3\n0 1 2\n",
+    "3\n0 x\n",
+    "3\n 0\tx  \r\n",
+    "3\n0 1\n1 0\n",
+    "3\n1 1\n",
+    "3\n0 5\n",
+    "3\n-1 0\n",
+    "999999999\n",
+    "# header\n\n\n2\n\n0 1\n\n",
+]
+
+
+class TestParserAgainstStripping:
+    @pytest.mark.parametrize("text", PARSE_CORPUS)
+    def test_corpus(self, text):
+        assert outcome(parse_edge_list, text) == outcome(stripping_parse, text)
+
+    @given(st.text(alphabet="0123#x \t\r\n\x0b\x1f-", max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_text(self, text):
+        assert outcome(parse_edge_list, text) == outcome(stripping_parse, text)
