@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby
 from math import comb
-from multiprocessing import get_context
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .families import BadParam, generators_at, is_generalized_sunflower
@@ -218,6 +217,9 @@ def _census_tasks(orders: Iterable[int], dedupe: bool, jobs: int, claims: bool) 
     if workers == 1:
         results = [_class_records(*task) for task in tasks]
     else:
+        # Imported here: multiprocessing and what it loads cost every start-up.
+        from multiprocessing import get_context
+
         with get_context("fork").Pool(processes=workers) as pool:
             results = pool.starmap(_class_records, tasks)
     return sorted(results, key=lambda result: (result[0][0].n, result[0][0].canonical_key))

@@ -8,7 +8,7 @@ order is capped at UNREACHABLE so that no real distance can equal it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +46,10 @@ class Graph:
     order: int
     edges: frozenset[tuple[int, int]]
     adjacency: tuple[tuple[int, ...], ...]
+    # The ear-cut proof that g is maximal outerplanar, its certificate and
+    # triangles, kept by ``mop._proof`` once it succeeds; not part of the
+    # graph's value.
+    _mop_proof: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -164,14 +168,25 @@ def lies_on_geodesic(dist: tuple[tuple[int, ...], ...], a: int, b: int, c: int) 
     return dac == dab + dbc
 
 
+def _decimal(token: str) -> int:
+    # int(token) for ASCII digits with an optional leading '-', else ValueError.
+    if not (token.isascii() and token.removeprefix("-").isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     The first non-comment line is the vertex count; each following line is
-    "u v" with 0-based integer endpoints.  Lines starting with '#' are
-    comments and blank lines are ignored.  Duplicate or out-of-range
+    "u v" with 0-based integer endpoints.  A count or endpoint is plain
+    decimal: ASCII digits with an optional leading '-'.  Lines starting with
+    '#' are comments and blank lines are ignored.  Duplicate or out-of-range
     entries are hard errors.
     """
+    # int() also reads '_' separators, a '+' sign and non-ASCII digits; text
+    # with none of them needs no check per token.
+    to_int = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     order: int | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,7 +196,7 @@ def parse_edge_list(text: str) -> Graph:
         if order is None:
             line = raw.strip()
             try:
-                order = int(line)
+                order = to_int(line)
             except ValueError:
                 raise EdgeListError(f"line {lineno}: expected vertex count, got {line!r}") from None
             if order < 1:
@@ -191,7 +206,7 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         u, v = parts
         try:
-            edges.append((int(u), int(v)))
+            edges.append((to_int(u), to_int(v)))
         except ValueError:
             raise EdgeListError(f"line {lineno}: endpoints must be integers, got {raw.strip()!r}") from None
     if order is None:

@@ -1,11 +1,15 @@
 """Maximal outerplanar graph recognition, certificates, and canonical keys.
 
 Recognition avoids generic planarity testing.  A graph is accepted exactly
-when it is connected with 2n-3 edges, the edges lying in exactly one
-triangle close into a single spanning cycle, the hull, and the ear cut of
-the degrees minus one along the hull, the one proof that ``recognize`` and
-``check_certificate`` share, yields n-2 triangles whose sides are exactly
-the edges: the n-3 edges off the hull are then non-crossing chords.  The
+when it has 2n-3 edges, the edges lying in exactly one triangle close into
+a single spanning cycle, the hull, and the ear cut of the degrees minus one
+along the hull, the one proof that ``recognize`` and ``check_certificate``
+share, yields n-2 triangles whose sides are exactly the edges: the n-3
+edges off the hull are then non-crossing chords, and the graph is
+connected.  Each graph object is proved once: the proof is kept on it, so
+a later ``recognize``, ``check_certificate`` or ``mop_stats`` compares
+rather than cuts again, and only a failed proof runs the connectivity test
+that decides between ``Disconnected`` and the structural rejection.  The
 package has no other crossing test: ``hull_triangles`` along a given
 polygon also judges the generalized sunflower's base chords and the
 census's segment claim.  ``graph_from_chords`` is the one polygon
@@ -91,6 +95,8 @@ def recognize(g: Graph) -> MopCertificate:
     Raises WrongEdgeCount, EdgeInTooManyTriangles or HullNotHamiltonian
     with the offending evidence, Disconnected for graphs that are not
     connected, and StructureViolation should the ear cut along the hull fail.
+    The proof is kept on g, so a second call on the same object, or a
+    ``check_certificate`` of the certificate, cuts nothing.
     """
     return _proof(g)[0]
 
@@ -105,7 +111,10 @@ def check_certificate(g: Graph, cert: MopCertificate) -> list[tuple[int, int, in
     with g's edges off it as chords.  cert.cycle is that normalized form
     when it starts at 0 and runs towards the smaller of 0's two hull
     neighbours, so every other rotation or reflection of the hull is
-    rejected.
+    rejected.  A proof kept on g is compared with cert, not cut again; the
+    cut along cert.cycle runs only when none is kept or cycles differ, and
+    when it proves a normalized certificate it is kept in turn.  The list
+    returned is a fresh copy.
     """
     if g.order < 3:
         raise StructureViolation(f"order {g.order} is below the minimum of 3")
@@ -113,44 +122,71 @@ def check_certificate(g: Graph, cert: MopCertificate) -> list[tuple[int, int, in
     proved, triangles = _proof(g, cycle)
     if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != proved:
         raise StructureViolation("certificate does not match the hull and chord set of g")
-    return triangles
+    return list(triangles)
 
 
-def _proof(g: Graph, cycle=None) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
+def _proof(g: Graph, cycle=None) -> tuple[MopCertificate, tuple[tuple[int, int, int], ...]]:
     # The one proof of maximal outerplanarity: ``hull_triangles`` along
     # cycle, or else along the hull found from g's triangles, and the
     # certificate on it, the sides (a, b) of all but the root its chords.
+    # A proof along the normalized hull is kept on g and returned for no
+    # cycle or for that hull.  It implies that g is connected, so the BFS
+    # runs only when a proof from g alone fails.
+    kept = g._mop_proof
+    if kept is not None and (cycle is None or cycle == kept[0].cycle):
+        return kept
     n = g.order
     if cycle is None:
         if n < 3:
             raise WrongEdgeCount(f"order {n} is below the minimum of 3")
-        if not is_connected(g):
-            raise Disconnected("graph is not connected")
-        expected = 2 * n - 3
-        if len(g.edges) != expected:
-            raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
-        adj_sets = [set(a) for a in g.adjacency]
-        hull_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(g.edges):
-            t = len(adj_sets[u] & adj_sets[v])
-            if t > 2:
-                raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
-            if t == 1:
-                hull_adj[u].append(v)
-                hull_adj[v].append(u)
-        bad = [v for v in range(n) if len(hull_adj[v]) != 2]
-        if bad:
-            raise HullNotHamiltonian(
-                f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
-            )
-        # Leaving 0 towards its smaller neighbor gives the normalized cycle.
-        cycle = _walk(hull_adj, 0, max(hull_adj[0]))
-        if len(cycle) < n:
-            raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
-    triangles = hull_triangles(g, cycle)
+        try:
+            cycle = _hull(g)
+            triangles = hull_triangles(g, cycle)
+        except NotAnMop:
+            _require_connected(g)
+            raise
+    else:
+        triangles = hull_triangles(g, cycle)
     sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
     chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
-    return MopCertificate(n, tuple(cycle), chords), triangles
+    proof = MopCertificate(n, tuple(cycle), chords), tuple(triangles)
+    if cycle[0] == 0 and cycle[1] < cycle[-1]:
+        object.__setattr__(g, "_mop_proof", proof)
+    return proof
+
+
+def _hull(g: Graph) -> list[int]:
+    # The normalized cycle of the edges in exactly one triangle, checked to
+    # span g, after the edge count and the triangles per edge.
+    n = g.order
+    expected = 2 * n - 3
+    if len(g.edges) != expected:
+        raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
+    adj_sets = [set(a) for a in g.adjacency]
+    hull_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(g.edges):
+        t = len(adj_sets[u] & adj_sets[v])
+        if t > 2:
+            raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
+        if t == 1:
+            hull_adj[u].append(v)
+            hull_adj[v].append(u)
+    bad = [v for v in range(n) if len(hull_adj[v]) != 2]
+    if bad:
+        raise HullNotHamiltonian(
+            f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
+        )
+    # Leaving 0 towards its smaller neighbor gives the normalized cycle.
+    cycle = _walk(hull_adj, 0, max(hull_adj[0]))
+    if len(cycle) < n:
+        raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
+    return cycle
+
+
+def _require_connected(g: Graph) -> None:
+    # Disconnected unless g is connected, by one BFS from vertex 0.
+    if not is_connected(g):
+        raise Disconnected("graph is not connected") from None
 
 
 def ear_cut(q) -> list[tuple[int, int, int]]:
@@ -230,8 +266,9 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
 
     Every triangle of a maximal outerplanar graph is an inner face, so the
     face list is the ear cut along cert.cycle, which ``check_certificate``
-    returns once it has proved cert equal to ``recognize(g)``; a face is
-    internal when none of its sides lies on the hull cycle.
+    returns once it has proved cert equal to ``recognize(g)``, or compared
+    cert with the proof kept on g; a face is internal when none of its
+    sides lies on the hull cycle.
     """
     return _stats(g.order, check_certificate(g, cert), list(map(len, g.adjacency)))
 

@@ -55,8 +55,8 @@ from operator import or_
 from typing import Sequence
 
 from .dual import mop_gp_lanes
-from .graph import Disconnected, Graph, GraphError, _bfs_levels, is_connected
-from .mop import MopCertificate, NotAnMop, _proof, check_certificate, maximal_fan
+from .graph import Graph, GraphError, _bfs_levels
+from .mop import MopCertificate, NotAnMop, _proof, _require_connected, check_certificate, maximal_fan
 from .verify import is_gp_levels
 
 DEFAULT_SEARCH_CAP = 40
@@ -220,8 +220,9 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
 
     Walks the widest maximal fan and keeps two out of every three consecutive
     path vertices (plus the final path vertex when the fan order is 2 mod 3).
-    cert must equal ``recognize(g)``, which ``check_certificate`` proves, and
-    the witness is checked by ``verify.is_gp_levels``, building no BFS row.
+    cert must equal ``recognize(g)``, which ``check_certificate`` proves, or
+    compares with the proof kept on g, and the witness is checked by
+    ``verify.is_gp_levels``, building no BFS row.
     An order above ``MOP_SEARCH_CAP`` raises ``SearchCapExceeded`` first.
     """
     if g.order > MOP_SEARCH_CAP:
@@ -271,21 +272,28 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     2n-3 edges, is solved over its dual tree; both give one result.  Either
     way one ear cut along the hull proves g maximal outerplanar, along a
     given certificate's cycle by ``check_certificate`` and otherwise along
-    the hull found from g, and the dual tree takes that cut's triangles.
-    Any other graph is searched in label order.  Connectivity comes first:
-    the proof from g alone tests it itself on 2n-3 edges and n >= 3, and
-    otherwise one BFS tests it before any certificate check.  All these
-    tests are linear, and only after them does the order meet its cap,
-    ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
+    the hull found from g, and the dual tree takes that cut's triangles; a
+    graph object that is already proved, by ``recognize`` or an earlier
+    certificate check, is not cut again.  Any other graph is searched in
+    label order.  Connectivity comes first, but a proof implies it, so one
+    BFS runs only when there is none: after a failed certificate check or
+    proof from g, which then raises Disconnected before its own error, and
+    on a graph without a certificate whose edge count rules out a MOP.  All
+    these tests are linear, and only after them does the order meet its
+    cap, ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
     """
     n = g.order
-    if cert is None and n >= 3 and len(g.edges) == 2 * n - 3:
+    if cert is not None:
+        try:
+            triangles = check_certificate(g, cert)
+        except NotAnMop:
+            _require_connected(g)
+            raise
+    elif n >= 3 and len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert, triangles = _proof(g)
-    elif not is_connected(g):
-        raise Disconnected("graph is not connected")
-    elif cert is not None:
-        triangles = check_certificate(g, cert)
+    else:
+        _require_connected(g)
     cap = DEFAULT_SEARCH_CAP if cert is None else MOP_SEARCH_CAP
     if n > cap and not force:
         raise SearchCapExceeded(

@@ -12,6 +12,10 @@ chord crossings from a scan of every pair of spans with no early exit, and
 a certificate's validity from its definition, a normalized Hamiltonian
 cycle of g whose other edges are chords that this pair scan finds
 non-crossing, with no ear cut.
+The proof of maximal outerplanarity, the certificate check and the solve
+have oracles that keep nothing on the graph (``proof_oracle``,
+``check_certificate_oracle``, ``gp_number_oracle``): every call cuts
+again, and connectivity is tested by BFS before anything else.
 The labelled census is rebuilt one triangulation at a time, each record
 from its own graph alone.
 """
@@ -19,21 +23,33 @@ from its own graph alone.
 from __future__ import annotations
 
 import random
+from contextlib import suppress
 from itertools import permutations
 
 from gpmop import (
     CensusRecord,
+    Disconnected,
+    EdgeInTooManyTriangles,
+    GpResult,
     Graph,
+    HullNotHamiltonian,
     MopCertificate,
+    NotAnMop,
+    SearchCapExceeded,
+    StructureViolation,
+    WrongEdgeCount,
     build_graph,
     canonical_form,
     enumerate_triangulations,
     generators_at,
     gp_number,
+    is_connected,
     is_generalized_sunflower,
     mop_stats,
     recognize,
 )
+from gpmop.mop import _walk, hull_triangles
+from gpmop.solve import DEFAULT_SEARCH_CAP, MOP_SEARCH_CAP, _mop_verified, _pair_block_masks, _search, _verified
 
 BIG = 10**6
 
@@ -124,6 +140,78 @@ def recognized_certificate(g: Graph, cert) -> bool:
         return False
     hull = {(min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
     return hull <= g.edges and cert.chords == g.edges - hull and first_crossing_pair(cycle, cert.chords) is None
+
+
+def proof_oracle(g: Graph, cycle=None) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
+    """The ear-cut proof that g is maximal outerplanar, cut afresh on every
+    call and kept nowhere: ``hull_triangles`` along cycle or, when none is
+    given, along the hull found from g after the order, a BFS for
+    connectivity, the edge count and the triangles per edge are checked.
+    Returns the certificate and the cut's triangles."""
+    n = g.order
+    if cycle is None:
+        if n < 3:
+            raise WrongEdgeCount(f"order {n} is below the minimum of 3")
+        if not is_connected(g):
+            raise Disconnected("graph is not connected")
+        expected = 2 * n - 3
+        if len(g.edges) != expected:
+            raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
+        adj_sets = [set(a) for a in g.adjacency]
+        hull_adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in sorted(g.edges):
+            t = len(adj_sets[u] & adj_sets[v])
+            if t > 2:
+                raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
+            if t == 1:
+                hull_adj[u].append(v)
+                hull_adj[v].append(u)
+        bad = [v for v in range(n) if len(hull_adj[v]) != 2]
+        if bad:
+            raise HullNotHamiltonian(
+                f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
+            )
+        cycle = _walk(hull_adj, 0, max(hull_adj[0]))
+        if len(cycle) < n:
+            raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
+    triangles = hull_triangles(g, cycle)
+    sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
+    chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
+    return MopCertificate(n, tuple(cycle), chords), triangles
+
+
+def check_certificate_oracle(g: Graph, cert) -> list[tuple[int, int, int]]:
+    """The triangles of the cut along cert.cycle, after ``proof_oracle``
+    along it and the test that cert is its normalized certificate."""
+    if g.order < 3:
+        raise StructureViolation(f"order {g.order} is below the minimum of 3")
+    cycle = cert.cycle
+    proved, triangles = proof_oracle(g, cycle)
+    if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != proved:
+        raise StructureViolation("certificate does not match the hull and chord set of g")
+    return triangles
+
+
+def gp_number_oracle(g: Graph, cert=None, *, force: bool = False) -> GpResult:
+    """``gp_number`` with connectivity first: a BFS before any certificate
+    check, or inside ``proof_oracle`` on 2n-3 edges with no certificate."""
+    n = g.order
+    if cert is None and n >= 3 and len(g.edges) == 2 * n - 3:
+        with suppress(NotAnMop):
+            cert, triangles = proof_oracle(g)
+    elif not is_connected(g):
+        raise Disconnected("graph is not connected")
+    elif cert is not None:
+        triangles = check_certificate_oracle(g, cert)
+    cap = DEFAULT_SEARCH_CAP if cert is None else MOP_SEARCH_CAP
+    if n > cap and not force:
+        raise SearchCapExceeded(
+            f"order {n} exceeds the search cap {cap}; pass force=True (gpmop gp --force) to override"
+        )
+    if cert is not None:
+        results, nodes = _mop_verified(g, triangles, [cert.cycle])
+        return GpResult(*results[0], nodes)
+    return _verified(g, *_search(n, _pair_block_masks(g)))
 
 
 def floyd_warshall(g: Graph) -> list[list[int]]:

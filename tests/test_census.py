@@ -1,4 +1,5 @@
 import hashlib
+import multiprocessing
 import re
 from functools import lru_cache
 from itertools import combinations
@@ -267,7 +268,7 @@ class RecordingPools:
 @pytest.fixture
 def pools(monkeypatch):
     fake = RecordingPools()
-    monkeypatch.setattr(census, "get_context", fake)
+    monkeypatch.setattr(multiprocessing, "get_context", fake)
     return fake
 
 
@@ -608,8 +609,8 @@ class TestClaims:
 
     def test_claims_build_no_row_from_a_witness(self, monkeypatch):
         # The degree claim checks its fan pattern by the level walk on the
-        # class graph, so the only BFS left is recognize's connectivity test
-        # from vertex 0 in the generator catalog.
+        # class graph, and recognize proves each catalog graph with no
+        # connectivity test, so no BFS runs at all.
         def counted(g, source):
             sources.add(source)
             return real_bfs(g, source)
@@ -619,7 +620,7 @@ class TestClaims:
         census._generator_catalog.cache_clear()
         census._claim_table.cache_clear()
         verify_paper_claims(4, 10)
-        assert sources == {0}
+        assert sources == set()
 
     def test_one_graph_per_class_built_in_its_task(self, monkeypatch):
         real, calls = census.graph_from_chords, []

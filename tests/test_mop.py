@@ -1,7 +1,9 @@
 import random
 import time
 from collections import Counter
+from contextlib import suppress
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,27 +12,35 @@ from hypothesis import strategies as st
 from gpmop import (
     Disconnected,
     EdgeInTooManyTriangles,
+    Graph,
+    GraphError,
     HullNotHamiltonian,
     MopCertificate,
+    NotAnMop,
     StructureViolation,
     WrongEdgeCount,
     build_graph,
     canonical_form,
     fan,
     generalized_sunflower,
+    gp_number,
     maximal_fan,
     mop_stats,
     recognize,
     straight_linear_2tree,
 )
 from gpmop import families
-from gpmop.census import enumerate_triangulations, graph_from_chords
+from gpmop.census import catalan, enumerate_triangulations, graph_from_chords
 from gpmop.mop import check_certificate, dihedral_images, ear_cut, hull_triangles
 from helpers import (
+    check_certificate_oracle,
     first_crossing_pair,
+    gp_number_oracle,
     graphs_isomorphic,
     polygon_certificate,
+    proof_oracle,
     random_mop,
+    random_moved_chord,
     recognized_certificate,
     relabeled,
 )
@@ -127,6 +137,24 @@ class TestRecognize:
         assert len(cert.chords) == 19997
 
 
+def turned_certificates(n):
+    # For each labelled triangulation of the n-gon: the graphs of its chord
+    # set, one chord fewer and one more, and the certificates of each of the
+    # 2n dihedral turns of the polygon (one of them normalized) with each of
+    # the three chord sets.
+    hull = [(p, p + 1) for p in range(n - 1)] + [(0, n - 1)]
+    for chords in enumerate_triangulations(n):
+        # The first pair that is no edge; the triangle has none.
+        extra = [e for e in combinations(range(n), 2) if e not in hull and e not in chords][:1]
+        chord_sets = {frozenset(chords), frozenset(chords[1:]), frozenset([*chords, *extra])}
+        graphs = [build_graph(n, hull + sorted(c)) for c in chord_sets]
+        certs = [
+            MopCertificate(n, tuple((t + flip * p) % n for p in range(n)), c)
+            for t, flip, c in product(range(n), (1, -1), chord_sets)
+        ]
+        yield graphs, certs
+
+
 class TestCheckCertificate:
     def test_triangle_chord_rejected(self):
         # The triangle's three edges are all on its cycle, so it has no chord.
@@ -165,22 +193,12 @@ class TestCheckCertificate:
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_agrees_with_recognize_on_every_triangulation(self, n):
-        # Each labelled triangulation with each of the 2n dihedral turns of
-        # its cycle (one of them normalized), each with its chord set, one
-        # chord fewer and one more, and the graph with a chord fewer or more.
         # Exactly one certificate per triangulation is its own.
-        hull = [(p, p + 1) for p in range(n - 1)] + [(0, n - 1)]
-        triangulations = list(enumerate_triangulations(n))
         accepted = 0
-        for chords in triangulations:
-            # The first pair that is no edge; the triangle has none.
-            extra = [e for e in combinations(range(n), 2) if e not in hull and e not in chords][:1]
-            chord_sets = {frozenset(chords), frozenset(chords[1:]), frozenset([*chords, *extra])}
-            graphs = [build_graph(n, hull + list(c)) for c in chord_sets]
-            for t, flip, g, c in product(range(n), (1, -1), graphs, chord_sets):
-                cycle = tuple((t + flip * p) % n for p in range(n))
-                accepted += assert_check_agrees(g, MopCertificate(n, cycle, c))
-        assert accepted == len(triangulations)
+        for graphs, certs in turned_certificates(n):
+            for g, cert in product(graphs, certs):
+                accepted += assert_check_agrees(g, cert)
+        assert accepted == catalan(n - 2)
 
     @given(st.integers(0, 10**9), st.sampled_from(["none", "rotate", "reflect", "swap", "order", "drop", "add"]))
     @settings(max_examples=200, deadline=None)
@@ -237,6 +255,125 @@ def assert_check_agrees(g, cert) -> bool:
     else:
         assert expected, cert
     return expected
+
+
+def outcome(fn, *args):
+    # The value, or the error's type and message.
+    try:
+        return fn(*args)
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def recognize_oracle(g):
+    return proof_oracle(g)[0]
+
+
+def gp_cert(g, cert):
+    return gp_number(g, cert=cert)
+
+
+def gp_cert_oracle(g, cert):
+    return gp_number_oracle(g, cert=cert)
+
+
+def assert_kept_proof_agrees(base, certs) -> int:
+    # recognize, check_certificate and gp_number with and without each
+    # certificate give the oracles' values, or their error types and
+    # messages, on copies of base: when recognize runs first, when the
+    # certificates are checked first, and on a fresh copy per call.  The
+    # oracles cut again on every call and test connectivity first.  Returns
+    # the number of certificates accepted.
+    def fresh():
+        return Graph(base.order, base.edges, base.adjacency)
+
+    rec, free = outcome(recognize_oracle, base), outcome(gp_number_oracle, base)
+    expected = [(cert, outcome(check_certificate_oracle, base, cert), outcome(gp_cert_oracle, base, cert)) for cert in certs]
+
+    def certified(g):
+        for cert, check, solve in expected:
+            assert outcome(check_certificate, g, cert) == check, cert
+            assert outcome(gp_cert, g, cert) == solve, cert
+
+    g = fresh()
+    assert outcome(recognize, g) == rec
+    certified(g)
+    assert outcome(gp_number, g) == free
+    g = fresh()
+    certified(g)
+    assert outcome(recognize, g) == rec
+    assert outcome(gp_number, g) == free
+    for cert, check, solve in expected:
+        assert outcome(check_certificate, fresh(), cert) == check, cert
+        assert outcome(gp_cert, fresh(), cert) == solve, cert
+    assert outcome(recognize, fresh()) == rec
+    assert outcome(gp_number, fresh()) == free
+    return sum(isinstance(check, list) for _, check, _ in expected)
+
+
+def assert_mop_edge_count_agrees(rng, n, edges):
+    # A graph with 2n-3 edges, with the polygon's cycle and a random one,
+    # each with the graph's other edges as chords.
+    assert len(edges) == 2 * n - 3
+    certs = []
+    for cycle in (tuple(range(n)), tuple(rng.sample(range(n), n))):
+        ring = {(min(u, v), max(u, v)) for u, v in zip(cycle, cycle[1:] + cycle[:1])}
+        certs.append(MopCertificate(n, cycle, frozenset(e for e in edges if e not in ring)))
+    assert_kept_proof_agrees(build_graph(n, edges), certs)
+
+
+class TestKeptProof:
+    """The proof kept on a graph against the proof cut afresh on every call,
+    with connectivity tested first (``tests/helpers.py``)."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_every_triangulation_turn_and_chord_set(self, n):
+        # test_agrees_with_recognize_on_every_triangulation's corpus.
+        accepted = 0
+        for graphs, certs in turned_certificates(n):
+            for g in graphs:
+                accepted += assert_kept_proof_agrees(g, certs)
+        assert accepted == catalan(n - 2)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_graphs_with_a_mop_edge_count(self, seed):
+        # 2n-3 random edges: on any pairs for an even seed, mostly connected,
+        # and on pairs inside two parts for an odd one, so disconnected.
+        rng = random.Random(seed)
+        n = rng.randint(3, 9) if seed % 2 == 0 else rng.randint(6, 10)
+        pairs = list(combinations(range(n), 2))
+        if seed % 2:
+            k = rng.choice([k for k in range(n // 2, n) if comb(k, 2) + comb(n - k, 2) >= 2 * n - 3])
+            pairs = [(a, b) for a, b in pairs if (a < k) == (b < k)]
+        assert_mop_edge_count_agrees(rng, n, rng.sample(pairs, 2 * n - 3))
+
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (7, [*combinations(range(5), 2), (5, 6)]),
+            (5, [(0, 1)] + [(a, b) for a in (0, 1) for b in (2, 3, 4)]),
+            (6, [(a, b) for a in (0, 2, 4) for b in (1, 3, 5)]),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)]),
+        ],
+        ids=["K5_and_K2", "three_page_book", "K33", "C5_crossed"],
+    )
+    def test_named_graphs_with_a_mop_edge_count(self, n, edges):
+        assert_mop_edge_count_agrees(random.Random(n), n, edges)
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_mops_and_moved_chords(self, seed, moved):
+        # The oracle's certificate where it recognizes the graph, one turn of
+        # its cycle, and the label-order polygon's certificate.
+        rng = random.Random(seed)
+        n = rng.randint(5, 30)
+        g = (random_moved_chord if moved else random_mop)(rng, n)
+        certs = [MopCertificate(n, tuple(range(n)), frozenset(e for e in g.edges if e[1] - e[0] not in (1, n - 1)))]
+        with suppress(NotAnMop):
+            cert = proof_oracle(g)[0]
+            k = rng.randrange(1, n)
+            certs += [cert, MopCertificate(n, cert.cycle[k:] + cert.cycle[:k], cert.chords)]
+        assert (assert_kept_proof_agrees(g, certs) == 0) == moved
 
 
 class TestStats:

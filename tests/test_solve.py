@@ -21,6 +21,7 @@ from gpmop import (
     is_gp_characterized,
     is_gp_naive,
     mop_greedy_lower_bound,
+    mop_stats,
     path,
     quasi_fan,
     recognize,
@@ -29,6 +30,7 @@ from gpmop import (
 )
 from gpmop import census, graph, mop, solve
 from gpmop.census import graph_from_chords
+from gpmop.mop import check_certificate
 from helpers import (
     brute_force_gp,
     eager_row_search,
@@ -215,9 +217,11 @@ class TestGpNumber:
         assert calls == [cert.cycle, None]
 
     def test_recognized_mop_is_not_proved_again(self, monkeypatch):
-        # Either route runs one hull_triangles, along the hull found from g
-        # or along the given certificate's cycle, and the dual tree takes
-        # that cut's triangles; both routes give one result.
+        # Each graph object runs one hull_triangles, along the hull found from
+        # g or along the given certificate's cycle, and the dual tree takes
+        # that cut's triangles; the proof is kept on g, so recognize and every
+        # later solve of the same object cut nothing, and both routes give
+        # one result.  An equal but distinct graph is proved again.
         calls = []
 
         def counted(g, cycle):
@@ -233,9 +237,11 @@ class TestGpNumber:
             g = random_mop(rng, n)
             res = gp_number(g)
             cert = recognize(g)
-            assert calls == [cert.cycle, cert.cycle], n
+            assert calls == [cert.cycle], n
             calls.clear()
-            assert gp_number(g, cert=cert) == res, n
+            assert gp_number(g, cert=cert) == res == gp_number(g), n
+            assert calls == [], n
+            assert gp_number(build_graph(n, sorted(g.edges)), cert=cert) == res, n
             assert calls == [cert.cycle], n
             calls.clear()
 
@@ -368,10 +374,9 @@ class TestGpNumber:
         assert (res.value, res.witness) == brute_force_gp(g)
 
     def test_mop_reads_only_the_rows_its_check_needs(self, monkeypatch):
-        # On a MOP no full distance table and no conflict masks, and one BFS
-        # from vertex 0: inside recognize, which answers connectivity, when
-        # no certificate is given, and for connectivity alone when one is,
-        # as the certificate check builds no row.
+        # On a MOP no full distance table, no conflict masks and no BFS at
+        # all: a successful proof implies connectivity, on a recognized graph
+        # and on a fresh one, with or without a certificate.
         # The witness check walks BFS levels as bitmasks and builds no row;
         # this witness lacks vertex 0, so a row for it would show.
         def forbidden(*args):
@@ -386,20 +391,20 @@ class TestGpNumber:
         monkeypatch.setattr(graph, "all_pairs_distances", forbidden)
         monkeypatch.setattr(solve, "_pair_block_masks", forbidden)
         g = random_mop(random.Random(7), 30)
-        for cert in (None, recognize(g)):
-            sources.clear()
-            res = gp_number(g, cert=cert)
+        cert = recognize(g)
+        for h, c in ((g, cert), (build_graph(30, sorted(g.edges)), cert), (build_graph(30, sorted(g.edges)), None)):
+            res = gp_number(h, cert=c)
             assert 0 not in res.witness
-            assert sources == [0]
+            assert sources == []
         rng = random.Random(30)
         for n in range(3, 10):
             h = random_mop(rng, n)
             res = gp_number(h)
             assert (res.value, res.witness) == brute_force_gp(h)
 
-    def test_mop_without_certificate_runs_one_bfs_from_zero(self, monkeypatch):
-        # recognize's connectivity test is the only BFS of the solve, also
-        # when the witness holds vertex 0 and when labels run off the hull.
+    def test_mop_without_certificate_runs_no_bfs(self, monkeypatch):
+        # The proof from g implies connectivity, so a MOP solve runs no BFS,
+        # also when the witness holds vertex 0 and when labels run off the hull.
         def counted(g, source):
             sources.append(source)
             return real_bfs(g, source)
@@ -410,10 +415,47 @@ class TestGpNumber:
         zero_in_witness = 0
         for n in (3, 12, 30, 60):
             for g in (random_mop(rng, n), relabeled(random_mop(rng, n), rng.sample(range(n), n))):
-                sources.clear()
                 zero_in_witness += 0 in gp_number(g).witness
-                assert sources == [0]
+                assert sources == []
         assert zero_in_witness
+
+    def test_one_graph_is_proved_once(self, monkeypatch):
+        # recognize, then the certified solve, mop_stats and the fan bound on
+        # one graph cut once and run no BFS; an equal but distinct graph is
+        # proved again, and a returned triangle list is the caller's own.
+        cuts, sources = [], []
+
+        def counted_cut(g, cycle):
+            cuts.append(g)
+            return real_hull(g, cycle)
+
+        def counted_bfs(g, source):
+            sources.append(source)
+            return real_bfs(g, source)
+
+        real_hull, real_bfs = mop.hull_triangles, graph.bfs_distances
+        monkeypatch.setattr(mop, "hull_triangles", counted_cut)
+        monkeypatch.setattr(graph, "bfs_distances", counted_bfs)
+        rng = random.Random(42)
+        for n in (3, 4, 9, 40):
+            g = random_mop(rng, n)
+            cert = recognize(g)
+            res = gp_number(g, cert=cert)
+            stats = mop_stats(g, cert)
+            bound = mop_greedy_lower_bound(g, cert)
+            assert cuts == [g] and sources == [], n
+            twin = build_graph(n, sorted(g.edges))
+            assert twin == g and twin is not g
+            assert gp_number(twin, cert=cert) == res and recognize(twin) == cert
+            assert len(cuts) == 2 and cuts[1] is twin and sources == [], n
+            triangles = check_certificate(g, cert)
+            triangles.reverse()
+            triangles.append((0, 0, 0))
+            assert check_certificate(g, cert) == triangles[-2::-1]
+            assert gp_number(g, cert=cert) == gp_number(g) == res
+            assert mop_stats(g, cert) == stats and mop_greedy_lower_bound(g, cert) == bound
+            assert len(cuts) == 2 and sources == [], n
+            cuts.clear()
 
     def test_bad_certificate(self):
         from gpmop import MopCertificate, StructureViolation
