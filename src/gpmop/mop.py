@@ -6,14 +6,16 @@ a single spanning cycle, the hull, and the ear cut of the degrees minus one
 along the hull, the one proof that ``recognize`` and ``check_certificate``
 share, yields n-2 triangles whose sides are exactly the edges: the n-3
 edges off the hull are then non-crossing chords, and the graph is
-connected.  Each graph object is proved once: the proof is kept on it, so
-a later ``recognize``, ``check_certificate`` or ``mop_stats`` compares
-rather than cuts again, and only a failed proof runs the connectivity test
-that decides between ``Disconnected`` and the structural rejection.  The
-package has no other crossing test: ``hull_triangles`` along a given
-polygon also judges the generalized sunflower's base chords and the
-census's segment claim.  ``graph_from_chords`` is the one polygon
-builder.  Every rejection names its evidence.
+connected.  Each graph object is proved once, from its own hull: the proof
+is kept on it, so a later ``recognize``, ``check_certificate`` or
+``mop_stats`` compares rather than cuts again, and only a failed proof runs
+the connectivity test that decides between ``Disconnected`` and the
+structural rejection.  A certificate is an output: one given back is
+compared with the proof, never cut along.  The package has no other
+crossing test: ``hull_triangles`` along the polygon order 0..n-1 also
+judges the generalized sunflower's base chords and the census's segment
+claim.  ``graph_from_chords`` is the one polygon builder.  Every rejection
+names its evidence.
 """
 
 from __future__ import annotations
@@ -92,73 +94,59 @@ def _walk(adj, start: int, behind: int | None) -> list[int]:
 def recognize(g: Graph) -> MopCertificate:
     """Accept a maximal outerplanar graph, returning its certificate.
 
-    Raises WrongEdgeCount, EdgeInTooManyTriangles or HullNotHamiltonian
-    with the offending evidence, Disconnected for graphs that are not
-    connected, and StructureViolation should the ear cut along the hull fail.
-    The proof is kept on g, so a second call on the same object, or a
-    ``check_certificate`` of the certificate, cuts nothing.
+    Raises Disconnected for graphs that are not connected, before any
+    structural error; else WrongEdgeCount, EdgeInTooManyTriangles or
+    HullNotHamiltonian with the offending evidence, and StructureViolation
+    should the ear cut along the hull fail.  The proof is kept on g, so a
+    second call on the same object, or a ``check_certificate`` of the
+    certificate, cuts nothing.
     """
     return _proof(g)[0]
 
 
 def check_certificate(g: Graph, cert: MopCertificate) -> list[tuple[int, int, int]]:
-    """Return ``hull_triangles(g, cert.cycle)``, raising StructureViolation
+    """Return the triangles of g's own proof, raising StructureViolation
     unless cert equals recognize(g), in time linear in the order.
 
-    n-2 cut triangles whose sides are exactly g's edges prove that g is the
-    MOP with hull cert.cycle, and a MOP has one Hamiltonian cycle, its hull;
-    so recognize(g) is that cycle normalized as MopCertificate describes,
-    with g's edges off it as chords.  cert.cycle is that normalized form
-    when it starts at 0 and runs towards the smaller of 0's two hull
-    neighbours, so every other rotation or reflection of the hull is
-    rejected.  A proof kept on g is compared with cert, not cut again; the
-    cut along cert.cycle runs only when none is kept or cycles differ, and
-    when it proves a normalized certificate it is kept in turn.  The list
-    returned is a fresh copy.
+    A certificate carries nothing that g lacks, since a MOP has one
+    Hamiltonian cycle, its hull: g is proved from the hull found from g, as
+    ``recognize`` proves it, and cert is compared with that proof, never
+    cut along.  A graph that is no MOP raises recognize's own error.  The
+    list returned is a fresh copy.
     """
-    if g.order < 3:
-        raise StructureViolation(f"order {g.order} is below the minimum of 3")
-    cycle = cert.cycle
-    proved, triangles = _proof(g, cycle)
-    if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != proved:
+    proved, triangles = _proof(g)
+    if cert != proved:
         raise StructureViolation("certificate does not match the hull and chord set of g")
     return list(triangles)
 
 
-def _proof(g: Graph, cycle=None) -> tuple[MopCertificate, tuple[tuple[int, int, int], ...]]:
-    # The one proof of maximal outerplanarity: ``hull_triangles`` along
-    # cycle, or else along the hull found from g's triangles, and the
-    # certificate on it, the sides (a, b) of all but the root its chords.
-    # A proof along the normalized hull is kept on g and returned for no
-    # cycle or for that hull.  It implies that g is connected, so the BFS
-    # runs only when a proof from g alone fails.
+def _proof(g: Graph) -> tuple[MopCertificate, tuple[tuple[int, int, int], ...]]:
+    # The one proof of maximal outerplanarity: ``hull_triangles`` along the
+    # normalized hull found from g's triangles, and the certificate on it,
+    # the sides (a, b) of all but the root its chords.  It is kept on g, and
+    # it implies that g is connected, so the BFS runs only when it fails.
     kept = g._mop_proof
-    if kept is not None and (cycle is None or cycle == kept[0].cycle):
+    if kept is not None:
         return kept
-    n = g.order
-    if cycle is None:
-        if n < 3:
-            raise WrongEdgeCount(f"order {n} is below the minimum of 3")
-        try:
-            cycle = _hull(g)
-            triangles = hull_triangles(g, cycle)
-        except NotAnMop:
-            _require_connected(g)
-            raise
-    else:
+    try:
+        cycle = _hull(g)
         triangles = hull_triangles(g, cycle)
+    except NotAnMop:
+        _require_connected(g)
+        raise
     sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
     chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
-    proof = MopCertificate(n, tuple(cycle), chords), tuple(triangles)
-    if cycle[0] == 0 and cycle[1] < cycle[-1]:
-        object.__setattr__(g, "_mop_proof", proof)
+    proof = MopCertificate(g.order, tuple(cycle), chords), tuple(triangles)
+    object.__setattr__(g, "_mop_proof", proof)
     return proof
 
 
 def _hull(g: Graph) -> list[int]:
     # The normalized cycle of the edges in exactly one triangle, checked to
-    # span g, after the edge count and the triangles per edge.
+    # span g, after the order, the edge count and the triangles per edge.
     n = g.order
+    if n < 3:
+        raise WrongEdgeCount(f"order {n} is below the minimum of 3")
     expected = 2 * n - 3
     if len(g.edges) != expected:
         raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
@@ -221,7 +209,9 @@ def ear_cut(q) -> list[tuple[int, int, int]]:
 
 def hull_triangles(g: Graph, cycle) -> list[tuple[int, int, int]]:
     """The n-2 triangles of g as hull positions (a, c, b), a < c < b, along
-    cycle: the ``ear_cut`` of the degrees minus one along cycle.
+    cycle: the ``ear_cut`` of the degrees minus one along cycle.  cycle must
+    be a permutation of g's vertices, which is not checked: the hull that
+    ``_hull`` found from g, or the polygon order ``range(n)``.
 
     Raises StructureViolation unless the cut yields n-2 triangles whose
     sides, the hull edges and the (a, b) of every triangle but the root, are
@@ -231,8 +221,6 @@ def hull_triangles(g: Graph, cycle) -> list[tuple[int, int, int]]:
     sequence, so its cut yields n-2 triangles.
     """
     n = g.order
-    if sorted(cycle) != list(range(n)):
-        raise StructureViolation("certificate cycle is not a permutation of the vertices")
     triangles = ear_cut([len(g.adjacency[v]) - 1 for v in cycle])
     if len(triangles) != n - 2:
         raise StructureViolation(f"expected {n - 2} inner faces, found {len(triangles)} along the cycle")
@@ -265,10 +253,10 @@ def mop_stats(g: Graph, cert: MopCertificate) -> MopStats:
     consumes.
 
     Every triangle of a maximal outerplanar graph is an inner face, so the
-    face list is the ear cut along cert.cycle, which ``check_certificate``
-    returns once it has proved cert equal to ``recognize(g)``, or compared
-    cert with the proof kept on g; a face is internal when none of its
-    sides lies on the hull cycle.
+    face list is the ear cut of g's own proof along its hull, which
+    ``check_certificate`` returns once it has compared cert with that proof;
+    a face is internal when none of its sides lies on the hull cycle.  A
+    graph that is no MOP raises recognize's own error.
     """
     return _stats(g.order, check_certificate(g, cert), list(map(len, g.adjacency)))
 

@@ -220,8 +220,8 @@ def mop_greedy_lower_bound(g: Graph, cert: MopCertificate) -> tuple[int, tuple[i
 
     Walks the widest maximal fan and keeps two out of every three consecutive
     path vertices (plus the final path vertex when the fan order is 2 mod 3).
-    cert must equal ``recognize(g)``, which ``check_certificate`` proves, or
-    compares with the proof kept on g, and the witness is checked by
+    cert must equal ``recognize(g)``, which ``check_certificate`` compares
+    with g's own proof, and the witness is checked by
     ``verify.is_gp_levels``, building no BFS row.
     An order above ``MOP_SEARCH_CAP`` raises ``SearchCapExceeded`` first.
     """
@@ -270,25 +270,20 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     The witness is the lexicographically smallest maximum set.  A MOP, known
     by a given certificate or else by ``recognize``'s proof on a graph with
     2n-3 edges, is solved over its dual tree; both give one result.  Either
-    way one ear cut along the hull proves g maximal outerplanar, along a
-    given certificate's cycle by ``check_certificate`` and otherwise along
-    the hull found from g, and the dual tree takes that cut's triangles; a
-    graph object that is already proved, by ``recognize`` or an earlier
-    certificate check, is not cut again.  Any other graph is searched in
-    label order.  Connectivity comes first, but a proof implies it, so one
-    BFS runs only when there is none: after a failed certificate check or
-    proof from g, which then raises Disconnected before its own error, and
-    on a graph without a certificate whose edge count rules out a MOP.  All
-    these tests are linear, and only after them does the order meet its
-    cap, ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP`` else.
+    way g is proved by one ear cut along the hull found from g, kept on g,
+    and the dual tree takes its triangles; a given certificate is only
+    compared with that proof (``check_certificate``).  Any other graph is
+    searched in label order.  Connectivity comes first, but a proof implies
+    it, so one BFS runs only when there is none: after a failed proof, with
+    or without a certificate, which then raises Disconnected before its own
+    error, and on a graph without a certificate whose edge count rules out
+    a MOP.  All these tests are linear, and only after them does the order
+    meet its cap, ``MOP_SEARCH_CAP`` for a MOP and ``DEFAULT_SEARCH_CAP``
+    else.
     """
     n = g.order
     if cert is not None:
-        try:
-            triangles = check_certificate(g, cert)
-        except NotAnMop:
-            _require_connected(g)
-            raise
+        triangles = check_certificate(g, cert)
     elif n >= 3 and len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert, triangles = _proof(g)

@@ -15,7 +15,9 @@ non-crossing, with no ear cut.
 The proof of maximal outerplanarity, the certificate check and the solve
 have oracles that keep nothing on the graph (``proof_oracle``,
 ``check_certificate_oracle``, ``gp_number_oracle``): every call cuts
-again, and connectivity is tested by BFS before anything else.
+again along the hull found from the graph, connectivity is tested by BFS
+before anything else, and a given certificate is only compared with the
+proof.
 The labelled census is rebuilt one triangulation at a time, each record
 from its own graph alone.
 """
@@ -142,38 +144,37 @@ def recognized_certificate(g: Graph, cert) -> bool:
     return hull <= g.edges and cert.chords == g.edges - hull and first_crossing_pair(cycle, cert.chords) is None
 
 
-def proof_oracle(g: Graph, cycle=None) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
+def proof_oracle(g: Graph) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
     """The ear-cut proof that g is maximal outerplanar, cut afresh on every
-    call and kept nowhere: ``hull_triangles`` along cycle or, when none is
-    given, along the hull found from g after the order, a BFS for
-    connectivity, the edge count and the triangles per edge are checked.
-    Returns the certificate and the cut's triangles."""
+    call and kept nowhere: ``hull_triangles`` along the hull found from g
+    after a BFS for connectivity, the order, the edge count and the
+    triangles per edge are checked.  Returns the certificate and the cut's
+    triangles."""
     n = g.order
-    if cycle is None:
-        if n < 3:
-            raise WrongEdgeCount(f"order {n} is below the minimum of 3")
-        if not is_connected(g):
-            raise Disconnected("graph is not connected")
-        expected = 2 * n - 3
-        if len(g.edges) != expected:
-            raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
-        adj_sets = [set(a) for a in g.adjacency]
-        hull_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in sorted(g.edges):
-            t = len(adj_sets[u] & adj_sets[v])
-            if t > 2:
-                raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
-            if t == 1:
-                hull_adj[u].append(v)
-                hull_adj[v].append(u)
-        bad = [v for v in range(n) if len(hull_adj[v]) != 2]
-        if bad:
-            raise HullNotHamiltonian(
-                f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
-            )
-        cycle = _walk(hull_adj, 0, max(hull_adj[0]))
-        if len(cycle) < n:
-            raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
+    if not is_connected(g):
+        raise Disconnected("graph is not connected")
+    if n < 3:
+        raise WrongEdgeCount(f"order {n} is below the minimum of 3")
+    expected = 2 * n - 3
+    if len(g.edges) != expected:
+        raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
+    adj_sets = [set(a) for a in g.adjacency]
+    hull_adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(g.edges):
+        t = len(adj_sets[u] & adj_sets[v])
+        if t > 2:
+            raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
+        if t == 1:
+            hull_adj[u].append(v)
+            hull_adj[v].append(u)
+    bad = [v for v in range(n) if len(hull_adj[v]) != 2]
+    if bad:
+        raise HullNotHamiltonian(
+            f"single-triangle edges give vertex {bad[0]} hull degree {len(hull_adj[bad[0]])}"
+        )
+    cycle = _walk(hull_adj, 0, max(hull_adj[0]))
+    if len(cycle) < n:
+        raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
     triangles = hull_triangles(g, cycle)
     sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
     chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
@@ -181,28 +182,26 @@ def proof_oracle(g: Graph, cycle=None) -> tuple[MopCertificate, list[tuple[int, 
 
 
 def check_certificate_oracle(g: Graph, cert) -> list[tuple[int, int, int]]:
-    """The triangles of the cut along cert.cycle, after ``proof_oracle``
-    along it and the test that cert is its normalized certificate."""
-    if g.order < 3:
-        raise StructureViolation(f"order {g.order} is below the minimum of 3")
-    cycle = cert.cycle
-    proved, triangles = proof_oracle(g, cycle)
-    if cycle[0] != 0 or cycle[1] > cycle[-1] or cert != proved:
+    """The triangles of ``proof_oracle(g)``, after the test that cert is
+    its certificate."""
+    proved, triangles = proof_oracle(g)
+    if cert != proved:
         raise StructureViolation("certificate does not match the hull and chord set of g")
     return triangles
 
 
 def gp_number_oracle(g: Graph, cert=None, *, force: bool = False) -> GpResult:
-    """``gp_number`` with connectivity first: a BFS before any certificate
-    check, or inside ``proof_oracle`` on 2n-3 edges with no certificate."""
+    """``gp_number`` with connectivity first: a given certificate is checked
+    by ``check_certificate_oracle``, whose proof runs a BFS first; with no
+    certificate the proof runs on 2n-3 edges and a BFS on any other count."""
     n = g.order
-    if cert is None and n >= 3 and len(g.edges) == 2 * n - 3:
+    if cert is not None:
+        triangles = check_certificate_oracle(g, cert)
+    elif n >= 3 and len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert, triangles = proof_oracle(g)
     elif not is_connected(g):
         raise Disconnected("graph is not connected")
-    elif cert is not None:
-        triangles = check_certificate_oracle(g, cert)
     cap = DEFAULT_SEARCH_CAP if cert is None else MOP_SEARCH_CAP
     if n > cap and not force:
         raise SearchCapExceeded(

@@ -140,6 +140,14 @@ class TestRecognize:
         f = generate(tmp_path, "sunflower", 4)
         assert main(["recognize", f]) == 1
 
+    def test_order_two_without_edges_is_disconnected(self, tmp_path, capsys):
+        # Disconnected comes before the order, as in gp; K2 is connected, so
+        # its order is the error.
+        assert main(["recognize", write_graph(tmp_path, "two.txt", "2\n")]) == 1
+        assert capsys.readouterr().out == "rejected: Disconnected: graph is not connected\n"
+        assert main(["recognize", write_graph(tmp_path, "k2.txt", "2\n0 1\n")]) == 1
+        assert capsys.readouterr().out == "rejected: WrongEdgeCount: order 2 is below the minimum of 3\n"
+
 
 class TestGenerate:
     def test_gsf_header(self, tmp_path):

@@ -94,6 +94,9 @@ class TestRecognize:
     def test_too_small(self):
         with pytest.raises(WrongEdgeCount):
             recognize(build_graph(2, [(0, 1)]))
+        # Disconnected comes before any structural error, the order's too.
+        with pytest.raises(Disconnected):
+            recognize(build_graph(2, []))
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_every_triangulation_accepted(self, n):
@@ -163,19 +166,21 @@ class TestCheckCertificate:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_order_below_three_rejected(self, n):
+        # The graph is proved from its own hull, whatever the certificate, so
+        # recognize's error names the order.
         g = build_graph(n, [(0, 1)] if n == 2 else [])
         for cert in (
             MopCertificate(n, tuple(range(n)), frozenset()),
             MopCertificate(5, (0,), frozenset()),
         ):
-            with pytest.raises(StructureViolation, match="minimum of 3"):
+            with pytest.raises(WrongEdgeCount, match=f"order {n} is below the minimum of 3"):
                 check_certificate(g, cert)
 
     def test_crossing_chords_rejected(self):
         # C5 plus the crossing chords (0,2) and (1,3) has 2n-3 edges but is
-        # not maximal outerplanar.
+        # not maximal outerplanar: vertex 4's edges lie in no triangle.
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
-        with pytest.raises(StructureViolation):
+        with pytest.raises(HullNotHamiltonian, match="single-triangle edges give vertex 4 hull degree 0"):
             check_certificate(g, MopCertificate(5, (0, 1, 2, 3, 4), frozenset({(0, 2), (1, 3)})))
 
     def test_rotated_cycle_rejected(self):
@@ -245,15 +250,13 @@ class TestCheckCertificate:
 
 
 def assert_check_agrees(g, cert) -> bool:
-    # check_certificate accepts exactly when the definition oracle does;
-    # returns whether both accept.
+    # check_certificate gives the oracle's triangles, or its error type and
+    # message, and accepts exactly when the definition oracle does; returns
+    # whether both accept.
     expected = recognized_certificate(g, cert)
-    try:
-        check_certificate(g, cert)
-    except StructureViolation:
-        assert not expected, cert
-    else:
-        assert expected, cert
+    got = outcome(check_certificate, g, cert)
+    assert got == outcome(check_certificate_oracle, g, cert), cert
+    assert isinstance(got, list) == expected, cert
     return expected
 
 
@@ -360,6 +363,15 @@ class TestKeptProof:
     def test_named_graphs_with_a_mop_edge_count(self, n, edges):
         assert_mop_edge_count_agrees(random.Random(n), n, edges)
 
+    @pytest.mark.parametrize(
+        "n, edges", [(1, []), (2, []), (2, [(0, 1)])], ids=["K1", "two_isolated_vertices", "K2"]
+    )
+    def test_named_graphs_below_order_three(self, n, edges):
+        # Two isolated vertices are Disconnected before the order is judged;
+        # K1 and K2 are connected, so the order is the error.
+        certs = [MopCertificate(n, tuple(range(n)), frozenset()), MopCertificate(5, (0,), frozenset())]
+        assert assert_kept_proof_agrees(build_graph(n, edges), certs) == 0
+
     @given(st.integers(0, 10**9), st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_random_mops_and_moved_chords(self, seed, moved):
@@ -407,26 +419,24 @@ class TestStats:
             assert st_.internal_triangles == sum(hull_free)
 
     def test_triangle_free_graph_rejected(self):
-        # The degrees minus one are all 1: the cut takes the ears at 1 and 3,
-        # and then no count is left at 1.
+        # C5 is proved from its own hull, which its edge count rules out.
         cert = MopCertificate(5, (0, 1, 2, 3, 4), frozenset())
-        with pytest.raises(StructureViolation, match="expected 3 inner faces, found 2 along the cycle"):
+        with pytest.raises(WrongEdgeCount, match="expected 7 edges for order 5, found 5"):
             mop_stats(families.cycle(5).graph, cert)
-
 
     def test_cycle_that_is_not_the_hull_rejected(self):
         # A certificate whose cycle is a path and center order of the fan but
-        # swaps two path vertices: 0 and 2 are not adjacent.  The cut along it
-        # still yields 6 triangles, whose sides miss the edge (0, 1).
+        # swaps two path vertices: 0 and 2 are not adjacent.  The fan is
+        # proved from its own hull, which the certificate does not name.
         g = fan(8).graph
         cert = MopCertificate(8, (0, 2, 1, 3, 4, 5, 6, 7), recognize(g).chords)
-        with pytest.raises(StructureViolation, match=r"edge \(0,1\) is no side of the triangles"):
+        with pytest.raises(StructureViolation, match="chord set"):
             mop_stats(g, cert)
 
     def test_extra_chord_rejected(self):
-        # K4 holds the triangulation of its hull 0, 1, 2, 3 and one more chord:
-        # every degree minus one is 2, so no position is an ear tip.
-        with pytest.raises(StructureViolation, match="expected 2 inner faces, found 0"):
+        # K4 holds the triangulation of its hull 0, 1, 2, 3 and one more
+        # chord, one edge more than a MOP of order 4 has.
+        with pytest.raises(WrongEdgeCount, match="expected 5 edges for order 4, found 6"):
             mop_stats(complete_graph(4), MopCertificate(4, (0, 1, 2, 3), frozenset({(0, 2)})))
 
     def test_wrong_order_or_chord_set_rejected(self):
@@ -438,8 +448,9 @@ class TestStats:
                 mop_stats(g, wrong)
 
     def test_cycle_that_is_not_a_permutation_rejected(self):
+        # Compared with the fan's own proof, never cut along.
         g = fan(5).graph
-        with pytest.raises(StructureViolation, match="not a permutation"):
+        with pytest.raises(StructureViolation, match="chord set"):
             mop_stats(g, MopCertificate(5, (0, 1, 2, 3, 3), recognize(g).chords))
 
     @given(st.integers(0, 10**9))

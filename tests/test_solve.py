@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 
 from gpmop import (
     Disconnected,
+    HullNotHamiltonian,
     MopCertificate,
     NotAnMop,
     SearchCapExceeded,
+    StructureViolation,
+    WrongEdgeCount,
     all_pairs_distances,
     build_graph,
     complete,
@@ -196,25 +199,44 @@ class TestGpNumber:
         without = gp_number(g)
         assert with_cert == without
 
-    def test_relabelled_mop_certificate_changes_nothing(self, monkeypatch):
-        # A given certificate is proved along its own cycle, so no hull is
-        # searched for; without one, one proof finds the hull order.
+    def test_given_certificate_is_compared_not_cut(self, monkeypatch):
+        # A certificate carries nothing the graph lacks: on a fresh graph a
+        # right certificate and a wrong one each search the hull once and cut
+        # once, along the hull found from the graph, and on a proved graph a
+        # wrong certificate does neither.  The wrong ones are a turn of the
+        # hull and the label-order polygon of the relabelled MOP.
+        hulls, cuts = [], []
+
+        def counted_hull(h):
+            cycle = real_hull(h)
+            hulls.append(tuple(cycle))
+            return cycle
+
+        def counted_cut(h, cycle):
+            cuts.append(tuple(cycle))
+            return real_cut(h, cycle)
+
+        real_hull, real_cut = mop._hull, mop.hull_triangles
         g = random_mop(random.Random(5), 30)
         cert = recognize(g)
         assert cert.cycle != tuple(range(30))
-        calls = []
-        real_proof = mop._proof
-
-        def counted(h, cycle=None):
-            calls.append(cycle)
-            return real_proof(h, cycle)
-
-        monkeypatch.setattr(mop, "_proof", counted)
-        monkeypatch.setattr(solve, "_proof", counted)
-        with_cert = gp_number(g, cert=cert)
-        assert calls == [cert.cycle]
-        assert with_cert == gp_number(g)
-        assert calls == [cert.cycle, None]
+        ring = {(p, p + 1) for p in range(29)} | {(0, 29)}
+        wrong = [
+            MopCertificate(30, cert.cycle[1:] + cert.cycle[:1], cert.chords),
+            MopCertificate(30, tuple(range(30)), g.edges - ring),
+        ]
+        monkeypatch.setattr(mop, "_hull", counted_hull)
+        monkeypatch.setattr(mop, "hull_triangles", counted_cut)
+        for bad in wrong:
+            h = build_graph(30, sorted(g.edges))
+            for _ in range(2):
+                with pytest.raises(StructureViolation, match="chord set"):
+                    gp_number(h, cert=bad)
+                assert hulls == cuts == [cert.cycle]
+            hulls.clear()
+            cuts.clear()
+        assert gp_number(build_graph(30, sorted(g.edges)), cert=cert) == gp_number(g)
+        assert hulls == cuts == [cert.cycle]
 
     def test_recognized_mop_is_not_proved_again(self, monkeypatch):
         # Each graph object runs one hull_triangles, along the hull found from
@@ -473,21 +495,19 @@ class TestGpNumber:
             gp_number(complete(3).graph, cert=broken)
 
     def test_certificate_with_crossing_chords(self):
-        # C5 plus (0,2) and (1,3) is not maximal outerplanar.
-        from gpmop import MopCertificate, StructureViolation
-
+        # C5 plus (0,2) and (1,3) is not maximal outerplanar: the proof from
+        # its own hull finds that vertex 4's edges lie in no triangle.
         g = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (1, 3)])
         cert = MopCertificate(5, (0, 1, 2, 3, 4), frozenset({(0, 2), (1, 3)}))
-        with pytest.raises(StructureViolation):
+        with pytest.raises(HullNotHamiltonian, match="single-triangle edges give vertex 4 hull degree 0"):
             gp_number(g, cert=cert)
 
     def test_certificate_below_order_three(self):
-        # No order-2 graph is maximal outerplanar, so every certificate fails.
-        from gpmop import MopCertificate, StructureViolation
-
+        # No order-2 graph is maximal outerplanar, so every certificate fails
+        # with recognize's own error.
         g = build_graph(2, [(0, 1)])
         for cert in (MopCertificate(2, (0, 1), frozenset()), MopCertificate(5, (0,), frozenset())):
-            with pytest.raises(StructureViolation, match="minimum of 3"):
+            with pytest.raises(WrongEdgeCount, match="order 2 is below the minimum of 3"):
                 gp_number(g, cert=cert)
 
     def test_tiny_graphs(self):
@@ -601,12 +621,9 @@ class TestGpNumber:
         # A census record hands the dual-tree program its known hull 0..n-1,
         # so no hull is searched for once the family catalog is built.
         census._generator_catalog(9)
-        real_proof = mop._proof
 
-        def no_recognize(g, cycle=None):
-            if cycle is None:
-                raise AssertionError("census graph recognized")
-            return real_proof(g, cycle)
+        def no_recognize(g):
+            raise AssertionError("census graph recognized")
 
         monkeypatch.setattr(census, "recognize", no_recognize)
         monkeypatch.setattr(mop, "recognize", no_recognize)
