@@ -39,6 +39,7 @@ from .mop import (
     graph_from_chords,
     hull_triangles,
     image_key,
+    key_chords,
     recognize,
 )
 from .solve import _fan_pattern, _mop_verified
@@ -452,5 +453,17 @@ def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimRepo
     ]
 
 
+def _violation_text(v: str) -> str:
+    # An order-level entry as it is; a class, named by its canonical key in
+    # hex, by the chords of its least image in the CSV's form.
+    if "=" in v:
+        return v
+    return "chords=" + ";".join(f"{a}-{b}" for a, b in key_chords(bytes.fromhex(v)))
+
+
 def claim_report_text(reports: list[ClaimReport]) -> str:
-    return "\n".join(r.line() for r in reports) + "\n"
+    """Each report's line, followed by one indented line per violation."""
+    lines = []
+    for r in reports:
+        lines += [r.line(), *(f"  {_violation_text(v)}" for v in r.violations)]
+    return "\n".join(lines) + "\n"

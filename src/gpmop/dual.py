@@ -67,6 +67,11 @@ larger low part belongs to the set with the smallest differing label, so
 the best weight over the root states, with position 0 added when chosen,
 yields both gp and the lexicographically smallest maximum set.
 
+Since a state is a fact about a set, the program is exact at every order, by
+induction over the dual tree, if the merge gives each agreeing pair of sides
+the state of their union, or -1 exactly when it is not in general position:
+``TestMergePairByPair`` checks all 1,021 agreeing pairs of the 41 raw states.
+
 Quotient.  From the hull states the merge reaches 41 states, which fall into
 22 classes: the coarsest partition that keeps alpha and beta and that the
 merge preserves on either side, a rejected pair counting as a class of its
@@ -101,7 +106,7 @@ merged slot) by left slot; a join runs over those whose slots are present
 best root value.  A plan is the rows of the left slots present, each already
 cut to the right mask with the mask of its merged slots (``_rows``, one row
 set per right mask).  Joins reach 24 masks, so there are at most 24 row sets
-and 2 x 24 x 24 plans.  A fact of the quotient, not of any graph, the list
+and 24 x 24 plans.  A fact of the quotient, not of any graph, the list
 is a literal like ``_REP`` that no process derives; tests derive it from
 ``_merge``.
 """
@@ -173,7 +178,6 @@ _REP = {
 
 # The 22 states by slot: hull states (alpha, beta) = (0, 0), (0, 1), (1, 0), (1, 1) first.
 _SLOTS = (0, 2, 1, 3, 4, 8, 12, 16, 20, 24, 50, 56, 106, 108, 133, 140, 201, 216, 228, 230, 235, 237)
-_ALPHA, _BETA = (sum(1 << i for i, s in enumerate(_SLOTS) if s & bit) for bit in (1, 2))
 
 # Row i holds (i, j, k) for each slot j of cb that merges with slot i of ac
 # into slot k of ab: the 147 merging pairs (see Joins), derived in tests/test_dual.py.
@@ -200,7 +204,7 @@ _JOINS = (
 
 
 # Both caches are unbounded: joins reach 24 presence masks (pinned in tests),
-# so at most 24 row sets and 2 x 24 x 24 plans.
+# so at most 24 row sets and 24 x 24 plans.
 @lru_cache(maxsize=None)
 def _rows(right: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], int], ...]:
     """For the presence mask of cb: each row of ``_JOINS`` cut to the triples
@@ -210,22 +214,15 @@ def _rows(right: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], int], ...
 
 
 @lru_cache(maxsize=None)
-def _plan(left: int, right: int, root: bool) -> tuple[list[tuple[int, int, int]], int, int]:
-    """For the presence masks of ac and cb: the merging triples (i, j, k) of present
-    slots, every k 0 at the root, the mask of ab and the number of agreeing pairs."""
+def _plan(left: int, right: int) -> tuple[list[tuple[int, int, int]], int]:
+    """The merging triples (i, j, k) of the slots present in the masks of ac and cb, and the mask of ab."""
     triples: list[tuple[int, int, int]] = []
     mask = 0
     for i, (row, merged) in enumerate(_rows(right)):
         if left >> i & 1:
             triples += row
             mask |= merged
-    if root:
-        # Slot 0 alone holds the root, when any pair merges.
-        triples, mask = [(i, j, 0) for i, j, _ in triples], min(mask, 1)
-    # c is beta on the left and alpha on the right.
-    l1, r1 = (left & _BETA).bit_count(), (right & _ALPHA).bit_count()
-    pairs = (left.bit_count() - l1) * (right.bit_count() - r1) + l1 * r1
-    return triples, mask, pairs
+    return triples, mask
 
 
 def mop_gp_lanes(
@@ -235,7 +232,7 @@ def mop_gp_lanes(
     triples (a, c, b), a < c < b, with the lexicographically smallest
     maximum set under each labelling, where ``labellings[i][p]`` labels hull
     position p in lane i and the set of lane i is given in its labels, and
-    the number of state pairs merged.  The triangles are trusted, not
+    the number of slot pairs merged.  The triangles are trusted, not
     checked, in ``mop.ear_cut`` order: children first, root last."""
     # Lane i of a value is bits i*width .. i*width + top, bit top the guard (see Lanes).
     width = n + n.bit_length() + 1
@@ -251,12 +248,15 @@ def mop_gp_lanes(
 
     # Position 0's weight rides on alpha of hull edge (0, 1), so on every root value.
     tables = {(0, 1): (15, [0, weight[1], weight[0], weight[0] + weight[1]])}
-    pairs = 0
+    merges = 0
     # In ear-cut order an arc's children are joined before it.
     for a, c, b in triangles:
         lm, lv = tables.pop((a, c), None) or (15, [0, weight[c], 0, weight[c]])
         rm, rv = tables.pop((c, b), None) or (15, [0, weight[b], 0, weight[b]])
-        plan, mask, plan_pairs = _plan(lm, rm, b - a == n - 1)
+        plan, mask = _plan(lm, rm)
+        merges += len(plan)
+        if b - a == n - 1:  # slot 0 alone holds the root; nothing reads its mask
+            plan = [(i, j, 0) for i, j, _ in plan]
         # Each slot starts at 0, below every v in every lane, and ends at the lane-wise max (Lanes) of its v.
         values = [0] * len(_SLOTS)
         for i, j, k in plan:
@@ -274,7 +274,6 @@ def mop_gp_lanes(
             elif ge:
                 values[k] = u ^ ((v ^ u) & (ge - (ge >> top)))
         tables[a, b] = mask, values
-        pairs += plan_pairs
     best = tables[0, n - 1][1][0]
     results = []
     for i in range(len(labellings)):
@@ -287,4 +286,4 @@ def mop_gp_lanes(
             labels.append(n - b)
             low ^= 1 << b - 1
         results.append((lane >> n, tuple(labels)))
-    return results, pairs
+    return results, merges

@@ -302,6 +302,11 @@ def image_key(n: int, image: tuple[int, ...]) -> bytes:
     return b"".join(struct.pack(">HH", *divmod(c, n)) for c in image)
 
 
+def key_chords(key: bytes) -> list[tuple[int, int]]:
+    """The chords (a, b) that ``image_key`` packed into key, in its order."""
+    return list(struct.iter_unpack(">HH", key))
+
+
 def canonical_form(cert: MopCertificate) -> bytes:
     """Canonical key: chord positions minimized over all 2n dihedral relabelings.
 

@@ -75,9 +75,9 @@ class GpResult:
 
     ``witness`` is the lexicographically smallest maximum set under the
     vertex order.  ``nodes_explored`` is for diagnostics: on a maximal
-    outerplanar graph it counts the pairs of child states that the dual-tree
-    program merges, and on any other graph the search nodes of all n + 1
-    target searches.
+    outerplanar graph it counts the pairs of child slots that the joins of
+    the dual-tree program merge, and on any other graph the search nodes of
+    all n + 1 target searches.
     """
 
     value: int
@@ -284,7 +284,7 @@ def gp_number(g: Graph, cert: MopCertificate | None = None, *, force: bool = Fal
     n = g.order
     if cert is not None:
         triangles = check_certificate(g, cert)
-    elif n >= 3 and len(g.edges) == 2 * n - 3:
+    elif len(g.edges) == 2 * n - 3:
         with suppress(NotAnMop):
             cert, triangles = _proof(g)
     else:

@@ -8,6 +8,7 @@ every child's conflict rows written before it is visited, conflict masks
 from a separate test of each triple at each of its three pairs, and
 isomorphism from raw permutation search instead of canonical keys,
 the components of an induced subgraph from a BFS over adjacency lists,
+the dual-tree state of a set from its definition over distances,
 chord crossings from a scan of every pair of spans with no early exit, and
 a certificate's validity from its definition, a normalized Hamiltonian
 cycle of g whose other edges are chords that this pair scan finds
@@ -50,6 +51,7 @@ from gpmop import (
     mop_stats,
     recognize,
 )
+from gpmop.dual import _state
 from gpmop.mop import _walk, hull_triangles
 from gpmop.solve import DEFAULT_SEARCH_CAP, MOP_SEARCH_CAP, _mop_verified, _pair_block_masks, _search, _verified
 
@@ -292,6 +294,32 @@ def geodesic_triples(g: Graph) -> list[int]:
                 if dac == dab + dbc or dab == dac + dbc or dbc == dab + dac:
                     out.append((1 << a) | (1 << b) | (1 << c))
     return out
+
+
+def in_general_position(d, members) -> bool:
+    """No member of members lies on a geodesic between two others, by the distances d."""
+    return not any(
+        d[x][y] + d[y][z] == d[x][z] for x in members for y in members for z in members if x != y != z != x
+    )
+
+
+def arc_state(d, a: int, b: int, members) -> int:
+    """The state of members on the edge (a, b), as the separator lemma of
+    ``gpmop.dual`` defines it, for a graph with distances d whose vertices
+    other than a and b all lie on one side of ab: alpha and beta say whether
+    a and b are members, T holds the types d(x,b) - d(x,a) of the other
+    members, and F each type e for which two members y, z, not a and b
+    together, have g_e(y) + d(y,z) = g_e(z), where g_e(y) = min(d(a,y),
+    e + d(b,y)).  ``dual._state`` only packs the four parts."""
+    inner = [x for x in members if x not in (a, b)]
+    far = {
+        e
+        for e in (-1, 0, 1)
+        for y in members
+        for z in members
+        if y != z and {y, z} != {a, b} and min(d[a][y], e + d[b][y]) + d[y][z] == min(d[a][z], e + d[b][z])
+    }
+    return _state(int(a in members), int(b in members), {d[x][b] - d[x][a] for x in inner}, far)
 
 
 def brute_force_gp(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -9,6 +9,7 @@ import pytest
 
 from gpmop import (
     BadParam,
+    ClaimReport,
     all_pairs_distances,
     build_graph,
     canonical_form,
@@ -587,6 +588,20 @@ class TestClaims:
         for line in claim_report_text(reports).splitlines():
             assert pattern.fullmatch(line)
 
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_violation_lines_name_each_class_by_its_chords(self, n):
+        # A violation line names a class by the chords of its least image,
+        # which the deduplicated record carries; fed back through the
+        # polygon builder they give the class's key again.
+        recs = run_census(n, dedupe=True)
+        report = ClaimReport("any", n, "all classes", len(recs), tuple(r.canonical_key.hex() for r in recs))
+        lines = claim_report_text([report]).splitlines()
+        assert lines[0] == report.line()
+        assert lines[1:] == ["  chords=" + ";".join(f"{a}-{b}" for a, b in r.chords) for r in recs]
+        for line, r in zip(lines[1:], recs):
+            chords = tuple(tuple(int(v) for v in c.split("-")) for c in line.removeprefix("  chords=").split(";"))
+            assert canonical_form(recognize(graph_from_chords(n, chords))) == r.canonical_key
+
     def test_degree_lower_bound_names_a_bad_pattern(self, monkeypatch):
         # A fan pattern that is not in general position is a violation
         # naming its class, not an exception out of the battery.
@@ -806,3 +821,23 @@ class TestClaimSensitivity:
             lambda r: "gsf" not in r.family_labels, lambda r: {"internal_triangles": 4}
         )
         assert _report(reports, "internal_triangle_max").violations == ("max_internal=4!=3",)
+
+    def test_report_text_lists_each_violation(self):
+        # A failing report's line is followed by one indented line per
+        # violation: the mutated fan by its chords, and the order-level
+        # maximum as it is; a passing report by none.
+        fan = next(r for r in _order_ten_classes() if _is_fan(r))
+        fan_line = "  chords=" + ";".join(f"{a}-{b}" for a, b in fan.chords)
+        reports, _ = _battery_with(_is_fan, lambda r: {"gp": 5})
+        text = claim_report_text(reports)
+        assert f"{_report(reports, 'fan_gp_formula').line()}\n{fan_line}\n" in text
+        assert f"{_report(reports, 'striped_extremes').line()}\n{fan_line}\n" in text
+        expected = []
+        for r in reports:
+            expected += [r.line(), *([fan_line] * len(r.violations))]
+        assert text.splitlines() == expected
+        reports, _ = _battery_with(
+            lambda r: "gsf" not in r.family_labels, lambda r: {"internal_triangles": 4}
+        )
+        line = _report(reports, "internal_triangle_max").line()
+        assert f"{line}\n  max_internal=4!=3\nCLAIM " in claim_report_text(reports)

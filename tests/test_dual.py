@@ -27,7 +27,16 @@ from gpmop import dual, solve
 from gpmop.census import expected_extremal_keys, graph_from_chords
 from gpmop.dual import mop_gp_lanes
 from gpmop.mop import hull_triangles
-from helpers import brute_force_gp, floyd_warshall, per_pair_block_masks, random_mop, relabeled, suffix_search
+from helpers import (
+    arc_state,
+    brute_force_gp,
+    floyd_warshall,
+    in_general_position,
+    per_pair_block_masks,
+    random_mop,
+    relabeled,
+    suffix_search,
+)
 
 
 def hull_lanes(g, cycle, labellings):
@@ -173,6 +182,27 @@ class TestMopGp:
         # The one triangle of K3 merges two pairs per choice of its apex.
         assert mop_gp_lanes(3, [(0, 1, 2)], [range(3)]) == ([(3, (0, 1, 2))], 8)
 
+    def test_nodes_explored_sums_the_plans(self):
+        # A MOP of order n has n - 2 joins, the root's last, and its
+        # nodes_explored is the number of triples in their plans.
+        plan = dual._plan
+        lengths = []
+
+        def recording(left, right):
+            triples, mask = plan(left, right)
+            lengths.append(len(triples))
+            return triples, mask
+
+        rng = random.Random(45)
+        graphs = [fan(9).graph, *(random_mop(rng, n) for n in (3, 4, 5, 12, 40, 100))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dual, "_plan", recording)
+            for g in graphs:
+                lengths.clear()
+                res = gp_number(g)
+                assert len(lengths) == g.order - 2
+                assert res.nodes_explored == sum(lengths)
+
     def test_no_conflict_masks_for_a_mop(self, monkeypatch):
         # A MOP, through gp_number or the census, never builds the pair
         # conflict masks of the branch and bound.
@@ -233,10 +263,6 @@ def join_table(merge):
     return slots, joins
 
 
-def slot_bits(slots, bit: int) -> int:
-    return sum(1 << i for i, s in enumerate(slots) if s & bit)
-
-
 def clear_plans():
     dual._plan.cache_clear()
     dual._rows.cache_clear()
@@ -250,8 +276,6 @@ def raw_table():
         slots, joins = join_table(dual._merge)
         mp.setattr(dual, "_SLOTS", slots)
         mp.setattr(dual, "_JOINS", joins)
-        mp.setattr(dual, "_ALPHA", slot_bits(slots, 1))
-        mp.setattr(dual, "_BETA", slot_bits(slots, 2))
         clear_plans()
         try:
             yield len(slots)
@@ -259,21 +283,17 @@ def raw_table():
             clear_plans()
 
 
-def filtered_plan(left, right, root):
+def filtered_plan(left, right):
     # The plan as the direct filter of the whole join list by both masks.
     triples = [t for i, row in enumerate(dual._JOINS) if left >> i & 1 for t in row if right >> t[1] & 1]
-    if root:
-        triples = [(i, j, 0) for i, j, _ in triples]
-    l1, r1 = (left & dual._BETA).bit_count(), (right & dual._ALPHA).bit_count()
-    pairs = (left.bit_count() - l1) * (right.bit_count() - r1) + l1 * r1
-    return triples, sum({1 << k for _, _, k in triples}), pairs
+    return triples, sum({1 << k for _, _, k in triples})
 
 
 def filtered_masks() -> set[int]:
     # The presence masks that joins reach from the hull mask, by the direct filter.
     masks = {0b1111}
     while True:
-        new = {filtered_plan(left, right, False)[1] for left in masks for right in masks} - masks
+        new = {filtered_plan(left, right)[1] for left in masks for right in masks} - masks
         if not new:
             return masks
         masks |= new
@@ -317,33 +337,31 @@ class TestQuotient:
     def test_join_list_is_derived_from_merge(self):
         assert join_table(dual._merge) == (dual._SLOTS, dual._JOINS)
         assert sum(map(len, dual._JOINS)) == 147
-        assert (dual._ALPHA, dual._BETA) == (slot_bits(dual._SLOTS, 1), slot_bits(dual._SLOTS, 2))
 
     def test_joins_reach_24_presence_masks(self):
         # Any two reachable tables can meet at a triangle, so the masks that
         # joins reach from the hull mask close under _plan: 24 masks, hence
-        # at most 576 plans below the root and 576 at it.
+        # at most 576 plans, the root's among them.
         masks = {0b1111}
         while True:
-            new = {dual._plan(left, right, False)[1] for left in masks for right in masks} - masks
+            new = {dual._plan(left, right)[1] for left in masks for right in masks} - masks
             if not new:
                 break
             masks |= new
         assert len(masks) == 24
 
     def test_plans_from_rows_equal_the_filtered_join_list(self):
-        # Every plan of two reachable masks, below the root and at it, holds
-        # the direct filter's triples in its order, its mask and its pairs;
-        # one row set per right mask serves them all.
+        # Every plan of two reachable masks holds the direct filter's
+        # triples in its order and its mask; one row set per right mask
+        # serves them all.
         clear_plans()
         masks = filtered_masks()
         assert len(masks) == 24
         for left in masks:
             for right in masks:
-                for root in (False, True):
-                    assert dual._plan(left, right, root) == filtered_plan(left, right, root)
+                assert dual._plan(left, right) == filtered_plan(left, right)
         assert dual._rows.cache_info().currsize == 24
-        assert dual._plan.cache_info().currsize == 2 * 24 * 24
+        assert dual._plan.cache_info().currsize == 24 * 24
 
     def test_no_run_calls_merge(self):
         # The join list is a literal: neither a MOP solve nor the census
@@ -389,10 +407,10 @@ class TestQuotient:
         plan = dual._plan
         seen = set()
 
-        def recording(left, right, root):
+        def recording(left, right):
             lefts, rights = ([s for i, s in enumerate(dual._SLOTS) if mask >> i & 1] for mask in (left, right))
             seen.update((s1, s2) for s1 in lefts for s2 in rights if s1 >> 1 & 1 == s2 & 1)
-            return plan(left, right, root)
+            return plan(left, right)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dual, "_plan", recording)
@@ -405,6 +423,65 @@ class TestQuotient:
         assert seen == agreeing(states)
         assert len(seen) == 292
         assert sum(merge(s1, s2) >= 0 for s1, s2 in seen) == 147
+
+
+def polygon(m, chords):
+    # The polygon 0..m-1 with chords; order 2 is the edge (0, 1) alone.
+    return build_graph(m, sorted({(i, i + 1) for i in range(m - 1)} | {(0, m - 1)} | set(chords)))
+
+
+def realizations() -> dict[int, tuple[int, tuple, list[int]]]:
+    # For each defined state on the base edge (0, m-1) of a triangulated
+    # polygon of order m <= 7: the first general position set that has it,
+    # by order, triangulation and bitmask, as (m, chords, members).
+    found: dict[int, tuple[int, tuple, list[int]]] = {}
+    for m in range(2, 8):
+        for chords in enumerate_triangulations(m) if m > 2 else [()]:
+            d = floyd_warshall(polygon(m, chords))
+            for mask in range(1 << m):
+                members = [v for v in range(m) if mask >> v & 1]
+                if in_general_position(d, members):
+                    found.setdefault(arc_state(d, 0, m - 1, members), (m, chords, members))
+    return found
+
+
+def glued(left, right) -> tuple[int, set, list[int]]:
+    # Two realizations as the sides ac and cb of the root triangle (0, k, b)
+    # of one polygon of order b + 1: the right one shifted by k.
+    (m1, chords1, members1), (m2, chords2, members2) = left, right
+    k = m1 - 1
+    b = k + m2 - 1
+    chords = {*chords1, (0, k), (k, b), *((u + k, v + k) for u, v in chords2)}
+    return b + 1, chords, sorted({*members1, *(v + k for v in members2)})
+
+
+class TestMergePairByPair:
+    def test_merge_is_the_state_of_the_union(self):
+        # The DP is exact at every order, by induction over the dual tree,
+        # when _merge sends the defined states of any two sides that agree
+        # on c to the defined state of their union, and returns -1 exactly
+        # when the union is not in general position.  Every raw state is
+        # realized on a polygon of order at most 7, and each pair of
+        # realizations that agree on c is glued at a root triangle, so that
+        # one union per raw pair is checked.  The realized states are all
+        # that the merge reaches from the hull states, and the congruence
+        # test of _REP carries the check over to the 22 slots.
+        found = realizations()
+        pairs = sorted(agreeing(found))
+        mismatches, rejected, largest = [], 0, 0
+        with raw_merge():
+            for s1, s2 in pairs:
+                m, chords, members = glued(found[s1], found[s2])
+                largest = max(largest, m)
+                d = floyd_warshall(polygon(m, chords))
+                union = arc_state(d, 0, m - 1, members) if in_general_position(d, members) else -1
+                rejected += union < 0
+                if dual._merge(s1, s2) != union:
+                    mismatches.append((s1, s2, union))
+            states = closure(dual._merge)
+        assert mismatches == []
+        assert set(found) == states
+        assert (len(found), len(pairs), rejected, largest) == (41, 1021, 801, 13)
 
 
 class TestOrderSixteenCapClass:
