@@ -26,7 +26,7 @@ from .graph import (
     format_edge_list,
     parse_edge_list,
 )
-from .mop import NotAnMop, certificate_to_text, recognize
+from .mop import NotAnMop, certificate_to_text, graph_from_chords, recognize
 from .solve import MOP_SEARCH_CAP, gp_number
 from .verify import is_gp_characterized, is_gp_naive
 
@@ -117,18 +117,35 @@ _GENERATORS = {
 }
 
 
+def _chords(params: list[int]) -> tuple[families.FamilyInstance, str]:
+    # The polygon 0..n-1 with the chords (a1, b1), (a2, b2), ... of
+    # "chords n a1 b1 a2 b2 ...": the way back from a claim's
+    # chords=a-b;c-d;... line, and no family of the catalog.
+    if not params or len(params) % 2 == 0:
+        raise families.BadParam("chords takes n and then two endpoints per chord")
+    n, *ends = params
+    families._check_order("chords", n, 3)
+    pairs = list(zip(ends[::2], ends[1::2]))
+    inst = families.FamilyInstance(f"chords({n})", graph_from_chords(n, pairs), None, {})
+    return inst, f"n={n} chords=" + ";".join(f"{a}-{b}" for a, b in pairs)
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
-    entry = _GENERATORS.get(args.family)
-    if entry is None:
-        raise families.BadParam(f"unknown family {args.family!r}; choose from {sorted(_GENERATORS)}")
-    builder, names = entry
-    if len(args.params) != len(names):
-        raise families.BadParam(f"family {args.family!r} takes parameters {' '.join(names)}")
-    inst = builder(*args.params)
+    if args.family == "chords":
+        inst, params = _chords(args.params)
+    else:
+        entry = _GENERATORS.get(args.family)
+        if entry is None:
+            raise families.BadParam(f"unknown family {args.family!r}; choose from {sorted(_GENERATORS)} or chords")
+        builder, names = entry
+        if len(args.params) != len(names):
+            raise families.BadParam(f"family {args.family!r} takes parameters {' '.join(names)}")
+        inst = builder(*args.params)
+        params = " ".join(f"{k}={v}" for k, v in zip(names, args.params))
     roles = " ".join(f"{name}={vid}" for name, vid in inst.role_map.items())
     header = [
         f"label={inst.label}",
-        f"params={' '.join(f'{k}={v}' for k, v in zip(names, args.params))}",
+        f"params={params}",
         f"role_map={roles}",
         f"predicted_gp={inst.predicted_gp if inst.predicted_gp is not None else 'unknown'}",
     ]
@@ -170,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_recognize)
 
-    p = sub.add_parser("generate", help="emit a named family instance as an edge list")
+    p = sub.add_parser("generate", help="emit a named family instance, or a polygon with chords, as an edge list")
     p.add_argument("family")
     p.add_argument("params", type=int, nargs="*")
     p.add_argument("--out")

@@ -96,7 +96,10 @@ the same lane of u lies in 1..2^w - 1 and borrows from no other lane.  The
 lane-wise max takes v when G = H, keeps u when G = 0, and otherwise takes
 u ^ ((v ^ u) & (G - (G >> (w-1)))), whose mask fills the lanes G marks below
 their guards.  When the larger of u and v is below 2^w, both lie in lane 0
-alone and the plain comparison decides, as it always does with one lane.
+alone and the plain comparison decides.  With one lane every value is below
+2^w, so a one-lane pass, that of every ``gp_number`` call and of every
+deduplicated census class, joins by the plain max alone and runs no guard
+test; only a pass of several lanes pays for it.
 
 Joins.  A table holds a value for each of 22 slots, one per class, and a mask
 of the slots present; slots 0..3 are the hull states, so a hull edge has mask
@@ -239,6 +242,7 @@ def mop_gp_lanes(
     top = width - 1
     guard = sum(1 << (i * width + top) for i in range(len(labellings)))
     first = 1 << width
+    one_lane = len(labellings) == 1
     # Position p weighs 2^n + 2^(n-1-v) in each lane i, where v = labellings[i][p]:
     # the count bits of all lanes plus one label bit per lane.
     weight = [sum(1 << (i * width + n) for i in range(len(labellings)))] * n
@@ -259,20 +263,26 @@ def mop_gp_lanes(
             plan = [(i, j, 0) for i, j, _ in plan]
         # Each slot starts at 0, below every v in every lane, and ends at the lane-wise max (Lanes) of its v.
         values = [0] * len(_SLOTS)
-        for i, j, k in plan:
-            v = lv[i] + rv[j]
-            u = values[k]
-            if v > u:
-                if v < first or not u:
+        if one_lane:
+            for i, j, k in plan:
+                v = lv[i] + rv[j]
+                if v > values[k]:
                     values[k] = v
+        else:
+            for i, j, k in plan:
+                v = lv[i] + rv[j]
+                u = values[k]
+                if v > u:
+                    if v < first or not u:
+                        values[k] = v
+                        continue
+                elif u < first:
                     continue
-            elif u < first:
-                continue
-            ge = ((v | guard) - u) & guard
-            if ge == guard:
-                values[k] = v
-            elif ge:
-                values[k] = u ^ ((v ^ u) & (ge - (ge >> top)))
+                ge = ((v | guard) - u) & guard
+                if ge == guard:
+                    values[k] = v
+                elif ge:
+                    values[k] = u ^ ((v ^ u) & (ge - (ge >> top)))
         tables[a, b] = mask, values
     best = tables[0, n - 1][1][0]
     results = []

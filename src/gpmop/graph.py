@@ -41,7 +41,14 @@ class EdgeListError(GraphError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph; edges are normalized to (min, max) pairs."""
+    """Undirected simple graph; edges are normalized to (min, max) pairs.
+
+    ``build_graph`` sorts every adjacency row, so the rows give the edges in
+    sorted order, the order in which the proof of maximal outerplanarity
+    reads them.  ``neighbour_masks`` holds n ints of up to n bits, O(n^2)
+    bits in all, so only the witness check and the claims build them; the
+    proof keeps to O(m) memory.
+    """
 
     order: int
     edges: frozenset[tuple[int, int]]
@@ -66,7 +73,11 @@ class Graph:
     @cached_property
     def neighbour_masks(self) -> tuple[int, ...]:
         """Bit w of entry v is set when w is adjacent to v."""
-        return tuple(sum(1 << w for w in nbrs) for nbrs in self.adjacency)
+        masks = [0] * self.order
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
 
 def build_graph(order: int, edges: Iterable[tuple[int, int]]) -> Graph:

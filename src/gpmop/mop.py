@@ -143,7 +143,9 @@ def _proof(g: Graph) -> tuple[MopCertificate, tuple[tuple[int, int, int], ...]]:
 
 def _hull(g: Graph) -> list[int]:
     # The normalized cycle of the edges in exactly one triangle, checked to
-    # span g, after the order, the edge count and the triangles per edge.
+    # span g, after the order, the edge count and the triangles per edge,
+    # counted in two sets of g's rows: O(m) memory, where neighbour masks
+    # take O(n^2) bits.  The sorted rows give the edges in sorted order.
     n = g.order
     if n < 3:
         raise WrongEdgeCount(f"order {n} is below the minimum of 3")
@@ -152,13 +154,16 @@ def _hull(g: Graph) -> list[int]:
         raise WrongEdgeCount(f"expected {expected} edges for order {n}, found {len(g.edges)}")
     adj_sets = [set(a) for a in g.adjacency]
     hull_adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(g.edges):
-        t = len(adj_sets[u] & adj_sets[v])
-        if t > 2:
-            raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
-        if t == 1:
-            hull_adj[u].append(v)
-            hull_adj[v].append(u)
+    for u, row in enumerate(g.adjacency):
+        su = adj_sets[u]
+        for v in row:
+            if v > u:
+                t = len(su & adj_sets[v])
+                if t > 2:
+                    raise EdgeInTooManyTriangles(f"edge ({u},{v}) lies in {t} triangles")
+                if t == 1:
+                    hull_adj[u].append(v)
+                    hull_adj[v].append(u)
     bad = [v for v in range(n) if len(hull_adj[v]) != 2]
     if bad:
         raise HullNotHamiltonian(
@@ -218,20 +223,25 @@ def hull_triangles(g: Graph, cycle) -> list[tuple[int, int, int]]:
     exactly the edges of g.  n-2 cut triangles always triangulate the
     polygon on cycle, so the sides equal the edges exactly when g is that
     MOP; and a MOP with hull cycle has its degrees minus one as quiddity
-    sequence, so its cut yields n-2 triangles.
+    sequence, so its cut yields n-2 triangles.  The 2n-3 sides of a
+    triangulation are distinct pairs of positions, and so of vertices, as
+    cycle is a permutation: they equal the edges when g has 2n-3 edges and
+    each side is looked up among them.  Only a failure builds the set of
+    sides, to name the least pair in it or in the edges but not in both.
     """
     n = g.order
     triangles = ear_cut([len(g.adjacency[v]) - 1 for v in cycle])
     if len(triangles) != n - 2:
         raise StructureViolation(f"expected {n - 2} inner faces, found {len(triangles)} along the cycle")
+    edges = g.edges
     ends = [(cycle[p - 1], cycle[p]) for p in range(n)] + [(cycle[a], cycle[b]) for a, _, b in triangles[:-1]]
+    if len(edges) == 2 * n - 3 and all(((u, v) if u < v else (v, u)) in edges for u, v in ends):
+        return triangles
     sides = {(u, v) if u < v else (v, u) for u, v in ends}
-    if g.edges != sides:
-        u, v = min(g.edges ^ sides)
-        if (u, v) in g.edges:
-            raise StructureViolation(f"edge ({u},{v}) is no side of the triangles along the cycle")
-        raise StructureViolation(f"side ({u},{v}) of the triangles along the cycle is no edge")
-    return triangles
+    u, v = min(edges ^ sides)
+    if (u, v) in edges:
+        raise StructureViolation(f"edge ({u},{v}) is no side of the triangles along the cycle")
+    raise StructureViolation(f"side ({u},{v}) of the triangles along the cycle is no edge")
 
 
 def graph_from_chords(n: int, chords) -> Graph:

@@ -16,9 +16,10 @@ non-crossing, with no ear cut.
 The proof of maximal outerplanarity, the certificate check and the solve
 have oracles that keep nothing on the graph (``proof_oracle``,
 ``check_certificate_oracle``, ``gp_number_oracle``): every call cuts
-again along the hull found from the graph, connectivity is tested by BFS
-before anything else, and a given certificate is only compared with the
-proof.
+again along the hull found from the graph by sorting its edges, compares
+the set of the cut's sides with the edges (``hull_triangles_oracle``),
+tests connectivity by BFS before anything else, and only compares a given
+certificate with the proof.
 The labelled census is rebuilt one triangulation at a time, each record
 from its own graph alone.
 """
@@ -52,7 +53,7 @@ from gpmop import (
     recognize,
 )
 from gpmop.dual import _state
-from gpmop.mop import _walk, hull_triangles
+from gpmop.mop import _walk, ear_cut
 from gpmop.solve import DEFAULT_SEARCH_CAP, MOP_SEARCH_CAP, _mop_verified, _pair_block_masks, _search, _verified
 
 BIG = 10**6
@@ -146,12 +147,30 @@ def recognized_certificate(g: Graph, cert) -> bool:
     return hull <= g.edges and cert.chords == g.edges - hull and first_crossing_pair(cycle, cert.chords) is None
 
 
+def hull_triangles_oracle(g: Graph, cycle) -> list[tuple[int, int, int]]:
+    """``hull_triangles`` by building the set of the cut's sides and
+    comparing it with g's edges, with the least pair in one set but not
+    both named on a mismatch, rather than looking each side up."""
+    n = g.order
+    triangles = ear_cut([len(g.adjacency[v]) - 1 for v in cycle])
+    if len(triangles) != n - 2:
+        raise StructureViolation(f"expected {n - 2} inner faces, found {len(triangles)} along the cycle")
+    ends = [(cycle[p - 1], cycle[p]) for p in range(n)] + [(cycle[a], cycle[b]) for a, _, b in triangles[:-1]]
+    sides = {(u, v) if u < v else (v, u) for u, v in ends}
+    if g.edges != sides:
+        u, v = min(g.edges ^ sides)
+        if (u, v) in g.edges:
+            raise StructureViolation(f"edge ({u},{v}) is no side of the triangles along the cycle")
+        raise StructureViolation(f"side ({u},{v}) of the triangles along the cycle is no edge")
+    return triangles
+
+
 def proof_oracle(g: Graph) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
     """The ear-cut proof that g is maximal outerplanar, cut afresh on every
-    call and kept nowhere: ``hull_triangles`` along the hull found from g
-    after a BFS for connectivity, the order, the edge count and the
-    triangles per edge are checked.  Returns the certificate and the cut's
-    triangles."""
+    call and kept nowhere: ``hull_triangles_oracle`` along the hull found
+    from g, by sorting g's edges, after a BFS for connectivity, the order,
+    the edge count and the triangles per edge are checked.  Returns the
+    certificate and the cut's triangles."""
     n = g.order
     if not is_connected(g):
         raise Disconnected("graph is not connected")
@@ -177,7 +196,7 @@ def proof_oracle(g: Graph) -> tuple[MopCertificate, list[tuple[int, int, int]]]:
     cycle = _walk(hull_adj, 0, max(hull_adj[0]))
     if len(cycle) < n:
         raise HullNotHamiltonian("single-triangle edges split into more than one cycle")
-    triangles = hull_triangles(g, cycle)
+    triangles = hull_triangles_oracle(g, cycle)
     sides = ((cycle[a], cycle[b]) for a, _, b in triangles[:-1])
     chords = frozenset((u, v) if u < v else (v, u) for u, v in sides)
     return MopCertificate(n, tuple(cycle), chords), triangles

@@ -11,6 +11,8 @@ import gpmop
 from gpmop import cli, parse_edge_list, recognize, verify
 from gpmop.cli import main
 
+import test_dual
+
 
 def write_graph(tmp_path, name, text):
     p = tmp_path / name
@@ -175,6 +177,32 @@ class TestGenerate:
 
     def test_unknown_family(self, capsys):
         assert main(["generate", "petersen", "10"]) == 2
+
+    def test_chords_feed_a_claim_line_back_to_gp(self, tmp_path, capsys):
+        # The order-16 class that attains the cap, as a failed claim names it
+        # (chords=a-b;c-d;...), through generate chords and then gp.
+        chords = test_dual.TestOrderSixteenCapClass.CHORDS
+        ends = [v for chord in chords.split(";") for v in chord.split("-")]
+        out = tmp_path / "chords16.txt"
+        assert main(["generate", "chords", "16", *ends, "--out", str(out)]) == 0
+        header = out.read_text().splitlines()[:4]
+        assert header == ["# label=chords(16)", f"# params=n=16 chords={chords}", "# role_map=", "# predicted_gp=unknown"]
+        assert main(["gp", str(out)]) == 0
+        assert capsys.readouterr().out == "gp=10\nwitness=0 1 3 5 6 8 9 11 13 14\n"
+        assert main(["recognize", str(out)]) == 0
+
+    def test_chords_reject_an_odd_count_of_endpoints(self, capsys):
+        for argv in (["6", "0", "2", "0"], []):
+            assert main(["generate", "chords", *argv]) == 2
+            assert capsys.readouterr().err == "error: chords takes n and then two endpoints per chord\n"
+        # The order is checked before any edge is built, and build_graph
+        # names a bad chord.
+        assert main(["generate", "chords", "70000", "0", "2"]) == 2
+        assert "chords needs 3 <= n <= 65535, got 70000" in capsys.readouterr().err
+        assert main(["generate", "chords", "6", "0", "6"]) == 2
+        assert "edge (0,6) has an endpoint outside 0..5" in capsys.readouterr().err
+        assert main(["generate", "chords", "6", "0", "1"]) == 2
+        assert "duplicate edge (0,1)" in capsys.readouterr().err
 
     def test_bad_params(self, capsys):
         assert main(["generate", "fan", "2"]) == 2

@@ -80,6 +80,22 @@ class TestBuildGraph:
         assert is_connected(path_graph(UNREACHABLE))
 
 
+class TestNeighbourMasks:
+    @given(st.integers(0, 10**9))
+    @settings(max_examples=60, deadline=None)
+    def test_each_mask_holds_its_row(self, seed):
+        # Orders from 1, with densities from edgeless to complete.
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        p = rng.choice((0.0, 0.1, 0.5, 1.0))
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        assert g.neighbour_masks == tuple(sum(1 << w for w in g.adjacency[v]) for v in range(n))
+
+    def test_order_one_and_edgeless(self):
+        assert build_graph(1, []).neighbour_masks == (0,)
+        assert build_graph(5, []).neighbour_masks == (0,) * 5
+
+
 class TestDistances:
     def test_path_end_to_end(self):
         dist = all_pairs_distances(path_graph(4))

@@ -37,6 +37,7 @@ from helpers import (
     first_crossing_pair,
     gp_number_oracle,
     graphs_isomorphic,
+    hull_triangles_oracle,
     polygon_certificate,
     proof_oracle,
     random_mop,
@@ -129,6 +130,13 @@ class TestRecognize:
         assert verdicts["accepted"] == len(list(enumerate_triangulations(n)))
         if n == 8:
             assert verdicts == {"accepted": 132, "EdgeInTooManyTriangles": 2996, "HullNotHamiltonian": 12376}
+
+    def test_the_proof_builds_no_neighbour_masks(self):
+        # The proof counts each edge's triangles by intersecting two sets of
+        # g's rows, O(m) memory; the masks hold n ints of up to n bits.
+        g = random_mop(random.Random(500), 500)
+        recognize(g)
+        assert "neighbour_masks" not in vars(g)
 
     def test_large_fan_is_recognized_fast(self):
         # Recognition is linear in the order: the triangle counts, the hull
@@ -512,6 +520,64 @@ class TestHullTriangles:
         edges = [(0, k) for k in range(1, 6)] + [(1, 3), (2, 3), (2, 4), (4, 5)]
         with pytest.raises(StructureViolation, match=r"side \(1,2\) of the triangles along the cycle is no edge"):
             hull_triangles(build_graph(6, edges), range(6))
+
+
+def assert_proof_agrees_with_side_set(g) -> bool:
+    # recognize, with the triangles of its proof, and hull_triangles along
+    # the polygon order give the oracles' values, or their error types and
+    # messages; the oracles compare the set of the cut's sides with the
+    # edges.  g must be unproved.  Returns whether g is a MOP.
+    expected = outcome(proof_oracle, g)
+    cert = outcome(recognize, g)
+    if isinstance(cert, MopCertificate):
+        assert (cert, check_certificate(g, cert)) == expected
+    else:
+        assert cert == expected
+    n = g.order
+    assert outcome(hull_triangles, g, range(n)) == outcome(hull_triangles_oracle, g, range(n))
+    return isinstance(cert, MopCertificate)
+
+
+def chord_swaps(g, chords):
+    # g with one chord swapped for each non-edge in turn, the chords taken
+    # round robin: 2n-3 edges each.
+    absent = [e for e in combinations(range(g.order), 2) if e not in g.edges]
+    for k, e in enumerate(absent):
+        yield build_graph(g.order, (g.edges - {chords[k % len(chords)]}) | {e})
+
+
+class TestProofLooksItsSidesUp:
+    """The proof accepts when g has 2n-3 edges and each side of the cut is
+    one of them, and builds the set of sides only to name its evidence; its
+    oracle compares that set with the edges on every call."""
+
+    # Per order, the swapped graphs that are no MOP and those that are.
+    SWAPS = {3: (0, 0), 4: (0, 4), 5: (18, 12), 6: (143, 25), 7: (759, 81), 8: (3707, 253), 9: (17161, 857)}
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_every_triangulation_relabelled_and_with_a_chord_swapped(self, n):
+        # Orders 3..9: 625 triangulations, the same relabelled by one seeded
+        # permutation per order, and 23,020 graphs with a chord swapped for a
+        # non-edge, of which the 1,232 that swap a diagonal for the other
+        # diagonal of its quadrilateral are MOPs again (about 1.5 s).
+        perm = random.Random(n).sample(range(n), n)
+        mops = Counter()
+        for chords in enumerate_triangulations(n):
+            g = graph_from_chords(n, chords)
+            h = relabeled(g, perm)
+            for base, inner in ((g, chords), (h, [tuple(sorted((perm[a], perm[b]))) for a, b in chords])):
+                assert assert_proof_agrees_with_side_set(base)
+                for swapped in chord_swaps(base, inner):
+                    mops[assert_proof_agrees_with_side_set(swapped)] += 1
+        assert (mops[False], mops[True]) == self.SWAPS[n]
+
+    @given(st.integers(0, 10**9), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_mops_and_moved_chords(self, seed, moved):
+        rng = random.Random(seed)
+        n = rng.randint(5, 60)
+        g = (random_moved_chord if moved else random_mop)(rng, n)
+        assert assert_proof_agrees_with_side_set(g) != moved
 
 
 def assert_children_first(cut, n):
