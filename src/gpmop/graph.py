@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 UNREACHABLE = 0xFFFF
 
@@ -118,21 +118,6 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
-
-
-def _bfs_levels(nbr: Sequence[int], source: int) -> Iterator[int]:
-    # The vertices at distance 0, 1, 2, ... from source, one bitmask each.
-    seen = level = 1 << source
-    while level:
-        yield level
-        reach = 0
-        while level:
-            # Clearing the top bit first keeps the int shrinking.
-            v = level.bit_length() - 1
-            reach |= nbr[v]
-            level ^= 1 << v
-        level = reach & ~seen
-        seen |= level
 
 
 def all_pairs_distances(g: Graph) -> tuple[tuple[int, ...], ...]:

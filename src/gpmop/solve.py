@@ -14,7 +14,8 @@ maximum clique algorithm ("A fast algorithm for the maximum clique problem",
 v = n-1 down to 0, a search for a set of size c[v+1] + 1 that starts at v
 prunes a branch once chosen + c[min(candidates)] falls short of the target.
 Candidates are filtered through a per-pair conflict index of bitmasks,
-built from each vertex's level walk; the search reads no distance table.
+built from each vertex's level walk, all walks in one sweep; the search
+reads no distance table.
 
 The search runs on the mirrored graph, which names vertex v by n-1-v: bit p
 of every mask, and row p of the index, which holds only the positions below
@@ -37,9 +38,12 @@ conflict rows are its parent's with the new vertex's masks ORed in; the
 cover forms each row as it reads it, and only a node that survives its
 cover builds its rows, one list in one pass, before it branches.
 
-A final search in ascending label order for a set of size c[0] reports the
-lexicographically smallest maximum set as the witness, which the dynamic
-program yields through its weights.  No lower bound steers either route, so
+The witness is the lexicographically smallest maximum set, which the
+dynamic program yields through its weights.  The last search that raised c,
+at v say, found the maximum set whose least label is largest; the search
+then starts at each label u < v in ascending order and looks above u for
+c[0] - 1 more members.  The first set it finds is the witness, and if none
+is found, the set from v is.  No lower bound steers either route, so
 the result depends on the graph and its labels only, and every witness is
 checked by ``verify.is_gp_levels``, which walks BFS levels of its own,
 before it is returned.  That check, not the dual tree, bounds the order a
@@ -55,7 +59,7 @@ from operator import or_
 from typing import Sequence
 
 from .dual import mop_gp_lanes
-from .graph import Graph, GraphError, _bfs_levels
+from .graph import Graph, GraphError
 from .mop import MopCertificate, NotAnMop, _proof, _require_connected, check_certificate, maximal_fan
 from .verify import is_gp_levels
 
@@ -77,7 +81,8 @@ class GpResult:
     vertex order.  ``nodes_explored`` is for diagnostics: on a maximal
     outerplanar graph it counts the pairs of child slots that the joins of
     the dual-tree program merge, and on any other graph the search nodes of
-    all n + 1 target searches.
+    the n - 1 searches that fill the suffix bound and of the searches that
+    start at a label below the last one that raised it.
     """
 
     value: int
@@ -94,9 +99,30 @@ def _pair_block_masks(g: Graph) -> list[list[int]]:
     # when it is in lev[a][d + k] & lev[b][k] for some k > 0; a between b and
     # c likewise.  g is connected, and ecc(a) <= d + ecc(b), so every k with
     # d + k a level of a is one of b.  Counted loops beat range objects here.
+    # One sweep finds every level: ball[v], the positions within distance k
+    # of vertex v, grows each round by its neighbours' balls of the round
+    # before, and v leaves once its ball is full or stops growing.  Walk v is
+    # that of position n-1-v.
     n = g.order
-    nbr = [sum(1 << n - 1 - w for w in g.adjacency[n - 1 - p]) for p in range(n)]
-    levels = [list(_bfs_levels(nbr, p)) for p in range(n)]
+    adjacency = g.adjacency
+    full = (1 << n) - 1
+    ball = [1 << n - 1 - v for v in range(n)]
+    walks = [[b] for b in ball]
+    live = [v for v in range(n) if ball[v] != full]
+    while live:
+        before = ball[:]
+        stay = []
+        for v in live:
+            reach = old = before[v]
+            for w in adjacency[v]:
+                reach |= before[w]
+            if reach != old:
+                ball[v] = reach
+                walks[v].append(reach ^ old)
+                if reach != full:
+                    stay.append(v)
+        live = stay
+    levels = walks[::-1]
     blocks = []
     for b, lb in enumerate(levels):
         eb = len(lb) - 1
@@ -188,15 +214,22 @@ def _search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, ...], int]
                 return True
             chosen.pop()
 
+    # last is the set of the last search that raised c, at position rise.
+    last, rise = (top,), 0
     for p in range(1, n):
         # Dropping p from a set in {0, ..., p} leaves one in {0, ..., p-1},
         # so c[p] is c[p-1] or c[p-1] + 1.  The rows of {p} are blocks[p].
         c[p] = c[p - 1] + rec([p], (1 << p) - 1, c[p - 1], zero, blocks[p])
-    # The last increase of c yields the maximum set whose least label is
-    # largest; one search from the top bit finds the lexicographically
-    # smallest.
-    rec([], (1 << n) - 1, c[top], zero, zero)
-    return c[top], found, nodes
+        if c[p] > c[p - 1]:
+            last, rise = found, p
+    # last is the maximum set whose least label is largest.  One with its
+    # top bit at p > rise is found by a search below p for c[top] - 1 more
+    # members; at rise that search is the one that found last.
+    need = c[top] - 1
+    for p in range(top, rise, -1):
+        if rec([p], (1 << p) - 1, need, zero, blocks[p]):
+            return c[top], found, nodes
+    return c[top], last, nodes
 
 
 def _fan_pattern(g: Graph) -> tuple[int, tuple[int, ...]]:

@@ -461,8 +461,10 @@ def eager_row_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, .
     masks into the row of each of the child's candidates, and the child's
     cover reads them.  Each clique starts at the largest vertex left and
     absorbs the largest first, and a node stops branching past the start of
-    its need-th clique.  Returns the value, the lexicographically smallest
-    maximum set and the number of nodes visited, which must equal
+    its need-th clique.  The witness is the set of the last search that
+    raised c, unless a search for the rest of a maximum set above a smaller
+    vertex finds one first.  Returns the value, the lexicographically
+    smallest maximum set and the number of nodes visited, which must equal
     ``solve._search``'s."""
     # c[v] is the gp of the vertex set {v, ..., n-1}; c[n] = 0.
     c = [0] * (n + 1)
@@ -526,14 +528,22 @@ def eager_row_search(n: int, blocks: list[list[int]]) -> tuple[int, tuple[int, .
             chosen.pop()
 
     full = (1 << n) - 1
+    # last is the set of the last search that raised c, at vertex rise.
+    last, rise = (n - 1,), n - 1
     for v in range(n - 2, -1, -1):
         # Dropping v from a set in {v, ..., n-1} leaves one in {v+1, ...},
         # so c[v] is c[v+1] or c[v+1] + 1.  The rows of {v} are blocks[v].
         c[v] = c[v + 1] + rec([v], full >> (v + 1) << (v + 1), c[v + 1], blocks[v])
-    # The last increase of c yields the maximum set whose smallest vertex is
-    # largest; one ascending search finds the lexicographically smallest.
-    rec([], full, c[0], [0] * n)
-    return c[0], found, nodes
+        if c[v] > c[v + 1]:
+            last, rise = found, v
+    # last is the maximum set whose smallest vertex is largest.  A set with
+    # a smaller least vertex v < rise comes from the search for c[0] - 1 more
+    # members above v; the search at rise itself would repeat the one that
+    # found last.
+    for v in range(rise):
+        if rec([v], full >> (v + 1) << (v + 1), c[0] - 1, blocks[v]):
+            return c[0], found, nodes
+    return c[0], last, nodes
 
 
 def graphs_isomorphic(g1: Graph, g2: Graph) -> bool:

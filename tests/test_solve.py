@@ -137,8 +137,8 @@ class TestPairBlockMasks:
     @pytest.mark.parametrize(
         "family,orders",
         [
-            ("complete", range(2, 9)),
-            ("path", range(2, 41)),
+            ("complete", range(1, 9)),
+            ("path", [*range(2, 41), *range(64, 71)]),
             ("cycle", range(3, 41)),
             ("star", range(2, 41)),
             ("sparse", range(64, 71)),
@@ -147,9 +147,11 @@ class TestPairBlockMasks:
     )
     def test_level_sets_on_extreme_shapes(self, family, orders):
         # Shapes the random property rarely draws: every pair adjacent (K_n),
-        # eccentricity n - 1 (P_n), odd and even cycles, one centre between
-        # every two leaves (K_{1,n-1}), and sparse graphs whose masks are
-        # wider than 63 bits.
+        # down to K_1, whose ball is full before the sweep's first round,
+        # eccentricity n - 1 (P_n), which takes n - 1 rounds, also with masks
+        # wider than 63 bits, odd and even cycles, one centre between every
+        # two leaves (K_{1,n-1}), and sparse graphs whose masks are wider
+        # than 63 bits.
         for n in orders:
             if family == "star":
                 g = build_graph(n, [(0, v) for v in range(1, n)])
@@ -158,6 +160,13 @@ class TestPairBlockMasks:
             else:
                 g = {"complete": complete, "path": path, "cycle": cycle}[family](n).graph
             _assert_kept_entries(g)
+
+    def test_no_neighbour_masks(self):
+        # The sweep reads the adjacency rows: the masks leave the graph's
+        # neighbour masks unbuilt.
+        g = random_connected_graph(random.Random(5), 30, 0.12)
+        solve._pair_block_masks(g)
+        assert "neighbour_masks" not in vars(g)
 
 
 class TestGpNumber:
@@ -513,8 +522,8 @@ class TestGpNumber:
     def test_tiny_graphs(self):
         one = gp_number(build_graph(1, []))
         two = gp_number(build_graph(2, [(0, 1)]))
-        assert (one.value, one.witness, one.nodes_explored) == (1, (0,), 1)
-        assert (two.value, two.witness, two.nodes_explored) == (2, (0, 1), 3)
+        assert (one.value, one.witness, one.nodes_explored) == (1, (0,), 0)
+        assert (two.value, two.witness, two.nodes_explored) == (2, (0, 1), 1)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_matches_exhaustive_enumeration_on_triangulations(self, n):
@@ -639,10 +648,49 @@ class TestGpNumber:
         graphs = [random_connected_graph(random.Random(seed), 40, 0.12) for seed in range(4)]
         assert all(len(g.edges) != 77 for g in graphs)
         nodes = [gp_number(g).nodes_explored for g in graphs]
-        assert nodes == [788, 840, 507, 644]
+        assert nodes == [787, 810, 492, 643]
         reference = sum(suffix_search(40, _block_masks(g))[2] for g in graphs)
         assert reference == 26787
         assert 5 * sum(nodes) <= reference
+
+
+def _maximum_sets(g):
+    # Every maximum general position set, as a sorted tuple, by testing each
+    # subset against the Floyd-Warshall triples.
+    n = g.order
+    triples = geodesic_triples(g)
+    sets = [m for m in range(1 << n) if not any(t & m == t for t in triples)]
+    size = max(m.bit_count() for m in sets)
+    return [tuple(v for v in range(n) if m >> v & 1) for m in sets if m.bit_count() == size]
+
+
+class TestWitnessSearch:
+    # The search raises c for the last time at some vertex v: that search
+    # found the maximum set whose least vertex v is largest.  Only the
+    # searches that start below v run again, so the witness is either one of
+    # theirs or, when every maximum set has least vertex v, v's own set.
+    # K_n raises c at every vertex, and from order 4 a star's leaves are its
+    # one maximum set, so both end at v; a path's witness {0, 1} lies below
+    # v = n - 2.
+    CORPUS = [
+        *(complete(n).graph for n in range(1, 8)),
+        *(path(n).graph for n in range(2, 10)),
+        *(build_graph(n, [(0, v) for v in range(1, n)]) for n in range(3, 10)),
+        *(cycle(n).graph for n in range(4, 10)),
+        *(random_connected_graph(random.Random(seed), 5 + seed % 6, 0.2) for seed in range(24)),
+    ]
+
+    def test_both_exits_match_the_oracles(self):
+        exits = {"below": 0, "rise": 0}
+        for g in self.CORPUS:
+            n = g.order
+            maximum = _maximum_sets(g)
+            rise = max(s[0] for s in maximum)
+            value, witness, nodes = solve._search(n, solve._pair_block_masks(g))
+            assert (value, witness) == suffix_search(n, _block_masks(g))[:2] == (len(maximum[0]), min(maximum))
+            assert nodes == eager_row_search(n, _block_masks(g))[2]
+            exits["rise" if witness[0] == rise else "below"] += 1
+        assert all(exits.values()), exits
 
 
 class TestGreedyLowerBound:
