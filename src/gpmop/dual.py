@@ -95,11 +95,11 @@ the guard of exactly the lanes where v >= u, since each lane of v | H minus
 the same lane of u lies in 1..2^w - 1 and borrows from no other lane.  The
 lane-wise max takes v when G = H, keeps u when G = 0, and otherwise takes
 u ^ ((v ^ u) & (G - (G >> (w-1)))), whose mask fills the lanes G marks below
-their guards.  When the larger of u and v is below 2^w, both lie in lane 0
-alone and the plain comparison decides.  With one lane every value is below
-2^w, so a one-lane pass, that of every ``gp_number`` call and of every
-deduplicated census class, joins by the plain max alone and runs no guard
-test; only a pass of several lanes pays for it.
+their guards.  With two lanes or more every weight has a count bit in lane
+1, so every nonzero value is at least 2^w, and the lane-wise max of 0 and v
+is v: the guard test alone decides every join.  With one lane every value is
+below 2^w, so a one-lane pass, that of every ``gp_number`` call and of every
+deduplicated census class, joins by the plain max and runs no guard test.
 
 Joins.  A table holds a value for each of 22 slots, one per class, and a mask
 of the slots present; slots 0..3 are the hull states, so a hull edge has mask
@@ -241,7 +241,6 @@ def mop_gp_lanes(
     width = n + n.bit_length() + 1
     top = width - 1
     guard = sum(1 << (i * width + top) for i in range(len(labellings)))
-    first = 1 << width
     one_lane = len(labellings) == 1
     # Position p weighs 2^n + 2^(n-1-v) in each lane i, where v = labellings[i][p]:
     # the count bits of all lanes plus one label bit per lane.
@@ -272,12 +271,6 @@ def mop_gp_lanes(
             for i, j, k in plan:
                 v = lv[i] + rv[j]
                 u = values[k]
-                if v > u:
-                    if v < first or not u:
-                        values[k] = v
-                        continue
-                elif u < first:
-                    continue
                 ge = ((v | guard) - u) & guard
                 if ge == guard:
                     values[k] = v

@@ -211,8 +211,9 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def format_edge_list(g: Graph, header: Iterable[str] = ()) -> str:
-    """Serialize a graph back to edge-list text; header lines become '#' comments."""
-    lines = [f"# {h}" for h in header]
+    """Serialize a graph back to edge-list text; each line of each header
+    (split as the parser splits) becomes a '#' comment."""
+    lines = [f"# {line}" for h in header for line in h.splitlines() or [""]]
     lines.append(str(g.order))
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import hashlib
 import multiprocessing
+import random
 import re
 from functools import lru_cache
 from itertools import combinations
@@ -18,6 +19,8 @@ from gpmop import (
     claim_report_text,
     enumerate_triangulations,
     generalized_sunflower,
+    generators_at,
+    gp_number,
     is_gp_characterized,
     is_gp_naive,
     mop_stats,
@@ -38,7 +41,8 @@ from gpmop.census import (
     striped_catalog_keys,
 )
 from gpmop.mop import dihedral_images, ear_cut
-from helpers import census_by_member, graphs_isomorphic, polygon_certificate
+import test_dual
+from helpers import census_by_member, graphs_isomorphic, polygon_certificate, random_mop, relabeled
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
 DIHEDRAL_CLASSES = {
@@ -841,3 +845,41 @@ class TestClaimSensitivity:
         )
         line = _report(reports, "internal_triangle_max").line()
         assert f"{line}\n  max_internal=4!=3\nCLAIM " in claim_report_text(reports)
+
+
+def _class_task(g):
+    """The census's own class task, claims included, on the MOP g of any
+    order: its quiddity sequence is the degrees minus one along the hull.
+    Returns the hull, the class's record and the claims it breaks."""
+    cycle = recognize(g).cycle
+    records, bad = _class_records(g.order, bytes(len(g.adjacency[v]) - 1 for v in cycle), True, True)
+    return cycle, records[0], bad
+
+
+class TestSampledClasses:
+    # The class task beyond the census orders, on sampled classes.
+
+    def test_random_mops(self):
+        # A class at the cap may lie outside the extremal catalog (as the
+        # order-16 one does); no other claim may fail.  Each order's first
+        # task builds its generator catalog, most of this test's time.
+        rng = random.Random(17)
+        for n in range(17, 41):
+            for _ in range(15):
+                g = random_mop(rng, n)
+                cycle, r, bad = _class_task(g)
+                assert bad <= ({"upper_bound_extremal"} if r.gp == (2 * n) // 3 else set())
+                along = [0] * n
+                for p, v in enumerate(cycle):
+                    along[v] = p
+                assert gp_number(relabeled(g, along)).value == r.gp
+
+    @pytest.mark.parametrize("n", [19, 22, 25, 31])
+    def test_catalog_members(self, n):
+        for label, inst in generators_at(n):
+            _, r, bad = _class_task(inst.graph)
+            assert not bad and label in r.family_labels, label
+
+    def test_order_sixteen_cap_class(self):
+        _, r, bad = _class_task(test_dual.TestOrderSixteenCapClass().graph())
+        assert (r.gp, bad) == (10, {"upper_bound_extremal"})

@@ -162,16 +162,18 @@ class TestMopGp:
 
     def test_one_lane_joins_as_the_guard_loop_does(self):
         # One lane joins by the plain max; with the mirrored labelling as a
-        # second lane the same pass runs the guard-bit loop, whose lane 0
-        # must agree, with as many merges, at every order 3..80.
+        # second lane the same pass runs the guard-bit loop, whose lanes 0
+        # and 1 must each agree with a one-lane pass on their own labelling,
+        # with as many merges, at every order 3..80.
         rng = random.Random(80)
         for n in range(3, 81):
             for _ in range(2):
                 g = random_mop(rng, n)
                 cycle = list(recognize(g).cycle)
                 one, merges = hull_lanes(g, cycle, [cycle])
+                mirrored, _ = hull_lanes(g, cycle, [cycle[::-1]])
                 two, both = hull_lanes(g, cycle, [cycle, cycle[::-1]])
-                assert one == two[:1] and merges == both
+                assert two == one + mirrored and merges == both
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=40, deadline=None)

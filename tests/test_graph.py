@@ -277,8 +277,15 @@ class TestEdgeListFormat:
         assert parse_edge_list(format_edge_list(g)) == g
 
     def test_header_lines_become_comments(self):
-        text = format_edge_list(path_graph(2), header=["hello"])
-        assert text.startswith("# hello\n2\n")
+        # One comment per header with no line break, the empty one included.
+        text = format_edge_list(path_graph(2), header=["hello", "", " "])
+        assert text == "# hello\n# \n#  \n2\n0 1\n"
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x1c", "\x85", "\u2028"])
+    def test_header_line_breaks_stay_comments(self, brk):
+        g = fan(4).graph
+        for header in ([f"label=x{brk}2"], [f"a{brk}", brk, ""], [f"{brk}{brk}0 1{brk}"]):
+            assert parse_edge_list(format_edge_list(g, header)) == g
 
     def test_missing_count(self):
         with pytest.raises(EdgeListError):
