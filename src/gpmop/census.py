@@ -2,19 +2,22 @@
 
 The isomorphism classes of triangulated n-gons are grown from the triangle
 by ear insertion on their quiddity sequences (triangles per hull vertex),
-each class kept as its least dihedral image.  Each class is one task that
-starts from its quiddity sequence, and one call of ``run_census`` or
+each class kept as its least dihedral image, its one identity: the generator
+catalog keys its members' labels by it, and the claims read those labels.
+The canonical key, the least chord image, is only output (the CSV column,
+the sort order, the violation lines).  Each class is one task that starts
+from its quiddity sequence, and one call of ``run_census`` or
 ``verify_paper_claims`` runs the tasks of every order it covers here or on
 one fork pool.  A task, ``_class_records``, takes the class's triangles from
 ``mop.ear_cut``, the one route to the triangles of a MOP, and builds the
 records of all its members together, with one verified dual-tree pass.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
-``verify_paper_claims`` machine-checks the bounds, identities, and
-extremal characterizations this package reproduces, one report per claim
-per order: one table of claims per order, each with its first order and
-per-class test, which ``class_violations`` runs in each class's task on the
-graph the task holds, so that the parent only adds up the classes' results.
+``verify_paper_claims`` machine-checks the bounds, identities, and extremal
+characterizations this package reproduces, one report per claim per order:
+one table of claims per order, each with its first order and per-class test,
+which ``class_violations`` runs in each class's task on the graph the task
+holds, so that the parent only adds up the classes' results.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .graph import Graph
 from .mop import (
     StructureViolation,
     _stats,
-    canonical_form,
     dihedral_images,
     ear_cut,
     graph_from_chords,
@@ -70,13 +72,12 @@ def _tri(lo: int, hi: int) -> Iterator[Chords]:
 
 
 def enumerate_triangulations(n: int) -> Iterator[Chords]:
-    """Yield the chord set of every triangulation of the convex polygon
-    0..n-1 exactly once: catalan(n-2) of them, apex-ascending, left
-    sub-polygon first."""
+    """The chord set of every triangulation of the convex polygon 0..n-1
+    exactly once: catalan(n-2) of them, apex-ascending, left sub-polygon
+    first.  The order is checked at the call, before anything is yielded."""
     if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
         raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
-    for chords in _tri(0, n - 1):
-        yield tuple(sorted(chords))
+    return (tuple(sorted(chords)) for chords in _tri(0, n - 1))
 
 
 class CensusRecord(NamedTuple):
@@ -123,12 +124,14 @@ class ClaimReport:
 
 
 @lru_cache(maxsize=None)
-def _generator_catalog(n: int) -> tuple[tuple[str, bytes], ...]:
-    out = []
+def _generator_catalog(n: int) -> dict[bytes, tuple[str, ...]]:
+    """The ``generators_at`` labels of order n, in that order, by class: the least image of the
+    degrees minus one along the hull ``recognize`` finds, as ``quiddity_classes`` yields it."""
+    out: dict[bytes, tuple[str, ...]] = {}
     for label, inst in generators_at(n):
-        cert = recognize(inst.graph)
-        out.append((label, canonical_form(cert)))
-    return tuple(out)
+        q = _quiddity_key(bytes(inst.graph.degree(v) - 1 for v in recognize(inst.graph).cycle))
+        out[q] = out.get(q, ()) + (label,)
+    return out
 
 
 def _quiddity_key(q: bytes) -> bytes:
@@ -168,19 +171,21 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _ClassResult:
-    """The records of the class with quiddity sequence q, sorted by chords, and,
-    when claims is set, the claims it breaks.  ``ear_cut`` gives the class's
-    triangles and chords on the hull 0..n-1, and ``dihedral_images`` each
-    dihedral map m of that hull with the chords' image under it: every
+    """The records of the class with quiddity sequence q, its least image as
+    ``quiddity_classes`` yields it and the catalog keys it, sorted by chords,
+    and, when claims is set, the claims it breaks.  ``ear_cut`` gives the
+    class's triangles and chords on the hull 0..n-1, and ``dihedral_images``
+    each dihedral map m of that hull with the chords' image under it: every
     distinct image is a member, or only the least when dedupe is set, and the
-    least image, packed, is the canonical key.  A member's map sends the ear
-    cut onto the member, so it is the member's lane, its label of each hull
-    position.  The first member's graph is the class graph, which the family
-    labels and ``class_violations`` read once; the stats come from q and the
-    triangles.  ``solve._mop_verified`` runs one dual-tree pass over the ear
-    cut's triangles with a lane per member, which yields every member's
-    witness in its own labels, and verifies each distinct witness, carried
-    onto the class graph by the first member's map, once."""
+    least image, packed, is the canonical key, an output only.  A member's
+    map sends the ear cut onto the member, so it is the member's lane, its
+    label of each hull position.  The first member's graph is the class
+    graph, which the family labels and ``class_violations`` read once; the
+    stats come from q and the triangles.  ``solve._mop_verified`` runs one
+    dual-tree pass over the ear cut's triangles with a lane per member, which
+    yields every member's witness in its own labels, and verifies each
+    distinct witness, carried onto the class graph by the first member's
+    map, once."""
     # From order 4, (0, 2) leads a chord set exactly when vertex 1 is an ear
     # tip, so the least image sends an ear tip to 1.
     anchors = [p for p in range(n) if q[p] == 1] if dedupe else range(n)
@@ -191,7 +196,7 @@ def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _Cla
     key, pairs = image_key(n, images[0]), _pair_table(n)
     members = [tuple(map(pairs.__getitem__, image)) for image in images]
     g = graph_from_chords(n, members[0])
-    labels = tuple(label for label, k in _generator_catalog(n) if k == key)
+    labels = _generator_catalog(n).get(q, ())
     labels += ("gsf",) if is_generalized_sunflower(g) else ()
     # Vertex v lies in q[v] triangles, so its degree is q[v] + 1.
     stats = _stats(n, cut, [k + 1 for k in q])
@@ -271,45 +276,36 @@ def census_to_csv(records: list[CensusRecord]) -> str:
     return buf.getvalue()
 
 
-def _catalog_keys(n: int, prefixes: tuple[str, ...]) -> set[bytes]:
-    return {key for label, key in _generator_catalog(n) if label.startswith(prefixes)}
-
-
-def expected_extremal_keys(n: int) -> set[bytes]:
-    """Catalog of classes attaining floor(2n/3): the fan alone away from
-    orders 1 mod 3, otherwise the fan plus every quasi-fan and glued-fan."""
-    prefixes = ("fan", "quasi_fan(", "g1(", "g2(") if n % 3 == 1 else ("fan",)
-    return _catalog_keys(n, prefixes)
-
-
-def striped_catalog_keys(n: int) -> set[bytes]:
-    """Keys of the catalog members named as striped cap-attainers: the fan,
-    the first quasi-fan, every left-seam glued fan with j=1, and every
-    right-seam glued fan with j=t."""
-    right_seam = tuple(f"g2({t},{t})" for t in range(1, n))
-    return _catalog_keys(n, ("fan", "quasi_fan(1)", "g1(1,") + right_seam)
-
-
 class _Claim(NamedTuple):
     """A claim row: from order ``first`` on, ``bad(record, graph)`` runs on each class that
-    ``applies``, and each of ``keys`` must name such a class."""
+    ``applies``, and each of the catalog ``labels`` must be carried by such a class."""
 
     name: str
     first: int
     universe: str
     bad: Callable[[CensusRecord, Graph], bool]
     applies: Callable[[CensusRecord], bool] = lambda r: True
-    keys: frozenset[bytes] | set[bytes] = frozenset()
+    labels: tuple[str, ...] = ()
 
 
 @lru_cache(maxsize=None)
 def _claim_table(n: int) -> tuple[_Claim, ...]:
     """The claim rows of order n, built once per order and process."""
     cap, k_cap = (2 * n) // 3, n // 2 - 2
-    fan_keys, slt = _catalog_keys(n, ("fan",)), _catalog_keys(n, ("straight_linear_2tree",))
-    extremal = expected_extremal_keys(n)
-    # At orders 1 mod 3 every striped catalog member must attain the cap.
-    listed = striped_catalog_keys(n) if n % 3 == 1 else set()
+
+    def named(*prefixes: str) -> tuple[str, ...]:
+        return tuple(x for labels in _generator_catalog(n).values() for x in labels if x.startswith(prefixes))
+
+    def carries(r: CensusRecord, labels: tuple[str, ...]) -> bool:
+        return any(label in r.family_labels for label in labels)
+
+    fan, slt = named("fan"), named("straight_linear_2tree")
+    # The cap's attainers: the fan alone away from orders 1 mod 3, otherwise
+    # the fan plus every quasi-fan and glued fan.
+    extremal = named("fan", "quasi_fan(", "g1(", "g2(") if n % 3 == 1 else fan
+    # At orders 1 mod 3 the catalog's striped cap attainers must attain it: the fan, the
+    # first quasi-fan, every left-seam glued fan with j=1 and every right-seam one with j=t.
+    listed = named("fan", "quasi_fan(1)", "g1(1,", *(f"g2({t},{t})" for t in range(1, n))) if n % 3 == 1 else ()
 
     def weak_degree_bound(r, g):
         # _mop_verified has built g's neighbour masks to check the class's witnesses.
@@ -376,22 +372,21 @@ def _claim_table(n: int) -> tuple[_Claim, ...]:
             lambda r: len(r.gp_witness) >= 4),
         _Claim(
             "fan_gp_formula", 5, "fan classes: gp = floor(2n/3)",
-            lambda r, g: r.gp != cap, lambda r: r.canonical_key in fan_keys),
+            lambda r, g: r.gp != cap, lambda r: carries(r, fan)),
         _Claim("global_upper_bound", 6, "all classes: gp <= floor(2n/3)", lambda r, g: r.gp > cap),
         _Claim(
             "upper_bound_extremal", 6,
             "classes with gp = floor(2n/3) match the generator catalog exactly",
-            lambda r, g: (r.gp == cap) != (r.canonical_key in extremal), keys=extremal),
+            lambda r, g: (r.gp == cap) != carries(r, extremal), labels=extremal),
         _Claim(
             "max_degree_four", 7,
             "classes with max degree 4 are exactly the straight linear 2-tree",
-            lambda r, g: (r.max_degree == 4) != (r.canonical_key in slt), keys=slt),
+            lambda r, g: (r.max_degree == 4) != carries(r, slt), labels=slt),
         _Claim(
             "striped_extremes", 5,
             "striped classes: gp = 3 exactly at the straight linear 2-tree; listed striped members attain the cap",
-            lambda r, g: (r.gp == 3) != (r.canonical_key in slt)
-            or (r.canonical_key in listed and r.gp != cap),
-            lambda r: r.striped, keys=slt),
+            lambda r, g: (r.gp == 3) != carries(r, slt) or (carries(r, listed) and r.gp != cap),
+            lambda r: r.striped, labels=slt),
         _Claim(
             "internal_triangle_max", 6,
             "max internal triangles = floor(n/2)-2, attained exactly by generalized sunflowers",
@@ -423,7 +418,8 @@ def class_violations(record: CensusRecord, g: Graph) -> frozenset[str]:
 
 
 def _claim_reports(n: int, classes: list[tuple[CensusRecord, frozenset[str]]]) -> Iterator[ClaimReport]:
-    """One report per claim row of order n, from each class's record and ``class_violations``."""
+    """One report per claim row of order n, from each class's record and ``class_violations``:
+    the flagged classes by key, then ``missing=<label>`` per row label no such class carries."""
     max_k, k_cap = max(r.internal_triangles for r, _ in classes), n // 2 - 2
     heads = {"internal_triangle_max": (f"max_internal={max_k}!={k_cap}",)} if max_k != k_cap else {}
     for c in _claim_table(n):
@@ -431,9 +427,10 @@ def _claim_reports(n: int, classes: list[tuple[CensusRecord, frozenset[str]]]) -
             yield ClaimReport(c.name, n, f"{c.universe} (stated for order >= {c.first})", 0, ())
             continue
         rows = [(r, bad) for r, bad in classes if c.applies(r)]
-        flagged = {r.canonical_key for r, bad in rows if c.name in bad}
-        flagged |= c.keys - {r.canonical_key for r, _ in rows}
-        violations = heads.get(c.name, ()) + tuple(sorted(k.hex() for k in flagged))
+        flagged = sorted(r.canonical_key.hex() for r, bad in rows if c.name in bad)
+        carried = {label for r, _ in rows for label in r.family_labels}
+        missing = [f"missing={label}" for label in c.labels if label not in carried]
+        violations = heads.get(c.name, ()) + tuple(flagged + missing)
         yield ClaimReport(c.name, n, c.universe, len(rows), violations)
 
 

@@ -21,13 +21,16 @@ the set of the cut's sides with the edges (``hull_triangles_oracle``),
 tests connectivity by BFS before anything else, and only compares a given
 certificate with the proof.
 The labelled census is rebuilt one triangulation at a time, each record
-from its own graph alone.
+from its own graph alone, and the generator catalog is keyed by each
+member's least chord image (``canonical_form``) instead of the least
+quiddity image the census keys it by.
 """
 
 from __future__ import annotations
 
 import random
 from contextlib import suppress
+from functools import lru_cache
 from itertools import permutations
 
 from gpmop import (
@@ -567,13 +570,42 @@ def relabeled(g: Graph, perm: list[int]) -> Graph:
     return build_graph(g.order, [(perm[u], perm[v]) for u, v in g.edges])
 
 
+@lru_cache(maxsize=None)
+def catalog_by_key(n: int) -> tuple[tuple[str, bytes], ...]:
+    """Each ``generators_at`` label of order n with its member's canonical
+    key, ``canonical_form(recognize(g))``."""
+    return tuple((label, canonical_form(recognize(inst.graph))) for label, inst in generators_at(n))
+
+
+def catalog_key(n: int, label: str) -> bytes:
+    return next(key for lab, key in catalog_by_key(n) if lab == label)
+
+
+def catalog_keys(n: int, prefixes: tuple[str, ...]) -> set[bytes]:
+    return {key for label, key in catalog_by_key(n) if label.startswith(prefixes)}
+
+
+def expected_extremal_keys(n: int) -> set[bytes]:
+    """Keys of the catalog classes attaining floor(2n/3): the fan alone away
+    from orders 1 mod 3, otherwise the fan plus every quasi-fan and glued fan."""
+    return catalog_keys(n, ("fan", "quasi_fan(", "g1(", "g2(") if n % 3 == 1 else ("fan",))
+
+
+def striped_catalog_keys(n: int) -> set[bytes]:
+    """Keys of the catalog members named as striped cap-attainers: the fan,
+    the first quasi-fan, every left-seam glued fan with j=1, and every
+    right-seam glued fan with j=t."""
+    right_seam = tuple(f"g2({t},{t})" for t in range(1, n))
+    return catalog_keys(n, ("fan", "quasi_fan(1)", "g1(1,") + right_seam)
+
+
 def census_by_member(n: int) -> list[CensusRecord]:
     """The labelled census of order n built member by member: each
     triangulation's key from ``canonical_form(recognize(g))``, its gp and
     witness from ``gp_number``, its statistics from ``mop_stats`` and its
     labels from the generator catalog, with no fact shared between members.
     Sorted by (canonical key, chords), as ``run_census`` returns them."""
-    catalog = [(label, canonical_form(recognize(inst.graph))) for label, inst in generators_at(n)]
+    catalog = catalog_by_key(n)
     records = []
     for chords in enumerate_triangulations(n):
         g = build_graph(n, [(i, (i + 1) % n) for i in range(n)] + list(chords))

@@ -36,13 +36,15 @@ from gpmop import (
     recognize,
     run_census,
 )
-from gpmop.census import (
+from gpmop.census import graph_from_chords
+from gpmop.cli import main as cli_main
+from helpers import (
+    brute_force_gp,
     expected_extremal_keys,
-    graph_from_chords,
+    polygon_certificate,
+    random_connected_graph,
     striped_catalog_keys,
 )
-from gpmop.cli import main as cli_main
-from helpers import brute_force_gp, polygon_certificate, random_connected_graph
 
 _FULL: dict[int, list] = {}
 _CLASSES: dict[int, list] = {}

@@ -29,20 +29,29 @@ from gpmop import (
     verify_paper_claims,
 )
 from gpmop import census, graph, solve
+from gpmop import mop
 from gpmop.census import (
     MAX_CENSUS_ORDER,
     _class_records,
     _generator_catalog,
     _quiddity_key,
     class_violations,
-    expected_extremal_keys,
     graph_from_chords,
     quiddity_classes,
-    striped_catalog_keys,
 )
 from gpmop.mop import dihedral_images, ear_cut
 import test_dual
-from helpers import census_by_member, graphs_isomorphic, polygon_certificate, random_mop, relabeled
+from helpers import (
+    catalog_by_key,
+    catalog_key,
+    census_by_member,
+    expected_extremal_keys,
+    graphs_isomorphic,
+    polygon_certificate,
+    random_mop,
+    relabeled,
+    striped_catalog_keys,
+)
 
 # OEIS A000207: triangulations of the n-gon up to rotation and reflection.
 DIHEDRAL_CLASSES = {
@@ -100,10 +109,11 @@ class TestEnumeration:
             assert cert.chords == frozenset(chords)
 
     def test_range_checks(self):
+        # Rejected at the call, before the first chord set is asked for.
         with pytest.raises(BadParam):
-            list(enumerate_triangulations(2))
+            enumerate_triangulations(2)
         with pytest.raises(BadParam):
-            list(enumerate_triangulations(15))
+            enumerate_triangulations(15)
 
 
 def quiddity(n, chords):
@@ -140,27 +150,42 @@ class TestQuiddityKey:
                     assert _quiddity_key(image) == min(images) == q
 
     def test_dihedral_images_run_once_per_class(self, monkeypatch):
+        # Cold: the generator catalog each order builds keys its members by
+        # their quiddity sequences, so neither it nor canonical_form (which
+        # calls mop.dihedral_images) adds a call.
         calls: list[int] = []
 
         def counting(n, chords, anchors=None):
             calls.append(n)
             return dihedral_images(n, chords, anchors)
 
-        def no_key(cert):
-            raise AssertionError("run_census called canonical_form")
-
-        for n in range(4, 12):
-            _generator_catalog(n)  # warm: the catalog keys its members with canonical_form
         monkeypatch.setattr(census, "dihedral_images", counting)
-        monkeypatch.setattr(census, "canonical_form", no_key)
+        monkeypatch.setattr(mop, "dihedral_images", counting)
         for dedupe in (False, True):
             for n in range(4, 12):
+                census._generator_catalog.cache_clear()
                 calls.clear()
                 recs = run_census(n, dedupe=dedupe)
                 assert len(recs) == (DIHEDRAL_CLASSES[n] if dedupe else catalan(n - 2))
                 assert calls == [n] * DIHEDRAL_CLASSES[n]
                 for r in recs:
                     assert r.canonical_key == canonical_form(polygon_certificate(n, r.chords))
+
+
+class TestGeneratorCatalog:
+    @pytest.mark.parametrize("n", [*range(3, 17), 20, 31, 40])
+    def test_classes_match_the_canonical_keys(self, n):
+        # Oracle: each member keyed by its least chord image, canonical_form.
+        # The labels group alike, in generators_at order within a class, and
+        # each class's key is its least quiddity image.
+        by_key: dict[bytes, list[str]] = {}
+        for label, key in catalog_by_key(n):
+            by_key.setdefault(key, []).append(label)
+        catalog = _generator_catalog(n)
+        assert sorted(map(list, catalog.values())) == sorted(by_key.values())
+        assert all(_quiddity_key(q) == q for q in catalog)
+        if n <= 12:
+            assert set(catalog) <= set(quiddity_classes(n))
 
 
 class TestQuiddityClasses:
@@ -611,7 +636,7 @@ class TestClaims:
         # naming its class, not an exception out of the battery.
         n = 7
         recs = run_census(n, dedupe=True)
-        fan_key = _catalog_key(n, "fan")
+        fan_key = catalog_key(n, "fan")
         fan_g = graph_from_chords(n, next(r.chords for r in recs if r.canonical_key == fan_key))
         real = census._fan_pattern
         bound = real(fan_g)[0]
@@ -691,10 +716,6 @@ LEANING_FAN = ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (6, 8), (6, 9))
 SHIFTED_FAN = ((0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (7, 9))
 
 
-def _catalog_key(n, label):
-    return next(key for lab, key in _generator_catalog(n) if lab == label)
-
-
 def _report(reports, claim):
     return next(r for r in reports if r.claim == claim)
 
@@ -705,11 +726,11 @@ def _order_ten_classes():
 
 
 def _is_fan(r):
-    return r.canonical_key == _catalog_key(ORDER, "fan")
+    return r.canonical_key == catalog_key(ORDER, "fan")
 
 
 def _not_slt(r):
-    return r.canonical_key != _catalog_key(ORDER, "straight_linear_2tree")
+    return r.canonical_key != catalog_key(ORDER, "straight_linear_2tree")
 
 
 def _without_chord(r):
@@ -810,14 +831,23 @@ class TestClaimSensitivity:
         reports, key = _battery_with(_is_fan, lambda r: {"gp": 3})
         assert _report(reports, "striped_extremes").violations == (key.hex(),)
 
-    def test_catalog_key_without_a_class_is_named(self):
-        # A catalog key that no class carries is a violation of each claim naming it.
-        slt = _catalog_key(ORDER, "straight_linear_2tree")
-        recs = [r for r in _order_ten_classes() if r.canonical_key != slt]
+    def test_catalog_label_without_a_class_is_named(self):
+        # A catalog label that no class carries is an order-level violation
+        # of each claim naming it, printed as it is after the class lines.
+        recs = [r for r in _order_ten_classes() if _not_slt(r)]
         reports = _battery_on(recs)
         for claim, checked in (("max_degree_four", 81), ("striped_extremes", 19)):
             rep = _report(reports, claim)
-            assert (rep.checked, rep.violations) == (checked, (slt.hex(),))
+            assert (rep.checked, rep.violations) == (checked, ("missing=straight_linear_2tree",))
+            assert f"{rep.line()}\n  missing=straight_linear_2tree\n" in claim_report_text(reports)
+
+    def test_missing_label_follows_the_flagged_classes(self):
+        # The fan, mutated to gp 3, breaks striped_extremes as a class with
+        # the straight linear 2-tree gone: its key first, then the label.
+        recs, fan = _mutated(_is_fan, lambda r: {"gp": 3})
+        reports = _battery_on([r for r in recs if _not_slt(r)])
+        violations = _report(reports, "striped_extremes").violations
+        assert violations == (fan.canonical_key.hex(), "missing=straight_linear_2tree")
 
     def test_internal_maximum_above_the_cap_is_named(self):
         # A non-gsf class above floor(n/2)-2 breaks the maximum, not the attainment.
@@ -849,32 +879,41 @@ class TestClaimSensitivity:
 
 def _class_task(g):
     """The census's own class task, claims included, on the MOP g of any
-    order: its quiddity sequence is the degrees minus one along the hull.
-    Returns the hull, the class's record and the claims it breaks."""
+    order: its quiddity sequence is the least image of the degrees minus one
+    along the hull.  Returns the hull, the class's record and the claims it
+    breaks."""
     cycle = recognize(g).cycle
-    records, bad = _class_records(g.order, bytes(len(g.adjacency[v]) - 1 for v in cycle), True, True)
+    q = _quiddity_key(bytes(len(g.adjacency[v]) - 1 for v in cycle))
+    records, bad = _class_records(g.order, q, True, True)
     return cycle, records[0], bad
 
 
+def _sampled_classes(seed, orders, count):
+    # A class at the cap may lie outside the extremal catalog (as the
+    # order-16 one does); no other claim may fail.
+    rng = random.Random(seed)
+    for n in orders:
+        for _ in range(count):
+            g = random_mop(rng, n)
+            cycle, r, bad = _class_task(g)
+            assert bad <= ({"upper_bound_extremal"} if r.gp == (2 * n) // 3 else set())
+            along = [0] * n
+            for p, v in enumerate(cycle):
+                along[v] = p
+            assert gp_number(relabeled(g, along)).value == r.gp
+
+
 class TestSampledClasses:
-    # The class task beyond the census orders, on sampled classes.
+    # The class task beyond the census orders, on sampled classes.  Each
+    # order's first task builds its generator catalog.
 
     def test_random_mops(self):
-        # A class at the cap may lie outside the extremal catalog (as the
-        # order-16 one does); no other claim may fail.  Each order's first
-        # task builds its generator catalog, most of this test's time.
-        rng = random.Random(17)
-        for n in range(17, 41):
-            for _ in range(15):
-                g = random_mop(rng, n)
-                cycle, r, bad = _class_task(g)
-                assert bad <= ({"upper_bound_extremal"} if r.gp == (2 * n) // 3 else set())
-                along = [0] * n
-                for p, v in enumerate(cycle):
-                    along[v] = p
-                assert gp_number(relabeled(g, along)).value == r.gp
+        _sampled_classes(17, range(17, 41), 15)
 
-    @pytest.mark.parametrize("n", [19, 22, 25, 31])
+    def test_random_mops_above_forty(self):
+        _sampled_classes(48, (48, 64, 80, 100), 5)
+
+    @pytest.mark.parametrize("n", [19, 22, 25, 31, 43, 46])
     def test_catalog_members(self, n):
         for label, inst in generators_at(n):
             _, r, bad = _class_task(inst.graph)

@@ -24,12 +24,13 @@ from gpmop import (
     run_census,
 )
 from gpmop import dual, solve
-from gpmop.census import expected_extremal_keys, graph_from_chords
+from gpmop.census import graph_from_chords
 from gpmop.dual import mop_gp_lanes
 from gpmop.mop import hull_triangles
 from helpers import (
     arc_state,
     brute_force_gp,
+    expected_extremal_keys,
     floyd_warshall,
     in_general_position,
     per_pair_block_masks,
