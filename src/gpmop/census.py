@@ -4,13 +4,14 @@ The isomorphism classes of triangulated n-gons are grown from the triangle
 by ear insertion on their quiddity sequences (triangles per hull vertex),
 each class kept as its least dihedral image, its one identity: the generator
 catalog keys its members' labels by it, and the claims read those labels.
-The canonical key, the least chord image, is only output (the CSV column,
-the sort order, the violation lines).  Each class is one task that starts
-from its quiddity sequence, and one call of ``run_census`` or
-``verify_paper_claims`` runs the tasks of every order it covers here or on
-one fork pool.  A task, ``_class_records``, takes the class's triangles from
-``mop.ear_cut``, the one route to the triangles of a MOP, and builds the
-records of all its members together, with one verified dual-tree pass.
+The canonical key, the least chord image, is only output (the CSV column
+and the sort order); a claim names a class by that image's chords.  Each
+class is one task that starts from its quiddity sequence, and one call of
+``run_census`` or ``verify_paper_claims`` runs the tasks of every order it
+covers here or on one fork pool.  A task, ``_class_records``, takes the
+class's triangles from ``mop.ear_cut``, the one route to the triangles of
+a MOP, and builds the records of all its members together, with one
+verified dual-tree pass.
 ``enumerate_triangulations``, the classic apex recursion over labelled
 triangulations, is the independent oracle the census is tested against.
 ``verify_paper_claims`` machine-checks the bounds, identities, and extremal
@@ -36,12 +37,12 @@ from .graph import Graph
 from .mop import (
     StructureViolation,
     _stats,
+    chord_text,
     dihedral_images,
     ear_cut,
     graph_from_chords,
     hull_triangles,
     image_key,
-    key_chords,
     recognize,
 )
 from .solve import _fan_pattern, _mop_verified
@@ -101,6 +102,9 @@ class CensusRecord(NamedTuple):
 class ClaimReport:
     """One claim checked over the classes of one order.
 
+    Each violation is an entry printed as it is: ``chords=a-b;c-d;...`` (a
+    flagged class's least image), ``missing=<label>`` (a catalog label no
+    class carries) or ``max_internal=<max>!=<floor(n/2)-2>``.
     ``checked=0`` with status ``pass`` means nothing was checked: the order
     lies below the range the claim is stated for, or no class meets its
     hypothesis.
@@ -124,17 +128,17 @@ class ClaimReport:
 
 
 @lru_cache(maxsize=None)
-def _generator_catalog(n: int) -> dict[bytes, tuple[str, ...]]:
+def _generator_catalog(n: int) -> dict[tuple[int, ...], tuple[str, ...]]:
     """The ``generators_at`` labels of order n, in that order, by class: the least image of the
     degrees minus one along the hull ``recognize`` finds, as ``quiddity_classes`` yields it."""
-    out: dict[bytes, tuple[str, ...]] = {}
+    out: dict[tuple[int, ...], tuple[str, ...]] = {}
     for label, inst in generators_at(n):
-        q = _quiddity_key(bytes(inst.graph.degree(v) - 1 for v in recognize(inst.graph).cycle))
+        q = _quiddity_key(tuple(inst.graph.degree(v) - 1 for v in recognize(inst.graph).cycle))
         out[q] = out.get(q, ()) + (label,)
     return out
 
 
-def _quiddity_key(q: bytes) -> bytes:
+def _quiddity_key(q: tuple[int, ...]) -> tuple[int, ...]:
     # The smallest of the 2n dihedral images of a quiddity sequence (triangles
     # per hull vertex): a complete isomorphism invariant of a triangulated polygon.
     # The least image starts with the least entry, 1 in every triangulated
@@ -144,7 +148,7 @@ def _quiddity_key(q: bytes) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def quiddity_classes(n: int) -> tuple[bytes, ...]:
+def quiddity_classes(n: int) -> tuple[tuple[int, ...], ...]:
     """The isomorphism classes of triangulations of the n-gon, n >= 3, each as
     its least dihedral quiddity image, sorted.  A class of order n+1 arises
     from one of order n by inserting an ear on a hull edge: a 1 between two
@@ -152,15 +156,15 @@ def quiddity_classes(n: int) -> tuple[bytes, ...]:
     if n <= MIN_CENSUS_ORDER:
         if n < MIN_CENSUS_ORDER:
             raise BadParam(f"a polygon has at least {MIN_CENSUS_ORDER} vertices, got {n}")
-        return (b"\x01\x01\x01",)
+        return ((1, 1, 1),)
     level = set()
     for q in quiddity_classes(n - 1):
         for i in range(n - 1):
-            grown = bytearray(q)
+            grown = list(q)
             grown[i] += 1
             grown[(i + 1) % (n - 1)] += 1
             grown.insert(i + 1, 1)
-            level.add(_quiddity_key(bytes(grown)))
+            level.add(_quiddity_key(tuple(grown)))
     return tuple(sorted(level))
 
 
@@ -170,7 +174,7 @@ def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(divmod(c, n) for c in range(n * n))
 
 
-def _class_records(n: int, q: bytes, dedupe: bool, claims: bool = False) -> _ClassResult:
+def _class_records(n: int, q: tuple[int, ...], dedupe: bool, claims: bool = False) -> _ClassResult:
     """The records of the class with quiddity sequence q, its least image as
     ``quiddity_classes`` yields it and the catalog keys it, sorted by chords,
     and, when claims is set, the claims it breaks.  ``ear_cut`` gives the
@@ -269,7 +273,7 @@ def census_to_csv(records: list[CensusRecord]) -> str:
                 r.two_vertices,
                 "true" if r.striped else "false",
                 ";".join(r.family_labels),
-                ";".join(f"{a}-{b}" for a, b in r.chords),
+                chord_text(r.chords),
                 ";".join(str(v) for v in r.gp_witness),
             ]
         )
@@ -418,8 +422,8 @@ def class_violations(record: CensusRecord, g: Graph) -> frozenset[str]:
 
 
 def _claim_reports(n: int, classes: list[tuple[CensusRecord, frozenset[str]]]) -> Iterator[ClaimReport]:
-    """One report per claim row of order n, from each class's record and ``class_violations``:
-    the flagged classes by key, then ``missing=<label>`` per row label no such class carries."""
+    """One report per claim row of order n, from each class's record and ``class_violations``, the classes
+    in key order: the flagged ones as ``chords=...``, then ``missing=<label>`` per row label none carries."""
     max_k, k_cap = max(r.internal_triangles for r, _ in classes), n // 2 - 2
     heads = {"internal_triangle_max": (f"max_internal={max_k}!={k_cap}",)} if max_k != k_cap else {}
     for c in _claim_table(n):
@@ -427,7 +431,7 @@ def _claim_reports(n: int, classes: list[tuple[CensusRecord, frozenset[str]]]) -
             yield ClaimReport(c.name, n, f"{c.universe} (stated for order >= {c.first})", 0, ())
             continue
         rows = [(r, bad) for r, bad in classes if c.applies(r)]
-        flagged = sorted(r.canonical_key.hex() for r, bad in rows if c.name in bad)
+        flagged = [f"chords={chord_text(r.chords)}" for r, bad in rows if c.name in bad]
         carried = {label for r, _ in rows for label in r.family_labels}
         missing = [f"missing={label}" for label in c.labels if label not in carried]
         violations = heads.get(c.name, ()) + tuple(flagged + missing)
@@ -450,17 +454,9 @@ def verify_paper_claims(n_min: int, n_max: int, jobs: int = 1) -> list[ClaimRepo
     ]
 
 
-def _violation_text(v: str) -> str:
-    # An order-level entry as it is; a class, named by its canonical key in
-    # hex, by the chords of its least image in the CSV's form.
-    if "=" in v:
-        return v
-    return "chords=" + ";".join(f"{a}-{b}" for a, b in key_chords(bytes.fromhex(v)))
-
-
 def claim_report_text(reports: list[ClaimReport]) -> str:
-    """Each report's line, followed by one indented line per violation."""
+    """Each report's line, followed by one indented line per violation, as it is."""
     lines = []
     for r in reports:
-        lines += [r.line(), *(f"  {_violation_text(v)}" for v in r.violations)]
+        lines += [r.line(), *(f"  {v}" for v in r.violations)]
     return "\n".join(lines) + "\n"

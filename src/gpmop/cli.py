@@ -26,7 +26,7 @@ from .graph import (
     format_edge_list,
     parse_edge_list,
 )
-from .mop import NotAnMop, certificate_to_text, graph_from_chords, recognize
+from .mop import NotAnMop, certificate_to_text, chord_text, graph_from_chords, recognize
 from .solve import MOP_SEARCH_CAP, gp_number
 from .verify import is_gp_characterized, is_gp_naive
 
@@ -127,7 +127,7 @@ def _chords(params: list[int]) -> tuple[families.FamilyInstance, str]:
     families._check_order("chords", n, 3)
     pairs = list(zip(ends[::2], ends[1::2]))
     inst = families.FamilyInstance(f"chords({n})", graph_from_chords(n, pairs), None, {})
-    return inst, f"n={n} chords=" + ";".join(f"{a}-{b}" for a, b in pairs)
+    return inst, f"n={n} chords={chord_text(pairs)}"
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -14,8 +14,8 @@ structural rejection.  A certificate is an output: one given back is
 compared with the proof, never cut along.  The package has no other
 crossing test: ``hull_triangles`` along the polygon order 0..n-1 also
 judges the generalized sunflower's base chords and the census's segment
-claim.  ``graph_from_chords`` is the one polygon builder.  Every rejection
-names its evidence.
+claim.  ``graph_from_chords`` is the one polygon builder, ``chord_text`` the
+one chord-list formatter.  Every rejection names its evidence.
 """
 
 from __future__ import annotations
@@ -251,6 +251,11 @@ def graph_from_chords(n: int, chords) -> Graph:
     return build_graph(n, edges)
 
 
+def chord_text(chords) -> str:
+    """The chords (a, b) as ``a-b;c-d;...``, the form of the census CSV and the claim entries."""
+    return ";".join(f"{a}-{b}" for a, b in chords)
+
+
 def _stats(n: int, triangles, degrees) -> MopStats:
     # A triangle (a, c, b) of hull positions, a < c < b, is internal when no
     # side is a hull edge: c - a > 1, b - c > 1 and (a, b) is not (0, n-1).
@@ -310,11 +315,6 @@ def dihedral_images(n: int, chords, anchors=None):
 def image_key(n: int, image: tuple[int, ...]) -> bytes:
     """Pack each chord (a, b) of an image as big-endian unsigned shorts."""
     return b"".join(struct.pack(">HH", *divmod(c, n)) for c in image)
-
-
-def key_chords(key: bytes) -> list[tuple[int, int]]:
-    """The chords (a, b) that ``image_key`` packed into key, in its order."""
-    return list(struct.iter_unpack(">HH", key))
 
 
 def canonical_form(cert: MopCertificate) -> bytes:

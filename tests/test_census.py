@@ -18,6 +18,7 @@ from gpmop import (
     census_to_csv,
     claim_report_text,
     enumerate_triangulations,
+    fan,
     generalized_sunflower,
     generators_at,
     gp_number,
@@ -39,7 +40,7 @@ from gpmop.census import (
     graph_from_chords,
     quiddity_classes,
 )
-from gpmop.mop import dihedral_images, ear_cut
+from gpmop.mop import chord_text, dihedral_images, ear_cut
 import test_dual
 from helpers import (
     catalog_by_key,
@@ -118,18 +119,18 @@ class TestEnumeration:
 
 def quiddity(n, chords):
     # Triangles per hull vertex: one, plus one per chord at the vertex.
-    counts = bytearray(b"\x01" * n)
+    counts = [1] * n
     for a, b in chords:
         counts[a] += 1
         counts[b] += 1
-    return bytes(counts)
+    return tuple(counts)
 
 
 class TestQuiddityKey:
     def test_partition_matches_canonical_form(self):
         # Oracle: canonical_form on every labeled triangulation.
         for n in range(3, 13):
-            by_quiddity: dict[bytes, set] = {}
+            by_quiddity: dict[tuple[int, ...], set] = {}
             by_key: dict[bytes, set] = {}
             for chords in enumerate_triangulations(n):
                 by_quiddity.setdefault(_quiddity_key(quiddity(n, chords)), set()).add(chords)
@@ -623,7 +624,8 @@ class TestClaims:
         # which the deduplicated record carries; fed back through the
         # polygon builder they give the class's key again.
         recs = run_census(n, dedupe=True)
-        report = ClaimReport("any", n, "all classes", len(recs), tuple(r.canonical_key.hex() for r in recs))
+        entries = tuple(f"chords={chord_text(r.chords)}" for r in recs)
+        report = ClaimReport("any", n, "all classes", len(recs), entries)
         lines = claim_report_text([report]).splitlines()
         assert lines[0] == report.line()
         assert lines[1:] == ["  chords=" + ";".join(f"{a}-{b}" for a, b in r.chords) for r in recs]
@@ -637,7 +639,8 @@ class TestClaims:
         n = 7
         recs = run_census(n, dedupe=True)
         fan_key = catalog_key(n, "fan")
-        fan_g = graph_from_chords(n, next(r.chords for r in recs if r.canonical_key == fan_key))
+        fan_chords = next(r.chords for r in recs if r.canonical_key == fan_key)
+        fan_g = graph_from_chords(n, fan_chords)
         real = census._fan_pattern
         bound = real(fan_g)[0]
         dist = all_pairs_distances(fan_g)
@@ -648,7 +651,7 @@ class TestClaims:
 
         monkeypatch.setattr(census, "_fan_pattern", pattern)
         report = _report(verify_paper_claims(n, n), "degree_lower_bound")
-        assert report.violations == (fan_key.hex(),)
+        assert report.violations == (f"chords={chord_text(fan_chords)}",)
         assert report.checked == len(recs)
 
     def test_claims_build_no_row_from_a_witness(self, monkeypatch):
@@ -792,9 +795,9 @@ def _mutated(pick, change):
 
 def _battery_with(pick, change):
     """Run the order-10 battery with the first class that pick selects
-    mutated by change; return the reports and that class's key."""
+    mutated by change; return the reports and that class's violation entry."""
     recs, mutated = _mutated(pick, change)
-    return _battery_on(recs), mutated.canonical_key
+    return _battery_on(recs), f"chords={chord_text(mutated.chords)}"
 
 
 class TestClaimSensitivity:
@@ -813,7 +816,27 @@ class TestClaimSensitivity:
     def test_mutated_class_is_named(self, claim, pick, change):
         recs, mutated = _mutated(pick, change)
         assert claim in _violations(mutated)
-        assert mutated.canonical_key.hex() in _report(_battery_on(recs), claim).violations
+        assert f"chords={chord_text(mutated.chords)}" in _report(_battery_on(recs), claim).violations
+
+    def test_every_entry_is_printed_as_it_is(self):
+        # Each violation is a name=value entry (a class's chords, a missing
+        # catalog label or the order's internal maximum), and the report text
+        # prints it unchanged under its report's line.
+        batteries = [verify_paper_claims(4, 9)]
+        batteries += [_battery_on(_mutated(pick, change)[0]) for _, pick, change in MUTATIONS]
+        batteries.append(_battery_on([r for r in _order_ten_classes() if _not_slt(r)]))
+        batteries.append(
+            _battery_with(lambda r: "gsf" not in r.family_labels, lambda r: {"internal_triangles": 4})[0]
+        )
+        entries = set()
+        for reports in batteries:
+            expected = []
+            for r in reports:
+                expected += [r.line(), *(f"  {v}" for v in r.violations)]
+                entries.update(r.violations)
+            assert claim_report_text(reports).splitlines() == expected
+        assert all(re.fullmatch(r"(chords|missing|max_internal)=\S+", v) for v in entries)
+        assert {v.partition("=")[0] for v in entries} == {"chords", "missing", "max_internal"}
 
     def test_extra_crossing_chord_breaks_the_face_count(self):
         # The record keeps its n-3 chords; only the graph's own triangles
@@ -823,13 +846,13 @@ class TestClaimSensitivity:
         assert "chord_count" in class_violations(r, graph_from_chords(ORDER, r.chords + ((7, 9),)))
 
     def test_striped_catalog_member_below_the_cap_is_named(self):
-        reports, key = _battery_with(_is_fan, lambda r: {"gp": 5})
-        assert _report(reports, "striped_extremes").violations == (key.hex(),)
+        reports, entry = _battery_with(_is_fan, lambda r: {"gp": 5})
+        assert _report(reports, "striped_extremes").violations == (entry,)
 
     def test_striped_extremes_names_a_class_once(self):
         # The mutated fan breaks both halves of the claim at an order 1 mod 3.
-        reports, key = _battery_with(_is_fan, lambda r: {"gp": 3})
-        assert _report(reports, "striped_extremes").violations == (key.hex(),)
+        reports, entry = _battery_with(_is_fan, lambda r: {"gp": 3})
+        assert _report(reports, "striped_extremes").violations == (entry,)
 
     def test_catalog_label_without_a_class_is_named(self):
         # A catalog label that no class carries is an order-level violation
@@ -847,7 +870,7 @@ class TestClaimSensitivity:
         recs, fan = _mutated(_is_fan, lambda r: {"gp": 3})
         reports = _battery_on([r for r in recs if _not_slt(r)])
         violations = _report(reports, "striped_extremes").violations
-        assert violations == (fan.canonical_key.hex(), "missing=straight_linear_2tree")
+        assert violations == (f"chords={chord_text(fan.chords)}", "missing=straight_linear_2tree")
 
     def test_internal_maximum_above_the_cap_is_named(self):
         # A non-gsf class above floor(n/2)-2 breaks the maximum, not the attainment.
@@ -883,7 +906,7 @@ def _class_task(g):
     along the hull.  Returns the hull, the class's record and the claims it
     breaks."""
     cycle = recognize(g).cycle
-    q = _quiddity_key(bytes(len(g.adjacency[v]) - 1 for v in cycle))
+    q = _quiddity_key(tuple(len(g.adjacency[v]) - 1 for v in cycle))
     records, bad = _class_records(g.order, q, True, True)
     return cycle, records[0], bad
 
@@ -918,6 +941,23 @@ class TestSampledClasses:
         for label, inst in generators_at(n):
             _, r, bad = _class_task(inst.graph)
             assert not bad and label in r.family_labels, label
+
+    def test_fan_hub_beyond_a_byte(self, monkeypatch):
+        # From order 258 the fan's hub lies in 256 or more triangles, so its
+        # quiddity entry no longer fits in a byte.  The catalog is cut to the
+        # fan alone to keep the task small, and cleared on both sides.
+        n = 300
+        monkeypatch.setattr(census, "generators_at", lambda order: [("fan", fan(order))])
+        census._generator_catalog.cache_clear()
+        census._claim_table.cache_clear()
+        try:
+            g = fan(n).graph
+            q = _quiddity_key(tuple(g.degree(v) - 1 for v in recognize(g).cycle))
+            records, bad = _class_records(n, q, True, True)
+            assert (records[0].gp, records[0].family_labels, bad) == (200, ("fan",), frozenset())
+        finally:
+            census._generator_catalog.cache_clear()
+            census._claim_table.cache_clear()
 
     def test_order_sixteen_cap_class(self):
         _, r, bad = _class_task(test_dual.TestOrderSixteenCapClass().graph())

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import gpmop
-from gpmop import cli, parse_edge_list, recognize, verify
+from gpmop import census, cli, parse_edge_list, recognize, verify
+from gpmop.census import _class_records, _quiddity_key
 from gpmop.cli import main
 
 import test_dual
@@ -190,6 +191,21 @@ class TestGenerate:
         assert main(["gp", str(out)]) == 0
         assert capsys.readouterr().out == "gp=10\nwitness=0 1 3 5 6 8 9 11 13 14\n"
         assert main(["recognize", str(out)]) == 0
+
+    def test_claim_entry_feeds_back_to_gp(self, tmp_path, capsys):
+        # The order-16 cap class's upper_bound_extremal entry, as the claim
+        # report holds it, read back by generate chords and solved by gp.
+        g = test_dual.TestOrderSixteenCapClass().graph()
+        q = _quiddity_key(tuple(g.degree(v) - 1 for v in recognize(g).cycle))
+        records, bad = _class_records(16, q, True, True)
+        report = next(r for r in census._claim_reports(16, [(records[0], bad)]) if r.claim == "upper_bound_extremal")
+        entry = report.violations[0]
+        assert entry == "chords=0-2;0-3;0-4;0-8;0-12;0-13;0-14;4-8;5-8;6-8;8-10;8-11;8-12"
+        ends = [v for chord in entry.removeprefix("chords=").split(";") for v in chord.split("-")]
+        out = tmp_path / "entry16.txt"
+        assert main(["generate", "chords", "16", *ends, "--out", str(out)]) == 0
+        assert main(["gp", str(out)]) == 0
+        assert capsys.readouterr().out == "gp=10\nwitness=1 2 4 6 7 9 10 12 14 15\n"
 
     def test_chords_reject_an_odd_count_of_endpoints(self, capsys):
         for argv in (["6", "0", "2", "0"], []):
