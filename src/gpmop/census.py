@@ -216,14 +216,16 @@ def _class_records(n: int, q: tuple[int, ...], dedupe: bool, claims: bool = Fals
 
 def _census_tasks(orders: Iterable[int], dedupe: bool, jobs: int, claims: bool) -> list[_ClassResult]:
     # One task per class of every order, results sorted by (order, key).  Jobs,
-    # cores and tasks cap the workers; one runs the tasks here, more share one pool.
+    # the CPUs this process may run on and tasks cap the workers; one runs the
+    # tasks here, more share one pool.
     if jobs < 1:
         raise BadParam(f"jobs must be at least 1, got {jobs}")
     for n in orders:
         if not MIN_CENSUS_ORDER <= n <= MAX_CENSUS_ORDER:
             raise BadParam(f"census order must be in {MIN_CENSUS_ORDER}..{MAX_CENSUS_ORDER}, got {n}")
     tasks = [(n, q, dedupe, claims) for n in orders for q in quiddity_classes(n)]
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, cpus, len(tasks))
     if workers == 1:
         results = [_class_records(*task) for task in tasks]
     else:

@@ -100,6 +100,13 @@ their guards.  With two lanes or more every weight has a count bit in lane
 is v: the guard test alone decides every join.  With one lane every value is
 below 2^w, so a one-lane pass, that of every ``gp_number`` call and of every
 deduplicated census class, joins by the plain max and runs no guard test.
+A lane's low part holds its witness, label v as bit n-1-v.  A one-lane pass
+decodes it directly; a multi-lane pass reads it through ``_labels``, cached
+on (n, low), so lanes with the same witness labels get one tuple, which the
+labelled census's records then share, in process and, through pickle's
+memo, within each chunk of results a pool worker returns.  Only the labelled
+census runs passes of more than one lane, at orders n <= 14, so the cache
+holds at most 2^n entries per order.
 
 Joins.  A table holds a value for each of 22 slots, one per class, and a mask
 of the slots present; slots 0..3 are the hull states, so a hull edge has mask
@@ -206,8 +213,9 @@ _JOINS = (
 )
 
 
-# Both caches are unbounded: joins reach 24 presence masks (pinned in tests),
-# so at most 24 row sets and 24 x 24 plans.
+# The three caches are unbounded: joins reach 24 presence masks (pinned in
+# tests), so at most 24 row sets and 24 x 24 plans, and ``_labels`` holds at
+# most 2^n entries per census order n <= 14 (see Lanes).
 @lru_cache(maxsize=None)
 def _rows(right: int) -> tuple[tuple[tuple[tuple[int, int, int], ...], int], ...]:
     """For the presence mask of cb: each row of ``_JOINS`` cut to the triples
@@ -226,6 +234,17 @@ def _plan(left: int, right: int) -> tuple[list[tuple[int, int, int]], int]:
             triples += row
             mask |= merged
     return triples, mask
+
+
+@lru_cache(maxsize=None)
+def _labels(n: int, low: int) -> tuple[int, ...]:
+    # Label v is bit n-1-v of a lane's low part, so clearing the top bit reads the labels ascending.
+    labels = []
+    while low:
+        b = low.bit_length()
+        labels.append(n - b)
+        low ^= 1 << b - 1
+    return tuple(labels)
 
 
 def mop_gp_lanes(
@@ -278,15 +297,10 @@ def mop_gp_lanes(
                     values[k] = u ^ ((v ^ u) & (ge - (ge >> top)))
         tables[a, b] = mask, values
     best = tables[0, n - 1][1][0]
+    # Only multi-lane passes share their witness tuples through the cache (see Lanes).
+    decode = _labels.__wrapped__ if one_lane else _labels
     results = []
     for i in range(len(labellings)):
         lane = best >> (i * width) & ((1 << width) - 1)
-        low = lane & ((1 << n) - 1)
-        # Label v is bit n-1-v, so clearing the top bit reads the labels ascending.
-        labels = []
-        while low:
-            b = low.bit_length()
-            labels.append(n - b)
-            low ^= 1 << b - 1
-        results.append((lane >> n, tuple(labels)))
+        results.append((lane >> n, decode(n, lane & ((1 << n) - 1))))
     return results, merges

@@ -29,7 +29,7 @@ from gpmop import (
     run_census,
     verify_paper_claims,
 )
-from gpmop import census, graph, solve
+from gpmop import census, dual, graph, solve
 from gpmop import mop
 from gpmop.census import (
     MAX_CENSUS_ORDER,
@@ -307,14 +307,14 @@ class TestPlanChunks:
     """How run_census shares its classes, one task each, among pool workers."""
 
     def test_huge_jobs_clamped_to_cpus(self, pools, monkeypatch):
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # 12 classes at order 8 over 2 cores: one pool of two workers.
         assert run_census(8, dedupe=True, jobs=10**9) == run_census(8, dedupe=True)
         assert pools.workers == [2]
         assert pools.tasks == [(8, q, True, False) for q in quiddity_classes(8)]
 
     def test_clamped_to_items(self, pools, monkeypatch):
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         # 3 classes at order 6: one worker each.
         assert run_census(6, dedupe=True, jobs=8) == run_census(6, dedupe=True)
         # The 5 labelled pentagons are one class: one task, no pool.
@@ -324,8 +324,17 @@ class TestPlanChunks:
         assert pools.workers == [3, 2]
 
     def test_unknown_cpu_count_means_one_worker(self, pools, monkeypatch):
+        # Without an affinity mask the platform's CPU count caps the workers.
+        monkeypatch.delattr(census.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(census.os, "cpu_count", lambda: None)
         assert len(run_census(6, dedupe=True, jobs=10**9)) == DIHEDRAL_CLASSES[6]
+        assert pools.workers == []
+
+    def test_one_cpu_mask_means_one_worker(self, pools, monkeypatch):
+        # The CPUs this process may run on cap the workers, not the host's.
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+        assert run_census(7, jobs=64) == run_census(7)
         assert pools.workers == []
 
     def test_one_job_is_one_chunk(self, pools):
@@ -402,6 +411,23 @@ class TestRunCensus:
                 assert records == (classes if dedupe else catalan(n - 2))
                 # One graph, one ear cut and one DP pass with a lane per member.
                 assert calls == dict.fromkeys(homes, classes)
+
+    def test_records_share_one_tuple_per_distinct_witness(self):
+        # The 16,796 labelled triangulations of order 12 have 907 distinct
+        # witnesses; each multi-lane pass reads them through one decoder cache.
+        dual._labels.cache_clear()
+        recs = run_census(12)
+        assert len(recs) == catalan(10) == 16796
+        assert len({r.gp_witness for r in recs}) == 907
+        assert len({id(r.gp_witness) for r in recs}) == 907
+
+    def test_one_lane_passes_leave_the_decode_cache_empty(self):
+        # A gp_number solve of a MOP and a deduplicated class task run one
+        # lane each and decode it directly.
+        dual._labels.cache_clear()
+        assert gp_number(random_mop(random.Random(12), 12)).value >= 3
+        assert len(_class_records(12, quiddity_classes(12)[0], True)[0]) == 1
+        assert dual._labels.cache_info().currsize == 0
 
     @staticmethod
     def lanes_then(change):
@@ -683,7 +709,7 @@ class TestClaims:
             assert len(calls) == DIHEDRAL_CLASSES[n]
 
     def test_pool_workers_check_the_claims(self, pools, monkeypatch):
-        monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         real, calls = census.class_violations, []
 
         def counting(record, g):

@@ -282,6 +282,7 @@ def join_table(merge):
 def clear_plans():
     dual._plan.cache_clear()
     dual._rows.cache_clear()
+    dual._labels.cache_clear()
 
 
 @contextmanager
@@ -394,10 +395,10 @@ class TestQuotient:
         code = (
             "import gpmop\n"
             "from gpmop import dual\n"
-            "print(*(f.cache_info().currsize for f in (dual._merge, dual._rows, dual._plan)))\n"
+            "print(*(f.cache_info().currsize for f in (dual._merge, dual._rows, dual._plan, dual._labels)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=src, check=True)
-        assert proc.stdout == "0 0 0\n"
+        assert proc.stdout == "0 0 0 0\n"
 
     @given(st.integers(0, 10**9))
     @settings(max_examples=30, deadline=None)
